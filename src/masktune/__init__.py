@@ -14,7 +14,6 @@ from .masking import (
     retained_energy,
     row_scores,
     col_scores,
-    storage_bits,
     topk_indices,
     trainable_fraction,
 )
@@ -30,5 +29,5 @@ __all__ = [
     "finetune", "forward", "gen_task", "init_model", "linear_probe",
     "mask_objective", "masked_adam_step", "partition_subsets", "pretrain",
     "reg_penalty", "retained_energy", "row_scores", "scl_loss",
-    "select_mask_subset", "storage_bits", "topk_indices", "trainable_fraction",
+    "select_mask_subset", "topk_indices", "trainable_fraction",
 ]

@@ -47,8 +47,7 @@ def cmd_finetune(args) -> int:
     out = Path(args.out)
     harness.write_report_json(report, out)
     harness.write_report_csv(report, out.with_suffix(".csv"))
-    masks = harness.finetune_masks(pre, task, ft_cfg)
-    masking.save_masks(masks, out.with_suffix(".mask.json"))
+    masking.save_masks(report.masks, out.with_suffix(".mask.json"))
     print(f"finetune: variant={ft_cfg.variant} k={ft_cfg.k} "
           f"final_accuracy={report.final_accuracy:.4f} "
           f"trainable_fraction={report.trainable_fraction:.4f} report={out}")
@@ -58,8 +57,8 @@ def cmd_finetune(args) -> int:
 def cmd_mask_report(args) -> int:
     pre = load_checkpoint(args.checkpoint)
     data = load_dataset_csv(args.data)
-    masks = masking.compute_mask_set(pre, data.x, data.y, args.k, args.variant, args.tau)
     gradients = masking.scl_gradients(pre, data.x, data.y, args.tau)
+    masks = masking.masks_from_gradients(gradients, args.k, args.variant)
 
     layer_reports = []
     for i, (mask, h) in enumerate(zip(masks.layers, gradients)):

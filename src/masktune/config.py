@@ -50,6 +50,14 @@ def _check_section(section: dict, schema: dict, where: str,
             raise ConfigError(f"{where}: missing key {key!r}")
 
 
+def _optim_config(section: dict) -> OptimConfig:
+    """Adam settings of a pretrain or finetune section, defaults filled in."""
+    p = {**_OPTIM_DEFAULTS, **section}
+    return OptimConfig(base_lr=float(p["base_lr"]), total_epochs=p["epochs"],
+                       warmup_epochs=p["warmup_epochs"], beta1=float(p["beta1"]),
+                       beta2=float(p["beta2"]), epsilon=float(p["epsilon"]))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int
@@ -65,13 +73,10 @@ class RunConfig:
                         float(t["noise_sigma"]), shift, self.seed)
 
     def pretrain_optim(self) -> OptimConfig:
-        p = {**_OPTIM_DEFAULTS, **self.pretrain}
-        return OptimConfig(base_lr=float(p["base_lr"]), total_epochs=p["epochs"],
-                           warmup_epochs=p["warmup_epochs"], beta1=float(p["beta1"]),
-                           beta2=float(p["beta2"]), epsilon=float(p["epsilon"]))
+        return _optim_config(self.pretrain)
 
     def finetune_config(self) -> FineTuneConfig:
-        f = {**_OPTIM_DEFAULTS, **self.finetune}
+        f = self.finetune
         regular = f["regular"]
         reg = RegConfig(
             lam=float(f["lambda"]),
@@ -80,12 +85,10 @@ class RunConfig:
                                include_embedding=regular.get("include_embedding", True),
                                include_head=regular.get("include_head", True)),
         )
-        optim = OptimConfig(base_lr=float(f["base_lr"]), total_epochs=f["epochs"],
-                            warmup_epochs=f["warmup_epochs"], beta1=float(f["beta1"]),
-                            beta2=float(f["beta2"]), epsilon=float(f["epsilon"]))
         return FineTuneConfig(k=f["k"], variant=f["variant"], reg=reg,
                               tau=float(f["tau"]), subsets_n=f["subsets_n"],
-                              optim=optim, batch_size=f["batch_size"], seed=self.seed)
+                              optim=_optim_config(f), batch_size=f["batch_size"],
+                              seed=self.seed)
 
     def to_dict(self) -> dict:
         return {"seed": self.seed, "task": self.task,

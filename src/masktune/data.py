@@ -134,14 +134,26 @@ def save_dataset_csv(data: Dataset, path: str | Path) -> None:
 
 
 def load_dataset_csv(path: str | Path, num_classes: int | None = None) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "y":
-            raise InputError(f"{path}: expected header starting with 'y'")
-        rows = list(reader)
-    y = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    x = np.array([[float(v) for v in r[1:]] for r in rows], dtype=np.float64)
+    """Read a CSV written by save_dataset_csv; malformed files raise InputError."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, ValueError, csv.Error) as exc:
+        raise InputError(f"cannot read dataset {path}: {exc}") from exc
+    if not rows or not rows[0] or rows[0][0] != "y":
+        raise InputError(f"{path}: expected header starting with 'y'")
+    width = len(rows[0])
+    body = rows[1:]
+    for line, r in enumerate(body, start=2):
+        if len(r) != width:
+            raise InputError(f"{path}: line {line} has {len(r)} cells, header has {width}")
+    try:
+        y = np.array([int(r[0]) for r in body], dtype=np.int64)
+        x = np.array([[float(v) for v in r[1:]] for r in body], dtype=np.float64)
+    except ValueError as exc:
+        raise InputError(f"{path}: non-numeric cell: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise InputError(f"{path}: non-finite feature value")
     if num_classes is None:
         num_classes = int(y.max()) + 1 if len(y) else 0
     return Dataset(x, y, num_classes)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,7 +71,7 @@ class TrainReport:
     storage_bits: int
     weight_distances: list[float]  # per-layer ||W - W_pre||_F
     mask_subset_index: int
-    seconds: float
+    masks: GradientMaskSet  # the masks the run trained under; not serialized
     config: dict
 
     def to_dict(self) -> dict:
@@ -83,7 +82,6 @@ class TrainReport:
             "storage_bits": self.storage_bits,
             "weight_distances": self.weight_distances,
             "mask_subset_index": self.mask_subset_index,
-            "seconds": self.seconds,
             "epochs": [dataclasses.asdict(e) for e in self.epochs],
         }
 
@@ -137,21 +135,28 @@ def pretrain(task: TaskPair, dims: list[int], epochs: int, optim: OptimConfig,
     return model
 
 
+def finetune_masks(pre: ModelParams, task: TaskPair,
+                   cfg: FineTuneConfig) -> tuple[int, GradientMaskSet]:
+    """Subset selection and contrastive scoring at the pretrained weights.
+
+    Returns the chosen subset's index and the masks a finetune run with this
+    config trains under.
+    """
+    rng = Rng(cfg.seed)
+    anchor = reinit_head(pre, task.target_train.num_classes, rng.child(_STREAM_HEAD))
+    subsets = partition_subsets(task.target_train, cfg.subsets_n,
+                                rng.child(_STREAM_SUBSET))
+    subset_index, mask_data = select_mask_subset(anchor, subsets, cfg.tau)
+    masks = compute_mask_set(anchor, mask_data.x, mask_data.y, cfg.k, cfg.variant, cfg.tau)
+    return subset_index, masks
+
+
 def _finetune_with_masks(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig,
-                         masks: GradientMaskSet | None) -> tuple[ModelParams, TrainReport]:
-    tic = time.perf_counter()
+                         subset_index: int,
+                         masks: GradientMaskSet) -> tuple[ModelParams, TrainReport]:
     rng = Rng(cfg.seed)
     model = reinit_head(pre, task.target_train.num_classes, rng.child(_STREAM_HEAD))
     anchor = model.copy()
-
-    subset_index = 0
-    if masks is None:
-        subsets = partition_subsets(task.target_train, cfg.subsets_n,
-                                    rng.child(_STREAM_SUBSET))
-        subset_index, mask_data = select_mask_subset(anchor, subsets, cfg.tau)
-        masks = compute_mask_set(anchor, mask_data.x, mask_data.y,
-                                 cfg.k, cfg.variant, cfg.tau)
-
     model, stats = _train(model, anchor, masks, task.target_train, task.target_test,
                           cfg.reg, cfg.optim, cfg.batch_size, rng.child(_STREAM_SHUFFLE))
     distances = [float(np.sqrt(np.sum((m.weight - a.weight) ** 2)))
@@ -163,7 +168,7 @@ def _finetune_with_masks(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig,
         storage_bits=masks.total_storage_bits(),
         weight_distances=distances,
         mask_subset_index=subset_index,
-        seconds=time.perf_counter() - tic,
+        masks=masks,
         config=cfg.to_dict(),
     )
     return model, report
@@ -172,24 +177,14 @@ def _finetune_with_masks(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig,
 def finetune(pre: ModelParams, task: TaskPair,
              cfg: FineTuneConfig) -> tuple[ModelParams, TrainReport]:
     """Subset selection, mask computation at the pretrained weights, masked training."""
-    return _finetune_with_masks(pre, task, cfg, None)
-
-
-def finetune_masks(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig) -> GradientMaskSet:
-    """The mask set a finetune run with this config would train under."""
-    rng = Rng(cfg.seed)
-    anchor = reinit_head(pre, task.target_train.num_classes, rng.child(_STREAM_HEAD))
-    subsets = partition_subsets(task.target_train, cfg.subsets_n,
-                                rng.child(_STREAM_SUBSET))
-    _, mask_data = select_mask_subset(anchor, subsets, cfg.tau)
-    return compute_mask_set(anchor, mask_data.x, mask_data.y, cfg.k, cfg.variant, cfg.tau)
+    subset_index, masks = finetune_masks(pre, task, cfg)
+    return _finetune_with_masks(pre, task, cfg, subset_index, masks)
 
 
 def linear_probe(pre: ModelParams, task: TaskPair,
                  cfg: FineTuneConfig) -> tuple[ModelParams, TrainReport]:
     """Head-only fine-tuning baseline under the same budget."""
-    masks = GradientMaskSet.head_only(pre)
-    return _finetune_with_masks(pre, task, cfg, masks)
+    return _finetune_with_masks(pre, task, cfg, 0, GradientMaskSet.head_only(pre))
 
 
 ABLATION_AXES = ("k", "lambda", "regular_blocks", "subsets_n", "variant", "norm")

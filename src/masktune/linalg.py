@@ -1,7 +1,6 @@
-"""Dense float64 linear algebra, counter-based seeded RNG, and finite differences.
+"""Counter-based seeded RNG, the squared Frobenius norm, and finite differences.
 
-All matrices are 2-D float64 numpy arrays with row-major semantics. Operations
-are pure functions; nothing here holds mutable shared state, so concurrent
+Functions here are pure; nothing holds mutable shared state, so concurrent
 callers are safe. Randomness goes through :class:`Rng`, a thin wrapper over
 numpy's Philox counter-based generator, so identical seeds reproduce identical
 streams on every platform.
@@ -13,40 +12,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError
 
 Matrix = np.ndarray
-
-
-def as_matrix(data) -> Matrix:
-    """Coerce to a finite 2-D float64 array, validating shape and values."""
-    a = np.asarray(data, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise NumericError("matrix contains non-finite entries")
-    return a
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with an explicit inner-dimension check."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul requires 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def frobenius_sq(a: Matrix) -> float:
     """Sum of squared entries."""
     return float(np.sum(a * a))
-
-
-def elementwise_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Hadamard product of equal-shaped matrices."""
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
 
 
 def finite_diff_grad(f: Callable[[Matrix], float], at: Matrix, h: float) -> Matrix:

@@ -156,4 +156,7 @@ def combined_grad(model: ModelParams, pre: ModelParams,
     if cfg.norm == "none" or cfg.lam == 0.0:
         return ce, ce, grads
     reg_loss, reg_grads = reg_penalty(model, pre, cfg)
-    return ce + reg_loss, ce, grads.add(reg_grads)
+    for i in resolve_regular_layers(model, cfg.regular):
+        grads.layers[i].weight += reg_grads.layers[i].weight
+        grads.layers[i].bias += reg_grads.layers[i].bias
+    return ce + reg_loss, ce, grads

@@ -119,14 +119,6 @@ def full_mask(shape: tuple[int, int]) -> LayerMask:
     return LayerMask("full", shape)
 
 
-def to_dense(mask: LayerMask) -> np.ndarray:
-    return mask.to_dense()
-
-
-def storage_bits(mask: LayerMask) -> int:
-    return mask.storage_bits()
-
-
 def row_scores(h: np.ndarray) -> np.ndarray:
     """Per-row sum of squared entries: the selection statistic."""
     return np.sum(h * h, axis=1)
@@ -223,6 +215,20 @@ def scl_gradients(pre: ModelParams, x: np.ndarray, y: np.ndarray, tau: float) ->
     return [g.weight for g in grads.layers]
 
 
+def masks_from_gradients(gradients: list[np.ndarray], k: int, variant: str) -> GradientMaskSet:
+    """One mask per maskable layer from per-layer gradients, head last and full."""
+    if variant not in ("row", "col", "sparse"):
+        raise ConfigError(f"unknown selection variant {variant!r}")
+    for i, h in enumerate(gradients[:-1]):
+        rows, cols = h.shape
+        limit = rows if variant == "row" else cols
+        if not 1 <= k <= limit:
+            raise ConfigError(f"k={k} out of range for layer {i} with shape {rows}x{cols}")
+    masks = [build_mask(h, k, variant) for h in gradients[:-1]]
+    masks.append(full_mask(gradients[-1].shape))
+    return GradientMaskSet(tuple(masks))
+
+
 def compute_mask_set(pre: ModelParams, x: np.ndarray, y: np.ndarray,
                      k: int, variant: str, tau: float) -> GradientMaskSet:
     """Single pass over the mask data; builds one mask per maskable layer.
@@ -232,19 +238,9 @@ def compute_mask_set(pre: ModelParams, x: np.ndarray, y: np.ndarray,
     """
     if variant == "full":
         return GradientMaskSet.all_full(pre)
-    if variant not in ("row", "col", "sparse"):
-        raise ConfigError(f"unknown selection variant {variant!r}")
     if len(y) == 0:
         raise ConfigError("mask data must be non-empty")
-    for i, layer in enumerate(pre.layers[:-1]):
-        rows, cols = layer.weight.shape
-        limit = rows if variant == "row" else cols
-        if not 1 <= k <= limit:
-            raise ConfigError(f"k={k} out of range for layer {i} with shape {rows}x{cols}")
-    hs = scl_gradients(pre, x, y, tau)
-    masks = [build_mask(h, k, variant) for h in hs[:-1]]
-    masks.append(full_mask(pre.layers[-1].weight.shape))
-    return GradientMaskSet(tuple(masks))
+    return masks_from_gradients(scl_gradients(pre, x, y, tau), k, variant)
 
 
 def trainable_fraction(model: ModelParams, masks: GradientMaskSet) -> float:

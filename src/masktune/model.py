@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, InputError, ShapeError, StateError
 from .linalg import Rng
 
 ROLES = ("embedding", "hidden", "head")
@@ -106,12 +106,6 @@ class GradientSet:
     def zeros_like(model: ModelParams) -> "GradientSet":
         return GradientSet([LayerGrad(np.zeros_like(l.weight), np.zeros_like(l.bias))
                             for l in model.layers])
-
-    def add(self, other: "GradientSet") -> "GradientSet":
-        if len(self.layers) != len(other.layers):
-            raise ShapeError("gradient sets have different layer counts")
-        return GradientSet([LayerGrad(a.weight + b.weight, a.bias + b.bias)
-                            for a, b in zip(self.layers, other.layers)])
 
 
 @dataclass
@@ -241,12 +235,29 @@ def save_checkpoint(model: ModelParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    doc = json.loads(Path(path).read_text())
-    roles = doc["roles"]
+    """Read a checkpoint written by save_checkpoint.
+
+    An unreadable file, or a document whose layers do not fit the schema,
+    raises InputError.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read checkpoint {path}: {exc}") from exc
+    try:
+        roles, records = doc["roles"], doc["layers"]
+        weights = [np.asarray(rec["weight"], dtype=np.float64) for rec in records]
+        biases = [np.asarray(rec["bias"], dtype=np.float64) for rec in records]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"checkpoint {path}: malformed document: {exc!r}") from exc
+    if not isinstance(roles, list) or len(roles) != len(weights):
+        raise InputError(f"checkpoint {path}: roles do not match layers")
     layers = []
-    for role, rec in zip(roles, doc["layers"]):
-        weight = np.asarray(rec["weight"], dtype=np.float64)
-        bias = np.asarray(rec["bias"], dtype=np.float64)
+    for i, (role, weight, bias) in enumerate(zip(roles, weights, biases)):
+        if weight.ndim != 2 or bias.ndim != 1:
+            raise InputError(f"checkpoint {path}: layer {i} needs a 2-D weight and a 1-D bias")
+        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
+            raise InputError(f"checkpoint {path}: layer {i} has non-finite entries")
         activation = "identity" if role == "head" else "relu"
         layers.append(Layer(weight, bias, role, activation))
     return ModelParams(layers)

@@ -170,7 +170,7 @@ def test_criterion_04_frozen_entries_bitwise(small_setup):
         for variant in ("row", "col", "sparse"):
             cfg = reference_cfg(variant=variant, k=2, subsets_n=2, batch_size=12, seed=3,
                                 optim=OptimConfig(base_lr=0.02, total_epochs=100, warmup_epochs=2))
-            masks = finetune_masks(pre, task, cfg)
+            _, masks = finetune_masks(pre, task, cfg)
             model, _ = finetune(pre, task, cfg)
             for li in range(len(pre.layers) - 1):
                 wm = masks.layers[li].to_dense()

@@ -1,9 +1,11 @@
 import copy
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from masktune import data, harness, masking
 from masktune.cli import main
 from masktune.config import parse_run_config
 from masktune.data import save_dataset_csv, gen_task, ShiftConfig
@@ -37,6 +39,25 @@ BASE_CONFIG = {
         "warmup_epochs": 1,
     },
 }
+
+
+def count_calls(monkeypatch, func) -> list:
+    """Count calls to func through every masktune module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(func.__name__)
+        return func(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("masktune") and vars(mod).get(func.__name__) is func:
+            monkeypatch.setattr(mod, func.__name__, counted)
+    return calls
+
+
+def write_target_csv(path) -> None:
+    task = gen_task(6, 3, 12, 0.15, ShiftConfig(7, 0.6), seed=11)
+    save_dataset_csv(task.target_train, path)
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +158,41 @@ class TestFinetuneCommand:
         masks = load_masks(tmp_path / "report.mask.json")
         assert masks.total_storage_bits() == doc["storage_bits"]
 
+    def test_reruns_byte_identical(self, trained, tmp_path):
+        cfg, ckpt = trained
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            assert main(["finetune", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / run / "report.json")]) == 0
+        for name in ("report.json", "report.csv", "report.mask.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_scores_once_and_saves_the_trained_masks(self, trained, tmp_path, monkeypatch):
+        cfg, ckpt = trained
+        subset_calls = count_calls(monkeypatch, data.select_mask_subset)
+        scl_calls = count_calls(monkeypatch, masking.scl_gradients)
+        runs = []
+        finetune = harness.finetune
+
+        def recorded(*args):
+            runs.append(finetune(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(harness, "finetune", recorded)
+        out = tmp_path / "report.json"
+        assert main(["finetune", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 0
+        assert len(subset_calls) == 1
+        assert len(scl_calls) == 1
+        [(model, _)] = runs
+        masks = load_masks(tmp_path / "report.mask.json")
+        assert masks.total_storage_bits() == json.loads(out.read_text())["storage_bits"]
+        pre = load_checkpoint(ckpt)
+        for mask, layer, before in zip(masks.layers[:-1], model.layers, pre.layers):
+            frozen = mask.to_dense() == 0.0
+            assert frozen.any()
+            assert np.array_equal(layer.weight[frozen], before.weight[frozen])
+
     def test_k_too_large_exits_2_naming_layer(self, trained, tmp_path, capsys):
         cfg, ckpt = trained
         doc = copy.deepcopy(BASE_CONFIG)
@@ -168,6 +224,15 @@ class TestMaskReportCommand:
         gaps = [rec.get("oracle_gap") for rec in doc["layers"] if "oracle_gap" in rec]
         assert gaps and all(abs(g) <= 1e-12 for g in gaps)
 
+    def test_scores_once(self, trained, tmp_path, monkeypatch):
+        _, ckpt = trained
+        data_path = tmp_path / "target.csv"
+        write_target_csv(data_path)
+        scl_calls = count_calls(monkeypatch, masking.scl_gradients)
+        assert main(["mask-report", "--checkpoint", str(ckpt), "--data", str(data_path),
+                     "--k", "2", "--out", str(tmp_path / "r.json")]) == 0
+        assert len(scl_calls) == 1
+
     def test_bad_k_exits_2(self, trained, tmp_path):
         cfg, ckpt = trained
         task = gen_task(6, 3, 12, 0.15, ShiftConfig(7, 0.6), seed=11)
@@ -175,6 +240,43 @@ class TestMaskReportCommand:
         save_dataset_csv(task.target_train, data_path)
         assert main(["mask-report", "--checkpoint", str(ckpt), "--data", str(data_path),
                      "--k", "999", "--out", str(tmp_path / "r.json")]) == 2
+
+
+class TestBadInputFiles:
+    def test_missing_checkpoint_exits_2(self, trained, tmp_path, capsys):
+        cfg, _ = trained
+        assert main(["finetune", "--config", str(cfg),
+                     "--checkpoint", str(tmp_path / "nope.json"),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "checkpoint" in capsys.readouterr().err
+
+    def test_checkpoint_without_layers_exits_2(self, trained, tmp_path, capsys):
+        cfg, ckpt = trained
+        doc = json.loads(ckpt.read_text())
+        del doc["layers"]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        assert main(["finetune", "--config", str(cfg), "--checkpoint", str(broken),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "layers" in capsys.readouterr().err
+
+    def test_non_numeric_csv_cell_exits_2(self, trained, tmp_path, capsys):
+        _, ckpt = trained
+        data_path = tmp_path / "target.csv"
+        write_target_csv(data_path)
+        lines = data_path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",abc"
+        data_path.write_text("\n".join(lines) + "\n")
+        assert main(["mask-report", "--checkpoint", str(ckpt), "--data", str(data_path),
+                     "--k", "2", "--out", str(tmp_path / "r.json")]) == 2
+        assert "non-numeric" in capsys.readouterr().err
+
+    def test_empty_csv_exits_2(self, trained, tmp_path):
+        _, ckpt = trained
+        data_path = tmp_path / "empty.csv"
+        data_path.write_text("")
+        assert main(["mask-report", "--checkpoint", str(ckpt), "--data", str(data_path),
+                     "--k", "2", "--out", str(tmp_path / "r.json")]) == 2
 
 
 class TestAblateCommand:

@@ -11,7 +11,7 @@ from masktune.data import (
     save_dataset_csv,
     select_mask_subset,
 )
-from masktune.errors import ConfigError
+from masktune.errors import ConfigError, InputError
 from masktune.losses import scl_loss
 from masktune.model import forward
 
@@ -136,3 +136,11 @@ class TestCsv:
         assert np.array_equal(loaded.x, data.x)
         assert np.array_equal(loaded.y, data.y)
         assert loaded.num_classes == 4
+
+    @pytest.mark.parametrize("text", ["", "x0,y\n0,1.0\n", "y,x0,x1\n0,1.0\n",
+                                      "y,x0\n0,nan\n", "y,x0\none,1.0\n"])
+    def test_malformed_csv_raises_input_error(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(InputError):
+            load_dataset_csv(path)

@@ -116,7 +116,7 @@ class TestFinetune:
     def test_frozen_rows_bitwise_unchanged(self, pre_and_task):
         pre, task = pre_and_task
         cfg = make_cfg(k=1)
-        masks = finetune_masks(pre, task, cfg)
+        _, masks = finetune_masks(pre, task, cfg)
         model, _ = finetune(pre, task, cfg)
         for li in range(len(pre.layers) - 1):
             dense = masks.layers[li].to_dense()
@@ -134,7 +134,7 @@ class TestFinetune:
         assert 0.0 <= report.final_accuracy <= 1.0
         assert report.final_accuracy == report.epochs[-1].test_accuracy
         assert 0.0 < report.trainable_fraction < 1.0
-        assert report.storage_bits == finetune_masks(pre, task, cfg).total_storage_bits()
+        assert report.storage_bits == finetune_masks(pre, task, cfg)[1].total_storage_bits()
         assert 0 <= report.mask_subset_index < cfg.subsets_n
         assert report.epochs[cfg.optim.warmup_epochs].lr == cfg.optim.base_lr
         assert report.config["k"] == cfg.k

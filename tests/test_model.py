@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import grad_rel_err, small_model
-from masktune.errors import ConfigError, ShapeError, StateError
+from masktune.errors import ConfigError, InputError, ShapeError, StateError
 from masktune.linalg import Rng, finite_diff_grad
 from masktune.losses import cross_entropy
 from masktune.model import (
@@ -146,6 +148,24 @@ class TestCheckpoint:
         for la, lb in zip(m.layers, loaded.layers):
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
+
+    @pytest.mark.parametrize("breakage", ["not_json", "role_missing", "flat_weight",
+                                          "nan_bias", "layers_not_list"])
+    def test_malformed_checkpoint_raises_input_error(self, tmp_path, breakage):
+        path = tmp_path / "model.json"
+        save_checkpoint(small_model(seed=21), path)
+        doc = json.loads(path.read_text())
+        if breakage == "role_missing":
+            doc["roles"].pop()
+        elif breakage == "flat_weight":
+            doc["layers"][0]["weight"] = doc["layers"][0]["bias"]
+        elif breakage == "nan_bias":
+            doc["layers"][1]["bias"][0] = float("nan")
+        elif breakage == "layers_not_list":
+            doc["layers"] = 3
+        path.write_text("{" if breakage == "not_json" else json.dumps(doc))
+        with pytest.raises(InputError):
+            load_checkpoint(path)
 
     def test_reinit_head(self):
         m = small_model(seed=4)
