@@ -22,14 +22,24 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
+def _output_path(path: str) -> Path:
+    """The output path, once its directory is known to exist, so a run never
+    trains only to fail at its last write."""
+    out = Path(path)
+    if not out.parent.is_dir():
+        raise InputError(f"output directory {out.parent} does not exist")
+    return out
+
+
 def cmd_pretrain(args) -> int:
+    out = _output_path(args.out)
     cfg = load_run_config(args.config, args.seed)
     task = cfg.make_task()
     pretrain_cfg = cfg.pretrain
     model = harness.pretrain(task, cfg.model_dims, pretrain_cfg["epochs"],
                              cfg.pretrain_optim(), cfg.seed,
                              batch_size=pretrain_cfg["batch_size"])
-    save_checkpoint(model, args.out)
+    save_checkpoint(model, out)
     acc = harness.evaluate(model, task.source)
     print(f"pretrain: seed={cfg.seed} epochs={pretrain_cfg['epochs']} "
           f"source_accuracy={acc:.4f} checkpoint={args.out}")
@@ -37,6 +47,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    out = _output_path(args.out)
     cfg = load_run_config(args.config, args.seed)
     task = cfg.make_task()
     pre = load_checkpoint(args.checkpoint)
@@ -44,7 +55,6 @@ def cmd_finetune(args) -> int:
     model, report = harness.finetune(pre, task, ft_cfg)
     report.config = {**report.config, "run_config": cfg.to_dict()}
 
-    out = Path(args.out)
     harness.write_report_json(report, out)
     harness.write_report_csv(report, out.with_suffix(".csv"))
     masking.save_masks(report.masks, out.with_suffix(".mask.json"))
@@ -55,6 +65,7 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_mask_report(args) -> int:
+    out = _output_path(args.out)
     pre = load_checkpoint(args.checkpoint)
     data = load_dataset_csv(args.data)
     gradients = masking.scl_gradients(pre, data.x, data.y, args.tau)
@@ -64,15 +75,7 @@ def cmd_mask_report(args) -> int:
     for i, (mask, h) in enumerate(zip(masks.layers, gradients)):
         rows, cols = mask.shape
         rec = {"layer": i, "shape": [rows, cols], "variant": mask.variant,
-               "storage_bits": {
-                   "selected": mask.storage_bits(),
-                   "row": masking.LayerMask("row", (rows, cols),
-                                            tuple(range(min(args.k, rows)))).storage_bits(),
-                   "sparse": masking.LayerMask(
-                       "sparse", (rows, cols),
-                       tuple(tuple(range(min(args.k, cols))) for _ in range(rows))).storage_bits(),
-                   "dense": rows * cols,
-               },
+               "storage_bits": masking.storage_comparison(mask, args.k),
                "mask_objective": masking.mask_objective(h, mask),
                "retained_energy": masking.retained_energy(h, mask)}
         if args.verify_oracle and mask.variant == "row" and rows <= 8:
@@ -91,7 +94,7 @@ def cmd_mask_report(args) -> int:
            "layers": layer_reports,
            "mask": {"layers": [masking.mask_to_doc(m) for m in masks.layers],
                     "storage_bits": masks.total_storage_bits()}}
-    Path(args.out).write_text(json.dumps(doc, indent=1))
+    out.write_text(json.dumps(doc, indent=1))
     return EXIT_OK
 
 
@@ -110,14 +113,17 @@ def cmd_ablate(args) -> int:
     if args.axis not in harness.ABLATION_AXES:
         raise ConfigError(f"unknown axis {args.axis!r}; "
                           f"choose from {', '.join(harness.ABLATION_AXES)}")
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {out_dir}: {exc}") from exc
     cfg = load_run_config(args.config, args.seed)
     values = _parse_values(args.axis, args.values)
     task = cfg.make_task()
     pre = load_checkpoint(args.checkpoint)
     reports = harness.ablate(pre, task, cfg.finetune_config(), args.axis, values)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     combined = out_dir / "combined.csv"
     with open(combined, "w", newline="") as fh:
         writer = csv.writer(fh)

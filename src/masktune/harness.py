@@ -18,10 +18,10 @@ import numpy as np
 from .data import Dataset, TaskPair, partition_subsets, select_mask_subset
 from .errors import ConfigError, NumericError, ShapeError
 from .linalg import Rng
-from .losses import RegConfig, combined_grad, resolve_regular_layers
+from .losses import RegConfig, combined_grad, resolve_penalty
 from .masking import GradientMaskSet, compute_mask_set, trainable_fraction
 from .model import ModelParams, forward, init_model, reinit_head
-from .optim import OptimConfig, cosine_warmup_lr, init_adam_state, masked_adam_step
+from .optim import AdamState, OptimConfig, cosine_warmup_lr, init_adam_state, masked_adam_step
 
 # sub-stream tags; fixed so trajectories are reproducible by construction
 _STREAM_HEAD = 1
@@ -69,6 +69,7 @@ class TrainReport:
     final_accuracy: float
     trainable_fraction: float
     storage_bits: int
+    optimizer_state_bytes: int  # Adam moments over the trainable slices
     weight_distances: list[float]  # per-layer ||W - W_pre||_F
     mask_subset_index: int
     masks: GradientMaskSet  # the masks the run trained under; not serialized
@@ -80,6 +81,7 @@ class TrainReport:
             "final_accuracy": self.final_accuracy,
             "trainable_fraction": self.trainable_fraction,
             "storage_bits": self.storage_bits,
+            "optimizer_state_bytes": self.optimizer_state_bytes,
             "weight_distances": self.weight_distances,
             "mask_subset_index": self.mask_subset_index,
             "epochs": [dataclasses.asdict(e) for e in self.epochs],
@@ -101,23 +103,25 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
 
 def _train(model: ModelParams, anchor: ModelParams, masks: GradientMaskSet,
            train: Dataset, test: Dataset, reg: RegConfig, optim: OptimConfig,
-           batch_size: int, shuffle_rng: Rng) -> tuple[ModelParams, list[EpochStats]]:
-    state = init_adam_state(model)
+           batch_size: int, shuffle_rng: Rng) -> tuple[list[EpochStats], AdamState]:
+    """Train ``model`` in place; return the per-epoch stats and the final Adam state."""
+    state = init_adam_state(model, masks)
+    penalty = resolve_penalty(anchor, reg, masks)
     stats: list[EpochStats] = []
     for epoch in range(optim.total_epochs):
         lr = cosine_warmup_lr(epoch, optim)
         order = shuffle_rng.permutation(len(train))
         loss_sum = ce_sum = 0.0
         for idx in _batches(len(train), batch_size, order):
-            loss_r, ce, grads = combined_grad(model, anchor, train.x[idx], train.y[idx], reg)
+            loss_r, ce, grads = combined_grad(model, penalty, train.x[idx], train.y[idx])
             if not np.isfinite(loss_r):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
-            model, state = masked_adam_step(model, state, grads, masks, lr, optim)
+            masked_adam_step(model, state, grads, masks, lr, optim)
             loss_sum += loss_r * len(idx)
             ce_sum += ce * len(idx)
         n = len(train)
         stats.append(EpochStats(epoch, lr, loss_sum / n, ce_sum / n, evaluate(model, test)))
-    return model, stats
+    return stats, state
 
 
 def pretrain(task: TaskPair, dims: list[int], epochs: int, optim: OptimConfig,
@@ -130,35 +134,39 @@ def pretrain(task: TaskPair, dims: list[int], epochs: int, optim: OptimConfig,
     optim = dataclasses.replace(optim, total_epochs=epochs)
     reg = RegConfig(lam=0.0, norm="none")
     masks = GradientMaskSet.all_full(model)
-    model, _ = _train(model, model.copy(), masks, task.source, task.source,
-                      reg, optim, batch_size, rng.child(_STREAM_SHUFFLE))
+    _train(model, model.copy(), masks, task.source, task.source,
+           reg, optim, batch_size, rng.child(_STREAM_SHUFFLE))
     return model
 
 
-def finetune_masks(pre: ModelParams, task: TaskPair,
-                   cfg: FineTuneConfig) -> tuple[int, GradientMaskSet]:
-    """Subset selection and contrastive scoring at the pretrained weights.
+def _with_new_head(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig) -> ModelParams:
+    """A copy of ``pre`` with the run's freshly drawn head for the target classes."""
+    return reinit_head(pre, task.target_train.num_classes,
+                       Rng(cfg.seed).child(_STREAM_HEAD))
 
-    Returns the chosen subset's index and the masks a finetune run with this
-    config trains under.
+
+def finetune_masks(model: ModelParams, task: TaskPair,
+                   cfg: FineTuneConfig) -> tuple[int, GradientMaskSet]:
+    """Subset selection and contrastive scoring at the given weights.
+
+    The head's weights play no part in scoring; the head mask is full and
+    has the shape of ``model``'s head. Returns the chosen subset's index and
+    the masks a finetune run with this config trains under.
     """
-    rng = Rng(cfg.seed)
-    anchor = reinit_head(pre, task.target_train.num_classes, rng.child(_STREAM_HEAD))
     subsets = partition_subsets(task.target_train, cfg.subsets_n,
-                                rng.child(_STREAM_SUBSET))
-    subset_index, mask_data = select_mask_subset(anchor, subsets, cfg.tau)
-    masks = compute_mask_set(anchor, mask_data.x, mask_data.y, cfg.k, cfg.variant, cfg.tau)
+                                Rng(cfg.seed).child(_STREAM_SUBSET))
+    subset_index, mask_data = select_mask_subset(model, subsets, cfg.tau)
+    masks = compute_mask_set(model, mask_data.x, mask_data.y, cfg.k, cfg.variant, cfg.tau)
     return subset_index, masks
 
 
-def _finetune_with_masks(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig,
+def _finetune_with_masks(model: ModelParams, task: TaskPair, cfg: FineTuneConfig,
                          subset_index: int,
                          masks: GradientMaskSet) -> tuple[ModelParams, TrainReport]:
-    rng = Rng(cfg.seed)
-    model = reinit_head(pre, task.target_train.num_classes, rng.child(_STREAM_HEAD))
+    """Train ``model`` in place towards a copy of its starting weights."""
     anchor = model.copy()
-    model, stats = _train(model, anchor, masks, task.target_train, task.target_test,
-                          cfg.reg, cfg.optim, cfg.batch_size, rng.child(_STREAM_SHUFFLE))
+    stats, state = _train(model, anchor, masks, task.target_train, task.target_test,
+                          cfg.reg, cfg.optim, cfg.batch_size, Rng(cfg.seed).child(_STREAM_SHUFFLE))
     distances = [float(np.sqrt(np.sum((m.weight - a.weight) ** 2)))
                  for m, a in zip(model.layers, anchor.layers)]
     report = TrainReport(
@@ -166,6 +174,7 @@ def _finetune_with_masks(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig,
         final_accuracy=stats[-1].test_accuracy,
         trainable_fraction=trainable_fraction(model, masks),
         storage_bits=masks.total_storage_bits(),
+        optimizer_state_bytes=state.nbytes,
         weight_distances=distances,
         mask_subset_index=subset_index,
         masks=masks,
@@ -176,15 +185,17 @@ def _finetune_with_masks(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig,
 
 def finetune(pre: ModelParams, task: TaskPair,
              cfg: FineTuneConfig) -> tuple[ModelParams, TrainReport]:
-    """Subset selection, mask computation at the pretrained weights, masked training."""
-    subset_index, masks = finetune_masks(pre, task, cfg)
-    return _finetune_with_masks(pre, task, cfg, subset_index, masks)
+    """New head, subset selection and mask scoring at the pretrained weights, masked training."""
+    model = _with_new_head(pre, task, cfg)
+    subset_index, masks = finetune_masks(model, task, cfg)
+    return _finetune_with_masks(model, task, cfg, subset_index, masks)
 
 
 def linear_probe(pre: ModelParams, task: TaskPair,
                  cfg: FineTuneConfig) -> tuple[ModelParams, TrainReport]:
     """Head-only fine-tuning baseline under the same budget."""
-    return _finetune_with_masks(pre, task, cfg, 0, GradientMaskSet.head_only(pre))
+    model = _with_new_head(pre, task, cfg)
+    return _finetune_with_masks(model, task, cfg, 0, GradientMaskSet.head_only(model))
 
 
 ABLATION_AXES = ("k", "lambda", "regular_blocks", "subsets_n", "variant", "norm")

@@ -10,11 +10,15 @@ contribute zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .model import GradientSet, LayerGrad, ModelParams, backward, forward
+
+if TYPE_CHECKING:  # masking imports this module for the contrastive loss
+    from .masking import GradientMaskSet
 
 
 @dataclass(frozen=True)
@@ -123,40 +127,66 @@ def scl_loss(features: np.ndarray, labels: np.ndarray, tau: float) -> tuple[floa
     return loss, d_features
 
 
-def reg_penalty(model: ModelParams, pre: ModelParams, cfg: RegConfig) -> tuple[float, GradientSet]:
+@dataclass(frozen=True)
+class Penalty:
+    """The pull-to-pretrained term of one run, resolved once.
+
+    ``layers`` holds ``(layer, weight index, bias index)`` for each regular
+    layer, the indices being the layer mask's trainable index; it is empty
+    when the penalty is off. Frozen entries equal the anchor bit for bit, so
+    their term is exactly zero and the penalty skips them.
+    """
+    pre: ModelParams
+    cfg: RegConfig
+    layers: tuple[tuple[int, object, object], ...]
+
+
+def resolve_penalty(pre: ModelParams, cfg: RegConfig, masks: GradientMaskSet) -> Penalty:
+    """The penalty towards ``pre`` over the entries ``masks`` leave trainable."""
+    if [m.shape for m in masks.layers] != [l.weight.shape for l in pre.layers]:
+        raise ShapeError("masks and pretrained snapshot have different shapes")
+    if cfg.norm == "none" or cfg.lam == 0.0:
+        return Penalty(pre, cfg, ())
+    return Penalty(pre, cfg, tuple((i, *masks.layers[i].trainable)
+                                   for i in resolve_regular_layers(pre, cfg.regular)))
+
+
+def reg_penalty(model: ModelParams, penalty: Penalty) -> tuple[float, GradientSet]:
     """Distance penalty lambda * sum over regular layers of |W - W_pre| (l2 squared or l1).
 
     Biases of regular layers are penalized symmetrically. sign(0) = 0 for l1.
+    Gradient entry i holds the gradient over the trainable slice of regular
+    layer i, and None for a layer outside the regular set.
     """
-    if [l.weight.shape for l in model.layers] != [l.weight.shape for l in pre.layers]:
-        raise ShapeError("model and pretrained snapshot have different shapes")
-    grads = GradientSet.zeros_like(model)
-    if cfg.norm == "none" or cfg.lam == 0.0:
-        return 0.0, grads
+    lam = penalty.cfg.lam
+    grads: list[LayerGrad | None] = [None] * len(model.layers)
     loss = 0.0
-    for i in resolve_regular_layers(model, cfg.regular):
-        dw = model.layers[i].weight - pre.layers[i].weight
-        db = model.layers[i].bias - pre.layers[i].bias
-        if cfg.norm == "l2":
-            loss += cfg.lam * (float(np.sum(dw * dw)) + float(np.sum(db * db)))
-            grads.layers[i] = LayerGrad(2.0 * cfg.lam * dw, 2.0 * cfg.lam * db)
+    for i, wi, bi in penalty.layers:
+        dw = model.layers[i].weight[wi] - penalty.pre.layers[i].weight[wi]
+        db = model.layers[i].bias[bi] - penalty.pre.layers[i].bias[bi]
+        if penalty.cfg.norm == "l2":
+            loss += lam * (float(np.sum(dw * dw)) + float(np.sum(db * db)))
+            grads[i] = LayerGrad(2.0 * lam * dw, 2.0 * lam * db)
         else:
-            loss += cfg.lam * (float(np.sum(np.abs(dw))) + float(np.sum(np.abs(db))))
-            grads.layers[i] = LayerGrad(cfg.lam * np.sign(dw), cfg.lam * np.sign(db))
-    return loss, grads
+            loss += lam * (float(np.sum(np.abs(dw))) + float(np.sum(np.abs(db))))
+            grads[i] = LayerGrad(lam * np.sign(dw), lam * np.sign(db))
+    return loss, GradientSet(grads)
 
 
-def combined_grad(model: ModelParams, pre: ModelParams,
-                  x_batch: np.ndarray, labels: np.ndarray,
-                  cfg: RegConfig) -> tuple[float, float, GradientSet]:
-    """Cross-entropy plus distance penalty; returns (total loss, ce loss, gradients)."""
+def combined_grad(model: ModelParams, penalty: Penalty,
+                  x_batch: np.ndarray, labels: np.ndarray) -> tuple[float, float, GradientSet]:
+    """Cross-entropy plus distance penalty; returns (total loss, ce loss, gradients).
+
+    The penalty gradient is added into the trainable slice of each regular
+    layer only.
+    """
     logits, _, cache = forward(model, x_batch)
     ce, d_logits = cross_entropy(logits, labels)
     grads = backward(model, cache, d_logits=d_logits)
-    if cfg.norm == "none" or cfg.lam == 0.0:
+    if not penalty.layers:
         return ce, ce, grads
-    reg_loss, reg_grads = reg_penalty(model, pre, cfg)
-    for i in resolve_regular_layers(model, cfg.regular):
-        grads.layers[i].weight += reg_grads.layers[i].weight
-        grads.layers[i].bias += reg_grads.layers[i].bias
+    reg_loss, reg_grads = reg_penalty(model, penalty)
+    for i, wi, bi in penalty.layers:
+        grads.layers[i].weight[wi] += reg_grads.layers[i].weight
+        grads.layers[i].bias[bi] += reg_grads.layers[i].bias
     return ce + reg_loss, ce, grads

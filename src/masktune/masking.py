@@ -8,6 +8,7 @@ trainable layer (canonical form for the head) and costs zero storage.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -84,6 +85,25 @@ class LayerMask:
                 m[i, list(cols_i)] = 1.0
         return m
 
+    @functools.cached_property
+    def trainable(self) -> tuple[object, object]:
+        """Index of the trainable weight entries and of the trainable biases.
+
+        ``weight[index]`` (``bias[index]``) is exactly the entries the mask
+        leaves trainable: row and col masks give index arrays, ``full`` the
+        whole array, sparse and dense masks a boolean matrix. Built on first
+        use and kept with the mask.
+        """
+        if self.variant == "full":
+            return ..., ...
+        if self.variant == "row":
+            rows = np.array(self.indices, dtype=np.intp)
+            return rows, rows
+        if self.variant == "col":
+            return (slice(None), np.array(self.indices, dtype=np.intp)), np.zeros(0, np.intp)
+        bits = self.to_dense() != 0.0
+        return bits, bits.any(axis=1)
+
     def bias_mask(self) -> np.ndarray:
         """0/1 trainability of each output neuron's bias.
 
@@ -108,11 +128,28 @@ class LayerMask:
         if self.variant == "dense":
             return rows * cols
         if self.variant == "row":
-            return len(self.indices) * math.ceil(math.log2(rows))
+            return len(self.indices) * _index_bits(rows)
         if self.variant == "col":
-            return len(self.indices) * math.ceil(math.log2(cols))
-        per_row = math.ceil(math.log2(cols))
-        return sum(len(r) for r in self.indices) * per_row
+            return len(self.indices) * _index_bits(cols)
+        return sum(len(r) for r in self.indices) * _index_bits(cols)
+
+
+def _index_bits(n: int) -> int:
+    """Bits to store one index into n positions."""
+    return math.ceil(math.log2(n))
+
+
+def storage_comparison(mask: LayerMask, k: int) -> dict[str, int]:
+    """Storage bits of the mask next to the other layouts of its shape at budget k.
+
+    ``row`` keeps k rows, ``sparse`` k entries in every row, ``dense`` is
+    the full bit matrix.
+    """
+    rows, cols = mask.shape
+    return {"selected": mask.storage_bits(),
+            "row": min(k, rows) * _index_bits(rows),
+            "sparse": rows * min(k, cols) * _index_bits(cols),
+            "dense": rows * cols}
 
 
 def full_mask(shape: tuple[int, int]) -> LayerMask:

@@ -1,8 +1,9 @@
 """Masked Adam and the cosine-decay schedule with linear warmup.
 
-The gradient is masked *before* the moment updates, so moments at frozen
-entries never accumulate and a masked trajectory is exactly an unmasked Adam
-trajectory on pre-zeroed gradients. Epsilon sits inside the square root:
+Adam reads and writes only the trainable slice of each layer, given by its
+mask's index, and keeps moments for that slice alone. Frozen entries are never
+touched, and a masked trajectory is exactly an unmasked Adam trajectory on
+pre-zeroed gradients. Epsilon sits inside the square root:
 W <- W - lr * m_hat / sqrt(v_hat + eps).
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .masking import GradientMaskSet
-from .model import GradientSet, Layer, LayerGrad, ModelParams
+from .model import GradientSet, LayerGrad, ModelParams
 
 
 @dataclass(frozen=True)
@@ -41,13 +42,27 @@ class OptimConfig:
 
 @dataclass
 class AdamState:
+    """Adam moments over the trainable slice of each layer, and the step count.
+
+    ``m.layers[i].weight`` holds one moment per entry of
+    ``weight[masks.layers[i].trainable[0]]``, and likewise for the biases.
+    """
     m: GradientSet
     v: GradientSet
     t: int = 0
 
+    @property
+    def nbytes(self) -> int:
+        return sum(g.weight.nbytes + g.bias.nbytes for s in (self.m, self.v) for g in s.layers)
 
-def init_adam_state(model: ModelParams) -> AdamState:
-    return AdamState(GradientSet.zeros_like(model), GradientSet.zeros_like(model))
+
+def init_adam_state(model: ModelParams, masks: GradientMaskSet) -> AdamState:
+    """Zero moments sized to each layer's trainable slice."""
+    def zeros() -> GradientSet:
+        return GradientSet([LayerGrad(np.zeros_like(l.weight[m.trainable[0]]),
+                                      np.zeros_like(l.bias[m.trainable[1]]))
+                            for l, m in zip(model.layers, masks.layers)])
+    return AdamState(zeros(), zeros())
 
 
 def cosine_warmup_lr(epoch: int, cfg: OptimConfig) -> float:
@@ -63,32 +78,28 @@ def cosine_warmup_lr(epoch: int, cfg: OptimConfig) -> float:
 def masked_adam_step(model: ModelParams, state: AdamState, grad: GradientSet,
                      masks: GradientMaskSet, lr: float,
                      cfg: OptimConfig) -> tuple[ModelParams, AdamState]:
-    """One Adam step on mask-selected entries; frozen entries stay bitwise put."""
-    t = state.t + 1
-    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
-    new_layers: list[Layer] = []
-    new_m: list[LayerGrad] = []
-    new_v: list[LayerGrad] = []
-    for layer, g, mask, m, v in zip(model.layers, grad.layers, masks.layers,
-                                    state.m.layers, state.v.layers):
+    """One Adam step on the mask-selected entries, in place.
+
+    Only ``weight[index]`` and ``bias[index]`` of each layer's trainable
+    index are read and written, so frozen entries stay bitwise put. Returns
+    the same model and state.
+    """
+    for g in grad.layers:
         if not (np.all(np.isfinite(g.weight)) and np.all(np.isfinite(g.bias))):
             raise NumericError("non-finite gradient entry")
-        wm = mask.to_dense()
-        bm = mask.bias_mask()
-        gw = g.weight * wm
-        gb = g.bias * bm
-        mw = b1 * m.weight + (1.0 - b1) * gw
-        mb = b1 * m.bias + (1.0 - b1) * gb
-        vw = b2 * v.weight + (1.0 - b2) * gw * gw
-        vb = b2 * v.bias + (1.0 - b2) * gb * gb
-        weight = layer.weight - lr * (mw / bc1) / np.sqrt(vw / bc2 + eps)
-        bias = layer.bias - lr * (mb / bc1) / np.sqrt(vb / bc2 + eps)
-        # guarantee frozen entries are bitwise untouched, not just numerically
-        weight = np.where(wm == 0.0, layer.weight, weight)
-        bias = np.where(bm == 0.0, layer.bias, bias)
-        new_layers.append(Layer(weight, bias, layer.role, layer.activation))
-        new_m.append(LayerGrad(mw, mb))
-        new_v.append(LayerGrad(vw, vb))
-    return ModelParams(new_layers), AdamState(GradientSet(new_m), GradientSet(new_v), t)
+    state.t += 1
+    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    for layer, g, mask, m, v in zip(model.layers, grad.layers, masks.layers,
+                                    state.m.layers, state.v.layers):
+        wi, bi = mask.trainable
+        for param, index, grad_slice, m_slice, v_slice in (
+                (layer.weight, wi, g.weight[wi], m.weight, v.weight),
+                (layer.bias, bi, g.bias[bi], m.bias, v.bias)):
+            m_slice *= b1
+            m_slice += (1.0 - b1) * grad_slice
+            v_slice *= b2
+            v_slice += (1.0 - b2) * grad_slice * grad_slice
+            param[index] -= lr * (m_slice / bc1) / np.sqrt(v_slice / bc2 + eps)
+    return model, state

@@ -16,7 +16,15 @@ from masktune.cli import main as cli_main
 from masktune.data import Dataset, ShiftConfig, gen_task, partition_subsets, save_dataset_csv, select_mask_subset
 from masktune.harness import FineTuneConfig, evaluate, finetune, finetune_masks, linear_probe, pretrain
 from masktune.linalg import Rng, finite_diff_grad
-from masktune.losses import RegConfig, RegularSet, cross_entropy, reg_penalty, resolve_regular_layers, scl_loss
+from masktune.losses import (
+    RegConfig,
+    RegularSet,
+    cross_entropy,
+    reg_penalty,
+    resolve_penalty,
+    resolve_regular_layers,
+    scl_loss,
+)
 from masktune.masking import (
     GradientMaskSet,
     LayerMask,
@@ -153,12 +161,13 @@ def test_criterion_03_gradient_fidelity():
             cfg = RegConfig(lam=float(rng.uniform(0.1, 2.0)),
                             norm="l1" if i % 2 else "l2",
                             regular=RegularSet(0, include_head=True))
-            _, grads = reg_penalty(model, pre, cfg)
+            penalty = resolve_penalty(pre, cfg, GradientMaskSet.all_full(pre))
+            _, grads = reg_penalty(model, penalty)
             for li in resolve_regular_layers(model, cfg.regular):
                 def loss_of(w, li=li):
                     probe = model.copy()
                     probe.layers[li].weight = w
-                    return reg_penalty(probe, pre, cfg)[0]
+                    return reg_penalty(probe, penalty)[0]
                 fdw = finite_diff_grad(loss_of, model.layers[li].weight, 1e-6)
                 assert rel_err(grads.layers[li].weight, fdw) < 1e-4
         assert time.perf_counter() - tic < 30.0
@@ -197,7 +206,7 @@ def test_criterion_05_masked_adam_equivalence():
         bias_bits = masks.layers[0].bias_mask()
         w0, b0 = rng.normal(size=(4, 5)), rng.normal(size=4)
         model = ModelParams([Layer(w0.copy(), b0.copy(), "head", "identity")])
-        state = init_adam_state(model)
+        state = init_adam_state(model, masks)
         cfg = OptimConfig(base_lr=0.01, total_epochs=1)
         rw, rb = w0.copy(), b0.copy()
         rmw = rvw = np.zeros_like(w0)
@@ -213,8 +222,8 @@ def test_criterion_05_masked_adam_equivalence():
 
         # all-Full masks reproduce standard Adam exactly
         model = ModelParams([Layer(w0.copy(), b0.copy(), "head", "identity")])
-        state = init_adam_state(model)
         full = GradientMaskSet((full_mask((4, 5)),))
+        state = init_adam_state(model, full)
         rw, rb = w0.copy(), b0.copy()
         rmw = rvw = np.zeros_like(w0)
         rmb = rvb = np.zeros_like(b0)

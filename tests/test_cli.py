@@ -279,6 +279,58 @@ class TestBadInputFiles:
                      "--k", "2", "--out", str(tmp_path / "r.json")]) == 2
 
 
+class TestOutputPaths:
+    """A missing output directory fails with exit 2 before any training."""
+
+    def test_finetune(self, trained, tmp_path, monkeypatch, capsys):
+        cfg, ckpt = trained
+        calls = count_calls(monkeypatch, harness.finetune)
+        assert main(["finetune", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "missing" / "report.json")]) == 2
+        assert calls == []
+        assert "output directory" in capsys.readouterr().err
+
+    def test_pretrain(self, trained, tmp_path, monkeypatch):
+        cfg, _ = trained
+        calls = count_calls(monkeypatch, harness.pretrain)
+        assert main(["pretrain", "--config", str(cfg),
+                     "--out", str(tmp_path / "missing" / "model.json")]) == 2
+        assert calls == []
+
+    def test_mask_report(self, trained, tmp_path, monkeypatch):
+        _, ckpt = trained
+        data_path = tmp_path / "target.csv"
+        write_target_csv(data_path)
+        calls = count_calls(monkeypatch, masking.scl_gradients)
+        assert main(["mask-report", "--checkpoint", str(ckpt), "--data", str(data_path),
+                     "--k", "2", "--out", str(tmp_path / "missing" / "r.json")]) == 2
+        assert calls == []
+
+    def test_ablate_creates_out_dir_before_training(self, trained, tmp_path, monkeypatch):
+        cfg, ckpt = trained
+        out_dir = tmp_path / "nested" / "sweep"
+        dir_existed = []
+        ablate = harness.ablate
+
+        def recorded(*args):
+            dir_existed.append(out_dir.is_dir())
+            return ablate(*args)
+
+        monkeypatch.setattr(harness, "ablate", recorded)
+        assert main(["ablate", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--axis", "k", "--values", "1", "--out-dir", str(out_dir)]) == 0
+        assert dir_existed == [True]
+
+    def test_ablate_out_dir_under_a_file(self, trained, tmp_path, monkeypatch):
+        cfg, ckpt = trained
+        (tmp_path / "file").write_text("")
+        calls = count_calls(monkeypatch, harness.ablate)
+        assert main(["ablate", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--axis", "k", "--values", "1",
+                     "--out-dir", str(tmp_path / "file" / "sweep")]) == 2
+        assert calls == []
+
+
 class TestAblateCommand:
     def test_k_sweep_files(self, trained, tmp_path):
         cfg, ckpt = trained

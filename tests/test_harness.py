@@ -139,6 +139,14 @@ class TestFinetune:
         assert report.epochs[cfg.optim.warmup_epochs].lr == cfg.optim.base_lr
         assert report.config["k"] == cfg.k
 
+    @pytest.mark.parametrize("variant", ["row", "col", "sparse", "full"])
+    def test_optimizer_state_covers_the_trainable_slice(self, pre_and_task, variant):
+        pre, task = pre_and_task
+        model, report = finetune(pre, task, make_cfg(variant=variant))
+        trainable = round(report.trainable_fraction * model.param_count())
+        assert report.optimizer_state_bytes == 2 * 8 * trainable  # m and v, float64
+        assert report.to_dict()["optimizer_state_bytes"] == report.optimizer_state_bytes
+
     def test_full_variant_trains_everything(self, pre_and_task):
         pre, task = pre_and_task
         _, report = finetune(pre, task, make_cfg(variant="full", k=1))

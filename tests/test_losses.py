@@ -12,10 +12,17 @@ from masktune.losses import (
     combined_grad,
     cross_entropy,
     reg_penalty,
+    resolve_penalty,
     resolve_regular_layers,
     scl_loss,
 )
-from masktune.model import Layer, ModelParams, forward
+from masktune.masking import GradientMaskSet
+from masktune.model import Layer, LayerGrad, ModelParams, forward
+
+
+def full_penalty(pre, cfg):
+    """The penalty towards pre with every entry trainable."""
+    return resolve_penalty(pre, cfg, GradientMaskSet.all_full(pre))
 
 
 def scl_reference(features, labels, tau):
@@ -126,13 +133,14 @@ class TestRegPenalty:
     def test_identical_models(self):
         model, _ = self.make_pair()
         cfg = RegConfig(lam=0.3, norm="l2", regular=RegularSet(1))
-        loss, grads = reg_penalty(model, model.copy(), cfg)
+        loss, grads = reg_penalty(model, full_penalty(model.copy(), cfg))
         assert loss == 0.0
-        assert all(np.all(g.weight == 0) for g in grads.layers)
+        assert all(np.all(g.weight == 0) for g in grads.layers if g is not None)
 
     def test_zero_lambda(self):
         model, pre = self.make_pair()
-        loss, _ = reg_penalty(model, pre, RegConfig(lam=0.0, norm="l2", regular=RegularSet(1)))
+        cfg = RegConfig(lam=0.0, norm="l2", regular=RegularSet(1))
+        loss, _ = reg_penalty(model, full_penalty(pre, cfg))
         assert loss == 0.0
 
     def test_hand_single_layer(self):
@@ -140,7 +148,7 @@ class TestRegPenalty:
         model = ModelParams([Layer(w.copy(), np.zeros(2), "head", "identity")])
         pre = ModelParams([Layer(np.zeros((2, 2)), np.zeros(2), "head", "identity")])
         cfg = RegConfig(lam=0.5, norm="l2", regular=RegularSet(0, include_head=True))
-        loss, grads = reg_penalty(model, pre, cfg)
+        loss, grads = reg_penalty(model, full_penalty(pre, cfg))
         assert loss == 1.0
         assert np.array_equal(grads.layers[0].weight, np.eye(2))
 
@@ -149,7 +157,7 @@ class TestRegPenalty:
         pre = small_model(dims=(4, 5, 5, 5, 3), seed=2)
         cfg = RegConfig(lam=0.7, norm="l2",
                         regular=RegularSet(2, include_embedding=True, include_head=True))
-        loss, _ = reg_penalty(model, pre, cfg)
+        loss, _ = reg_penalty(model, full_penalty(pre, cfg))
         expected = 0.7 * sum(
             float(np.sum((model.layers[i].weight - pre.layers[i].weight) ** 2))
             + float(np.sum((model.layers[i].bias - pre.layers[i].bias) ** 2))
@@ -160,12 +168,12 @@ class TestRegPenalty:
     def test_gradient_matches_finite_diff(self, norm):
         model, pre = self.make_pair()
         cfg = RegConfig(lam=0.4, norm=norm, regular=RegularSet(1, include_head=True))
-        _, grads = reg_penalty(model, pre, cfg)
+        _, grads = reg_penalty(model, full_penalty(pre, cfg))
         for li in resolve_regular_layers(model, cfg.regular):
             def loss_of(wmat, li=li):
                 probe = model.copy()
                 probe.layers[li].weight = wmat
-                return reg_penalty(probe, pre, cfg)[0]
+                return reg_penalty(probe, full_penalty(pre, cfg))[0]
             fd = finite_diff_grad(loss_of, model.layers[li].weight, 1e-6)
             assert grad_rel_err(grads.layers[li].weight, fd) < 1e-4
 
@@ -185,7 +193,7 @@ class TestCombinedGrad:
         x = np_rng.normal(size=(6, 4))
         y = np_rng.integers(0, 3, size=6)
         cfg = RegConfig(lam=0.0, norm="l2", regular=RegularSet(1))
-        loss_r, ce, grads = combined_grad(model, model.copy(), x, y, cfg)
+        loss_r, ce, grads = combined_grad(model, full_penalty(model.copy(), cfg), x, y)
         assert loss_r == ce
         from masktune.losses import cross_entropy as ce_fn
         from masktune.model import backward
@@ -201,14 +209,16 @@ class TestCombinedGrad:
         x = np_rng.normal(size=(6, 4))
         y = np_rng.integers(0, 3, size=6)
         cfg = RegConfig(lam=0.2, norm="l2", regular=RegularSet(1, include_head=True))
-        loss_r, ce, grads = combined_grad(model, pre, x, y, cfg)
-        reg_loss, reg_grads = reg_penalty(model, pre, cfg)
+        loss_r, ce, grads = combined_grad(model, full_penalty(pre, cfg), x, y)
+        reg_loss, reg_grads = reg_penalty(model, full_penalty(pre, cfg))
         assert loss_r == ce + reg_loss
         logits, _, cache = forward(model, x)
         from masktune.model import backward
         _, d = cross_entropy(logits, y)
         ce_grads = backward(model, cache, d_logits=d)
         for g, a, b in zip(grads.layers, ce_grads.layers, reg_grads.layers):
+            if b is None:  # outside the regular set
+                b = LayerGrad(0.0, 0.0)
             assert np.array_equal(g.weight, a.weight + b.weight)
             assert np.array_equal(g.bias, a.bias + b.bias)
 
@@ -218,11 +228,11 @@ class TestCombinedGrad:
         x = np_rng.normal(size=(5, 4))
         y = np_rng.integers(0, 3, size=5)
         cfg = RegConfig(lam=0.15, norm="l2", regular=RegularSet(1, include_head=True))
-        _, _, grads = combined_grad(model, pre, x, y, cfg)
+        _, _, grads = combined_grad(model, full_penalty(pre, cfg), x, y)
         for li in range(len(model.layers)):
             def loss_of(wmat, li=li):
                 probe = model.copy()
                 probe.layers[li].weight = wmat
-                return combined_grad(probe, pre, x, y, cfg)[0]
+                return combined_grad(probe, full_penalty(pre, cfg), x, y)[0]
             fd = finite_diff_grad(loss_of, model.layers[li].weight, 1e-5)
             assert grad_rel_err(grads.layers[li].weight, fd) < 1e-4

@@ -63,7 +63,7 @@ class TestMaskedAdam:
         w = np.array([[0.5, -0.25], [1.5, 2.0]])
         model = one_layer_model(w)
         masks = GradientMaskSet((LayerMask("row", (2, 2), ()),))
-        state = init_adam_state(model)
+        state = init_adam_state(model, masks)
         new_model, new_state = masked_adam_step(
             model, state, grad_of(model, [[3.0, -1.0], [2.0, 0.5]]), masks, 0.1, CFG)
         assert np.array_equal(new_model.layers[0].weight, w)
@@ -74,19 +74,20 @@ class TestMaskedAdam:
         # bias-corrected first step with constant gradient c and eps << |c|
         c = 3.0
         model = one_layer_model(np.zeros((2, 2)))
+        w0 = model.layers[0].weight.copy()
         masks = GradientMaskSet((full_mask((2, 2)),))
-        state = init_adam_state(model)
+        state = init_adam_state(model, masks)
         lr = 0.05
         new_model, _ = masked_adam_step(
             model, state, grad_of(model, np.full((2, 2), c)), masks, lr, CFG)
-        delta = new_model.layers[0].weight - model.layers[0].weight
+        delta = new_model.layers[0].weight - w0
         assert np.all(np.abs(delta + lr * np.sign(c)) < 1e-6 * lr)
 
     def test_five_step_scalar_trace(self):
         w = np.array([[1.0]])
         model = one_layer_model(w)
         masks = GradientMaskSet((full_mask((1, 1)),))
-        state = init_adam_state(model)
+        state = init_adam_state(model, masks)
         rw, rm, rv = w.copy(), np.zeros((1, 1)), np.zeros((1, 1))
         rng = np.random.default_rng(3)
         for t in range(1, 6):
@@ -104,7 +105,7 @@ class TestMaskedAdam:
         w0 = rng.normal(size=(3, 4))
         b0 = rng.normal(size=3)
         model = one_layer_model(w0.copy(), b0.copy())
-        state = init_adam_state(model)
+        state = init_adam_state(model, masks)
         rw, rb = w0.copy(), b0.copy()
         rmw, rvw = np.zeros_like(w0), np.zeros_like(w0)
         rmb, rvb = np.zeros_like(b0), np.zeros_like(b0)
@@ -126,7 +127,7 @@ class TestMaskedAdam:
         w0 = rng.normal(size=(2, 3))
         model = one_layer_model(w0.copy())
         masks = GradientMaskSet((full_mask((2, 3)),))
-        state = init_adam_state(model)
+        state = init_adam_state(model, masks)
         rw, rm, rv = w0.copy(), np.zeros_like(w0), np.zeros_like(w0)
         for t in range(1, 21):
             g = rng.normal(size=(2, 3))
@@ -138,12 +139,12 @@ class TestMaskedAdam:
         model = one_layer_model(np.zeros((1, 1)))
         masks = GradientMaskSet((full_mask((1, 1)),))
         with pytest.raises(NumericError):
-            masked_adam_step(model, init_adam_state(model),
+            masked_adam_step(model, init_adam_state(model, masks),
                              grad_of(model, [[np.inf]]), masks, 0.1, CFG)
 
     def test_step_counter(self):
         model = one_layer_model(np.zeros((1, 1)))
         masks = GradientMaskSet((full_mask((1, 1)),))
-        state = init_adam_state(model)
+        state = init_adam_state(model, masks)
         _, state = masked_adam_step(model, state, grad_of(model, [[1.0]]), masks, 0.1, CFG)
         assert state.t == 1

@@ -1,0 +1,172 @@
+"""Property tests of index-native masked training over random shapes and masks.
+
+The dense masked Adam step below is the step the package used before Adam
+touched only the trainable slice; it stays here as the oracle the sliced step
+must match bit for bit.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from masktune.errors import NumericError
+from masktune.losses import (
+    RegConfig,
+    RegularSet,
+    reg_penalty,
+    resolve_penalty,
+    resolve_regular_layers,
+)
+from masktune.masking import GradientMaskSet, LayerMask
+from masktune.model import GradientSet, Layer, LayerGrad, ModelParams, default_roles
+from masktune.optim import AdamState, OptimConfig, init_adam_state, masked_adam_step
+
+VARIANTS = ("row", "col", "sparse", "dense", "full", "empty")
+CFG = OptimConfig(base_lr=0.1, total_epochs=10)
+
+
+def dense_masked_adam_step(model, state, grad, masks, lr, cfg):
+    """Oracle: Adam over whole matrices, masked gradients, frozen entries restored."""
+    t = state.t + 1
+    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    new_layers, new_m, new_v = [], [], []
+    for layer, g, mask, m, v in zip(model.layers, grad.layers, masks.layers,
+                                    state.m.layers, state.v.layers):
+        if not (np.all(np.isfinite(g.weight)) and np.all(np.isfinite(g.bias))):
+            raise NumericError("non-finite gradient entry")
+        wm = mask.to_dense()
+        bm = mask.bias_mask()
+        gw = g.weight * wm
+        gb = g.bias * bm
+        mw = b1 * m.weight + (1.0 - b1) * gw
+        mb = b1 * m.bias + (1.0 - b1) * gb
+        vw = b2 * v.weight + (1.0 - b2) * gw * gw
+        vb = b2 * v.bias + (1.0 - b2) * gb * gb
+        weight = layer.weight - lr * (mw / bc1) / np.sqrt(vw / bc2 + eps)
+        bias = layer.bias - lr * (mb / bc1) / np.sqrt(vb / bc2 + eps)
+        weight = np.where(wm == 0.0, layer.weight, weight)
+        bias = np.where(bm == 0.0, layer.bias, bias)
+        new_layers.append(Layer(weight, bias, layer.role, layer.activation))
+        new_m.append(LayerGrad(mw, mb))
+        new_v.append(LayerGrad(vw, vb))
+    return ModelParams(new_layers), AdamState(GradientSet(new_m), GradientSet(new_v), t)
+
+
+def random_mask(rng, variant, shape):
+    rows, cols = shape
+
+    def subset(n, low):
+        size = int(rng.integers(low, n + 1))
+        return tuple(sorted(int(i) for i in rng.choice(n, size=size, replace=False)))
+
+    if variant == "row":
+        return LayerMask("row", shape, subset(rows, 1))
+    if variant == "col":
+        return LayerMask("col", shape, subset(cols, 1))
+    if variant == "sparse":
+        return LayerMask("sparse", shape, tuple(subset(cols, 0) for _ in range(rows)))
+    if variant == "dense":
+        return LayerMask("dense", shape, (rng.uniform(size=shape) < 0.5).astype(float))
+    if variant == "full":
+        return LayerMask("full", shape)
+    return LayerMask("row", shape, ())
+
+
+def random_setup(seed, dims, variants):
+    """A model with the given widths and one mask of each given variant per layer."""
+    rng = np.random.default_rng(seed)
+    roles = default_roles(len(dims) - 1)
+    layers = [Layer(rng.normal(size=(dims[i + 1], dims[i])), rng.normal(size=dims[i + 1]),
+                    role, "identity" if role == "head" else "relu")
+              for i, role in enumerate(roles)]
+    model = ModelParams(layers)
+    masks = GradientMaskSet(tuple(random_mask(rng, v, l.weight.shape)
+                                  for v, l in zip(variants, layers)))
+    return rng, model, masks
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def trainable_count(masks):
+    return int(sum(m.to_dense().sum() + m.bias_mask().sum() for m in masks.layers))
+
+
+setups = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.integers(0, 2 ** 32 - 1),
+    st.lists(st.integers(1, 6), min_size=n + 1, max_size=n + 1),
+    st.lists(st.sampled_from(VARIANTS), min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=setups, steps=st.integers(1, 20))
+def test_sliced_step_matches_dense_oracle_bitwise(setup, steps):
+    rng, model, masks = random_setup(*setup)
+    start = model.copy()
+    oracle = model.copy()
+    state = init_adam_state(model, masks)
+    oracle_state = AdamState(GradientSet.zeros_like(model), GradientSet.zeros_like(model))
+    for _ in range(steps):
+        grad = GradientSet([LayerGrad(rng.normal(size=l.weight.shape),
+                                      rng.normal(size=l.bias.shape)) for l in model.layers])
+        lr = float(rng.uniform(1e-3, 0.1))
+        model, state = masked_adam_step(model, state, grad, masks, lr, CFG)
+        oracle, oracle_state = dense_masked_adam_step(oracle, oracle_state, grad, masks, lr, CFG)
+        for got, want in zip(model.layers, oracle.layers):
+            assert bits(got.weight) == bits(want.weight)
+            assert bits(got.bias) == bits(want.bias)
+    assert state.t == oracle_state.t == steps
+    for got, first, mask in zip(model.layers, start.layers, masks.layers):
+        frozen_w = mask.to_dense() == 0.0
+        frozen_b = mask.bias_mask() == 0.0
+        assert bits(got.weight[frozen_w]) == bits(first.weight[frozen_w])
+        assert bits(got.bias[frozen_b]) == bits(first.bias[frozen_b])
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=setups)
+def test_state_size_equals_trainable_count(setup):
+    _, model, masks = random_setup(*setup)
+    state = init_adam_state(model, masks)
+    for moments in (state.m, state.v):
+        assert sum(g.weight.size + g.bias.size for g in moments.layers) == trainable_count(masks)
+    assert state.nbytes == 2 * 8 * trainable_count(masks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=setups, norm=st.sampled_from(["l1", "l2"]), lam=st.floats(1e-3, 10.0),
+       last_l=st.integers(0, 2), embedding=st.booleans(), head=st.booleans())
+def test_sliced_penalty_matches_dense_on_trainable_entries(setup, norm, lam, last_l,
+                                                           embedding, head):
+    rng, pre, masks = random_setup(*setup)
+    hidden = sum(r == "hidden" for r in pre.roles)
+    regular = RegularSet(min(last_l, hidden), include_embedding=embedding, include_head=head)
+    cfg = RegConfig(lam=lam, norm=norm, regular=regular)
+    # the model moves only on trainable entries, as it does in training
+    model = pre.copy()
+    for layer, mask in zip(model.layers, masks.layers):
+        wi, bi = mask.trainable
+        layer.weight[wi] += rng.normal(size=layer.weight[wi].shape)
+        layer.bias[bi] += rng.normal(size=layer.bias[bi].shape)
+
+    loss, grads = reg_penalty(model, resolve_penalty(pre, cfg, masks))
+    penalized = set(resolve_regular_layers(pre, regular))
+    dense_loss = 0.0
+    for i, (layer, first, mask) in enumerate(zip(model.layers, pre.layers, masks.layers)):
+        if i not in penalized:
+            assert grads.layers[i] is None
+            continue
+        dw, db = layer.weight - first.weight, layer.bias - first.bias
+        if norm == "l2":
+            dense_w, dense_b = 2.0 * lam * dw, 2.0 * lam * db
+            dense_loss += lam * (float(np.sum(dw * dw)) + float(np.sum(db * db)))
+        else:
+            dense_w, dense_b = lam * np.sign(dw), lam * np.sign(db)
+            dense_loss += lam * (float(np.sum(np.abs(dw))) + float(np.sum(np.abs(db))))
+        wi, bi = mask.trainable
+        assert bits(grads.layers[i].weight) == bits(dense_w[wi])
+        assert bits(grads.layers[i].bias) == bits(dense_b[bi])
+    assert abs(loss - dense_loss) <= 1e-14 * abs(dense_loss)
