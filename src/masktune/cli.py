@@ -15,6 +15,7 @@ from . import harness, masking
 from .config import load_run_config
 from .data import load_dataset_csv
 from .errors import ConfigError, InputError, NumericError, ShapeError
+from .fileio import atomic_open
 from .model import load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
@@ -23,11 +24,13 @@ EXIT_NUMERIC = 3
 
 
 def _output_path(path: str) -> Path:
-    """The output path, once its directory is known to exist, so a run never
-    trains only to fail at its last write."""
+    """The output path, once its directory is known to exist and the path is
+    not itself a directory, so a run never trains only to fail at its last write."""
     out = Path(path)
     if not out.parent.is_dir():
         raise InputError(f"output directory {out.parent} does not exist")
+    if out.is_dir():
+        raise InputError(f"output path {out} is a directory")
     return out
 
 
@@ -94,7 +97,8 @@ def cmd_mask_report(args) -> int:
            "layers": layer_reports,
            "mask": {"layers": [masking.mask_to_doc(m) for m in masks.layers],
                     "storage_bits": masks.total_storage_bits()}}
-    out.write_text(json.dumps(doc, indent=1))
+    with atomic_open(out) as fh:
+        fh.write(json.dumps(doc, indent=1))
     return EXIT_OK
 
 
@@ -125,7 +129,7 @@ def cmd_ablate(args) -> int:
     reports = harness.ablate(pre, task, cfg.finetune_config(), args.axis, values)
 
     combined = out_dir / "combined.csv"
-    with open(combined, "w", newline="") as fh:
+    with atomic_open(combined, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["axis", "value", "final_accuracy", "trainable_fraction",
                          "storage_bits", "final_loss_R"])

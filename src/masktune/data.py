@@ -134,26 +134,33 @@ def save_dataset_csv(data: Dataset, path: str | Path) -> None:
 
 
 def load_dataset_csv(path: str | Path, num_classes: int | None = None) -> Dataset:
-    """Read a CSV written by save_dataset_csv; malformed files raise InputError."""
+    """Read a CSV written by save_dataset_csv; malformed files raise InputError.
+
+    numpy's C parser reads the rows. The label column must hold integers,
+    every row the header's width, and a blank line anywhere is an error.
+    """
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+        header = next(csv.reader(lines[:1]), [])
     except (OSError, ValueError, csv.Error) as exc:
         raise InputError(f"cannot read dataset {path}: {exc}") from exc
-    if not rows or not rows[0] or rows[0][0] != "y":
+    if not header or header[0] != "y":
         raise InputError(f"{path}: expected header starting with 'y'")
-    width = len(rows[0])
-    body = rows[1:]
-    for line, r in enumerate(body, start=2):
-        if len(r) != width:
-            raise InputError(f"{path}: line {line} has {len(r)} cells, header has {width}")
+    body = lines[1:-1] if lines[-1] == "" else lines[1:]
+    if not body:
+        raise InputError(f"{path}: no data rows")
+    if not all(body):
+        raise InputError(f"{path}: line {body.index('') + 2} is blank")
+    row = np.dtype([("y", np.int64), ("x", np.float64, (len(header) - 1,))])
     try:
-        y = np.array([int(r[0]) for r in body], dtype=np.int64)
-        x = np.array([[float(v) for v in r[1:]] for r in body], dtype=np.float64)
+        table = np.loadtxt(body, dtype=row, delimiter=",", comments=None, quotechar='"', ndmin=1)
     except ValueError as exc:
-        raise InputError(f"{path}: non-numeric cell: {exc}") from exc
+        raise InputError(f"{path}: non-numeric cell, non-integer label or ragged row: "
+                         f"{exc}") from exc
+    x, y = table["x"].copy(), table["y"].copy()
     if not np.all(np.isfinite(x)):
         raise InputError(f"{path}: non-finite feature value")
     if num_classes is None:
-        num_classes = int(y.max()) + 1 if len(y) else 0
+        num_classes = int(y.max()) + 1
     return Dataset(x, y, num_classes)

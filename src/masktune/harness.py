@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import Dataset, TaskPair, partition_subsets, select_mask_subset
 from .errors import ConfigError, NumericError, ShapeError
+from .fileio import atomic_open
 from .linalg import Rng
 from .losses import RegConfig, combined_grad, resolve_penalty
 from .masking import GradientMaskSet, compute_mask_set, trainable_fraction
@@ -231,11 +232,12 @@ def ablate(pre: ModelParams, task: TaskPair, base_cfg: FineTuneConfig,
 
 
 def write_report_json(report: TrainReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=1))
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(report.to_dict(), indent=1))
 
 
 def write_report_csv(report: TrainReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "lr", "loss_R", "ce_loss", "test_acc"])
         for e in report.epochs:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .fileio import atomic_open
 from .linalg import frobenius_sq
 from .losses import scl_loss
 from .model import ModelParams, backward, forward
@@ -317,7 +318,8 @@ def mask_from_doc(doc: dict) -> LayerMask:
 def save_masks(masks: GradientMaskSet, path: str | Path) -> None:
     doc = {"layers": [mask_to_doc(m) for m in masks.layers],
            "storage_bits": masks.total_storage_bits()}
-    Path(path).write_text(json.dumps(doc, indent=1))
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc, indent=1))
 
 
 def load_masks(path: str | Path) -> GradientMaskSet:

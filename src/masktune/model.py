@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InputError, ShapeError, StateError
+from .fileio import atomic_open
 from .linalg import Rng
 
 ROLES = ("embedding", "hidden", "head")
@@ -223,41 +224,70 @@ def backward(model: ModelParams, cache: ForwardCache,
     return grads
 
 
+CHECKPOINT_MAGIC = b"masktune-checkpoint 1\n"
+
+
 def save_checkpoint(model: ModelParams, path: str | Path) -> None:
-    """Write the JSON checkpoint; floats serialize via shortest round-trip repr."""
-    doc = {
-        "dims": model.dims,
-        "roles": model.roles,
-        "layers": [{"weight": l.weight.tolist(), "bias": l.bias.tolist()}
-                   for l in model.layers],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1))
+    """Write the binary checkpoint: the magic line, a one-line JSON header
+    with ``dims`` and ``roles``, then per layer the weight (row-major) and the
+    bias as raw little-endian float64. The bytes depend on the model only."""
+    header = json.dumps({"dims": model.dims, "roles": model.roles}).encode() + b"\n"
+    with atomic_open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + header)
+        for layer in model.layers:
+            fh.write(np.ascontiguousarray(layer.weight, dtype="<f8"))
+            fh.write(np.ascontiguousarray(layer.bias, dtype="<f8"))
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Read a checkpoint written by save_checkpoint.
+    """Read a checkpoint written by save_checkpoint, whatever the file is named.
 
-    An unreadable file, or a document whose layers do not fit the schema,
-    raises InputError.
+    An unreadable file, a missing magic line (as in the older JSON
+    checkpoints), a malformed header, a byte count that does not fit the
+    header, a non-finite value or a layer stack ModelParams rejects raises
+    InputError. The weights and biases are writeable arrays that own their data.
     """
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
         raise InputError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not blob.startswith(CHECKPOINT_MAGIC):
+        raise InputError(f"{path} is not a masktune checkpoint: expected the line "
+                         f"{CHECKPOINT_MAGIC.decode().strip()!r}, a one-line JSON header with "
+                         f"dims and roles, then each layer's weight and bias as raw "
+                         f"little-endian float64")
+    start = len(CHECKPOINT_MAGIC)
+    end = blob.find(b"\n", start)
+    if end < 0:
+        raise InputError(f"checkpoint {path}: the header line is cut off")
     try:
-        roles, records = doc["roles"], doc["layers"]
-        weights = [np.asarray(rec["weight"], dtype=np.float64) for rec in records]
-        biases = [np.asarray(rec["bias"], dtype=np.float64) for rec in records]
+        header = json.loads(blob[start:end])
+        dims, roles = header["dims"], header["roles"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"checkpoint {path}: malformed document: {exc!r}") from exc
-    if not isinstance(roles, list) or len(roles) != len(weights):
+        raise InputError(f"checkpoint {path}: malformed header: {exc!r}") from exc
+    if not (isinstance(dims, list) and len(dims) >= 2
+            and all(type(d) is int and d > 0 for d in dims)):
+        raise InputError(f"checkpoint {path}: dims must list at least two positive integers")
+    if not isinstance(roles, list) or len(roles) != len(dims) - 1:
         raise InputError(f"checkpoint {path}: roles do not match layers")
-    layers = []
-    for i, (role, weight, bias) in enumerate(zip(roles, weights, biases)):
-        if weight.ndim != 2 or bias.ndim != 1:
-            raise InputError(f"checkpoint {path}: layer {i} needs a 2-D weight and a 1-D bias")
+    offset = end + 1
+    expected = 8 * sum(n_out * (n_in + 1) for n_in, n_out in zip(dims, dims[1:]))
+    if len(blob) - offset != expected:
+        raise InputError(f"checkpoint {path}: {len(blob) - offset} bytes of parameters "
+                         f"after the header, dims {dims} need {expected}")
+    values = np.frombuffer(blob, dtype="<f8", offset=offset)
+    layers, at = [], 0
+    for i, (role, n_in, n_out) in enumerate(zip(roles, dims, dims[1:])):
+        # astype copies out of the read-only buffer into native float64
+        weight = values[at:at + n_out * n_in].reshape(n_out, n_in).astype(np.float64)
+        at += n_out * n_in
+        bias = values[at:at + n_out].astype(np.float64)
+        at += n_out
         if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
             raise InputError(f"checkpoint {path}: layer {i} has non-finite entries")
         activation = "identity" if role == "head" else "relu"
         layers.append(Layer(weight, bias, role, activation))
-    return ModelParams(layers)
+    try:
+        return ModelParams(layers)
+    except (ConfigError, ShapeError) as exc:
+        raise InputError(f"checkpoint {path}: {exc}") from exc

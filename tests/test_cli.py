@@ -252,13 +252,25 @@ class TestBadInputFiles:
 
     def test_checkpoint_without_layers_exits_2(self, trained, tmp_path, capsys):
         cfg, ckpt = trained
-        doc = json.loads(ckpt.read_text())
-        del doc["layers"]
+        magic, header, payload = ckpt.read_bytes().split(b"\n", 2)
+        head = json.loads(header)
+        del head["dims"]  # the key that gives the layers' shapes
         broken = tmp_path / "broken.json"
-        broken.write_text(json.dumps(doc))
+        broken.write_bytes(b"\n".join([magic, json.dumps(head).encode(), payload]))
         assert main(["finetune", "--config", str(cfg), "--checkpoint", str(broken),
                      "--out", str(tmp_path / "r.json")]) == 2
-        assert "layers" in capsys.readouterr().err
+        assert "dims" in capsys.readouterr().err
+
+    def test_old_json_checkpoint_exits_2(self, trained, tmp_path, capsys):
+        cfg, ckpt = trained
+        pre = load_checkpoint(ckpt)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"dims": pre.dims, "roles": pre.roles,
+                                   "layers": [{"weight": l.weight.tolist(),
+                                               "bias": l.bias.tolist()} for l in pre.layers]}))
+        assert main(["finetune", "--config", str(cfg), "--checkpoint", str(old),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "masktune-checkpoint 1" in capsys.readouterr().err
 
     def test_non_numeric_csv_cell_exits_2(self, trained, tmp_path, capsys):
         _, ckpt = trained
@@ -270,6 +282,14 @@ class TestBadInputFiles:
         assert main(["mask-report", "--checkpoint", str(ckpt), "--data", str(data_path),
                      "--k", "2", "--out", str(tmp_path / "r.json")]) == 2
         assert "non-numeric" in capsys.readouterr().err
+
+    def test_header_only_csv_exits_2(self, trained, tmp_path, capsys):
+        _, ckpt = trained
+        data_path = tmp_path / "header.csv"
+        data_path.write_text("y,x0,x1,x2,x3,x4,x5\n")
+        assert main(["mask-report", "--checkpoint", str(ckpt), "--data", str(data_path),
+                     "--k", "2", "--out", str(tmp_path / "r.json")]) == 2
+        assert "no data rows" in capsys.readouterr().err
 
     def test_empty_csv_exits_2(self, trained, tmp_path):
         _, ckpt = trained
@@ -289,6 +309,14 @@ class TestOutputPaths:
                      "--out", str(tmp_path / "missing" / "report.json")]) == 2
         assert calls == []
         assert "output directory" in capsys.readouterr().err
+
+    def test_finetune_out_is_a_directory(self, trained, tmp_path, monkeypatch, capsys):
+        cfg, ckpt = trained
+        calls = count_calls(monkeypatch, harness.finetune)
+        assert main(["finetune", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path)]) == 2
+        assert calls == []
+        assert "is a directory" in capsys.readouterr().err
 
     def test_pretrain(self, trained, tmp_path, monkeypatch):
         cfg, _ = trained
@@ -329,6 +357,42 @@ class TestOutputPaths:
                      "--axis", "k", "--values", "1",
                      "--out-dir", str(tmp_path / "file" / "sweep")]) == 2
         assert calls == []
+
+
+class TestAtomicOutputs:
+    """A command that fails while writing leaves no partial file and no temp file."""
+
+    def test_mask_report(self, trained, tmp_path, monkeypatch):
+        _, ckpt = trained
+        data_path = tmp_path / "target.csv"
+        write_target_csv(data_path)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("serializer failed")
+
+        monkeypatch.setattr(json, "dumps", boom)
+        with pytest.raises(RuntimeError):
+            main(["mask-report", "--checkpoint", str(ckpt), "--data", str(data_path),
+                  "--k", "2", "--out", str(tmp_path / "r.json")])
+        assert list(tmp_path.iterdir()) == [data_path]
+
+    def test_ablate_combined_csv(self, trained, tmp_path, monkeypatch):
+        cfg, ckpt = trained
+        out_dir = tmp_path / "sweep"
+        write_json = harness.write_report_json
+        calls = []
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("serializer failed")
+            return write_json(*args)
+
+        monkeypatch.setattr(harness, "write_report_json", second_fails)
+        with pytest.raises(RuntimeError):
+            main(["ablate", "--config", str(cfg), "--checkpoint", str(ckpt),
+                  "--axis", "k", "--values", "1,2", "--out-dir", str(out_dir)])
+        assert sorted(p.name for p in out_dir.iterdir()) == ["k_1.csv", "k_1.json"]
 
 
 class TestAblateCommand:

@@ -138,7 +138,9 @@ class TestCsv:
         assert loaded.num_classes == 4
 
     @pytest.mark.parametrize("text", ["", "x0,y\n0,1.0\n", "y,x0,x1\n0,1.0\n",
-                                      "y,x0\n0,nan\n", "y,x0\none,1.0\n"])
+                                      "y,x0\n0,nan\n", "y,x0\none,1.0\n",
+                                      "y,x0,x1\n", "y,x0\n0,1.0\n\n1,2.0\n",
+                                      "y,x0\n1.5,1.0\n", "y,x0\n0,#\n"])
     def test_malformed_csv_raises_input_error(self, tmp_path, text):
         path = tmp_path / "data.csv"
         path.write_text(text)

@@ -150,20 +150,36 @@ class TestCheckpoint:
             assert np.array_equal(la.bias, lb.bias)
 
     @pytest.mark.parametrize("breakage", ["not_json", "role_missing", "flat_weight",
-                                          "nan_bias", "layers_not_list"])
+                                          "nan_bias", "layers_not_list", "truncated",
+                                          "trailing_bytes", "old_json"])
     def test_malformed_checkpoint_raises_input_error(self, tmp_path, breakage):
         path = tmp_path / "model.json"
-        save_checkpoint(small_model(seed=21), path)
-        doc = json.loads(path.read_text())
+        model = small_model(seed=21)
+        save_checkpoint(model, path)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        head = json.loads(header)
         if breakage == "role_missing":
-            doc["roles"].pop()
+            head["roles"].pop()
         elif breakage == "flat_weight":
-            doc["layers"][0]["weight"] = doc["layers"][0]["bias"]
+            head["dims"][1] = [head["dims"][1]]  # a width that is not a number: no 2-D weight
         elif breakage == "nan_bias":
-            doc["layers"][1]["bias"][0] = float("nan")
+            d = head["dims"]
+            at = 8 * (d[1] * (d[0] + 1) + d[2] * d[1])  # layer 1's bias
+            payload = payload[:at] + np.array([np.nan], "<f8").tobytes() + payload[at + 8:]
         elif breakage == "layers_not_list":
-            doc["layers"] = 3
-        path.write_text("{" if breakage == "not_json" else json.dumps(doc))
+            head["dims"] = 3
+        elif breakage == "truncated":
+            payload = payload[:-1]
+        elif breakage == "trailing_bytes":
+            payload += bytes(8)
+        blob = b"\n".join([magic, json.dumps(head).encode(), payload])
+        if breakage == "not_json":
+            blob = b"{"
+        elif breakage == "old_json":
+            blob = json.dumps({"dims": model.dims, "roles": model.roles,
+                               "layers": [{"weight": l.weight.tolist(), "bias": l.bias.tolist()}
+                                          for l in model.layers]}, indent=1).encode()
+        path.write_bytes(blob)
         with pytest.raises(InputError):
             load_checkpoint(path)
 

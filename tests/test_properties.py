@@ -1,15 +1,24 @@
-"""Property tests of index-native masked training over random shapes and masks.
+"""Property tests over random shapes, masks, models and datasets.
 
 The dense masked Adam step below is the step the package used before Adam
 touched only the trainable slice; it stays here as the oracle the sliced step
-must match bit for bit.
+must match bit for bit. Likewise ``csv_module_reader`` is the dataset reader
+the package used before numpy's C parser, kept as the oracle for
+``load_dataset_csv``.
 """
 
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from masktune.errors import NumericError
+from masktune.data import Dataset, load_dataset_csv, save_dataset_csv
+from masktune.errors import InputError, NumericError
 from masktune.losses import (
     RegConfig,
     RegularSet,
@@ -18,7 +27,15 @@ from masktune.losses import (
     resolve_regular_layers,
 )
 from masktune.masking import GradientMaskSet, LayerMask
-from masktune.model import GradientSet, Layer, LayerGrad, ModelParams, default_roles
+from masktune.model import (
+    GradientSet,
+    Layer,
+    LayerGrad,
+    ModelParams,
+    default_roles,
+    load_checkpoint,
+    save_checkpoint,
+)
 from masktune.optim import AdamState, OptimConfig, init_adam_state, masked_adam_step
 
 VARIANTS = ("row", "col", "sparse", "dense", "full", "empty")
@@ -170,3 +187,97 @@ def test_sliced_penalty_matches_dense_on_trainable_entries(setup, norm, lam, las
         assert bits(grads.layers[i].weight) == bits(dense_w[wi])
         assert bits(grads.layers[i].bias) == bits(dense_b[bi])
     assert abs(loss - dense_loss) <= 1e-14 * abs(dense_loss)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def models(draw):
+    """A model of 1-3 layers with any finite values; layer 0 may be hidden
+    rather than embedding."""
+    dims = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    roles = default_roles(len(dims) - 1)
+    if len(roles) > 1 and draw(st.booleans()):
+        roles[0] = "hidden"
+    layers = [Layer(draw(hnp.arrays(np.float64, (dims[i + 1], dims[i]), elements=finite)),
+                    draw(hnp.arrays(np.float64, dims[i + 1], elements=finite)),
+                    role, "identity" if role == "head" else "relu")
+              for i, role in enumerate(roles)]
+    return ModelParams(layers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=models())
+def test_checkpoint_round_trips_value_exact_into_writeable_arrays(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+    assert loaded.roles == model.roles
+    assert loaded.dims == model.dims
+    for got, want in zip(loaded.layers, model.layers):
+        assert got.activation == want.activation
+        for a, b in ((got.weight, want.weight), (got.bias, want.bias)):
+            assert a.dtype == np.float64 and a.shape == b.shape
+            assert bits(a) == bits(b)
+            assert a.flags.writeable and a.flags.owndata
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=models())
+def test_saving_twice_gives_identical_bytes(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a", Path(tmp) / "b"
+        save_checkpoint(model, first)
+        save_checkpoint(model.copy(), second)
+        assert first.read_bytes() == second.read_bytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=models())
+def test_every_truncation_raises_input_error(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(InputError):
+                load_checkpoint(path)
+
+
+def csv_module_reader(path, num_classes=None):
+    """Oracle: the csv-module reader load_dataset_csv replaced."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    body = rows[1:]
+    y = np.array([int(r[0]) for r in body], dtype=np.int64)
+    x = np.array([[float(v) for v in r[1:]] for r in body], dtype=np.float64)
+    if num_classes is None:
+        num_classes = int(y.max()) + 1
+    return Dataset(x, y, num_classes)
+
+
+@st.composite
+def datasets(draw):
+    n, dim, classes = draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    x = draw(hnp.arrays(np.float64, (n, dim), elements=finite))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, classes - 1)))
+    return Dataset(x, y, classes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=datasets(), pass_classes=st.booleans())
+def test_csv_reader_matches_the_csv_module_reader(data, pass_classes):
+    num_classes = data.num_classes if pass_classes else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_dataset_csv(data, path)
+        got = load_dataset_csv(path, num_classes)
+        want = csv_module_reader(path, num_classes)
+    assert got.x.shape == want.x.shape and got.x.dtype == want.x.dtype
+    assert bits(got.x) == bits(want.x)
+    assert got.y.dtype == want.y.dtype and np.array_equal(got.y, want.y)
+    assert got.num_classes == want.num_classes
+    assert got.x.flags.c_contiguous
