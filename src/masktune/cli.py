@@ -95,8 +95,7 @@ def cmd_mask_report(args) -> int:
 
     doc = {"k": args.k, "variant": args.variant, "tau": args.tau,
            "layers": layer_reports,
-           "mask": {"layers": [masking.mask_to_doc(m) for m in masks.layers],
-                    "storage_bits": masks.total_storage_bits()}}
+           "mask": masking.masks_to_doc(masks)}
     with atomic_open(out) as fh:
         fh.write(json.dumps(doc, indent=1))
     return EXIT_OK
@@ -169,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="dataset CSV (y,x0,...)")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--variant", choices=("row", "col", "sparse"), default="row")
+    p.add_argument("--variant", choices=masking.SELECTION_VARIANTS, default="row")
     p.add_argument("--tau", type=float, default=0.1)
     p.add_argument("--out", required=True)
     p.add_argument("--verify-oracle", action="store_true")

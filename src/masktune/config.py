@@ -32,8 +32,6 @@ _FINETUNE_KEYS = {"k": int, "variant": str, "lambda": (int, float), "norm": str,
 _TOP_KEYS = {"seed": int, "task": dict, "model": dict,
              "pretrain": dict, "finetune": dict}
 
-_OPTIM_DEFAULTS = {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "warmup_epochs": 0}
-
 
 def _check_section(section: dict, schema: dict, where: str,
                    required: set[str] | None = None) -> None:
@@ -51,11 +49,12 @@ def _check_section(section: dict, schema: dict, where: str,
 
 
 def _optim_config(section: dict) -> OptimConfig:
-    """Adam settings of a pretrain or finetune section, defaults filled in."""
-    p = {**_OPTIM_DEFAULTS, **section}
-    return OptimConfig(base_lr=float(p["base_lr"]), total_epochs=p["epochs"],
-                       warmup_epochs=p["warmup_epochs"], beta1=float(p["beta1"]),
-                       beta2=float(p["beta2"]), epsilon=float(p["epsilon"]))
+    """Adam settings of a pretrain or finetune section; OptimConfig holds the defaults."""
+    optional = {key: float(section[key]) for key in ("beta1", "beta2", "epsilon") if key in section}
+    if "warmup_epochs" in section:
+        optional["warmup_epochs"] = section["warmup_epochs"]
+    return OptimConfig(base_lr=float(section["base_lr"]), total_epochs=section["epochs"],
+                       **optional)
 
 
 @dataclass(frozen=True)
@@ -77,14 +76,9 @@ class RunConfig:
 
     def finetune_config(self) -> FineTuneConfig:
         f = self.finetune
-        regular = f["regular"]
-        reg = RegConfig(
-            lam=float(f["lambda"]),
-            norm=f["norm"],
-            regular=RegularSet(last_l=regular["last_l"],
-                               include_embedding=regular.get("include_embedding", True),
-                               include_head=regular.get("include_head", True)),
-        )
+        # the schema keys of finetune.regular are RegularSet's field names
+        reg = RegConfig(lam=float(f["lambda"]), norm=f["norm"],
+                        regular=RegularSet(**f["regular"]))
         return FineTuneConfig(k=f["k"], variant=f["variant"], reg=reg,
                               tau=float(f["tau"]), subsets_n=f["subsets_n"],
                               optim=_optim_config(f), batch_size=f["batch_size"],

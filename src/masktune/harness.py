@@ -20,7 +20,7 @@ from .errors import ConfigError, NumericError, ShapeError
 from .fileio import atomic_open
 from .linalg import Rng
 from .losses import RegConfig, combined_grad, resolve_penalty
-from .masking import GradientMaskSet, compute_mask_set, trainable_fraction
+from .masking import SELECTION_VARIANTS, GradientMaskSet, compute_mask_set, trainable_fraction
 from .model import ModelParams, forward, init_model, reinit_head
 from .optim import AdamState, OptimConfig, cosine_warmup_lr, init_adam_state, masked_adam_step
 
@@ -33,7 +33,7 @@ _STREAM_SHUFFLE = 3
 @dataclass(frozen=True)
 class FineTuneConfig:
     k: int
-    variant: str  # row | col | sparse | full
+    variant: str  # a masking.SELECTION_VARIANTS entry, or "full"
     reg: RegConfig
     tau: float
     subsets_n: int
@@ -42,7 +42,7 @@ class FineTuneConfig:
     seed: int
 
     def __post_init__(self):
-        if self.variant not in ("row", "col", "sparse", "full"):
+        if self.variant not in (*SELECTION_VARIANTS, "full"):
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.tau <= 0:
             raise ConfigError("tau must be positive")

@@ -71,6 +71,3 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def integers(self, low: int, high: int, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size=size)

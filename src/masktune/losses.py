@@ -69,11 +69,12 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     if labels.min() < 0 or labels.max() >= num_classes:
         raise InputError(f"labels must lie in [0, {num_classes})")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=1))
-    loss = float(np.mean(lse - shifted[np.arange(batch), labels]))
-    softmax = np.exp(shifted) / np.sum(np.exp(shifted), axis=1, keepdims=True)
-    d_logits = softmax
-    d_logits[np.arange(batch), labels] -= 1.0
+    exp = np.exp(shifted)
+    total = np.sum(exp, axis=1, keepdims=True)
+    rows = np.arange(batch)
+    loss = float(np.mean(np.log(total[:, 0]) - shifted[rows, labels]))
+    d_logits = exp / total
+    d_logits[rows, labels] -= 1.0
     d_logits /= batch
     return loss, d_logits
 

@@ -23,7 +23,8 @@ from .linalg import frobenius_sq
 from .losses import scl_loss
 from .model import ModelParams, backward, forward
 
-VARIANTS = ("row", "col", "sparse", "dense", "full")
+SELECTION_VARIANTS = ("row", "col", "sparse")  # the variants scoring can build
+VARIANTS = (*SELECTION_VARIANTS, "dense", "full")
 
 
 def _check_indices(indices, bound: int, what: str) -> tuple[int, ...]:
@@ -70,30 +71,16 @@ class LayerMask:
         elif self.indices is not None:
             raise ConfigError("full mask carries no indices")
 
-    def to_dense(self) -> np.ndarray:
-        rows, cols = self.shape
-        if self.variant == "full":
-            return np.ones(self.shape)
-        if self.variant == "dense":
-            return self.indices.copy()
-        m = np.zeros(self.shape)
-        if self.variant == "row":
-            m[list(self.indices), :] = 1.0
-        elif self.variant == "col":
-            m[:, list(self.indices)] = 1.0
-        else:
-            for i, cols_i in enumerate(self.indices):
-                m[i, list(cols_i)] = 1.0
-        return m
-
     @functools.cached_property
     def trainable(self) -> tuple[object, object]:
         """Index of the trainable weight entries and of the trainable biases.
 
         ``weight[index]`` (``bias[index]``) is exactly the entries the mask
         leaves trainable: row and col masks give index arrays, ``full`` the
-        whole array, sparse and dense masks a boolean matrix. Built on first
-        use and kept with the mask.
+        whole array, sparse and dense masks a boolean matrix. A bias trains
+        when its row holds selected weights; column masks leave all biases
+        frozen (a column targets no single output neuron). Built on first use
+        and kept with the mask; every other reading of a mask derives from it.
         """
         if self.variant == "full":
             return ..., ...
@@ -102,25 +89,25 @@ class LayerMask:
             return rows, rows
         if self.variant == "col":
             return (slice(None), np.array(self.indices, dtype=np.intp)), np.zeros(0, np.intp)
-        bits = self.to_dense() != 0.0
+        if self.variant == "dense":
+            bits = self.indices != 0.0
+        else:
+            bits = np.zeros(self.shape, dtype=bool)
+            for i, cols_i in enumerate(self.indices):
+                bits[i, list(cols_i)] = True
         return bits, bits.any(axis=1)
 
-    def bias_mask(self) -> np.ndarray:
-        """0/1 trainability of each output neuron's bias.
+    def to_dense(self) -> np.ndarray:
+        """0/1 matrix of the trainable weight entries."""
+        m = np.zeros(self.shape)
+        m[self.trainable[0]] = 1.0
+        return m
 
-        A bias trains when its row holds selected weights; column masks leave
-        all biases frozen (a column targets no single output neuron).
-        """
-        rows, _ = self.shape
-        if self.variant == "full":
-            return np.ones(rows)
-        if self.variant == "col":
-            return np.zeros(rows)
-        if self.variant == "row":
-            b = np.zeros(rows)
-            b[list(self.indices)] = 1.0
-            return b
-        return (self.to_dense().sum(axis=1) > 0).astype(np.float64)
+    def bias_mask(self) -> np.ndarray:
+        """0/1 trainability of each output neuron's bias."""
+        b = np.zeros(self.shape[0])
+        b[self.trainable[1]] = 1.0
+        return b
 
     def storage_bits(self) -> int:
         rows, cols = self.shape
@@ -193,15 +180,19 @@ def mask_objective(h: np.ndarray, mask: LayerMask) -> float:
     """Squared norm of the gradient energy the mask discards."""
     if h.shape != mask.shape:
         raise ShapeError(f"gradient shape {h.shape} != mask shape {mask.shape}")
-    return frobenius_sq(h - h * mask.to_dense())
+    dropped = h.copy()
+    dropped[mask.trainable[0]] = 0.0
+    return frobenius_sq(dropped)
 
 
 def retained_energy(h: np.ndarray, mask: LayerMask) -> float:
     """Squared norm of the kept gradient entries; complements mask_objective."""
     if h.shape != mask.shape:
         raise ShapeError(f"gradient shape {h.shape} != mask shape {mask.shape}")
-    kept = h * mask.to_dense()
-    return float(np.sum(kept * kept))
+    idx = mask.trainable[0]
+    kept = np.zeros_like(h)
+    kept[idx] = h[idx]
+    return frobenius_sq(kept)
 
 
 def brute_force_best_rows(h: np.ndarray, k: int) -> tuple[int, ...]:
@@ -255,7 +246,7 @@ def scl_gradients(pre: ModelParams, x: np.ndarray, y: np.ndarray, tau: float) ->
 
 def masks_from_gradients(gradients: list[np.ndarray], k: int, variant: str) -> GradientMaskSet:
     """One mask per maskable layer from per-layer gradients, head last and full."""
-    if variant not in ("row", "col", "sparse"):
+    if variant not in SELECTION_VARIANTS:
         raise ConfigError(f"unknown selection variant {variant!r}")
     for i, h in enumerate(gradients[:-1]):
         rows, cols = h.shape
@@ -285,43 +276,33 @@ def trainable_fraction(model: ModelParams, masks: GradientMaskSet) -> float:
     """Share of all parameters (weights and biases) the masks leave trainable."""
     if len(masks.layers) != len(model.layers):
         raise ShapeError("mask count does not match layer count")
-    selected = 0.0
+    selected = 0
     for layer, mask in zip(model.layers, masks.layers):
         if layer.weight.shape != mask.shape:
             raise ShapeError(f"mask shape {mask.shape} != weight shape {layer.weight.shape}")
-        selected += float(mask.to_dense().sum()) + float(mask.bias_mask().sum())
+        wi, bi = mask.trainable
+        selected += layer.weight[wi].size + layer.bias[bi].size
     return selected / model.param_count()
 
 
 def mask_to_doc(mask: LayerMask) -> dict:
-    doc = {"variant": mask.variant, "shape": list(mask.shape),
-           "storage_bits": mask.storage_bits()}
-    if mask.variant in ("row", "col"):
-        doc["indices"] = list(mask.indices)
-    elif mask.variant == "sparse":
-        doc["indices"] = [list(r) for r in mask.indices]
-    elif mask.variant == "dense":
-        doc["indices"] = mask.indices.astype(int).tolist()
-    else:
-        doc["indices"] = None
-    return doc
+    indices = mask.indices.astype(int).tolist() if mask.variant == "dense" else mask.indices
+    return {"variant": mask.variant, "shape": list(mask.shape),
+            "storage_bits": mask.storage_bits(), "indices": indices}
 
 
-def mask_from_doc(doc: dict) -> LayerMask:
-    variant = doc["variant"]
-    shape = tuple(doc["shape"])
-    if variant == "full":
-        return LayerMask("full", shape)
-    return LayerMask(variant, shape, doc["indices"])
+def masks_to_doc(masks: GradientMaskSet) -> dict:
+    """JSON document of a mask set: one entry per layer and the total storage."""
+    return {"layers": [mask_to_doc(m) for m in masks.layers],
+            "storage_bits": masks.total_storage_bits()}
 
 
 def save_masks(masks: GradientMaskSet, path: str | Path) -> None:
-    doc = {"layers": [mask_to_doc(m) for m in masks.layers],
-           "storage_bits": masks.total_storage_bits()}
     with atomic_open(path) as fh:
-        fh.write(json.dumps(doc, indent=1))
+        fh.write(json.dumps(masks_to_doc(masks), indent=1))
 
 
 def load_masks(path: str | Path) -> GradientMaskSet:
     doc = json.loads(Path(path).read_text())
-    return GradientMaskSet(tuple(mask_from_doc(m) for m in doc["layers"]))
+    return GradientMaskSet(tuple(LayerMask(m["variant"], tuple(m["shape"]), m["indices"])
+                                 for m in doc["layers"]))

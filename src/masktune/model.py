@@ -122,15 +122,12 @@ def default_roles(num_layers: int) -> list[str]:
     return ["embedding"] + ["hidden"] * (num_layers - 2) + ["head"]
 
 
-def init_model(dims: list[int], seed: int | Rng, roles: list[str] | None = None) -> ModelParams:
+def init_model(dims: list[int], seed: int | Rng) -> ModelParams:
     """Build an MLP with uniform [-sqrt(1/fan_in), sqrt(1/fan_in)] weights and zero biases."""
     if len(dims) < 2:
         raise ConfigError("dims must list at least an input and an output width")
     num_layers = len(dims) - 1
-    if roles is None:
-        roles = default_roles(num_layers)
-    if len(roles) != num_layers:
-        raise ConfigError(f"got {len(roles)} roles for {num_layers} layers")
+    roles = default_roles(num_layers)
     rng = seed if isinstance(seed, Rng) else Rng(seed)
     layers = []
     for i in range(num_layers):

@@ -78,6 +78,25 @@ class TestParseConfig:
         assert rc.finetune_config().k == 2
         assert rc.pretrain_optim().total_epochs == 8
 
+    def test_omitted_optional_keys_take_the_defaults(self):
+        implicit = copy.deepcopy(BASE_CONFIG)
+        explicit = copy.deepcopy(BASE_CONFIG)
+        for section in ("pretrain", "finetune"):
+            del implicit[section]["warmup_epochs"]
+            explicit[section].update(warmup_epochs=0, beta1=0.9, beta2=0.999, epsilon=1e-8)
+        explicit["finetune"]["regular"].update(include_embedding=True, include_head=True)
+        a, b = parse_run_config(implicit), parse_run_config(explicit)
+        assert a.finetune_config() == b.finetune_config()
+        assert a.pretrain_optim() == b.pretrain_optim()
+
+    def test_integer_optimizer_values_become_floats(self):
+        doc = copy.deepcopy(BASE_CONFIG)
+        doc["finetune"].update(base_lr=1, beta1=0, beta2=0, epsilon=1)
+        optim = parse_run_config(doc).finetune_config().optim
+        values = (optim.base_lr, optim.beta1, optim.beta2, optim.epsilon)
+        assert values == (1.0, 0.0, 0.0, 1.0)
+        assert all(type(v) is float for v in values)
+
     def test_seed_override(self):
         rc = parse_run_config(copy.deepcopy(BASE_CONFIG), seed_override=99)
         assert rc.seed == 99

@@ -96,6 +96,60 @@ class TestToDense:
             LayerMask("col", (2, 3), (3,))
 
 
+class TestTrainableIndex:
+    """The trainable index is the one place a variant turns into trainable
+    entries; these pin it with hand-written arrays."""
+
+    @staticmethod
+    def assert_index(actual, expected):
+        assert type(actual) is type(expected)
+        if isinstance(expected, np.ndarray):
+            assert actual.dtype == expected.dtype
+            assert np.array_equal(actual, expected)
+        else:
+            assert actual == expected
+
+    def test_row(self):
+        wi, bi = LayerMask("row", (3, 2), (0, 2)).trainable
+        self.assert_index(wi, np.array([0, 2], dtype=np.intp))
+        self.assert_index(bi, np.array([0, 2], dtype=np.intp))
+
+    def test_col_trains_no_bias(self):
+        (rows, cols), bi = LayerMask("col", (2, 4), (1, 3)).trainable
+        assert rows == slice(None)
+        self.assert_index(cols, np.array([1, 3], dtype=np.intp))
+        self.assert_index(bi, np.zeros(0, dtype=np.intp))
+
+    def test_sparse_with_an_empty_row_freezes_its_bias(self):
+        wi, bi = LayerMask("sparse", (3, 3), ((0, 2), (), (1,))).trainable
+        self.assert_index(wi, np.array([[True, False, True],
+                                        [False, False, False],
+                                        [False, True, False]]))
+        self.assert_index(bi, np.array([True, False, True]))
+
+    def test_dense(self):
+        bits = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+        wi, bi = LayerMask("dense", (3, 2), bits).trainable
+        self.assert_index(wi, np.array([[False, True], [False, False], [True, True]]))
+        self.assert_index(bi, np.array([True, False, True]))
+
+    def test_full(self):
+        assert full_mask((2, 3)).trainable == (..., ...)
+
+    def test_head_only_masks_train_nothing_but_the_head(self):
+        masks = GradientMaskSet.head_only(init_model([4, 5, 3], seed=0))
+        wi, bi = masks.layers[0].trainable
+        self.assert_index(wi, np.zeros(0, dtype=np.intp))
+        self.assert_index(bi, np.zeros(0, dtype=np.intp))
+        assert masks.layers[1].trainable == (..., ...)
+
+    def test_views_derive_from_the_index(self):
+        mask = LayerMask("sparse", (3, 3), ((0, 2), (), (1,)))
+        assert np.array_equal(mask.to_dense(), np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0]], float))
+        assert np.array_equal(mask.bias_mask(), np.array([1.0, 0.0, 1.0]))
+        assert np.array_equal(LayerMask("col", (2, 3), (2,)).bias_mask(), np.zeros(2))
+
+
 class TestObjectiveAndEnergy:
     def test_full_mask_objective_zero(self, np_rng):
         h = np_rng.normal(size=(3, 3))

@@ -4,7 +4,9 @@ The dense masked Adam step below is the step the package used before Adam
 touched only the trainable slice; it stays here as the oracle the sliced step
 must match bit for bit. Likewise ``csv_module_reader`` is the dataset reader
 the package used before numpy's C parser, kept as the oracle for
-``load_dataset_csv``.
+``load_dataset_csv``, and ``dense_objective``/``dense_retained`` are the
+formulas ``mask_objective``/``retained_energy`` used before they read the
+mask's trainable index.
 """
 
 import csv
@@ -26,7 +28,17 @@ from masktune.losses import (
     resolve_penalty,
     resolve_regular_layers,
 )
-from masktune.masking import GradientMaskSet, LayerMask
+from masktune.linalg import frobenius_sq
+from masktune.masking import (
+    GradientMaskSet,
+    LayerMask,
+    brute_force_best_rows,
+    build_mask,
+    load_masks,
+    mask_objective,
+    retained_energy,
+    save_masks,
+)
 from masktune.model import (
     GradientSet,
     Layer,
@@ -281,3 +293,94 @@ def test_csv_reader_matches_the_csv_module_reader(data, pass_classes):
     assert got.y.dtype == want.y.dtype and np.array_equal(got.y, want.y)
     assert got.num_classes == want.num_classes
     assert got.x.flags.c_contiguous
+
+
+def indices_to_dense(mask):
+    """0/1 matrix of a mask, built from its indices rather than its trainable index."""
+    m = np.zeros(mask.shape)
+    if mask.variant == "full":
+        m[:, :] = 1.0
+    elif mask.variant == "dense":
+        m[:, :] = mask.indices
+    elif mask.variant == "row":
+        for i in mask.indices:
+            m[i, :] = 1.0
+    elif mask.variant == "col":
+        for j in mask.indices:
+            m[:, j] = 1.0
+    else:
+        for i, cols in enumerate(mask.indices):
+            for j in cols:
+                m[i, j] = 1.0
+    return m
+
+
+def dense_objective(h, m):
+    return frobenius_sq(h - h * m)
+
+
+def dense_retained(h, m):
+    kept = h * m
+    return float(np.sum(kept * kept))
+
+
+@st.composite
+def masked_gradients(draw):
+    """A gradient matrix of any finite values and a random mask of its shape."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    h = draw(hnp.arrays(np.float64, (rows, cols), elements=finite))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return h, random_mask(rng, draw(st.sampled_from(VARIANTS)), (rows, cols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=masked_gradients())
+def test_objective_and_energy_match_the_dense_formulas_bitwise(case):
+    h, mask = case
+    m = indices_to_dense(mask)
+    with np.errstate(over="ignore"):  # squares of huge entries are inf on both sides
+        assert bits(np.float64(mask_objective(h, mask))) == bits(np.float64(dense_objective(h, m)))
+        assert bits(np.float64(retained_energy(h, mask))) == \
+            bits(np.float64(dense_retained(h, m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                   elements=st.floats(-1e3, 1e3)),
+       data=st.data())
+def test_top_k_rows_and_cols_reach_the_brute_force_objective(h, data):
+    tol = 1e-12 * max(frobenius_sq(h), 1e-300)
+    for variant, scored in (("row", h), ("col", h.T)):
+        k = data.draw(st.integers(1, scored.shape[0]))
+        best = LayerMask(variant, h.shape, brute_force_best_rows(scored, k))
+        assert abs(mask_objective(h, build_mask(h, k, variant)) - mask_objective(h, best)) <= tol
+
+
+def assert_same_index(a, b):
+    if isinstance(a, tuple):
+        assert isinstance(b, tuple) and len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_index(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    else:
+        assert a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       layers=st.lists(st.tuples(st.sampled_from(VARIANTS), st.integers(1, 6), st.integers(1, 6)),
+                       min_size=1, max_size=4))
+def test_masks_round_trip_through_json(seed, layers):
+    rng = np.random.default_rng(seed)
+    masks = GradientMaskSet(tuple(random_mask(rng, v, (rows, cols)) for v, rows, cols in layers))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "masks.json"
+        save_masks(masks, path)
+        loaded = load_masks(path)
+    assert len(loaded.layers) == len(masks.layers)
+    for got, want in zip(loaded.layers, masks.layers):
+        assert (got.variant, got.shape, got.storage_bits()) == \
+            (want.variant, want.shape, want.storage_bits())
+        assert_same_index(got.trainable, want.trainable)
+    assert loaded.total_storage_bits() == masks.total_storage_bits()
