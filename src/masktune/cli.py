@@ -12,11 +12,11 @@ import sys
 from pathlib import Path
 
 from . import harness, masking
-from .config import load_run_config
+from .config import RunConfig, load_run_config
 from .data import load_dataset_csv
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .fileio import atomic_open
-from .model import load_checkpoint, save_checkpoint
+from .model import ModelParams, load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,6 +32,14 @@ def _output_path(path: str) -> Path:
     if out.is_dir():
         raise InputError(f"output path {out} is a directory")
     return out
+
+
+def _load_pretrained(path: str, cfg: RunConfig) -> ModelParams:
+    """The checkpoint at ``path``, once its dims are known to be the config's model.dims."""
+    pre = load_checkpoint(path)
+    if pre.dims != cfg.model_dims:
+        raise ConfigError(f"checkpoint dims {pre.dims} != the config's model.dims {cfg.model_dims}")
+    return pre
 
 
 def cmd_pretrain(args) -> int:
@@ -53,7 +61,7 @@ def cmd_finetune(args) -> int:
     out = _output_path(args.out)
     cfg = load_run_config(args.config, args.seed)
     task = cfg.make_task()
-    pre = load_checkpoint(args.checkpoint)
+    pre = _load_pretrained(args.checkpoint, cfg)
     ft_cfg = cfg.finetune_config()
     model, report = harness.finetune(pre, task, ft_cfg)
     report.config = {**report.config, "run_config": cfg.to_dict()}
@@ -105,26 +113,26 @@ def _parse_values(axis: str, raw: str) -> list:
     parts = [p for p in raw.split(",") if p]
     if not parts:
         raise ConfigError("values must be a non-empty comma-separated list")
-    if axis in ("k", "regular_blocks", "subsets_n"):
-        return [int(p) for p in parts]
-    if axis == "lambda":
-        return [float(p) for p in parts]
-    return parts
+    convert = {"k": int, "regular_blocks": int, "subsets_n": int, "lambda": float}.get(axis, str)
+    try:
+        return [convert(p) for p in parts]
+    except ValueError as exc:
+        raise ConfigError(f"values for axis {axis}: {exc}") from exc
 
 
 def cmd_ablate(args) -> int:
     if args.axis not in harness.ABLATION_AXES:
         raise ConfigError(f"unknown axis {args.axis!r}; "
                           f"choose from {', '.join(harness.ABLATION_AXES)}")
+    cfg = load_run_config(args.config, args.seed)
+    values = _parse_values(args.axis, args.values)
+    task = cfg.make_task()
+    pre = _load_pretrained(args.checkpoint, cfg)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot create output directory {out_dir}: {exc}") from exc
-    cfg = load_run_config(args.config, args.seed)
-    values = _parse_values(args.axis, args.values)
-    task = cfg.make_task()
-    pre = load_checkpoint(args.checkpoint)
     reports = harness.ablate(pre, task, cfg.finetune_config(), args.axis, values)
 
     combined = out_dir / "combined.csv"

@@ -1,12 +1,14 @@
 """JSON run configuration: schema validation and conversion to typed configs.
 
 Unknown keys are hard errors so hyperparameter typos fail loudly instead of
-silently falling back to defaults.
+silently falling back to defaults. Every number in the schema is a count, a
+rate, a width, a seed or a scale, so each must be finite and non-negative.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +45,8 @@ def _check_section(section: dict, schema: dict, where: str,
         expected = schema[key]
         if (expected is not bool and isinstance(value, bool)) or not isinstance(value, expected):
             raise ConfigError(f"{where}.{key}: wrong type {type(value).__name__}")
+        if isinstance(value, (int, float)) and not 0 <= value < math.inf:
+            raise ConfigError(f"{where}.{key}: must be finite and >= 0, got {value}")
     for key in (required if required is not None else schema):
         if key not in section:
             raise ConfigError(f"{where}: missing key {key!r}")
@@ -106,6 +110,8 @@ def parse_run_config(doc: dict, seed_override: int | None = None) -> RunConfig:
     if not all(isinstance(d, int) and d >= 1 for d in dims) or len(dims) < 2:
         raise ConfigError("model.dims must be a list of at least two positive ints")
     seed = doc["seed"] if seed_override is None else int(seed_override)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return RunConfig(seed=seed, task=doc["task"], model_dims=dims,
                      pretrain=doc["pretrain"], finetune=doc["finetune"])
 

@@ -50,11 +50,6 @@ class TaskPair:
     source: Dataset
     target_train: Dataset
     target_test: Dataset
-    shift: ShiftConfig
-
-    @property
-    def dim(self) -> int:
-        return self.source.x.shape[1]
 
 
 def _unit_rows(rng: Rng, n: int, dim: int) -> np.ndarray:
@@ -97,7 +92,7 @@ def gen_task(dim: int, classes: int, per_class: int, noise_sigma: float,
     source = _sample(rng.child(1), source_means, per_class, noise_sigma)
     target_train = _sample(rng.child(2), target_means, per_class, noise_sigma)
     target_test = _sample(rng.child(3), target_means, per_class, noise_sigma)
-    return TaskPair(source, target_train, target_test, shift)
+    return TaskPair(source, target_train, target_test)
 
 
 def partition_subsets(data: Dataset, n: int, seed: int | Rng) -> list[Dataset]:
@@ -133,11 +128,12 @@ def save_dataset_csv(data: Dataset, path: str | Path) -> None:
             writer.writerow([int(label)] + [repr(float(v)) for v in row])
 
 
-def load_dataset_csv(path: str | Path, num_classes: int | None = None) -> Dataset:
+def load_dataset_csv(path: str | Path) -> Dataset:
     """Read a CSV written by save_dataset_csv; malformed files raise InputError.
 
     numpy's C parser reads the rows. The label column must hold integers,
-    every row the header's width, and a blank line anywhere is an error.
+    every row the header's width, and a blank line anywhere is an error. The
+    class count is one more than the largest label.
     """
     try:
         with open(path) as fh:
@@ -161,6 +157,4 @@ def load_dataset_csv(path: str | Path, num_classes: int | None = None) -> Datase
     x, y = table["x"].copy(), table["y"].copy()
     if not np.all(np.isfinite(x)):
         raise InputError(f"{path}: non-finite feature value")
-    if num_classes is None:
-        num_classes = int(y.max()) + 1
-    return Dataset(x, y, num_classes)
+    return Dataset(x, y, int(y.max()) + 1)

@@ -44,8 +44,8 @@ class FineTuneConfig:
     def __post_init__(self):
         if self.variant not in (*SELECTION_VARIANTS, "full"):
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
+        if not 0.0 < self.tau < np.inf:
+            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
         if self.subsets_n < 1:
             raise ConfigError("subsets_n must be >= 1")
         if self.batch_size < 1:

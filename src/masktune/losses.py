@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .model import GradientSet, LayerGrad, ModelParams, backward, forward
+from .model import GradientSet, LayerGrad, ModelParams, backward, forward, layer_roles
 
 if TYPE_CHECKING:  # masking imports this module for the contrastive loss
     from .masking import GradientMaskSet
@@ -31,6 +31,10 @@ class RegularSet:
     last_l: int
     include_embedding: bool = True
     include_head: bool = True
+
+    def __post_init__(self):
+        if self.last_l < 0:
+            raise ConfigError(f"last_l must be >= 0, got {self.last_l}")
 
 
 @dataclass(frozen=True)
@@ -48,12 +52,13 @@ class RegConfig:
 
 def resolve_regular_layers(model: ModelParams, regular: RegularSet) -> list[int]:
     """Indices of layers in the regular set, in ascending order."""
-    hidden = [i for i, l in enumerate(model.layers) if l.role == "hidden"]
+    roles = layer_roles(len(model.layers))
+    hidden = [i for i, role in enumerate(roles) if role == "hidden"]
     if regular.last_l > len(hidden):
         raise ConfigError(f"last_l={regular.last_l} exceeds the {len(hidden)} hidden layers")
     chosen = set(hidden[len(hidden) - regular.last_l:])
     if regular.include_embedding:
-        chosen.update(i for i, l in enumerate(model.layers) if l.role == "embedding")
+        chosen.update(i for i, role in enumerate(roles) if role == "embedding")
     if regular.include_head:
         chosen.add(len(model.layers) - 1)
     return sorted(chosen)
@@ -85,8 +90,8 @@ def scl_loss(features: np.ndarray, labels: np.ndarray, tau: float) -> tuple[floa
     Returns the summed loss over anchors and its gradient w.r.t. the raw
     features (normalization Jacobian included).
     """
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
+    if not 0.0 < tau < np.inf:
+        raise ConfigError(f"temperature must be positive and finite, got {tau}")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     batch = features.shape[0]

@@ -2,8 +2,8 @@
 
 A mask decides which weight entries train. Row and column masks store only
 sorted index lists; the per-neuron sparse variant stores one index list per
-row; dense masks store the full bit matrix; ``full`` marks an entirely
-trainable layer (canonical form for the head) and costs zero storage.
+row; ``full`` marks an entirely trainable layer (canonical form for the head)
+and costs zero storage.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .losses import scl_loss
 from .model import ModelParams, backward, forward
 
 SELECTION_VARIANTS = ("row", "col", "sparse")  # the variants scoring can build
-VARIANTS = (*SELECTION_VARIANTS, "dense", "full")
+VARIANTS = (*SELECTION_VARIANTS, "full")
 
 
 def _check_indices(indices, bound: int, what: str) -> tuple[int, ...]:
@@ -41,7 +41,7 @@ class LayerMask:
     """Per-layer selection of trainable weight entries.
 
     ``indices`` is a sorted int tuple for row/col, a tuple of per-row sorted
-    int tuples for sparse, a 0/1 matrix for dense, and None for full.
+    int tuples for sparse, and None for full.
     """
     variant: str
     shape: tuple[int, int]
@@ -61,13 +61,6 @@ class LayerMask:
             fixed = tuple(_check_indices(r, cols, f"sparse row {i}")
                           for i, r in enumerate(self.indices))
             object.__setattr__(self, "indices", fixed)
-        elif self.variant == "dense":
-            bits = np.asarray(self.indices)
-            if bits.shape != self.shape:
-                raise ShapeError(f"dense mask shape {bits.shape} != layer shape {self.shape}")
-            if not np.all((bits == 0) | (bits == 1)):
-                raise ConfigError("dense mask must be 0/1")
-            object.__setattr__(self, "indices", bits.astype(np.float64))
         elif self.indices is not None:
             raise ConfigError("full mask carries no indices")
 
@@ -77,7 +70,7 @@ class LayerMask:
 
         ``weight[index]`` (``bias[index]``) is exactly the entries the mask
         leaves trainable: row and col masks give index arrays, ``full`` the
-        whole array, sparse and dense masks a boolean matrix. A bias trains
+        whole array, sparse masks a boolean matrix. A bias trains
         when its row holds selected weights; column masks leave all biases
         frozen (a column targets no single output neuron). Built on first use
         and kept with the mask; every other reading of a mask derives from it.
@@ -89,12 +82,9 @@ class LayerMask:
             return rows, rows
         if self.variant == "col":
             return (slice(None), np.array(self.indices, dtype=np.intp)), np.zeros(0, np.intp)
-        if self.variant == "dense":
-            bits = self.indices != 0.0
-        else:
-            bits = np.zeros(self.shape, dtype=bool)
-            for i, cols_i in enumerate(self.indices):
-                bits[i, list(cols_i)] = True
+        bits = np.zeros(self.shape, dtype=bool)
+        for i, cols_i in enumerate(self.indices):
+            bits[i, list(cols_i)] = True
         return bits, bits.any(axis=1)
 
     def to_dense(self) -> np.ndarray:
@@ -113,8 +103,6 @@ class LayerMask:
         rows, cols = self.shape
         if self.variant == "full":
             return 0
-        if self.variant == "dense":
-            return rows * cols
         if self.variant == "row":
             return len(self.indices) * _index_bits(rows)
         if self.variant == "col":
@@ -285,24 +273,14 @@ def trainable_fraction(model: ModelParams, masks: GradientMaskSet) -> float:
     return selected / model.param_count()
 
 
-def mask_to_doc(mask: LayerMask) -> dict:
-    indices = mask.indices.astype(int).tolist() if mask.variant == "dense" else mask.indices
-    return {"variant": mask.variant, "shape": list(mask.shape),
-            "storage_bits": mask.storage_bits(), "indices": indices}
-
-
 def masks_to_doc(masks: GradientMaskSet) -> dict:
     """JSON document of a mask set: one entry per layer and the total storage."""
-    return {"layers": [mask_to_doc(m) for m in masks.layers],
+    return {"layers": [{"variant": m.variant, "shape": list(m.shape),
+                        "storage_bits": m.storage_bits(), "indices": m.indices}
+                       for m in masks.layers],
             "storage_bits": masks.total_storage_bits()}
 
 
 def save_masks(masks: GradientMaskSet, path: str | Path) -> None:
     with atomic_open(path) as fh:
         fh.write(json.dumps(masks_to_doc(masks), indent=1))
-
-
-def load_masks(path: str | Path) -> GradientMaskSet:
-    doc = json.loads(Path(path).read_text())
-    return GradientMaskSet(tuple(LayerMask(m["variant"], tuple(m["shape"]), m["indices"])
-                                 for m in doc["layers"]))

@@ -1,9 +1,9 @@
-"""Multilayer perceptron with layer roles, forward cache, and exact backprop.
+"""Multilayer perceptron, forward cache, and exact backprop.
 
-The model is deliberately small: dense layers, ReLU on non-head layers,
-identity on the head. Roles tag layers as ``embedding`` (first), ``hidden``,
-or ``head`` (last) so downstream code can address "the head" or "the last L
-hidden layers" without positional guesswork.
+The model is deliberately small: dense layers, ReLU on every layer but the
+last, identity on the last (the head). A layer's role follows from its
+position alone: ``embedding`` (first), ``hidden``, or ``head`` (last); see
+:func:`layer_roles`.
 """
 
 from __future__ import annotations
@@ -18,19 +18,13 @@ from .errors import ConfigError, InputError, ShapeError, StateError
 from .fileio import atomic_open
 from .linalg import Rng
 
-ROLES = ("embedding", "hidden", "head")
-ACTIVATIONS = ("relu", "identity")
-
-
 @dataclass
 class Layer:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray    # (out,)
-    role: str
-    activation: str
 
     def copy(self) -> "Layer":
-        return Layer(self.weight.copy(), self.bias.copy(), self.role, self.activation)
+        return Layer(self.weight.copy(), self.bias.copy())
 
     @property
     def out_dim(self) -> int:
@@ -52,22 +46,12 @@ class ModelParams:
         if not self.layers:
             raise ConfigError("model must have at least one layer")
         for i, layer in enumerate(self.layers):
-            if layer.role not in ROLES:
-                raise ConfigError(f"layer {i}: unknown role {layer.role!r}")
-            if layer.activation not in ACTIVATIONS:
-                raise ConfigError(f"layer {i}: unknown activation {layer.activation!r}")
             if layer.bias.shape != (layer.weight.shape[0],):
                 raise ShapeError(f"layer {i}: bias length {layer.bias.shape} "
                                  f"does not match weight rows {layer.weight.shape[0]}")
             if i > 0 and layer.in_dim != self.layers[i - 1].out_dim:
                 raise ShapeError(f"layer {i}: input width {layer.in_dim} does not chain "
                                  f"with previous output width {self.layers[i - 1].out_dim}")
-        if self.layers[-1].role != "head":
-            raise ConfigError("last layer must have role 'head'")
-        if any(l.role == "head" for l in self.layers[:-1]):
-            raise ConfigError("only the last layer may have role 'head'")
-        if any(l.role == "embedding" for l in self.layers[1:]):
-            raise ConfigError("only the first layer may have role 'embedding'")
 
     def copy(self) -> "ModelParams":
         return ModelParams([l.copy() for l in self.layers])
@@ -75,10 +59,6 @@ class ModelParams:
     @property
     def dims(self) -> list[int]:
         return [self.layers[0].in_dim] + [l.out_dim for l in self.layers]
-
-    @property
-    def roles(self) -> list[str]:
-        return [l.role for l in self.layers]
 
     @property
     def feature_dim(self) -> int:
@@ -116,7 +96,8 @@ class ForwardCache:
     preacts: list[np.ndarray] = field(repr=False, default_factory=list)
 
 
-def default_roles(num_layers: int) -> list[str]:
+def layer_roles(num_layers: int) -> list[str]:
+    """The role of each layer, from its position: embedding first, head last."""
     if num_layers == 1:
         return ["head"]
     return ["embedding"] + ["hidden"] * (num_layers - 2) + ["head"]
@@ -126,17 +107,11 @@ def init_model(dims: list[int], seed: int | Rng) -> ModelParams:
     """Build an MLP with uniform [-sqrt(1/fan_in), sqrt(1/fan_in)] weights and zero biases."""
     if len(dims) < 2:
         raise ConfigError("dims must list at least an input and an output width")
-    num_layers = len(dims) - 1
-    roles = default_roles(num_layers)
     rng = seed if isinstance(seed, Rng) else Rng(seed)
     layers = []
-    for i in range(num_layers):
-        fan_in = dims[i]
-        bound = np.sqrt(1.0 / fan_in)
-        weight = rng.uniform(-bound, bound, size=(dims[i + 1], dims[i]))
-        bias = np.zeros(dims[i + 1])
-        activation = "identity" if roles[i] == "head" else "relu"
-        layers.append(Layer(weight, bias, roles[i], activation))
+    for n_in, n_out in zip(dims, dims[1:]):
+        bound = np.sqrt(1.0 / n_in)
+        layers.append(Layer(rng.uniform(-bound, bound, size=(n_out, n_in)), np.zeros(n_out)))
     return ModelParams(layers)
 
 
@@ -146,21 +121,13 @@ def reinit_head(model: ModelParams, num_classes: int, rng: Rng) -> ModelParams:
     fan_in = new.feature_dim
     bound = np.sqrt(1.0 / fan_in)
     weight = rng.uniform(-bound, bound, size=(num_classes, fan_in))
-    new.layers[-1] = Layer(weight, np.zeros(num_classes), "head", "identity")
+    new.layers[-1] = Layer(weight, np.zeros(num_classes))
     return new
 
 
-def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    return z
-
-
-def _activation_grad(z: np.ndarray, activation: str) -> np.ndarray:
+def _relu_grad(z: np.ndarray) -> np.ndarray:
     # ReLU subgradient at 0 is 0.
-    if activation == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
+    return (z > 0.0).astype(np.float64)
 
 
 def forward(model: ModelParams, x_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
@@ -175,11 +142,12 @@ def forward(model: ModelParams, x_batch: np.ndarray) -> tuple[np.ndarray, np.nda
                          f"input width {model.layers[0].in_dim}")
     cache = ForwardCache(model=model)
     a = x_batch
-    for layer in model.layers:
+    head = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
         cache.inputs.append(a)
         z = a @ layer.weight.T + layer.bias
         cache.preacts.append(z)
-        a = _apply_activation(z, layer.activation)
+        a = z if i == head else np.maximum(z, 0.0)
     logits = a
     features = cache.inputs[-1]
     return logits, features, cache
@@ -209,7 +177,7 @@ def backward(model: ModelParams, cache: ForwardCache,
         start = n - 2
         if start < 0:
             return grads  # head-only model: features are the raw input
-        delta = d_out * _activation_grad(cache.preacts[start], model.layers[start].activation)
+        delta = d_out * _relu_grad(cache.preacts[start])
 
     for l in range(start, -1, -1):
         layer = model.layers[l]
@@ -217,7 +185,7 @@ def backward(model: ModelParams, cache: ForwardCache,
         grads.layers[l].bias = delta.sum(axis=0)
         if l > 0:
             d_out = delta @ layer.weight
-            delta = d_out * _activation_grad(cache.preacts[l - 1], model.layers[l - 1].activation)
+            delta = d_out * _relu_grad(cache.preacts[l - 1])
     return grads
 
 
@@ -226,9 +194,11 @@ CHECKPOINT_MAGIC = b"masktune-checkpoint 1\n"
 
 def save_checkpoint(model: ModelParams, path: str | Path) -> None:
     """Write the binary checkpoint: the magic line, a one-line JSON header
-    with ``dims`` and ``roles``, then per layer the weight (row-major) and the
-    bias as raw little-endian float64. The bytes depend on the model only."""
-    header = json.dumps({"dims": model.dims, "roles": model.roles}).encode() + b"\n"
+    with ``dims`` and the positional ``roles``, then per layer the weight
+    (row-major) and the bias as raw little-endian float64. The bytes depend on
+    the model only."""
+    roles = layer_roles(len(model.layers))
+    header = json.dumps({"dims": model.dims, "roles": roles}).encode() + b"\n"
     with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + header)
         for layer in model.layers:
@@ -240,9 +210,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     """Read a checkpoint written by save_checkpoint, whatever the file is named.
 
     An unreadable file, a missing magic line (as in the older JSON
-    checkpoints), a malformed header, a byte count that does not fit the
-    header, a non-finite value or a layer stack ModelParams rejects raises
-    InputError. The weights and biases are writeable arrays that own their data.
+    checkpoints), a malformed header, header roles other than the positional
+    ones, a byte count that does not fit the header or a non-finite value
+    raises InputError. The weights and biases are writeable arrays that own
+    their data.
     """
     try:
         blob = Path(path).read_bytes()
@@ -265,8 +236,9 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     if not (isinstance(dims, list) and len(dims) >= 2
             and all(type(d) is int and d > 0 for d in dims)):
         raise InputError(f"checkpoint {path}: dims must list at least two positive integers")
-    if not isinstance(roles, list) or len(roles) != len(dims) - 1:
-        raise InputError(f"checkpoint {path}: roles do not match layers")
+    positional = layer_roles(len(dims) - 1)
+    if roles != positional:
+        raise InputError(f"checkpoint {path}: roles {roles!r} are not the positional {positional}")
     offset = end + 1
     expected = 8 * sum(n_out * (n_in + 1) for n_in, n_out in zip(dims, dims[1:]))
     if len(blob) - offset != expected:
@@ -274,7 +246,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
                          f"after the header, dims {dims} need {expected}")
     values = np.frombuffer(blob, dtype="<f8", offset=offset)
     layers, at = [], 0
-    for i, (role, n_in, n_out) in enumerate(zip(roles, dims, dims[1:])):
+    for i, (n_in, n_out) in enumerate(zip(dims, dims[1:])):
         # astype copies out of the read-only buffer into native float64
         weight = values[at:at + n_out * n_in].reshape(n_out, n_in).astype(np.float64)
         at += n_out * n_in
@@ -282,9 +254,5 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         at += n_out
         if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
             raise InputError(f"checkpoint {path}: layer {i} has non-finite entries")
-        activation = "identity" if role == "head" else "relu"
-        layers.append(Layer(weight, bias, role, activation))
-    try:
-        return ModelParams(layers)
-    except (ConfigError, ShapeError) as exc:
-        raise InputError(f"checkpoint {path}: {exc}") from exc
+        layers.append(Layer(weight, bias))
+    return ModelParams(layers)

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import sparse_from_bits
 from masktune.cli import main as cli_main
 from masktune.data import Dataset, ShiftConfig, gen_task, partition_subsets, save_dataset_csv, select_mask_subset
 from masktune.harness import FineTuneConfig, evaluate, finetune, finetune_masks, linear_probe, pretrain
@@ -33,6 +34,7 @@ from masktune.masking import (
     full_mask,
     mask_objective,
     retained_energy,
+    storage_comparison,
 )
 from masktune.model import (
     GradientSet,
@@ -125,7 +127,7 @@ def test_criterion_02_inner_product_identity():
             cols = int(rng.integers(1, 10))
             g = rng.normal(size=(rows, cols)) * float(rng.uniform(0.1, 100.0))
             bits = (rng.uniform(size=(rows, cols)) < 0.5).astype(float)
-            mask = LayerMask("dense", (rows, cols), bits)
+            mask = sparse_from_bits(bits)
             inner = float(np.sum(g * (g * bits)))
             energy = retained_energy(g, mask)
             assert abs(inner - energy) <= 1e-12 * max(abs(inner), 1e-300)
@@ -202,10 +204,10 @@ def test_criterion_05_masked_adam_equivalence():
     with criterion(5, "masked Adam == plain Adam on pre-zeroed gradients (100 steps, 1e-15)"):
         rng = np.random.default_rng(505)
         bits = (rng.uniform(size=(4, 5)) < 0.5).astype(float)
-        masks = GradientMaskSet((LayerMask("dense", (4, 5), bits),))
+        masks = GradientMaskSet((sparse_from_bits(bits),))
         bias_bits = masks.layers[0].bias_mask()
         w0, b0 = rng.normal(size=(4, 5)), rng.normal(size=4)
-        model = ModelParams([Layer(w0.copy(), b0.copy(), "head", "identity")])
+        model = ModelParams([Layer(w0.copy(), b0.copy())])
         state = init_adam_state(model, masks)
         cfg = OptimConfig(base_lr=0.01, total_epochs=1)
         rw, rb = w0.copy(), b0.copy()
@@ -221,7 +223,7 @@ def test_criterion_05_masked_adam_equivalence():
             assert np.all(np.abs(model.layers[0].bias - rb) <= 1e-15)
 
         # all-Full masks reproduce standard Adam exactly
-        model = ModelParams([Layer(w0.copy(), b0.copy(), "head", "identity")])
+        model = ModelParams([Layer(w0.copy(), b0.copy())])
         full = GradientMaskSet((full_mask((4, 5)),))
         state = init_adam_state(model, full)
         rw, rb = w0.copy(), b0.copy()
@@ -297,11 +299,10 @@ def test_criterion_08_storage_accounting(tmp_path, capsys):
     with criterion(8, "768x768 @ k=2: 20-bit row mask vs 589824 dense vs 15360 sparse, printed by mask-report"):
         row = LayerMask("row", (768, 768), (0, 1))
         sparse = LayerMask("sparse", (768, 768), tuple((0, 1) for _ in range(768)))
-        dense = LayerMask("dense", (768, 768), np.ones((768, 768)))
         assert row.storage_bits() == 20
-        assert dense.storage_bits() == 589824
+        assert storage_comparison(row, 2)["dense"] == 589824
         assert sparse.storage_bits() == 15360
-        assert row.storage_bits() / dense.storage_bits() < 4e-5
+        assert row.storage_bits() / storage_comparison(row, 2)["dense"] < 4e-5
 
         model = init_model([768, 768, 4], seed=0)
         ckpt = tmp_path / "wide.json"

@@ -1,17 +1,23 @@
+import contextlib
 import copy
+import io
 import json
+import math
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masktune import data, harness, masking
 from masktune.cli import main
 from masktune.config import parse_run_config
 from masktune.data import save_dataset_csv, gen_task, ShiftConfig
 from masktune.errors import ConfigError
-from masktune.masking import load_masks
-from masktune.model import load_checkpoint
+from masktune.model import layer_roles, load_checkpoint
 
 
 BASE_CONFIG = {
@@ -53,6 +59,24 @@ def count_calls(monkeypatch, func) -> list:
         if name.startswith("masktune") and vars(mod).get(func.__name__) is func:
             monkeypatch.setattr(mod, func.__name__, counted)
     return calls
+
+
+def record_finetune(monkeypatch) -> list:
+    """Record the (model, report) pair of every harness.finetune call."""
+    runs = []
+    finetune = harness.finetune
+
+    def recorded(*args):
+        runs.append(finetune(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(harness, "finetune", recorded)
+    return runs
+
+
+def saved_masks_doc(report) -> dict:
+    """The document save_masks writes for the masks a run trained under."""
+    return json.loads(json.dumps(masking.masks_to_doc(report.masks)))
 
 
 def write_target_csv(path) -> None:
@@ -164,8 +188,9 @@ class TestPretrainCommand:
 
 
 class TestFinetuneCommand:
-    def test_writes_report_trio(self, trained, tmp_path):
+    def test_writes_report_trio(self, trained, tmp_path, monkeypatch):
         cfg, ckpt = trained
+        runs = record_finetune(monkeypatch)
         out = tmp_path / "report.json"
         assert main(["finetune", "--config", str(cfg), "--checkpoint", str(ckpt),
                      "--out", str(out)]) == 0
@@ -174,8 +199,9 @@ class TestFinetuneCommand:
         assert doc["config"]["run_config"]["seed"] == 11
         csv_lines = (tmp_path / "report.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 1 + BASE_CONFIG["finetune"]["epochs"]
-        masks = load_masks(tmp_path / "report.mask.json")
-        assert masks.total_storage_bits() == doc["storage_bits"]
+        [(_, report)] = runs
+        assert json.loads((tmp_path / "report.mask.json").read_text()) == saved_masks_doc(report)
+        assert report.masks.total_storage_bits() == doc["storage_bits"]
 
     def test_reruns_byte_identical(self, trained, tmp_path):
         cfg, ckpt = trained
@@ -190,21 +216,15 @@ class TestFinetuneCommand:
         cfg, ckpt = trained
         subset_calls = count_calls(monkeypatch, data.select_mask_subset)
         scl_calls = count_calls(monkeypatch, masking.scl_gradients)
-        runs = []
-        finetune = harness.finetune
-
-        def recorded(*args):
-            runs.append(finetune(*args))
-            return runs[-1]
-
-        monkeypatch.setattr(harness, "finetune", recorded)
+        runs = record_finetune(monkeypatch)
         out = tmp_path / "report.json"
         assert main(["finetune", "--config", str(cfg), "--checkpoint", str(ckpt),
                      "--out", str(out)]) == 0
         assert len(subset_calls) == 1
         assert len(scl_calls) == 1
-        [(model, _)] = runs
-        masks = load_masks(tmp_path / "report.mask.json")
+        [(model, report)] = runs
+        assert json.loads((tmp_path / "report.mask.json").read_text()) == saved_masks_doc(report)
+        masks = report.masks
         assert masks.total_storage_bits() == json.loads(out.read_text())["storage_bits"]
         pre = load_checkpoint(ckpt)
         for mask, layer, before in zip(masks.layers[:-1], model.layers, pre.layers):
@@ -284,7 +304,7 @@ class TestBadInputFiles:
         cfg, ckpt = trained
         pre = load_checkpoint(ckpt)
         old = tmp_path / "old.json"
-        old.write_text(json.dumps({"dims": pre.dims, "roles": pre.roles,
+        old.write_text(json.dumps({"dims": pre.dims, "roles": layer_roles(len(pre.layers)),
                                    "layers": [{"weight": l.weight.tolist(),
                                                "bias": l.bias.tolist()} for l in pre.layers]}))
         assert main(["finetune", "--config", str(cfg), "--checkpoint", str(old),
@@ -433,3 +453,132 @@ class TestAblateCommand:
                      "--axis", "nope", "--values", "1",
                      "--out-dir", str(tmp_path / "d")]) == 2
         assert "axis" in capsys.readouterr().err
+
+
+def assert_refused(argv, tmp_path, capsys, inputs) -> None:
+    """The command exits 2 with a one-line error and leaves no file but its inputs."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sorted(inputs)
+
+
+def write_config(tmp_path, section, key, value, nested=None) -> Path:
+    doc = copy.deepcopy(BASE_CONFIG)
+    (doc[section][nested] if nested else doc[section])[key] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestContractHoles:
+    """Invalid numbers, flags and checkpoints exit 2 before any output is written."""
+
+    def finetune_argv(self, cfg, ckpt, tmp_path):
+        return ["finetune", "--config", str(cfg), "--checkpoint", str(ckpt),
+                "--out", str(tmp_path / "report.json")]
+
+    def test_nan_tau_exits_2(self, trained, tmp_path, capsys):
+        cfg = write_config(tmp_path, "finetune", "tau", math.nan)
+        assert_refused(self.finetune_argv(cfg, trained[1], tmp_path), tmp_path, capsys, [cfg])
+
+    def test_nan_tau_flag_of_mask_report_exits_2(self, trained, tmp_path, capsys):
+        data_path = tmp_path / "target.csv"
+        write_target_csv(data_path)
+        assert_refused(["mask-report", "--checkpoint", str(trained[1]), "--data", str(data_path),
+                        "--k", "2", "--tau", "nan", "--out", str(tmp_path / "r.json")],
+                       tmp_path, capsys, [data_path])
+
+    def test_infinite_base_lr_exits_2(self, trained, tmp_path, capsys):
+        cfg = write_config(tmp_path, "finetune", "base_lr", math.inf)
+        assert_refused(self.finetune_argv(cfg, trained[1], tmp_path), tmp_path, capsys, [cfg])
+
+    def test_nan_noise_sigma_exits_2(self, trained, tmp_path, capsys):
+        cfg = write_config(tmp_path, "task", "noise_sigma", math.nan)
+        assert_refused(self.finetune_argv(cfg, trained[1], tmp_path), tmp_path, capsys, [cfg])
+
+    def test_negative_last_l_exits_2(self, trained, tmp_path, capsys):
+        cfg = write_config(tmp_path, "finetune", "last_l", -1, nested="regular")
+        assert_refused(self.finetune_argv(cfg, trained[1], tmp_path), tmp_path, capsys, [cfg])
+
+    def test_negative_regular_blocks_exits_2(self, trained, tmp_path, capsys):
+        cfg, ckpt = trained
+        assert_refused(["ablate", "--config", str(cfg), "--checkpoint", str(ckpt),
+                        "--axis", "regular_blocks", "--values", "-1",
+                        "--out-dir", str(tmp_path / "sweep")], tmp_path, capsys, [])
+
+    def test_non_numeric_ablate_value_exits_2(self, trained, tmp_path, capsys):
+        cfg, ckpt = trained
+        assert_refused(["ablate", "--config", str(cfg), "--checkpoint", str(ckpt),
+                        "--axis", "k", "--values", "two",
+                        "--out-dir", str(tmp_path / "sweep")], tmp_path, capsys, [])
+
+    def test_negative_seed_flag_exits_2(self, trained, tmp_path, capsys):
+        cfg, _ = trained
+        assert_refused(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt"),
+                        "--seed", "-1"], tmp_path, capsys, [])
+
+    @pytest.mark.parametrize("command", ["finetune", "ablate"])
+    def test_checkpoint_dims_must_match_the_config(self, trained, tmp_path, capsys, command):
+        _, ckpt = trained
+        cfg = write_config(tmp_path, "model", "dims", [6, 8, 3])
+        argv = (self.finetune_argv(cfg, ckpt, tmp_path) if command == "finetune" else
+                ["ablate", "--config", str(cfg), "--checkpoint", str(ckpt), "--axis", "k",
+                 "--values", "1", "--out-dir", str(tmp_path / "sweep")])
+        assert_refused(argv, tmp_path, capsys, [cfg])
+        assert not (tmp_path / "sweep").exists()
+
+    def test_non_positional_checkpoint_roles_exit_2(self, trained, tmp_path, capsys):
+        cfg, ckpt = trained
+        magic, header, payload = ckpt.read_bytes().split(b"\n", 2)
+        head = json.loads(header)
+        head["roles"][0] = "hidden"
+        hidden_first = tmp_path / "hidden_first.ckpt"
+        hidden_first.write_bytes(b"\n".join([magic, json.dumps(head).encode(), payload]))
+        assert_refused(self.finetune_argv(cfg, hidden_first, tmp_path), tmp_path, capsys,
+                       [hidden_first])
+
+
+def numeric_fields(doc, path=()):
+    """Paths to every number in a config document, list entries included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from numeric_fields(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+# the base config with every optional number present
+FULL_CONFIG = copy.deepcopy(BASE_CONFIG)
+for _section in ("pretrain", "finetune"):
+    FULL_CONFIG[_section].update(beta1=0.9, beta2=0.999, epsilon=1e-8)
+NUMERIC_FIELDS = list(numeric_fields(FULL_CONFIG))
+BAD_NUMBERS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
+                        st.integers(max_value=-1),
+                        st.floats(max_value=-1e-300, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(NUMERIC_FIELDS), value=BAD_NUMBERS,
+       command=st.sampled_from(["pretrain", "finetune", "ablate"]))
+def test_any_non_finite_or_negative_number_exits_2(trained, field, value, command):
+    doc = copy.deepcopy(FULL_CONFIG)
+    target = doc
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg = root / "run.json"
+        cfg.write_text(json.dumps(doc))
+        argv = {"pretrain": ["pretrain", "--config", str(cfg), "--out", str(root / "m.ckpt")],
+                "finetune": ["finetune", "--config", str(cfg), "--checkpoint", str(trained[1]),
+                             "--out", str(root / "report.json")],
+                "ablate": ["ablate", "--config", str(cfg), "--checkpoint", str(trained[1]),
+                           "--axis", "k", "--values", "1", "--out-dir", str(root / "sweep")]}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv[command]) == 2
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert list(root.rglob("*")) == [cfg]

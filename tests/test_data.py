@@ -132,7 +132,7 @@ class TestCsv:
         data = Dataset(rng.normal(size=(9, 3)), rng.integers(0, 4, size=9), 4)
         path = tmp_path / "data.csv"
         save_dataset_csv(data, path)
-        loaded = load_dataset_csv(path, num_classes=4)
+        loaded = load_dataset_csv(path)
         assert np.array_equal(loaded.x, data.x)
         assert np.array_equal(loaded.y, data.y)
         assert loaded.num_classes == 4

@@ -47,12 +47,12 @@ def make_cfg(**overrides):
 
 class TestEvaluate:
     def test_perfect_identity_model(self):
-        model = ModelParams([Layer(np.eye(3), np.zeros(3), "head", "identity")])
+        model = ModelParams([Layer(np.eye(3), np.zeros(3))])
         data = Dataset(np.eye(3) * 5.0, np.array([0, 1, 2]), 3)
         assert evaluate(model, data) == 1.0
 
     def test_all_wrong(self):
-        model = ModelParams([Layer(-np.eye(2), np.zeros(2), "head", "identity")])
+        model = ModelParams([Layer(-np.eye(2), np.zeros(2))])
         data = Dataset(np.eye(2), np.array([0, 1]), 2)
         assert evaluate(model, data) == 0.0
 

@@ -145,8 +145,8 @@ class TestRegPenalty:
 
     def test_hand_single_layer(self):
         w = np.eye(2)
-        model = ModelParams([Layer(w.copy(), np.zeros(2), "head", "identity")])
-        pre = ModelParams([Layer(np.zeros((2, 2)), np.zeros(2), "head", "identity")])
+        model = ModelParams([Layer(w.copy(), np.zeros(2))])
+        pre = ModelParams([Layer(np.zeros((2, 2)), np.zeros(2))])
         cfg = RegConfig(lam=0.5, norm="l2", regular=RegularSet(0, include_head=True))
         loss, grads = reg_penalty(model, full_penalty(pre, cfg))
         assert loss == 1.0

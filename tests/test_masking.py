@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import small_model
+from conftest import read_masks, small_model, sparse_from_bits
 from masktune.errors import ConfigError, ShapeError
 from masktune.linalg import frobenius_sq
 from masktune.masking import (
@@ -12,12 +12,12 @@ from masktune.masking import (
     col_scores,
     compute_mask_set,
     full_mask,
-    load_masks,
     mask_objective,
     retained_energy,
     row_scores,
     save_masks,
     scl_gradients,
+    storage_comparison,
     topk_indices,
     trainable_fraction,
 )
@@ -129,7 +129,7 @@ class TestTrainableIndex:
 
     def test_dense(self):
         bits = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
-        wi, bi = LayerMask("dense", (3, 2), bits).trainable
+        wi, bi = sparse_from_bits(bits).trainable
         self.assert_index(wi, np.array([[False, True], [False, False], [True, True]]))
         self.assert_index(bi, np.array([True, False, True]))
 
@@ -169,7 +169,7 @@ class TestObjectiveAndEnergy:
         for _ in range(100):
             h = np_rng.normal(size=(5, 6))
             m = (np_rng.uniform(size=(5, 6)) < 0.5).astype(float)
-            mask = LayerMask("dense", (5, 6), m)
+            mask = sparse_from_bits(m)
             inner = float(np.sum(h * (h * m)))
             energy = retained_energy(h, mask)
             assert abs(inner - energy) <= 1e-12 * max(abs(inner), 1e-300)
@@ -179,7 +179,7 @@ class TestObjectiveAndEnergy:
         total = frobenius_sq(h)
         for mask in (build_mask(h, 2, "row"), build_mask(h, 2, "col"),
                      build_mask(h, 2, "sparse"), full_mask(h.shape),
-                     LayerMask("dense", h.shape, (np_rng.uniform(size=h.shape) < 0.5).astype(float))):
+                     sparse_from_bits((np_rng.uniform(size=h.shape) < 0.5).astype(float))):
             s = retained_energy(h, mask) + mask_objective(h, mask)
             assert abs(s - total) <= 1e-12 * total
 
@@ -223,7 +223,7 @@ class TestBruteForce:
 
 class TestStorageBits:
     def test_dense_768(self):
-        assert LayerMask("dense", (768, 768), np.zeros((768, 768))).storage_bits() == 589824
+        assert storage_comparison(LayerMask("row", (768, 768), (1, 2)), 2)["dense"] == 589824
 
     def test_row_768_k2(self):
         assert LayerMask("row", (768, 768), (1, 2)).storage_bits() == 20
@@ -239,8 +239,7 @@ class TestStorageBits:
         rows, cols, k = 16, 64, 2
         row = LayerMask("row", (rows, cols), tuple(range(k)))
         sparse = LayerMask("sparse", (rows, cols), tuple(tuple(range(k)) for _ in range(rows)))
-        dense = LayerMask("dense", (rows, cols), np.ones((rows, cols)))
-        assert row.storage_bits() < sparse.storage_bits() < dense.storage_bits()
+        assert row.storage_bits() < sparse.storage_bits() < storage_comparison(row, k)["dense"]
 
 
 class TestMaskSet:
@@ -315,7 +314,7 @@ class TestSerialization:
         ))
         path = tmp_path / "masks.json"
         save_masks(masks, path)
-        loaded = load_masks(path)
+        loaded = read_masks(path)
         for a, b in zip(masks.layers, loaded.layers):
             assert a.variant == b.variant
             assert a.shape == b.shape

@@ -13,6 +13,7 @@ from masktune.model import (
     backward,
     forward,
     init_model,
+    layer_roles,
     load_checkpoint,
     reinit_head,
     save_checkpoint,
@@ -36,22 +37,22 @@ class TestInit:
 
     def test_roles(self):
         m = init_model([4, 5, 6, 3], seed=0)
-        assert m.roles == ["embedding", "hidden", "head"]
+        assert layer_roles(len(m.layers)) == ["embedding", "hidden", "head"]
 
     def test_empty_dims(self):
         with pytest.raises(ConfigError):
             init_model([4], seed=0)
 
     def test_dimension_chain_enforced(self):
-        layers = [Layer(np.zeros((3, 4)), np.zeros(3), "embedding", "relu"),
-                  Layer(np.zeros((2, 5)), np.zeros(2), "head", "identity")]
+        layers = [Layer(np.zeros((3, 4)), np.zeros(3)),
+                  Layer(np.zeros((2, 5)), np.zeros(2))]
         with pytest.raises(ShapeError):
             ModelParams(layers)
 
 
 class TestForward:
     def test_identity_single_layer(self, np_rng):
-        m = ModelParams([Layer(np.eye(4), np.zeros(4), "head", "identity")])
+        m = ModelParams([Layer(np.eye(4), np.zeros(4))])
         x = np_rng.normal(size=(6, 4))
         logits, features, _ = forward(m, x)
         assert np.array_equal(logits, x)
@@ -67,8 +68,8 @@ class TestForward:
     def test_two_layer_hand_trace(self):
         w1 = np.array([[1.0, -1.0], [0.5, 2.0]])
         w2 = np.array([[1.0, 1.0]])
-        m = ModelParams([Layer(w1, np.array([0.0, -1.0]), "embedding", "relu"),
-                         Layer(w2, np.array([0.5]), "head", "identity")])
+        m = ModelParams([Layer(w1, np.array([0.0, -1.0])),
+                         Layer(w2, np.array([0.5]))])
         x = np.array([[2.0, 1.0]])
         # z1 = [2*1 + 1*(-1), 2*0.5 + 1*2 - 1] = [1, 2]; relu -> [1, 2]
         # logits = 1 + 2 + 0.5 = 3.5
@@ -98,7 +99,7 @@ class TestBackward:
 
     def test_linear_squared_loss_closed_form(self, np_rng):
         w = np_rng.normal(size=(3, 4))
-        m = ModelParams([Layer(w.copy(), np.zeros(3), "head", "identity")])
+        m = ModelParams([Layer(w.copy(), np.zeros(3))])
         x = np_rng.normal(size=(5, 4))
         y = np_rng.normal(size=(5, 3))
         logits, _, cache = forward(m, x)
@@ -144,14 +145,21 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(m, path)
         loaded = load_checkpoint(path)
-        assert loaded.roles == m.roles
+        assert loaded.dims == m.dims
         for la, lb in zip(m.layers, loaded.layers):
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
 
-    @pytest.mark.parametrize("breakage", ["not_json", "role_missing", "flat_weight",
-                                          "nan_bias", "layers_not_list", "truncated",
-                                          "trailing_bytes", "old_json"])
+    def test_header_line_is_pinned(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model([16, 32, 32, 4], seed=7), path)
+        magic, header, _ = path.read_bytes().split(b"\n", 2)
+        assert magic == b"masktune-checkpoint 1"
+        assert header == b'{"dims": [16, 32, 32, 4], "roles": ["embedding", "hidden", "head"]}'
+
+    @pytest.mark.parametrize("breakage", ["not_json", "role_missing", "hidden_first",
+                                          "flat_weight", "nan_bias", "layers_not_list",
+                                          "truncated", "trailing_bytes", "old_json"])
     def test_malformed_checkpoint_raises_input_error(self, tmp_path, breakage):
         path = tmp_path / "model.json"
         model = small_model(seed=21)
@@ -160,6 +168,8 @@ class TestCheckpoint:
         head = json.loads(header)
         if breakage == "role_missing":
             head["roles"].pop()
+        elif breakage == "hidden_first":
+            head["roles"][0] = "hidden"
         elif breakage == "flat_weight":
             head["dims"][1] = [head["dims"][1]]  # a width that is not a number: no 2-D weight
         elif breakage == "nan_bias":
@@ -176,7 +186,7 @@ class TestCheckpoint:
         if breakage == "not_json":
             blob = b"{"
         elif breakage == "old_json":
-            blob = json.dumps({"dims": model.dims, "roles": model.roles,
+            blob = json.dumps({"dims": model.dims, "roles": layer_roles(len(model.layers)),
                                "layers": [{"weight": l.weight.tolist(), "bias": l.bias.tolist()}
                                           for l in model.layers]}, indent=1).encode()
         path.write_bytes(blob)

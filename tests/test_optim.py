@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import sparse_from_bits
 from masktune.errors import ConfigError, NumericError
 from masktune.masking import GradientMaskSet, LayerMask, full_mask
 from masktune.model import GradientSet, Layer, LayerGrad, ModelParams
@@ -10,7 +11,7 @@ from masktune.optim import AdamState, OptimConfig, cosine_warmup_lr, init_adam_s
 def one_layer_model(w, b=None):
     w = np.asarray(w, dtype=np.float64)
     b = np.zeros(w.shape[0]) if b is None else np.asarray(b, dtype=np.float64)
-    return ModelParams([Layer(w, b, "head", "identity")])
+    return ModelParams([Layer(w, b)])
 
 
 def grad_of(model, gw, gb=None):
@@ -99,7 +100,7 @@ class TestMaskedAdam:
     def test_equivalence_masked_vs_prezeroed(self):
         rng = np.random.default_rng(9)
         mask_bits = (rng.uniform(size=(3, 4)) < 0.5).astype(float)
-        masks = GradientMaskSet((LayerMask("dense", (3, 4), mask_bits),))
+        masks = GradientMaskSet((sparse_from_bits(mask_bits),))
         bias_bits = masks.layers[0].bias_mask()
 
         w0 = rng.normal(size=(3, 4))

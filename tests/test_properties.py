@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import read_masks, sparse_from_bits
 from masktune.data import Dataset, load_dataset_csv, save_dataset_csv
 from masktune.errors import InputError, NumericError
 from masktune.losses import (
@@ -34,7 +35,6 @@ from masktune.masking import (
     LayerMask,
     brute_force_best_rows,
     build_mask,
-    load_masks,
     mask_objective,
     retained_energy,
     save_masks,
@@ -44,13 +44,13 @@ from masktune.model import (
     Layer,
     LayerGrad,
     ModelParams,
-    default_roles,
+    layer_roles,
     load_checkpoint,
     save_checkpoint,
 )
 from masktune.optim import AdamState, OptimConfig, init_adam_state, masked_adam_step
 
-VARIANTS = ("row", "col", "sparse", "dense", "full", "empty")
+VARIANTS = ("row", "col", "sparse", "bits", "full", "empty")
 CFG = OptimConfig(base_lr=0.1, total_epochs=10)
 
 
@@ -77,7 +77,7 @@ def dense_masked_adam_step(model, state, grad, masks, lr, cfg):
         bias = layer.bias - lr * (mb / bc1) / np.sqrt(vb / bc2 + eps)
         weight = np.where(wm == 0.0, layer.weight, weight)
         bias = np.where(bm == 0.0, layer.bias, bias)
-        new_layers.append(Layer(weight, bias, layer.role, layer.activation))
+        new_layers.append(Layer(weight, bias))
         new_m.append(LayerGrad(mw, mb))
         new_v.append(LayerGrad(vw, vb))
     return ModelParams(new_layers), AdamState(GradientSet(new_m), GradientSet(new_v), t)
@@ -96,8 +96,8 @@ def random_mask(rng, variant, shape):
         return LayerMask("col", shape, subset(cols, 1))
     if variant == "sparse":
         return LayerMask("sparse", shape, tuple(subset(cols, 0) for _ in range(rows)))
-    if variant == "dense":
-        return LayerMask("dense", shape, (rng.uniform(size=shape) < 0.5).astype(float))
+    if variant == "bits":
+        return sparse_from_bits((rng.uniform(size=shape) < 0.5).astype(float))
     if variant == "full":
         return LayerMask("full", shape)
     return LayerMask("row", shape, ())
@@ -106,10 +106,8 @@ def random_mask(rng, variant, shape):
 def random_setup(seed, dims, variants):
     """A model with the given widths and one mask of each given variant per layer."""
     rng = np.random.default_rng(seed)
-    roles = default_roles(len(dims) - 1)
-    layers = [Layer(rng.normal(size=(dims[i + 1], dims[i])), rng.normal(size=dims[i + 1]),
-                    role, "identity" if role == "head" else "relu")
-              for i, role in enumerate(roles)]
+    layers = [Layer(rng.normal(size=(dims[i + 1], dims[i])), rng.normal(size=dims[i + 1]))
+              for i in range(len(dims) - 1)]
     model = ModelParams(layers)
     masks = GradientMaskSet(tuple(random_mask(rng, v, l.weight.shape)
                                   for v, l in zip(variants, layers)))
@@ -171,7 +169,7 @@ def test_state_size_equals_trainable_count(setup):
 def test_sliced_penalty_matches_dense_on_trainable_entries(setup, norm, lam, last_l,
                                                            embedding, head):
     rng, pre, masks = random_setup(*setup)
-    hidden = sum(r == "hidden" for r in pre.roles)
+    hidden = layer_roles(len(pre.layers)).count("hidden")
     regular = RegularSet(min(last_l, hidden), include_embedding=embedding, include_head=head)
     cfg = RegConfig(lam=lam, norm=norm, regular=regular)
     # the model moves only on trainable entries, as it does in training
@@ -206,16 +204,11 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def models(draw):
-    """A model of 1-3 layers with any finite values; layer 0 may be hidden
-    rather than embedding."""
+    """A model of 1-3 layers with any finite values."""
     dims = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
-    roles = default_roles(len(dims) - 1)
-    if len(roles) > 1 and draw(st.booleans()):
-        roles[0] = "hidden"
     layers = [Layer(draw(hnp.arrays(np.float64, (dims[i + 1], dims[i]), elements=finite)),
-                    draw(hnp.arrays(np.float64, dims[i + 1], elements=finite)),
-                    role, "identity" if role == "head" else "relu")
-              for i, role in enumerate(roles)]
+                    draw(hnp.arrays(np.float64, dims[i + 1], elements=finite)))
+              for i in range(len(dims) - 1)]
     return ModelParams(layers)
 
 
@@ -226,10 +219,8 @@ def test_checkpoint_round_trips_value_exact_into_writeable_arrays(model):
         path = Path(tmp) / "model.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-    assert loaded.roles == model.roles
     assert loaded.dims == model.dims
     for got, want in zip(loaded.layers, model.layers):
-        assert got.activation == want.activation
         for a, b in ((got.weight, want.weight), (got.bias, want.bias)):
             assert a.dtype == np.float64 and a.shape == b.shape
             assert bits(a) == bits(b)
@@ -259,16 +250,14 @@ def test_every_truncation_raises_input_error(model):
                 load_checkpoint(path)
 
 
-def csv_module_reader(path, num_classes=None):
+def csv_module_reader(path):
     """Oracle: the csv-module reader load_dataset_csv replaced."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     body = rows[1:]
     y = np.array([int(r[0]) for r in body], dtype=np.int64)
     x = np.array([[float(v) for v in r[1:]] for r in body], dtype=np.float64)
-    if num_classes is None:
-        num_classes = int(y.max()) + 1
-    return Dataset(x, y, num_classes)
+    return Dataset(x, y, int(y.max()) + 1)
 
 
 @st.composite
@@ -280,14 +269,13 @@ def datasets(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=datasets(), pass_classes=st.booleans())
-def test_csv_reader_matches_the_csv_module_reader(data, pass_classes):
-    num_classes = data.num_classes if pass_classes else None
+@given(data=datasets())
+def test_csv_reader_matches_the_csv_module_reader(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         save_dataset_csv(data, path)
-        got = load_dataset_csv(path, num_classes)
-        want = csv_module_reader(path, num_classes)
+        got = load_dataset_csv(path)
+        want = csv_module_reader(path)
     assert got.x.shape == want.x.shape and got.x.dtype == want.x.dtype
     assert bits(got.x) == bits(want.x)
     assert got.y.dtype == want.y.dtype and np.array_equal(got.y, want.y)
@@ -300,8 +288,6 @@ def indices_to_dense(mask):
     m = np.zeros(mask.shape)
     if mask.variant == "full":
         m[:, :] = 1.0
-    elif mask.variant == "dense":
-        m[:, :] = mask.indices
     elif mask.variant == "row":
         for i in mask.indices:
             m[i, :] = 1.0
@@ -377,7 +363,7 @@ def test_masks_round_trip_through_json(seed, layers):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "masks.json"
         save_masks(masks, path)
-        loaded = load_masks(path)
+        loaded = read_masks(path)
     assert len(loaded.layers) == len(masks.layers)
     for got, want in zip(loaded.layers, masks.layers):
         assert (got.variant, got.shape, got.storage_bits()) == \
