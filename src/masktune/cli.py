@@ -121,19 +121,17 @@ def _parse_values(axis: str, raw: str) -> list:
 
 
 def cmd_ablate(args) -> int:
-    if args.axis not in harness.ABLATION_AXES:
-        raise ConfigError(f"unknown axis {args.axis!r}; "
-                          f"choose from {', '.join(harness.ABLATION_AXES)}")
     cfg = load_run_config(args.config, args.seed)
     values = _parse_values(args.axis, args.values)
     task = cfg.make_task()
     pre = _load_pretrained(args.checkpoint, cfg)
+    configs = harness.sweep_configs(pre, cfg.finetune_config(), args.axis, values)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot create output directory {out_dir}: {exc}") from exc
-    reports = harness.ablate(pre, task, cfg.finetune_config(), args.axis, values)
+    reports = harness.ablate(pre, task, configs)
 
     combined = out_dir / "combined.csv"
     with atomic_open(combined, newline="") as fh:

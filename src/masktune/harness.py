@@ -20,7 +20,8 @@ from .errors import ConfigError, NumericError, ShapeError
 from .fileio import atomic_open
 from .linalg import Rng
 from .losses import RegConfig, combined_grad, resolve_penalty
-from .masking import SELECTION_VARIANTS, GradientMaskSet, compute_mask_set, trainable_fraction
+from .masking import (SELECTION_VARIANTS, GradientMaskSet, check_budget, compute_mask_set,
+                      trainable_fraction)
 from .model import ModelParams, forward, init_model, reinit_head
 from .optim import AdamState, OptimConfig, cosine_warmup_lr, init_adam_state, masked_adam_step
 
@@ -97,11 +98,6 @@ def evaluate(model: ModelParams, data: Dataset) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == data.y))
 
 
-def _batches(n: int, batch_size: int, order: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
-
-
 def _train(model: ModelParams, anchor: ModelParams, masks: GradientMaskSet,
            train: Dataset, test: Dataset, reg: RegConfig, optim: OptimConfig,
            batch_size: int, shuffle_rng: Rng) -> tuple[list[EpochStats], AdamState]:
@@ -113,8 +109,9 @@ def _train(model: ModelParams, anchor: ModelParams, masks: GradientMaskSet,
         lr = cosine_warmup_lr(epoch, optim)
         order = shuffle_rng.permutation(len(train))
         loss_sum = ce_sum = 0.0
-        for idx in _batches(len(train), batch_size, order):
-            loss_r, ce, grads = combined_grad(model, penalty, train.x[idx], train.y[idx])
+        for start in range(0, len(train), batch_size):
+            idx = order[start:start + batch_size]
+            loss_r, ce, grads = combined_grad(model, masks, penalty, train.x[idx], train.y[idx])
             if not np.isfinite(loss_r):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             masked_adam_step(model, state, grads, masks, lr, optim)
@@ -216,19 +213,26 @@ def _with_axis_value(cfg: FineTuneConfig, axis: str, value) -> FineTuneConfig:
         return dataclasses.replace(cfg, variant=str(value))
     if axis == "norm":
         return dataclasses.replace(cfg, reg=dataclasses.replace(cfg.reg, norm=str(value)))
-    raise ConfigError(f"unknown ablation axis {axis!r}")
+    raise ConfigError(f"unknown ablation axis {axis!r}; choose from {', '.join(ABLATION_AXES)}")
 
 
-def ablate(pre: ModelParams, task: TaskPair, base_cfg: FineTuneConfig,
-           axis: str, values: list) -> list[TrainReport]:
-    """Run finetune once per value with everything else (seeds included) fixed."""
+def sweep_configs(pre: ModelParams, base_cfg: FineTuneConfig, axis: str,
+                  values: list) -> list[FineTuneConfig]:
+    """``base_cfg`` with ``axis`` set to each value, all else (seeds included) fixed;
+    each k and regular set is checked against ``pre``'s layers before any run starts."""
     if not values:
         raise ConfigError("values must be non-empty")
-    reports = []
-    for value in values:
-        _, report = finetune(pre, task, _with_axis_value(base_cfg, axis, value))
-        reports.append(report)
-    return reports
+    configs = [_with_axis_value(base_cfg, axis, value) for value in values]
+    for cfg in configs:
+        if cfg.variant != "full":
+            check_budget([l.weight.shape for l in pre.layers], cfg.k, cfg.variant)
+        resolve_penalty(pre, cfg.reg, GradientMaskSet.all_full(pre))
+    return configs
+
+
+def ablate(pre: ModelParams, task: TaskPair, configs: list[FineTuneConfig]) -> list[TrainReport]:
+    """Run finetune once per config of a sweep (see sweep_configs)."""
+    return [finetune(pre, task, cfg)[1] for cfg in configs]
 
 
 def write_report_json(report: TrainReport, path: str | Path) -> None:

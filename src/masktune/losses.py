@@ -179,20 +179,18 @@ def reg_penalty(model: ModelParams, penalty: Penalty) -> tuple[float, GradientSe
     return loss, GradientSet(grads)
 
 
-def combined_grad(model: ModelParams, penalty: Penalty,
+def combined_grad(model: ModelParams, masks: GradientMaskSet, penalty: Penalty,
                   x_batch: np.ndarray, labels: np.ndarray) -> tuple[float, float, GradientSet]:
     """Cross-entropy plus distance penalty; returns (total loss, ce loss, gradients).
 
-    The penalty gradient is added into the trainable slice of each regular
-    layer only.
+    The gradients are over each layer's trainable slice under ``masks``, the
+    masks ``penalty`` was resolved with.
     """
     logits, _, cache = forward(model, x_batch)
     ce, d_logits = cross_entropy(logits, labels)
-    grads = backward(model, cache, d_logits=d_logits)
-    if not penalty.layers:
-        return ce, ce, grads
+    grads = backward(model, cache, masks, d_logits=d_logits)
     reg_loss, reg_grads = reg_penalty(model, penalty)
-    for i, wi, bi in penalty.layers:
-        grads.layers[i].weight[wi] += reg_grads.layers[i].weight
-        grads.layers[i].bias[bi] += reg_grads.layers[i].bias
+    for i, _, _ in penalty.layers:
+        grads.layers[i].weight += reg_grads.layers[i].weight
+        grads.layers[i].bias += reg_grads.layers[i].bias
     return ce + reg_loss, ce, grads

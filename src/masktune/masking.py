@@ -220,6 +220,12 @@ class GradientMaskSet:
     def total_storage_bits(self) -> int:
         return sum(m.storage_bits() for m in self.layers)
 
+    @functools.cached_property
+    def lowest_trainable(self) -> int:
+        """The lowest layer with a trainable entry, or the layer count: backprop stops there."""
+        return next((i for i, m in enumerate(self.layers)
+                     if np.broadcast_to(False, m.shape)[m.trainable[0]].size), len(self.layers))
+
 
 def scl_gradients(pre: ModelParams, x: np.ndarray, y: np.ndarray, tau: float) -> list[np.ndarray]:
     """Mean contrastive-loss weight gradient per layer at the given parameters.
@@ -228,19 +234,23 @@ def scl_gradients(pre: ModelParams, x: np.ndarray, y: np.ndarray, tau: float) ->
     """
     _, features, cache = forward(pre, x)
     _, d_features = scl_loss(features, y, tau)
-    grads = backward(pre, cache, d_features=d_features / len(y))
+    grads = backward(pre, cache, GradientMaskSet.all_full(pre), d_features=d_features / len(y))
     return [g.weight for g in grads.layers]
+
+
+def check_budget(shapes: list[tuple[int, int]], k: int, variant: str) -> None:
+    """Refuse an unknown variant, or a k some maskable layer (all but the last) cannot hold."""
+    if variant not in SELECTION_VARIANTS:
+        raise ConfigError(f"unknown selection variant {variant!r}")
+    for i, (rows, cols) in enumerate(shapes[:-1]):
+        limit = rows if variant == "row" else cols
+        if not 1 <= k <= limit:
+            raise ConfigError(f"k={k} out of range for layer {i} with shape {rows}x{cols}")
 
 
 def masks_from_gradients(gradients: list[np.ndarray], k: int, variant: str) -> GradientMaskSet:
     """One mask per maskable layer from per-layer gradients, head last and full."""
-    if variant not in SELECTION_VARIANTS:
-        raise ConfigError(f"unknown selection variant {variant!r}")
-    for i, h in enumerate(gradients[:-1]):
-        rows, cols = h.shape
-        limit = rows if variant == "row" else cols
-        if not 1 <= k <= limit:
-            raise ConfigError(f"k={k} out of range for layer {i} with shape {rows}x{cols}")
+    check_budget([h.shape for h in gradients], k, variant)
     masks = [build_mask(h, k, variant) for h in gradients[:-1]]
     masks.append(full_mask(gradients[-1].shape))
     return GradientMaskSet(tuple(masks))

@@ -11,12 +11,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, InputError, ShapeError, StateError
 from .fileio import atomic_open
 from .linalg import Rng
+
+if TYPE_CHECKING:  # masking imports this module for forward and backward
+    from .masking import GradientMaskSet
 
 @dataclass
 class Layer:
@@ -83,11 +87,6 @@ class LayerGrad:
 class GradientSet:
     layers: list[LayerGrad]
 
-    @staticmethod
-    def zeros_like(model: ModelParams) -> "GradientSet":
-        return GradientSet([LayerGrad(np.zeros_like(l.weight), np.zeros_like(l.bias))
-                            for l in model.layers])
-
 
 @dataclass
 class ForwardCache:
@@ -125,9 +124,14 @@ def reinit_head(model: ModelParams, num_classes: int, rng: Rng) -> ModelParams:
     return new
 
 
-def _relu_grad(z: np.ndarray) -> np.ndarray:
-    # ReLU subgradient at 0 is 0.
-    return (z > 0.0).astype(np.float64)
+def _weight_grad(delta: np.ndarray, x: np.ndarray, index) -> np.ndarray:
+    """``(delta.T @ x)[index]``: a row or col index computes only its rows or
+    columns, a full (``...``) or sparse (boolean) index the whole product."""
+    if isinstance(index, tuple):  # col: (slice(None), cols)
+        return delta.T @ x[:, index[1]]
+    if index is ... or index.dtype == bool:  # full, sparse
+        return (delta.T @ x)[index]
+    return delta[:, index].T @ x  # row
 
 
 def forward(model: ModelParams, x_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
@@ -153,40 +157,45 @@ def forward(model: ModelParams, x_batch: np.ndarray) -> tuple[np.ndarray, np.nda
     return logits, features, cache
 
 
-def backward(model: ModelParams, cache: ForwardCache,
+def backward(model: ModelParams, cache: ForwardCache, masks: GradientMaskSet,
              d_logits: np.ndarray | None = None,
              d_features: np.ndarray | None = None) -> GradientSet:
-    """Exact gradients of an upstream loss w.r.t. every weight and bias.
+    """Exact gradients of an upstream loss over each layer's trainable slice.
 
-    Exactly one of ``d_logits`` / ``d_features`` must be given. The
-    ``d_features`` path starts at the head input and leaves the head's
-    gradients zero; this is the route used for head-free mask gradients.
+    Entry ``i`` is the gradient of ``weight[wi]`` and ``bias[bi]`` for
+    ``wi, bi = masks.layers[i].trainable``. Backprop stops at the lowest layer
+    with a trainable entry, and into it only the deltas of the rows it trains
+    are propagated (``delta @ W[:, rows]``). Layers it never reaches get zero
+    slices, as does the head on the ``d_features`` path, which starts at the
+    head input. Exactly one of ``d_logits`` / ``d_features`` must be given.
     """
     if cache.model is not model:
         raise StateError("cache does not belong to this model")
     if (d_logits is None) == (d_features is None):
         raise ValueError("provide exactly one of d_logits or d_features")
 
-    grads = GradientSet.zeros_like(model)
     n = len(model.layers)
-    if d_logits is not None:
-        delta = np.asarray(d_logits, dtype=np.float64)
-        start = n - 1
-    else:
-        d_out = np.asarray(d_features, dtype=np.float64)
-        start = n - 2
-        if start < 0:
-            return grads  # head-only model: features are the raw input
-        delta = d_out * _relu_grad(cache.preacts[start])
-
-    for l in range(start, -1, -1):
+    start = n - 1 if d_logits is not None else n - 2
+    upstream = np.asarray(d_logits if d_logits is not None else d_features, dtype=np.float64)
+    lowest = masks.lowest_trainable
+    grads: list[LayerGrad] = []
+    for l in range(n - 1, -1, -1):
         layer = model.layers[l]
-        grads.layers[l].weight = delta.T @ cache.inputs[l]
-        grads.layers[l].bias = delta.sum(axis=0)
-        if l > 0:
-            d_out = delta @ layer.weight
-            delta = d_out * _relu_grad(cache.preacts[l - 1])
-    return grads
+        mask = masks.layers[l]
+        wi, bi = mask.trainable
+        if not lowest <= l <= start:
+            grads.append(LayerGrad(np.zeros_like(layer.weight[wi]), np.zeros_like(layer.bias[bi])))
+            continue
+        rows = slice(None)
+        if l == lowest and mask.variant == "row":
+            rows, wi, bi = wi, ..., ...  # delta then holds the trained rows' columns only
+        if l == n - 1:
+            delta = upstream[:, rows]
+        else:
+            d_out = upstream[:, rows] if l == start else delta @ model.layers[l + 1].weight[:, rows]
+            delta = d_out * (cache.preacts[l][:, rows] > 0.0)  # ReLU'(0) = 0
+        grads.append(LayerGrad(_weight_grad(delta, cache.inputs[l], wi), delta.sum(axis=0)[bi]))
+    return GradientSet(grads[::-1])
 
 
 CHECKPOINT_MAGIC = b"masktune-checkpoint 1\n"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 from .masking import GradientMaskSet
 from .model import GradientSet, LayerGrad, ModelParams
 
@@ -80,11 +80,14 @@ def masked_adam_step(model: ModelParams, state: AdamState, grad: GradientSet,
                      cfg: OptimConfig) -> tuple[ModelParams, AdamState]:
     """One Adam step on the mask-selected entries, in place.
 
-    Only ``weight[index]`` and ``bias[index]`` of each layer's trainable
-    index are read and written, so frozen entries stay bitwise put. Returns
-    the same model and state.
+    ``grad`` holds each layer's gradient over its trainable slice, as
+    ``backward`` returns it. Only ``weight[index]`` and ``bias[index]`` of
+    each layer's trainable index are read and written, so frozen entries stay
+    bitwise put. Returns the same model and state.
     """
-    for g in grad.layers:
+    for g, m in zip(grad.layers, state.m.layers):
+        if g.weight.shape != m.weight.shape or g.bias.shape != m.bias.shape:
+            raise ShapeError("gradients must be shaped like the trainable slices")
         if not (np.all(np.isfinite(g.weight)) and np.all(np.isfinite(g.bias))):
             raise NumericError("non-finite gradient entry")
     state.t += 1
@@ -95,8 +98,8 @@ def masked_adam_step(model: ModelParams, state: AdamState, grad: GradientSet,
                                     state.m.layers, state.v.layers):
         wi, bi = mask.trainable
         for param, index, grad_slice, m_slice, v_slice in (
-                (layer.weight, wi, g.weight[wi], m.weight, v.weight),
-                (layer.bias, bi, g.bias[bi], m.bias, v.bias)):
+                (layer.weight, wi, g.weight, m.weight, v.weight),
+                (layer.bias, bi, g.bias, m.bias, v.bias)):
             m_slice *= b1
             m_slice += (1.0 - b1) * grad_slice
             v_slice *= b2

@@ -210,12 +210,13 @@ def test_criterion_05_masked_adam_equivalence():
         model = ModelParams([Layer(w0.copy(), b0.copy())])
         state = init_adam_state(model, masks)
         cfg = OptimConfig(base_lr=0.01, total_epochs=1)
+        wi, bi = masks.layers[0].trainable
         rw, rb = w0.copy(), b0.copy()
         rmw = rvw = np.zeros_like(w0)
         rmb = rvb = np.zeros_like(b0)
         for t in range(1, 101):
             gw, gb = rng.normal(size=(4, 5)), rng.normal(size=4)
-            grads = GradientSet([LayerGrad(gw, gb)])
+            grads = GradientSet([LayerGrad(gw[wi], gb[bi])])
             model, state = masked_adam_step(model, state, grads, masks, 0.01, cfg)
             rw, rmw, rvw = _textbook_adam(rw, rmw, rvw, gw * bits, t, 0.01)
             rb, rmb, rvb = _textbook_adam(rb, rmb, rvb, gb * bias_bits, t, 0.01)
@@ -265,7 +266,7 @@ def test_criterion_06_reduction_to_full_finetuning(small_setup):
                 idx = order[start:start + cfg.batch_size]
                 logits, _, cache = forward(ref, task.target_train.x[idx])
                 loss, d = cross_entropy(logits, task.target_train.y[idx])
-                grads = backward(ref, cache, d_logits=d)
+                grads = backward(ref, cache, GradientMaskSet.all_full(ref), d_logits=d)
                 loss_sum += loss * len(idx)
                 t += 1
                 for li, layer in enumerate(ref.layers):

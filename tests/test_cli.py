@@ -539,6 +539,51 @@ class TestContractHoles:
                        [hidden_first])
 
 
+class TestSweepIsCheckedBeforeTraining:
+    """ablate refuses a sweep with any bad value before its first run trains."""
+
+    @pytest.mark.parametrize("axis, values", [("regular_blocks", "0,1,-1"),
+                                              ("regular_blocks", "0,2"), ("k", "1,9")])
+    def test_bad_last_value_exits_2_without_training(self, trained, tmp_path, capsys,
+                                                     monkeypatch, axis, values):
+        cfg, ckpt = trained
+        calls = count_calls(monkeypatch, harness.finetune)
+        assert_refused(["ablate", "--config", str(cfg), "--checkpoint", str(ckpt),
+                        "--axis", axis, "--values", values,
+                        "--out-dir", str(tmp_path / "sweep")], tmp_path, capsys, [])
+        assert calls == []
+        assert not (tmp_path / "sweep").exists()
+
+
+# The acceptance configuration of the README (finetune shortened to 3 epochs).
+REFERENCE_CONFIG = {
+    "seed": 7,
+    "task": {"dim": 16, "classes": 4, "per_class": 200, "noise_sigma": 0.4,
+             "shift": {"rotation_seed": 5, "magnitude": 2.0}},
+    "model": {"dims": [16, 32, 32, 4]},
+    "pretrain": {"epochs": 30, "base_lr": 0.05, "warmup_epochs": 2, "batch_size": 32},
+    "finetune": {"k": 2, "variant": "row", "lambda": 0.01, "norm": "l2",
+                 "regular": {"last_l": 1}, "tau": 0.5, "subsets_n": 4,
+                 "epochs": 3, "base_lr": 0.02, "warmup_epochs": 2, "batch_size": 32},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings on the way
+def test_diverging_finetune_exits_3_and_writes_no_report(tmp_path, capsys):
+    doc = copy.deepcopy(REFERENCE_CONFIG)
+    cfg, ckpt = tmp_path / "run.json", tmp_path / "model.ckpt"
+    cfg.write_text(json.dumps(doc))
+    assert main(["pretrain", "--config", str(cfg), "--out", str(ckpt)]) == 0
+    doc["finetune"]["base_lr"] = 1e300
+    cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["finetune", "--config", str(cfg), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "report.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "run.json"]
+
+
 def numeric_fields(doc, path=()):
     """Paths to every number in a config document, list entries included."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)

@@ -14,6 +14,7 @@ from masktune.harness import (
     finetune_masks,
     linear_probe,
     pretrain,
+    sweep_configs,
     write_report_csv,
     write_report_json,
 )
@@ -180,23 +181,23 @@ class TestLinearProbe:
 class TestAblate:
     def test_k_sweep(self, pre_and_task):
         pre, task = pre_and_task
-        reports = ablate(pre, task, make_cfg(), "k", [1, 2, 4])
+        reports = ablate(pre, task, sweep_configs(pre, make_cfg(), "k", [1, 2, 4]))
         assert [r.config["k"] for r in reports] == [1, 2, 4]
         fracs = [r.trainable_fraction for r in reports]
         assert fracs == sorted(fracs)
 
     def test_lambda_axis_updates_config(self, pre_and_task):
         pre, task = pre_and_task
-        reports = ablate(pre, task, make_cfg(), "lambda", [0.0, 1.0])
+        reports = ablate(pre, task, sweep_configs(pre, make_cfg(), "lambda", [0.0, 1.0]))
         assert [r.config["reg"]["lam"] for r in reports] == [0.0, 1.0]
 
     def test_axes_and_errors(self, pre_and_task):
         pre, task = pre_and_task
         assert "variant" in ABLATION_AXES
         with pytest.raises(ConfigError):
-            ablate(pre, task, make_cfg(), "nope", [1])
+            ablate(pre, task, sweep_configs(pre, make_cfg(), "nope", [1]))
         with pytest.raises(ConfigError):
-            ablate(pre, task, make_cfg(), "k", [])
+            ablate(pre, task, sweep_configs(pre, make_cfg(), "k", []))
 
 
 class TestReportFiles:

@@ -1,14 +1,18 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and the package
+root exports exactly the names it imports.
 
 The project depends on no linter, so this reads each module's syntax tree
-with the standard library's ``ast``. ``__init__.py`` is skipped (its imports
-are the package's re-exports), and so are ``__future__`` imports.
+with the standard library's ``ast``. ``__init__.py`` is skipped by the unused
+import check (its imports are the package's re-exports), and so are
+``__future__`` imports.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import masktune
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "masktune"
 
@@ -47,3 +51,16 @@ def test_the_check_sees_unused_and_used_imports():
               "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from x import Y\n"
               "def f(a: Y):\n    import sys\n    return np.zeros(1)\n")
     assert unused_imports(source) == ["os"]
+
+
+def imported_names(source: str) -> list[str]:
+    """Names bound by the module-level imports of a source."""
+    return [alias.asname or alias.name for node in module_imports(ast.parse(source))
+            for alias in node.names]
+
+
+def test_root_exports_exactly_what_it_imports():
+    names = imported_names((PACKAGE / "__init__.py").read_text())
+    assert sorted(names) == sorted(masktune.__all__)
+    assert len(set(masktune.__all__)) == len(masktune.__all__)
+    assert all(hasattr(masktune, name) for name in masktune.__all__)

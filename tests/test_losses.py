@@ -193,13 +193,13 @@ class TestCombinedGrad:
         x = np_rng.normal(size=(6, 4))
         y = np_rng.integers(0, 3, size=6)
         cfg = RegConfig(lam=0.0, norm="l2", regular=RegularSet(1))
-        loss_r, ce, grads = combined_grad(model, full_penalty(model.copy(), cfg), x, y)
+        loss_r, ce, grads = combined_grad(model, GradientMaskSet.all_full(model), full_penalty(model.copy(), cfg), x, y)
         assert loss_r == ce
         from masktune.losses import cross_entropy as ce_fn
         from masktune.model import backward
         logits, _, cache = forward(model, x)
         _, d = ce_fn(logits, y)
-        ref = backward(model, cache, d_logits=d)
+        ref = backward(model, cache, GradientMaskSet.all_full(model), d_logits=d)
         for a, b in zip(grads.layers, ref.layers):
             assert np.array_equal(a.weight, b.weight)
 
@@ -209,13 +209,13 @@ class TestCombinedGrad:
         x = np_rng.normal(size=(6, 4))
         y = np_rng.integers(0, 3, size=6)
         cfg = RegConfig(lam=0.2, norm="l2", regular=RegularSet(1, include_head=True))
-        loss_r, ce, grads = combined_grad(model, full_penalty(pre, cfg), x, y)
+        loss_r, ce, grads = combined_grad(model, GradientMaskSet.all_full(model), full_penalty(pre, cfg), x, y)
         reg_loss, reg_grads = reg_penalty(model, full_penalty(pre, cfg))
         assert loss_r == ce + reg_loss
         logits, _, cache = forward(model, x)
         from masktune.model import backward
         _, d = cross_entropy(logits, y)
-        ce_grads = backward(model, cache, d_logits=d)
+        ce_grads = backward(model, cache, GradientMaskSet.all_full(model), d_logits=d)
         for g, a, b in zip(grads.layers, ce_grads.layers, reg_grads.layers):
             if b is None:  # outside the regular set
                 b = LayerGrad(0.0, 0.0)
@@ -228,11 +228,11 @@ class TestCombinedGrad:
         x = np_rng.normal(size=(5, 4))
         y = np_rng.integers(0, 3, size=5)
         cfg = RegConfig(lam=0.15, norm="l2", regular=RegularSet(1, include_head=True))
-        _, _, grads = combined_grad(model, full_penalty(pre, cfg), x, y)
+        _, _, grads = combined_grad(model, GradientMaskSet.all_full(model), full_penalty(pre, cfg), x, y)
         for li in range(len(model.layers)):
             def loss_of(wmat, li=li):
                 probe = model.copy()
                 probe.layers[li].weight = wmat
-                return combined_grad(probe, full_penalty(pre, cfg), x, y)[0]
+                return combined_grad(probe, GradientMaskSet.all_full(probe), full_penalty(pre, cfg), x, y)[0]
             fd = finite_diff_grad(loss_of, model.layers[li].weight, 1e-5)
             assert grad_rel_err(grads.layers[li].weight, fd) < 1e-4

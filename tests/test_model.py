@@ -7,6 +7,7 @@ from conftest import grad_rel_err, small_model
 from masktune.errors import ConfigError, InputError, ShapeError, StateError
 from masktune.linalg import Rng, finite_diff_grad
 from masktune.losses import cross_entropy
+from masktune.masking import GradientMaskSet
 from masktune.model import (
     Layer,
     ModelParams,
@@ -94,7 +95,7 @@ class TestBackward:
         m = small_model()
         x = np_rng.normal(size=(4, 4))
         _, _, cache = forward(m, x)
-        grads = backward(m, cache, d_logits=np.zeros((4, 3)))
+        grads = backward(m, cache, GradientMaskSet.all_full(m), d_logits=np.zeros((4, 3)))
         assert all(np.all(g.weight == 0) and np.all(g.bias == 0) for g in grads.layers)
 
     def test_linear_squared_loss_closed_form(self, np_rng):
@@ -103,7 +104,7 @@ class TestBackward:
         x = np_rng.normal(size=(5, 4))
         y = np_rng.normal(size=(5, 3))
         logits, _, cache = forward(m, x)
-        grads = backward(m, cache, d_logits=2.0 * (logits - y))
+        grads = backward(m, cache, GradientMaskSet.all_full(m), d_logits=2.0 * (logits - y))
         expected = 2.0 * (x @ w.T - y).T @ x
         assert np.allclose(grads.layers[0].weight, expected, rtol=1e-12, atol=1e-12)
 
@@ -113,7 +114,7 @@ class TestBackward:
         y = np_rng.integers(0, 3, size=6)
         _, _, cache = forward(m, x)
         _, d_logits = cross_entropy(forward(m, x)[0], y)
-        grads = backward(m, cache, d_logits=d_logits)
+        grads = backward(m, cache, GradientMaskSet.all_full(m), d_logits=d_logits)
         for li in range(len(m.layers)):
             def loss_of(wmat, li=li):
                 probe = m.copy()
@@ -126,7 +127,7 @@ class TestBackward:
         m = small_model()
         x = np_rng.normal(size=(4, 4))
         _, features, cache = forward(m, x)
-        grads = backward(m, cache, d_features=np.ones_like(features))
+        grads = backward(m, cache, GradientMaskSet.all_full(m), d_features=np.ones_like(features))
         assert np.all(grads.layers[-1].weight == 0.0)
         assert np.any(grads.layers[0].weight != 0.0)
 
@@ -136,7 +137,7 @@ class TestBackward:
         _, _, cache = forward(m, x)
         other = small_model(seed=99)
         with pytest.raises(StateError):
-            backward(other, cache, d_logits=np.zeros((4, 3)))
+            backward(other, cache, GradientMaskSet.all_full(other), d_logits=np.zeros((4, 3)))
 
 
 class TestCheckpoint:

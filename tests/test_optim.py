@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import sparse_from_bits
-from masktune.errors import ConfigError, NumericError
+from masktune.errors import ConfigError, NumericError, ShapeError
 from masktune.masking import GradientMaskSet, LayerMask, full_mask
 from masktune.model import GradientSet, Layer, LayerGrad, ModelParams
 from masktune.optim import AdamState, OptimConfig, cosine_warmup_lr, init_adam_state, masked_adam_step
@@ -14,10 +14,12 @@ def one_layer_model(w, b=None):
     return ModelParams([Layer(w, b)])
 
 
-def grad_of(model, gw, gb=None):
+def grad_of(masks, gw, gb=None):
+    """The gradient over the trainable slice of a one-layer model."""
     gw = np.asarray(gw, dtype=np.float64)
     gb = np.zeros(gw.shape[0]) if gb is None else np.asarray(gb, dtype=np.float64)
-    return GradientSet([LayerGrad(gw, gb)])
+    wi, bi = masks.layers[0].trainable
+    return GradientSet([LayerGrad(gw[wi], gb[bi])])
 
 
 CFG = OptimConfig(base_lr=0.1, total_epochs=10, warmup_epochs=2)
@@ -66,7 +68,7 @@ class TestMaskedAdam:
         masks = GradientMaskSet((LayerMask("row", (2, 2), ()),))
         state = init_adam_state(model, masks)
         new_model, new_state = masked_adam_step(
-            model, state, grad_of(model, [[3.0, -1.0], [2.0, 0.5]]), masks, 0.1, CFG)
+            model, state, grad_of(masks, [[3.0, -1.0], [2.0, 0.5]]), masks, 0.1, CFG)
         assert np.array_equal(new_model.layers[0].weight, w)
         assert np.all(new_state.m.layers[0].weight == 0.0)
         assert np.all(new_state.v.layers[0].weight == 0.0)
@@ -80,7 +82,7 @@ class TestMaskedAdam:
         state = init_adam_state(model, masks)
         lr = 0.05
         new_model, _ = masked_adam_step(
-            model, state, grad_of(model, np.full((2, 2), c)), masks, lr, CFG)
+            model, state, grad_of(masks, np.full((2, 2), c)), masks, lr, CFG)
         delta = new_model.layers[0].weight - w0
         assert np.all(np.abs(delta + lr * np.sign(c)) < 1e-6 * lr)
 
@@ -93,7 +95,7 @@ class TestMaskedAdam:
         rng = np.random.default_rng(3)
         for t in range(1, 6):
             g = rng.normal(size=(1, 1))
-            model, state = masked_adam_step(model, state, grad_of(model, g), masks, 0.01, CFG)
+            model, state = masked_adam_step(model, state, grad_of(masks, g), masks, 0.01, CFG)
             rw, rm, rv = reference_adam_step(rw, rm, rv, g, t, 0.01)
             assert np.all(np.abs(model.layers[0].weight - rw) <= 1e-15)
 
@@ -113,7 +115,7 @@ class TestMaskedAdam:
         for t in range(1, 101):
             gw = rng.normal(size=(3, 4))
             gb = rng.normal(size=3)
-            model, state = masked_adam_step(model, state, grad_of(model, gw, gb),
+            model, state = masked_adam_step(model, state, grad_of(masks, gw, gb),
                                             masks, 0.02, CFG)
             rw, rmw, rvw = reference_adam_step(rw, rmw, rvw, gw * mask_bits, t, 0.02)
             rb, rmb, rvb = reference_adam_step(rb, rmb, rvb, gb * bias_bits, t, 0.02)
@@ -132,7 +134,7 @@ class TestMaskedAdam:
         rw, rm, rv = w0.copy(), np.zeros_like(w0), np.zeros_like(w0)
         for t in range(1, 21):
             g = rng.normal(size=(2, 3))
-            model, state = masked_adam_step(model, state, grad_of(model, g), masks, 0.01, CFG)
+            model, state = masked_adam_step(model, state, grad_of(masks, g), masks, 0.01, CFG)
             rw, rm, rv = reference_adam_step(rw, rm, rv, g, t, 0.01)
             assert np.array_equal(model.layers[0].weight, rw)
 
@@ -141,11 +143,19 @@ class TestMaskedAdam:
         masks = GradientMaskSet((full_mask((1, 1)),))
         with pytest.raises(NumericError):
             masked_adam_step(model, init_adam_state(model, masks),
-                             grad_of(model, [[np.inf]]), masks, 0.1, CFG)
+                             grad_of(masks, [[np.inf]]), masks, 0.1, CFG)
+
+    def test_gradient_shaped_like_the_whole_matrix_is_refused(self):
+        model = one_layer_model(np.zeros((3, 2)))
+        masks = GradientMaskSet((LayerMask("row", (3, 2), (1,)),))
+        whole = GradientSet([LayerGrad(np.ones((3, 2)), np.ones(3))])
+        with pytest.raises(ShapeError):
+            masked_adam_step(model, init_adam_state(model, masks), whole, masks, 0.1, CFG)
+        assert np.all(model.layers[0].weight == 0.0)
 
     def test_step_counter(self):
         model = one_layer_model(np.zeros((1, 1)))
         masks = GradientMaskSet((full_mask((1, 1)),))
         state = init_adam_state(model, masks)
-        _, state = masked_adam_step(model, state, grad_of(model, [[1.0]]), masks, 0.1, CFG)
+        _, state = masked_adam_step(model, state, grad_of(masks, [[1.0]]), masks, 0.1, CFG)
         assert state.t == 1

@@ -2,7 +2,9 @@
 
 The dense masked Adam step below is the step the package used before Adam
 touched only the trainable slice; it stays here as the oracle the sliced step
-must match bit for bit. Likewise ``csv_module_reader`` is the dataset reader
+must match bit for bit. ``dense_backward`` is the backward pass the package
+used before it computed only the trainable slices: full-shape gradients for
+every layer, the oracle for ``backward``'s slices. Likewise ``csv_module_reader`` is the dataset reader
 the package used before numpy's C parser, kept as the oracle for
 ``load_dataset_csv``, and ``dense_objective``/``dense_retained`` are the
 formulas ``mask_objective``/``retained_energy`` used before they read the
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import read_masks, sparse_from_bits
+from conftest import grad_rel_err, read_masks, sparse_from_bits
 from masktune.data import Dataset, load_dataset_csv, save_dataset_csv
 from masktune.errors import InputError, NumericError
 from masktune.losses import (
@@ -28,8 +30,9 @@ from masktune.losses import (
     reg_penalty,
     resolve_penalty,
     resolve_regular_layers,
+    scl_loss,
 )
-from masktune.linalg import frobenius_sq
+from masktune.linalg import finite_diff_grad, frobenius_sq
 from masktune.masking import (
     GradientMaskSet,
     LayerMask,
@@ -44,6 +47,8 @@ from masktune.model import (
     Layer,
     LayerGrad,
     ModelParams,
+    backward,
+    forward,
     layer_roles,
     load_checkpoint,
     save_checkpoint,
@@ -81,6 +86,42 @@ def dense_masked_adam_step(model, state, grad, masks, lr, cfg):
         new_m.append(LayerGrad(mw, mb))
         new_v.append(LayerGrad(vw, vb))
     return ModelParams(new_layers), AdamState(GradientSet(new_m), GradientSet(new_v), t)
+
+
+def dense_zeros(model):
+    """Full-shape zero gradients, the dense oracle's starting moments."""
+    return GradientSet([LayerGrad(np.zeros_like(l.weight), np.zeros_like(l.bias))
+                        for l in model.layers])
+
+
+def sliced(grad, masks):
+    """The trainable slices of full-shape gradients, as backward returns them."""
+    return GradientSet([LayerGrad(g.weight[m.trainable[0]], g.bias[m.trainable[1]])
+                        for g, m in zip(grad.layers, masks.layers)])
+
+
+def dense_backward(model, cache, d_logits=None, d_features=None):
+    """Oracle: full-shape gradients of every layer, backprop down to the input layer."""
+    grads = dense_zeros(model)
+    n = len(model.layers)
+    if d_logits is not None:
+        delta = np.asarray(d_logits, dtype=np.float64)
+        start = n - 1
+    else:
+        d_out = np.asarray(d_features, dtype=np.float64)
+        start = n - 2
+        if start < 0:
+            return grads  # head-only model: features are the raw input
+        delta = d_out * (cache.preacts[start] > 0.0).astype(np.float64)
+
+    for l in range(start, -1, -1):
+        layer = model.layers[l]
+        grads.layers[l].weight = delta.T @ cache.inputs[l]
+        grads.layers[l].bias = delta.sum(axis=0)
+        if l > 0:
+            d_out = delta @ layer.weight
+            delta = d_out * (cache.preacts[l - 1] > 0.0).astype(np.float64)
+    return grads
 
 
 def random_mask(rng, variant, shape):
@@ -135,12 +176,12 @@ def test_sliced_step_matches_dense_oracle_bitwise(setup, steps):
     start = model.copy()
     oracle = model.copy()
     state = init_adam_state(model, masks)
-    oracle_state = AdamState(GradientSet.zeros_like(model), GradientSet.zeros_like(model))
+    oracle_state = AdamState(dense_zeros(model), dense_zeros(model))
     for _ in range(steps):
         grad = GradientSet([LayerGrad(rng.normal(size=l.weight.shape),
                                       rng.normal(size=l.bias.shape)) for l in model.layers])
         lr = float(rng.uniform(1e-3, 0.1))
-        model, state = masked_adam_step(model, state, grad, masks, lr, CFG)
+        model, state = masked_adam_step(model, state, sliced(grad, masks), masks, lr, CFG)
         oracle, oracle_state = dense_masked_adam_step(oracle, oracle_state, grad, masks, lr, CFG)
         for got, want in zip(model.layers, oracle.layers):
             assert bits(got.weight) == bits(want.weight)
@@ -197,6 +238,106 @@ def test_sliced_penalty_matches_dense_on_trainable_entries(setup, norm, lam, las
         assert bits(grads.layers[i].weight) == bits(dense_w[wi])
         assert bits(grads.layers[i].bias) == bits(dense_b[bi])
     assert abs(loss - dense_loss) <= 1e-14 * abs(dense_loss)
+
+
+# A row or col slice is its own, narrower product, and the lowest layer's
+# deltas come from a narrower propagation, so they may differ from the dense
+# oracle in the last bits: by at most SLICE_TOL times the largest entry of the
+# layer's dense gradient (plus one).
+SLICE_TOL = 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       dims=st.lists(st.integers(1, 6), min_size=3, max_size=5),
+       batch=st.integers(1, 8), data=st.data(),
+       head_only=st.booleans(), path=st.sampled_from(["logits", "features"]))
+def test_sliced_backward_matches_the_dense_oracle(seed, dims, batch, data, head_only, path):
+    variants = data.draw(st.lists(st.sampled_from(VARIANTS), min_size=len(dims) - 1,
+                                  max_size=len(dims) - 1))
+    rng, model, masks = random_setup(seed, dims, variants)
+    if head_only:
+        masks = GradientMaskSet.head_only(model)
+    _, features, cache = forward(model, rng.normal(size=(batch, dims[0])))
+    upstream = rng.normal(size=(batch, dims[-1] if path == "logits" else features.shape[1]))
+    want = dense_backward(model, cache, **{f"d_{path}": upstream})
+    trains = [indices_to_dense(m).any() for m in masks.layers]
+    lowest = trains.index(True) if any(trains) else len(trains)
+    # no backprop below the lowest trainable layer: it never reads their activations
+    cache.preacts[:lowest] = [None] * lowest
+    got = backward(model, cache, masks, **{f"d_{path}": upstream})
+
+    for i, (g, w, mask, layer) in enumerate(zip(got.layers, want.layers, masks.layers,
+                                                model.layers)):
+        wi, bi = mask.trainable
+        assert g.weight.shape == layer.weight[wi].shape and g.bias.shape == layer.bias[bi].shape
+        if i < lowest:
+            assert g.weight.size == 0 and g.bias.size == 0
+        elif mask.variant in ("full", "sparse"):
+            assert bits(g.weight) == bits(w.weight[wi])
+            assert bits(g.bias) == bits(w.bias[bi])
+        else:
+            tol = SLICE_TOL * (1.0 + max(np.abs(w.weight).max(), np.abs(w.bias).max()))
+            assert np.all(np.abs(g.weight - w.weight[wi]) <= tol)
+            assert np.all(np.abs(g.bias - w.bias[bi]) <= tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dims=st.lists(st.integers(1, 6), min_size=3, max_size=5),
+       batch=st.integers(1, 8))
+def test_all_full_backward_is_the_dense_oracle_bitwise(seed, dims, batch):
+    rng, model, masks = random_setup(seed, dims, ["full"] * (len(dims) - 1))
+    logits, features, cache = forward(model, rng.normal(size=(batch, dims[0])))
+    for upstream in ({"d_logits": rng.normal(size=logits.shape)},
+                     {"d_features": rng.normal(size=features.shape)}):
+        got = backward(model, cache, masks, **upstream)
+        want = dense_backward(model, cache, **upstream)
+        for g, w in zip(got.layers, want.layers):
+            assert bits(g.weight) == bits(w.weight) and bits(g.bias) == bits(w.bias)
+
+
+# criterion 3's bound on the relative error against central differences
+FD_TOL = 1e-4
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), batch=st.integers(2, 8), dim=st.integers(2, 6),
+       classes=st.integers(1, 4), tau=st.floats(0.2, 2.0))
+def test_scl_feature_gradient_matches_finite_differences(seed, batch, dim, classes, tau):
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(batch, dim))
+    # rows of norm 0.5 to 2 keep the normalization well conditioned
+    features *= rng.uniform(0.5, 2.0, size=(batch, 1)) / np.linalg.norm(features, axis=1,
+                                                                         keepdims=True)
+    labels = rng.integers(0, classes, size=batch)
+    _, d_features = scl_loss(features, labels, tau)
+    fd = finite_diff_grad(lambda f: scl_loss(f, labels, tau)[0], features, 1e-5)
+    assert grad_rel_err(d_features, fd) < FD_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=setups, norm=st.sampled_from(["l1", "l2"]), lam=st.floats(1e-2, 10.0),
+       last_l=st.integers(0, 2))
+def test_penalty_slice_gradient_matches_finite_differences(setup, norm, lam, last_l):
+    rng, pre, masks = random_setup(*setup)
+    hidden = layer_roles(len(pre.layers)).count("hidden")
+    cfg = RegConfig(lam=lam, norm=norm, regular=RegularSet(min(last_l, hidden)))
+    penalty = resolve_penalty(pre, cfg, masks)
+    # trainable entries move at least 0.1 away, far from l1's kink at the anchor
+    model = pre.copy()
+    for layer, mask in zip(model.layers, masks.layers):
+        for param, index in zip((layer.weight, layer.bias), mask.trainable):
+            step = rng.uniform(0.1, 1.0, size=param[index].shape)
+            param[index] += np.where(rng.uniform(size=step.shape) < 0.5, -step, step)
+    _, grads = reg_penalty(model, penalty)
+    for i, wi, bi in penalty.layers:
+        for field, index in (("weight", wi), ("bias", bi)):
+            def loss_of(values, i=i, field=field, index=index):
+                probe = model.copy()
+                getattr(probe.layers[i], field)[index] = values
+                return reg_penalty(probe, penalty)[0]
+            fd = finite_diff_grad(loss_of, getattr(model.layers[i], field)[index], 1e-6)
+            assert grad_rel_err(getattr(grads.layers[i], field), fd) < FD_TOL
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
