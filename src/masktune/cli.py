@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import harness, masking
 from .config import RunConfig, load_run_config
 from .data import load_dataset_csv
@@ -46,13 +48,11 @@ def cmd_pretrain(args) -> int:
     out = _output_path(args.out)
     cfg = load_run_config(args.config, args.seed)
     task = cfg.make_task()
-    pretrain_cfg = cfg.pretrain
-    model = harness.pretrain(task, cfg.model_dims, pretrain_cfg["epochs"],
-                             cfg.pretrain_optim(), cfg.seed,
-                             batch_size=pretrain_cfg["batch_size"])
+    model = harness.pretrain(task, cfg.model_dims, cfg.pretrain_optim(), cfg.seed,
+                             batch_size=cfg.pretrain["batch_size"])
     save_checkpoint(model, out)
     acc = harness.evaluate(model, task.source)
-    print(f"pretrain: seed={cfg.seed} epochs={pretrain_cfg['epochs']} "
+    print(f"pretrain: seed={cfg.seed} epochs={cfg.pretrain['epochs']} "
           f"source_accuracy={acc:.4f} checkpoint={args.out}")
     return EXIT_OK
 
@@ -125,7 +125,7 @@ def cmd_ablate(args) -> int:
     values = _parse_values(args.axis, args.values)
     task = cfg.make_task()
     pre = _load_pretrained(args.checkpoint, cfg)
-    configs = harness.sweep_configs(pre, cfg.finetune_config(), args.axis, values)
+    configs = harness.sweep_configs(pre, task, cfg.finetune_config(), args.axis, values)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -194,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the finite checks report a diverging run in one line, not numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ConfigError, InputError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

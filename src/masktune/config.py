@@ -107,7 +107,7 @@ def parse_run_config(doc: dict, seed_override: int | None = None) -> RunConfig:
     _check_section(doc["finetune"]["regular"], _REGULAR_KEYS, "finetune.regular",
                    required={"last_l"})
     dims = doc["model"]["dims"]
-    if not all(isinstance(d, int) and d >= 1 for d in dims) or len(dims) < 2:
+    if not all(type(d) is int and d >= 1 for d in dims) or len(dims) < 2:
         raise ConfigError("model.dims must be a list of at least two positive ints")
     seed = doc["seed"] if seed_override is None else int(seed_override)
     if seed < 0:

@@ -12,6 +12,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .data import Dataset, TaskPair, partition_subsets, select_mask_subset
 from .errors import ConfigError, NumericError, ShapeError
 from .fileio import atomic_open
 from .linalg import Rng
-from .losses import RegConfig, combined_grad, resolve_penalty
+from .losses import Penalty, RegConfig, combined_grad, resolve_penalty
 from .masking import (SELECTION_VARIANTS, GradientMaskSet, check_budget, compute_mask_set,
                       trainable_fraction)
 from .model import ModelParams, forward, init_model, reinit_head
@@ -98,13 +99,11 @@ def evaluate(model: ModelParams, data: Dataset) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == data.y))
 
 
-def _train(model: ModelParams, anchor: ModelParams, masks: GradientMaskSet,
-           train: Dataset, test: Dataset, reg: RegConfig, optim: OptimConfig,
-           batch_size: int, shuffle_rng: Rng) -> tuple[list[EpochStats], AdamState]:
-    """Train ``model`` in place; return the per-epoch stats and the final Adam state."""
+def _train(model: ModelParams, masks: GradientMaskSet, penalty: Penalty, train: Dataset,
+           optim: OptimConfig, batch_size: int,
+           shuffle_rng: Rng) -> Iterator[tuple[int, float, float, float, AdamState]]:
+    """Train ``model`` in place; yield (epoch, lr, mean loss_R, mean CE, Adam state) per epoch."""
     state = init_adam_state(model, masks)
-    penalty = resolve_penalty(anchor, reg, masks)
-    stats: list[EpochStats] = []
     for epoch in range(optim.total_epochs):
         lr = cosine_warmup_lr(epoch, optim)
         order = shuffle_rng.permutation(len(train))
@@ -118,22 +117,19 @@ def _train(model: ModelParams, anchor: ModelParams, masks: GradientMaskSet,
             loss_sum += loss_r * len(idx)
             ce_sum += ce * len(idx)
         n = len(train)
-        stats.append(EpochStats(epoch, lr, loss_sum / n, ce_sum / n, evaluate(model, test)))
-    return stats, state
+        yield epoch, lr, loss_sum / n, ce_sum / n, state
 
 
-def pretrain(task: TaskPair, dims: list[int], epochs: int, optim: OptimConfig,
+def pretrain(task: TaskPair, dims: list[int], optim: OptimConfig,
              seed: int, batch_size: int = 32) -> ModelParams:
     """Full (unmasked) cross-entropy training on the source dataset."""
     rng = Rng(seed)
     model = init_model(dims, rng.child(0))
-    if epochs == 0:
-        return model
-    optim = dataclasses.replace(optim, total_epochs=epochs)
-    reg = RegConfig(lam=0.0, norm="none")
     masks = GradientMaskSet.all_full(model)
-    _train(model, model.copy(), masks, task.source, task.source,
-           reg, optim, batch_size, rng.child(_STREAM_SHUFFLE))
+    penalty = resolve_penalty(model, RegConfig(lam=0.0, norm="none"), masks)
+    for _ in _train(model, masks, penalty, task.source, optim, batch_size,
+                    rng.child(_STREAM_SHUFFLE)):
+        pass
     return model
 
 
@@ -141,6 +137,12 @@ def _with_new_head(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig) -> Mod
     """A copy of ``pre`` with the run's freshly drawn head for the target classes."""
     return reinit_head(pre, task.target_train.num_classes,
                        Rng(cfg.seed).child(_STREAM_HEAD))
+
+
+def _check_subsets_n(n: int, target: Dataset) -> None:
+    """Each scoring subset must hold the two samples the contrastive loss needs."""
+    if 2 * n > len(target):
+        raise ConfigError(f"subsets_n={n} needs {2 * n} samples (2 per subset), got {len(target)}")
 
 
 def finetune_masks(model: ModelParams, task: TaskPair,
@@ -151,6 +153,7 @@ def finetune_masks(model: ModelParams, task: TaskPair,
     has the shape of ``model``'s head. Returns the chosen subset's index and
     the masks a finetune run with this config trains under.
     """
+    _check_subsets_n(cfg.subsets_n, task.target_train)
     subsets = partition_subsets(task.target_train, cfg.subsets_n,
                                 Rng(cfg.seed).child(_STREAM_SUBSET))
     subset_index, mask_data = select_mask_subset(model, subsets, cfg.tau)
@@ -163,8 +166,11 @@ def _finetune_with_masks(model: ModelParams, task: TaskPair, cfg: FineTuneConfig
                          masks: GradientMaskSet) -> tuple[ModelParams, TrainReport]:
     """Train ``model`` in place towards a copy of its starting weights."""
     anchor = model.copy()
-    stats, state = _train(model, anchor, masks, task.target_train, task.target_test,
-                          cfg.reg, cfg.optim, cfg.batch_size, Rng(cfg.seed).child(_STREAM_SHUFFLE))
+    epochs = _train(model, masks, resolve_penalty(anchor, cfg.reg, masks), task.target_train,
+                    cfg.optim, cfg.batch_size, Rng(cfg.seed).child(_STREAM_SHUFFLE))
+    stats = []
+    for epoch, lr, loss_r, ce, state in epochs:
+        stats.append(EpochStats(epoch, lr, loss_r, ce, evaluate(model, task.target_test)))
     distances = [float(np.sqrt(np.sum((m.weight - a.weight) ** 2)))
                  for m, a in zip(model.layers, anchor.layers)]
     report = TrainReport(
@@ -216,10 +222,10 @@ def _with_axis_value(cfg: FineTuneConfig, axis: str, value) -> FineTuneConfig:
     raise ConfigError(f"unknown ablation axis {axis!r}; choose from {', '.join(ABLATION_AXES)}")
 
 
-def sweep_configs(pre: ModelParams, base_cfg: FineTuneConfig, axis: str,
+def sweep_configs(pre: ModelParams, task: TaskPair, base_cfg: FineTuneConfig, axis: str,
                   values: list) -> list[FineTuneConfig]:
-    """``base_cfg`` with ``axis`` set to each value, all else (seeds included) fixed;
-    each k and regular set is checked against ``pre``'s layers before any run starts."""
+    """``base_cfg`` with ``axis`` set to each value, all else (seeds included) fixed; each
+    k, regular set and subsets_n is checked against ``pre`` and ``task`` before any run."""
     if not values:
         raise ConfigError("values must be non-empty")
     configs = [_with_axis_value(base_cfg, axis, value) for value in values]
@@ -227,6 +233,7 @@ def sweep_configs(pre: ModelParams, base_cfg: FineTuneConfig, axis: str,
         if cfg.variant != "full":
             check_budget([l.weight.shape for l in pre.layers], cfg.k, cfg.variant)
         resolve_penalty(pre, cfg.reg, GradientMaskSet.all_full(pre))
+        _check_subsets_n(cfg.subsets_n, task.target_train)
     return configs
 
 

@@ -92,7 +92,6 @@ class GradientSet:
 class ForwardCache:
     model: ModelParams
     inputs: list[np.ndarray] = field(repr=False, default_factory=list)
-    preacts: list[np.ndarray] = field(repr=False, default_factory=list)
 
 
 def layer_roles(num_layers: int) -> list[str]:
@@ -150,7 +149,6 @@ def forward(model: ModelParams, x_batch: np.ndarray) -> tuple[np.ndarray, np.nda
     for i, layer in enumerate(model.layers):
         cache.inputs.append(a)
         z = a @ layer.weight.T + layer.bias
-        cache.preacts.append(z)
         a = z if i == head else np.maximum(z, 0.0)
     logits = a
     features = cache.inputs[-1]
@@ -193,7 +191,7 @@ def backward(model: ModelParams, cache: ForwardCache, masks: GradientMaskSet,
             delta = upstream[:, rows]
         else:
             d_out = upstream[:, rows] if l == start else delta @ model.layers[l + 1].weight[:, rows]
-            delta = d_out * (cache.preacts[l][:, rows] > 0.0)  # ReLU'(0) = 0
+            delta = d_out * (cache.inputs[l + 1][:, rows] > 0.0)  # ReLU'(z) = max(z, 0) > 0
         grads.append(LayerGrad(_weight_grad(delta, cache.inputs[l], wi), delta.sum(axis=0)[bi]))
     return GradientSet(grads[::-1])
 

@@ -86,7 +86,7 @@ def reference_cfg(**overrides):
 def reference():
     task = gen_task(16, 4, 200, 0.4, ShiftConfig(rotation_seed=5, magnitude=2.0), seed=7)
     optim = OptimConfig(base_lr=0.05, total_epochs=30, warmup_epochs=2)
-    pre = pretrain(task, REF_DIMS, 30, optim, seed=7)
+    pre = pretrain(task, REF_DIMS, optim, seed=7)
     return pre, task
 
 
@@ -94,7 +94,7 @@ def reference():
 def small_setup():
     task = gen_task(6, 3, 12, 0.15, ShiftConfig(rotation_seed=7, magnitude=0.6), seed=1)
     optim = OptimConfig(base_lr=0.05, total_epochs=10, warmup_epochs=1)
-    pre = pretrain(task, [6, 12, 12, 3], 10, optim, seed=2)
+    pre = pretrain(task, [6, 12, 12, 3], optim, seed=2)
     return pre, task
 
 

@@ -163,6 +163,12 @@ class TestPretrainCommand:
         assert main(["pretrain", "--config", str(cfg), "--out", str(again)]) == 0
         assert again.read_bytes() == ckpt.read_bytes()
 
+    def test_evaluates_once(self, trained, tmp_path, monkeypatch):
+        cfg, _ = trained
+        calls = count_calls(monkeypatch, harness.evaluate)
+        assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 0
+        assert calls == ["evaluate"]
+
     def test_seed_flag_changes_weights(self, trained, tmp_path):
         cfg, ckpt = trained
         other = tmp_path / "other.json"
@@ -518,6 +524,11 @@ class TestContractHoles:
         assert_refused(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt"),
                         "--seed", "-1"], tmp_path, capsys, [])
 
+    def test_bool_in_dims_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "model", "dims", [6, 8, True, 3])
+        assert_refused(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")],
+                       tmp_path, capsys, [cfg])
+
     @pytest.mark.parametrize("command", ["finetune", "ablate"])
     def test_checkpoint_dims_must_match_the_config(self, trained, tmp_path, capsys, command):
         _, ckpt = trained
@@ -543,7 +554,8 @@ class TestSweepIsCheckedBeforeTraining:
     """ablate refuses a sweep with any bad value before its first run trains."""
 
     @pytest.mark.parametrize("axis, values", [("regular_blocks", "0,1,-1"),
-                                              ("regular_blocks", "0,2"), ("k", "1,9")])
+                                              ("regular_blocks", "0,2"), ("k", "1,9"),
+                                              ("subsets_n", "1,37"), ("subsets_n", "1,19")])
     def test_bad_last_value_exits_2_without_training(self, trained, tmp_path, capsys,
                                                      monkeypatch, axis, values):
         cfg, ckpt = trained
@@ -568,7 +580,6 @@ REFERENCE_CONFIG = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings on the way
 def test_diverging_finetune_exits_3_and_writes_no_report(tmp_path, capsys):
     doc = copy.deepcopy(REFERENCE_CONFIG)
     cfg, ckpt = tmp_path / "run.json", tmp_path / "model.ckpt"

@@ -71,20 +71,11 @@ class TestEvaluate:
 
 
 class TestPretrain:
-    def test_zero_epochs_is_fresh_init(self):
-        task = make_task()
-        optim = OptimConfig(base_lr=0.02, total_epochs=1)
-        model = pretrain(task, DIMS, 0, optim, seed=5)
-        again = pretrain(task, DIMS, 0, optim, seed=5)
-        for la, lb in zip(model.layers, again.layers):
-            assert np.array_equal(la.weight, lb.weight)
-            assert np.all(la.bias == 0.0)
-
     def test_deterministic(self):
         task = make_task()
         optim = OptimConfig(base_lr=0.02, total_epochs=4, warmup_epochs=1)
-        a = pretrain(task, DIMS, 4, optim, seed=5)
-        b = pretrain(task, DIMS, 4, optim, seed=5)
+        a = pretrain(task, DIMS, optim, seed=5)
+        b = pretrain(task, DIMS, optim, seed=5)
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
@@ -92,7 +83,7 @@ class TestPretrain:
     def test_fits_separable_source(self):
         task = gen_task(6, 3, 40, 0.05, SHIFT, seed=1)
         optim = OptimConfig(base_lr=0.05, total_epochs=30, warmup_epochs=2)
-        model = pretrain(task, DIMS, 30, optim, seed=2)
+        model = pretrain(task, DIMS, optim, seed=2)
         assert evaluate(model, task.source) >= 0.95
 
 
@@ -100,7 +91,7 @@ class TestPretrain:
 def pre_and_task():
     task = make_task(seed=1, per_class=16, noise=0.12)
     optim = OptimConfig(base_lr=0.05, total_epochs=20, warmup_epochs=2)
-    return pretrain(task, DIMS, 20, optim, seed=2), task
+    return pretrain(task, DIMS, optim, seed=2), task
 
 
 class TestFinetune:
@@ -181,23 +172,23 @@ class TestLinearProbe:
 class TestAblate:
     def test_k_sweep(self, pre_and_task):
         pre, task = pre_and_task
-        reports = ablate(pre, task, sweep_configs(pre, make_cfg(), "k", [1, 2, 4]))
+        reports = ablate(pre, task, sweep_configs(pre, task, make_cfg(), "k", [1, 2, 4]))
         assert [r.config["k"] for r in reports] == [1, 2, 4]
         fracs = [r.trainable_fraction for r in reports]
         assert fracs == sorted(fracs)
 
     def test_lambda_axis_updates_config(self, pre_and_task):
         pre, task = pre_and_task
-        reports = ablate(pre, task, sweep_configs(pre, make_cfg(), "lambda", [0.0, 1.0]))
+        reports = ablate(pre, task, sweep_configs(pre, task, make_cfg(), "lambda", [0.0, 1.0]))
         assert [r.config["reg"]["lam"] for r in reports] == [0.0, 1.0]
 
     def test_axes_and_errors(self, pre_and_task):
         pre, task = pre_and_task
         assert "variant" in ABLATION_AXES
         with pytest.raises(ConfigError):
-            ablate(pre, task, sweep_configs(pre, make_cfg(), "nope", [1]))
+            ablate(pre, task, sweep_configs(pre, task, make_cfg(), "nope", [1]))
         with pytest.raises(ConfigError):
-            ablate(pre, task, sweep_configs(pre, make_cfg(), "k", []))
+            ablate(pre, task, sweep_configs(pre, task, make_cfg(), "k", []))
 
 
 class TestReportFiles:

@@ -104,6 +104,11 @@ def dense_backward(model, cache, d_logits=None, d_features=None):
     """Oracle: full-shape gradients of every layer, backprop down to the input layer."""
     grads = dense_zeros(model)
     n = len(model.layers)
+
+    def preact(l):
+        layer = model.layers[l]
+        return cache.inputs[l] @ layer.weight.T + layer.bias
+
     if d_logits is not None:
         delta = np.asarray(d_logits, dtype=np.float64)
         start = n - 1
@@ -112,7 +117,7 @@ def dense_backward(model, cache, d_logits=None, d_features=None):
         start = n - 2
         if start < 0:
             return grads  # head-only model: features are the raw input
-        delta = d_out * (cache.preacts[start] > 0.0).astype(np.float64)
+        delta = d_out * (preact(start) > 0.0).astype(np.float64)
 
     for l in range(start, -1, -1):
         layer = model.layers[l]
@@ -120,7 +125,7 @@ def dense_backward(model, cache, d_logits=None, d_features=None):
         grads.layers[l].bias = delta.sum(axis=0)
         if l > 0:
             d_out = delta @ layer.weight
-            delta = d_out * (cache.preacts[l - 1] > 0.0).astype(np.float64)
+            delta = d_out * (preact(l - 1) > 0.0).astype(np.float64)
     return grads
 
 
@@ -264,7 +269,7 @@ def test_sliced_backward_matches_the_dense_oracle(seed, dims, batch, data, head_
     trains = [indices_to_dense(m).any() for m in masks.layers]
     lowest = trains.index(True) if any(trains) else len(trains)
     # no backprop below the lowest trainable layer: it never reads their activations
-    cache.preacts[:lowest] = [None] * lowest
+    cache.inputs[:lowest] = [None] * lowest
     got = backward(model, cache, masks, **{f"d_{path}": upstream})
 
     for i, (g, w, mask, layer) in enumerate(zip(got.layers, want.layers, masks.layers,
