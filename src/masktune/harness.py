@@ -32,6 +32,12 @@ _STREAM_SUBSET = 2
 _STREAM_SHUFFLE = 3
 
 
+def _check_batch_size(batch_size: int) -> None:
+    """Pretraining and fine-tuning both need at least one sample per batch."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+
+
 @dataclass(frozen=True)
 class FineTuneConfig:
     k: int
@@ -50,8 +56,7 @@ class FineTuneConfig:
             raise ConfigError(f"tau must be positive and finite, got {self.tau}")
         if self.subsets_n < 1:
             raise ConfigError("subsets_n must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        _check_batch_size(self.batch_size)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -123,6 +128,7 @@ def _train(model: ModelParams, masks: GradientMaskSet, penalty: Penalty, train: 
 def pretrain(task: TaskPair, dims: list[int], optim: OptimConfig,
              seed: int, batch_size: int = 32) -> ModelParams:
     """Full (unmasked) cross-entropy training on the source dataset."""
+    _check_batch_size(batch_size)
     rng = Rng(seed)
     model = init_model(dims, rng.child(0))
     masks = GradientMaskSet.all_full(model)

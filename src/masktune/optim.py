@@ -1,10 +1,10 @@
 """Masked Adam and the cosine-decay schedule with linear warmup.
 
 Adam reads and writes only the trainable slice of each layer, given by its
-mask's index, and keeps moments for that slice alone. Frozen entries are never
-touched, and a masked trajectory is exactly an unmasked Adam trajectory on
-pre-zeroed gradients. Epsilon sits inside the square root:
-W <- W - lr * m_hat / sqrt(v_hat + eps).
+mask's index, and keeps moments for those slices alone, laid end to end in one
+flat vector. Frozen entries are never touched, and a masked trajectory is
+exactly an unmasked Adam trajectory on pre-zeroed gradients. Epsilon sits
+inside the square root: W <- W - lr * m_hat / sqrt(v_hat + eps).
 """
 
 from __future__ import annotations
@@ -16,7 +16,11 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 from .masking import GradientMaskSet
-from .model import GradientSet, LayerGrad, ModelParams
+from .model import GradientSet, ModelParams
+
+# entries per pass of the fused update: two float64 work buffers of this
+# length stay in cache, however many entries train
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -42,27 +46,28 @@ class OptimConfig:
 
 @dataclass
 class AdamState:
-    """Adam moments over the trainable slice of each layer, and the step count.
+    """Adam moments over every trainable entry, and the step count.
 
-    ``m.layers[i].weight`` holds one moment per entry of
-    ``weight[masks.layers[i].trainable[0]]``, and likewise for the biases.
+    ``m`` and ``v`` lay the trainable slices end to end: layer 0's
+    ``weight[wi]`` then its ``bias[bi]``, then layer 1's, each in C order.
+    ``shapes`` holds each slice's shape in the same order.
     """
-    m: GradientSet
-    v: GradientSet
+    m: np.ndarray
+    v: np.ndarray
+    shapes: list[tuple[int, ...]]
     t: int = 0
 
     @property
     def nbytes(self) -> int:
-        return sum(g.weight.nbytes + g.bias.nbytes for s in (self.m, self.v) for g in s.layers)
+        return self.m.nbytes + self.v.nbytes
 
 
 def init_adam_state(model: ModelParams, masks: GradientMaskSet) -> AdamState:
-    """Zero moments sized to each layer's trainable slice."""
-    def zeros() -> GradientSet:
-        return GradientSet([LayerGrad(np.zeros_like(l.weight[m.trainable[0]]),
-                                      np.zeros_like(l.bias[m.trainable[1]]))
-                            for l, m in zip(model.layers, masks.layers)])
-    return AdamState(zeros(), zeros())
+    """Zero moments, one per trainable entry."""
+    shapes = [s for l, m in zip(model.layers, masks.layers)
+              for s in (l.weight[m.trainable[0]].shape, l.bias[m.trainable[1]].shape)]
+    size = sum(math.prod(s) for s in shapes)
+    return AdamState(np.zeros(size), np.zeros(size), shapes)
 
 
 def cosine_warmup_lr(epoch: int, cfg: OptimConfig) -> float:
@@ -83,26 +88,36 @@ def masked_adam_step(model: ModelParams, state: AdamState, grad: GradientSet,
     ``grad`` holds each layer's gradient over its trainable slice, as
     ``backward`` returns it. Only ``weight[index]`` and ``bias[index]`` of
     each layer's trainable index are read and written, so frozen entries stay
-    bitwise put. Returns the same model and state.
+    bitwise put. The update runs as one elementwise pass over the gradient
+    slices laid end to end, chunk by chunk, and nothing changes unless every
+    gradient entry is finite. Returns the same model and state.
     """
-    for g, m in zip(grad.layers, state.m.layers):
-        if g.weight.shape != m.weight.shape or g.bias.shape != m.bias.shape:
-            raise ShapeError("gradients must be shaped like the trainable slices")
-        if not (np.all(np.isfinite(g.weight)) and np.all(np.isfinite(g.bias))):
-            raise NumericError("non-finite gradient entry")
+    slices = [a for layer in grad.layers for a in (layer.weight, layer.bias)]
+    if [a.shape for a in slices] != state.shapes:
+        raise ShapeError("gradients must be shaped like the trainable slices")
+    g = np.concatenate(slices, axis=None)
+    if not np.isfinite(g).all():
+        raise NumericError("non-finite gradient entry")
     state.t += 1
     b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for layer, g, mask, m, v in zip(model.layers, grad.layers, masks.layers,
-                                    state.m.layers, state.v.layers):
-        wi, bi = mask.trainable
-        for param, index, grad_slice, m_slice, v_slice in (
-                (layer.weight, wi, g.weight, m.weight, v.weight),
-                (layer.bias, bi, g.bias, m.bias, v.bias)):
-            m_slice *= b1
-            m_slice += (1.0 - b1) * grad_slice
-            v_slice *= b2
-            v_slice += (1.0 - b2) * grad_slice * grad_slice
-            param[index] -= lr * (m_slice / bc1) / np.sqrt(v_slice / bc2 + eps)
+    s1 = np.empty(min(_CHUNK, g.size))
+    s2 = np.empty_like(s1)
+    for a in range(0, g.size, _CHUNK):
+        b = min(a + _CHUNK, g.size)
+        gc, m, v, t1, t2 = g[a:b], state.m[a:b], state.v[a:b], s1[:b - a], s2[:b - a]
+        # the per-entry formula, operand for operand, with the update left in g
+        m *= b1
+        m += np.multiply(1.0 - b1, gc, out=t1)
+        v *= b2
+        v += np.multiply(np.multiply(1.0 - b2, gc, out=t1), gc, out=t1)
+        np.sqrt(np.add(np.divide(v, bc2, out=t1), eps, out=t1), out=t1)
+        np.divide(np.multiply(lr, np.divide(m, bc1, out=t2), out=t2), t1, out=gc)
+    targets = [(p, i) for l, mask in zip(model.layers, masks.layers)
+               for p, i in zip((l.weight, l.bias), mask.trainable)]
+    a = 0
+    for (param, index), gs in zip(targets, slices):
+        param[index] -= g[a:a + gs.size].reshape(gs.shape)
+        a += gs.size
     return model, state

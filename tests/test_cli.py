@@ -524,6 +524,11 @@ class TestContractHoles:
         assert_refused(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt"),
                         "--seed", "-1"], tmp_path, capsys, [])
 
+    def test_zero_pretrain_batch_size_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "pretrain", "batch_size", 0)
+        assert_refused(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")],
+                       tmp_path, capsys, [cfg])
+
     def test_bool_in_dims_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "model", "dims", [6, 8, True, 3])
         assert_refused(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")],

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import sparse_from_bits
 from masktune.errors import ConfigError, NumericError, ShapeError
 from masktune.masking import GradientMaskSet, LayerMask, full_mask
-from masktune.model import GradientSet, Layer, LayerGrad, ModelParams
-from masktune.optim import AdamState, OptimConfig, cosine_warmup_lr, init_adam_state, masked_adam_step
+from masktune.model import GradientSet, Layer, LayerGrad, ModelParams, init_model
+from masktune.optim import _CHUNK, OptimConfig, cosine_warmup_lr, init_adam_state, masked_adam_step
 
 
 def one_layer_model(w, b=None):
@@ -70,8 +72,8 @@ class TestMaskedAdam:
         new_model, new_state = masked_adam_step(
             model, state, grad_of(masks, [[3.0, -1.0], [2.0, 0.5]]), masks, 0.1, CFG)
         assert np.array_equal(new_model.layers[0].weight, w)
-        assert np.all(new_state.m.layers[0].weight == 0.0)
-        assert np.all(new_state.v.layers[0].weight == 0.0)
+        assert np.all(new_state.m == 0.0)
+        assert np.all(new_state.v == 0.0)
 
     def test_first_step_is_signed_lr(self):
         # bias-corrected first step with constant gradient c and eps << |c|
@@ -144,6 +146,50 @@ class TestMaskedAdam:
         with pytest.raises(NumericError):
             masked_adam_step(model, init_adam_state(model, masks),
                              grad_of(masks, [[np.inf]]), masks, 0.1, CFG)
+
+    def test_nonfinite_gradient_changes_nothing(self):
+        rng = np.random.default_rng(5)
+        model = init_model([4, 5, 6, 3], 1)
+        masks = GradientMaskSet((LayerMask("row", (5, 4), (0, 3)),
+                                 LayerMask("col", (6, 5), (1, 2, 4)),
+                                 full_mask((3, 6))))
+
+        def gradient():
+            return GradientSet([LayerGrad(rng.normal(size=l.weight[m.trainable[0]].shape),
+                                          rng.normal(size=l.bias[m.trainable[1]].shape))
+                                for l, m in zip(model.layers, masks.layers)])
+
+        state = init_adam_state(model, masks)
+        masked_adam_step(model, state, gradient(), masks, 0.1, CFG)
+        before, m0, v0 = model.copy(), state.m.copy(), state.v.copy()
+        bad = gradient()
+        bad.layers[-1].bias[-1] = np.nan
+        with pytest.raises(NumericError):
+            masked_adam_step(model, state, bad, masks, 0.1, CFG)
+        for got, want in zip(model.layers, before.layers):
+            assert got.weight.tobytes() == want.weight.tobytes()
+            assert got.bias.tobytes() == want.bias.tobytes()
+        assert state.m.tobytes() == m0.tobytes() and state.v.tobytes() == v0.tobytes()
+        assert state.t == 1
+
+    def test_step_temporaries_are_the_gradient_vector_and_two_chunks(self):
+        model = init_model([128, 512, 512, 10], 0)
+        masks = GradientMaskSet.all_full(model)
+        rng = np.random.default_rng(0)
+        grad = GradientSet([LayerGrad(rng.normal(size=l.weight.shape),
+                                      rng.normal(size=l.bias.shape)) for l in model.layers])
+        state = init_adam_state(model, masks)
+        masked_adam_step(model, state, grad, masks, 0.01, CFG)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            masked_adam_step(model, state, grad, masks, 0.01, CFG)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        vector = sum(g.weight.nbytes + g.bias.nbytes for g in grad.layers)
+        assert peak <= vector + 2 * 8 * _CHUNK + 64 * 1024
 
     def test_gradient_shaped_like_the_whole_matrix_is_refused(self):
         model = one_layer_model(np.zeros((3, 2)))

@@ -13,6 +13,7 @@ mask's trainable index.
 
 import csv
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,10 +54,18 @@ from masktune.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from masktune.optim import AdamState, OptimConfig, init_adam_state, masked_adam_step
+from masktune.optim import _CHUNK, OptimConfig, init_adam_state, masked_adam_step
 
 VARIANTS = ("row", "col", "sparse", "bits", "full", "empty")
 CFG = OptimConfig(base_lr=0.1, total_epochs=10)
+
+
+@dataclass
+class DenseAdamState:
+    """The dense oracle's moments: one full-shape array per weight and bias."""
+    m: GradientSet
+    v: GradientSet
+    t: int = 0
 
 
 def dense_masked_adam_step(model, state, grad, masks, lr, cfg):
@@ -85,7 +94,7 @@ def dense_masked_adam_step(model, state, grad, masks, lr, cfg):
         new_layers.append(Layer(weight, bias))
         new_m.append(LayerGrad(mw, mb))
         new_v.append(LayerGrad(vw, vb))
-    return ModelParams(new_layers), AdamState(GradientSet(new_m), GradientSet(new_v), t)
+    return ModelParams(new_layers), DenseAdamState(GradientSet(new_m), GradientSet(new_v), t)
 
 
 def dense_zeros(model):
@@ -181,7 +190,7 @@ def test_sliced_step_matches_dense_oracle_bitwise(setup, steps):
     start = model.copy()
     oracle = model.copy()
     state = init_adam_state(model, masks)
-    oracle_state = AdamState(dense_zeros(model), dense_zeros(model))
+    oracle_state = DenseAdamState(dense_zeros(model), dense_zeros(model))
     for _ in range(steps):
         grad = GradientSet([LayerGrad(rng.normal(size=l.weight.shape),
                                       rng.normal(size=l.bias.shape)) for l in model.layers])
@@ -199,13 +208,50 @@ def test_sliced_step_matches_dense_oracle_bitwise(setup, steps):
         assert bits(got.bias[frozen_b]) == bits(first.bias[frozen_b])
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fused_step_matches_dense_oracle_across_chunk_boundaries(seed):
+    # row, col, sparse and full slices laid end to end over more than two
+    # chunks, so slices straddle chunk boundaries and the last chunk is ragged
+    rng = np.random.default_rng(seed)
+    dims = [160, 240, 200, 180, 10]
+    model = ModelParams([Layer(rng.normal(size=(dims[i + 1], dims[i])),
+                               rng.normal(size=dims[i + 1])) for i in range(len(dims) - 1)])
+
+    def some(n, size):
+        return tuple(sorted(int(i) for i in rng.choice(n, size=size, replace=False)))
+
+    masks = GradientMaskSet((
+        LayerMask("row", (240, 160), some(240, 170)),
+        LayerMask("col", (200, 240), some(240, 150)),
+        sparse_from_bits((rng.uniform(size=(180, 200)) < 0.5).astype(float)),
+        LayerMask("full", (10, 180))))
+    assert 2 * _CHUNK < trainable_count(masks) and trainable_count(masks) % _CHUNK
+    start, oracle = model.copy(), model.copy()
+    state = init_adam_state(model, masks)
+    oracle_state = DenseAdamState(dense_zeros(model), dense_zeros(model))
+    for _ in range(4):
+        grad = GradientSet([LayerGrad(rng.normal(size=l.weight.shape),
+                                      rng.normal(size=l.bias.shape)) for l in model.layers])
+        lr = float(rng.uniform(1e-3, 0.1))
+        model, state = masked_adam_step(model, state, sliced(grad, masks), masks, lr, CFG)
+        oracle, oracle_state = dense_masked_adam_step(oracle, oracle_state, grad, masks, lr, CFG)
+        for got, want in zip(model.layers, oracle.layers):
+            assert bits(got.weight) == bits(want.weight)
+            assert bits(got.bias) == bits(want.bias)
+    for got, first, mask in zip(model.layers, start.layers, masks.layers):
+        frozen_w = mask.to_dense() == 0.0
+        frozen_b = mask.bias_mask() == 0.0
+        assert bits(got.weight[frozen_w]) == bits(first.weight[frozen_w])
+        assert bits(got.bias[frozen_b]) == bits(first.bias[frozen_b])
+
+
 @settings(max_examples=60, deadline=None)
 @given(setup=setups)
 def test_state_size_equals_trainable_count(setup):
     _, model, masks = random_setup(*setup)
     state = init_adam_state(model, masks)
     for moments in (state.m, state.v):
-        assert sum(g.weight.size + g.bias.size for g in moments.layers) == trainable_count(masks)
+        assert moments.size == trainable_count(masks)
     assert state.nbytes == 2 * 8 * trainable_count(masks)
 
 
