@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from . import harness, masking
 from .config import RunConfig, load_run_config
 from .data import load_dataset_csv
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .fileio import atomic_open
+from .fileio import atomic_open, write_json
 from .model import ModelParams, load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
@@ -104,8 +103,7 @@ def cmd_mask_report(args) -> int:
     doc = {"k": args.k, "variant": args.variant, "tau": args.tau,
            "layers": layer_reports,
            "mask": masking.masks_to_doc(masks)}
-    with atomic_open(out) as fh:
-        fh.write(json.dumps(doc, indent=1))
+    write_json(doc, out)
     return EXIT_OK
 
 

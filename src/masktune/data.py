@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, NumericError
 from .linalg import Rng
 from .losses import scl_loss
 from .model import ModelParams, forward
@@ -107,7 +107,8 @@ def partition_subsets(data: Dataset, n: int, seed: int | Rng) -> list[Dataset]:
 def select_mask_subset(pre: ModelParams, subsets: list[Dataset],
                        tau: float) -> tuple[int, Dataset]:
     """Pick the subset whose per-sample contrastive loss at the given weights
-    is minimal; ties go to the lowest index. No parameters are updated."""
+    is minimal; ties go to the lowest index. No parameters are updated. A
+    non-finite loss (as a tiny ``tau`` gives) raises NumericError."""
     losses = []
     for s in subsets:
         if len(s) == 0:
@@ -115,6 +116,8 @@ def select_mask_subset(pre: ModelParams, subsets: list[Dataset],
         _, features, _ = forward(pre, s.x)
         loss, _ = scl_loss(features, s.y, tau)
         losses.append(loss / len(s))
+    if not np.isfinite(losses).all():
+        raise NumericError(f"non-finite contrastive loss of a scoring subset at tau={tau}")
     idx = int(np.argmin(losses))
     return idx, subsets[idx]
 

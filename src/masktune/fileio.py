@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import InputError
+from .errors import InputError, NumericError
 
 
 @contextmanager
@@ -30,3 +31,14 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs):
             raise
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def write_json(doc, path: str | Path) -> None:
+    """Write ``doc`` to ``path`` atomically as JSON with one-space indents; a NaN
+    or infinite number (not JSON under RFC 8259) raises NumericError instead."""
+    try:
+        text = json.dumps(doc, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"cannot write {path}: {exc}") from exc
+    with atomic_open(path) as fh:
+        fh.write(text)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -18,7 +17,7 @@ import numpy as np
 
 from .data import Dataset, TaskPair, partition_subsets, select_mask_subset
 from .errors import ConfigError, NumericError, ShapeError
-from .fileio import atomic_open
+from .fileio import atomic_open, write_json
 from .linalg import Rng
 from .losses import Penalty, RegConfig, combined_grad, resolve_penalty
 from .masking import (SELECTION_VARIANTS, GradientMaskSet, check_budget, compute_mask_set,
@@ -73,27 +72,20 @@ class EpochStats:
 
 @dataclass
 class TrainReport:
-    epochs: list[EpochStats]
+    config: dict
     final_accuracy: float
     trainable_fraction: float
     storage_bits: int
     optimizer_state_bytes: int  # Adam moments over the trainable slices
     weight_distances: list[float]  # per-layer ||W - W_pre||_F
     mask_subset_index: int
+    epochs: list[EpochStats]
     masks: GradientMaskSet  # the masks the run trained under; not serialized
-    config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "final_accuracy": self.final_accuracy,
-            "trainable_fraction": self.trainable_fraction,
-            "storage_bits": self.storage_bits,
-            "optimizer_state_bytes": self.optimizer_state_bytes,
-            "weight_distances": self.weight_distances,
-            "mask_subset_index": self.mask_subset_index,
-            "epochs": [dataclasses.asdict(e) for e in self.epochs],
-        }
+        """Every field but ``masks``, in field order."""
+        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)[:-1]}
+        return {**doc, "epochs": [dataclasses.asdict(e) for e in self.epochs]}
 
 
 def evaluate(model: ModelParams, data: Dataset) -> float:
@@ -115,10 +107,10 @@ def _train(model: ModelParams, masks: GradientMaskSet, penalty: Penalty, train: 
         loss_sum = ce_sum = 0.0
         for start in range(0, len(train), batch_size):
             idx = order[start:start + batch_size]
-            loss_r, ce, grads = combined_grad(model, masks, penalty, train.x[idx], train.y[idx])
+            loss_r, ce, grad = combined_grad(model, masks, penalty, train.x[idx], train.y[idx])
             if not np.isfinite(loss_r):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
-            masked_adam_step(model, state, grads, masks, lr, optim)
+            masked_adam_step(model, state, grad, masks, lr, optim)
             loss_sum += loss_r * len(idx)
             ce_sum += ce * len(idx)
         n = len(train)
@@ -249,8 +241,7 @@ def ablate(pre: ModelParams, task: TaskPair, configs: list[FineTuneConfig]) -> l
 
 
 def write_report_json(report: TrainReport, path: str | Path) -> None:
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(report.to_dict(), indent=1))
+    write_json(report.to_dict(), path)
 
 
 def write_report_csv(report: TrainReport, path: str | Path) -> None:

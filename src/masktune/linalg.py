@@ -1,4 +1,4 @@
-"""Counter-based seeded RNG, the squared Frobenius norm, and finite differences.
+"""Counter-based seeded RNG and the squared Frobenius norm.
 
 Functions here are pure; nothing holds mutable shared state, so concurrent
 callers are safe. Randomness goes through :class:`Rng`, a thin wrapper over
@@ -8,39 +8,12 @@ streams on every platform.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .errors import NumericError
 
-Matrix = np.ndarray
-
-
-def frobenius_sq(a: Matrix) -> float:
+def frobenius_sq(a: np.ndarray) -> float:
     """Sum of squared entries."""
     return float(np.sum(a * a))
-
-
-def finite_diff_grad(f: Callable[[Matrix], float], at: Matrix, h: float) -> Matrix:
-    """Central-difference gradient of a scalar function, entry by entry.
-
-    Test oracle only: O(rows*cols) evaluations of ``f``.
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    grad = np.zeros_like(at, dtype=np.float64)
-    for idx in np.ndindex(at.shape):
-        xp = at.copy()
-        xp[idx] += h
-        xm = at.copy()
-        xm[idx] -= h
-        fp = float(f(xp))
-        fm = float(f(xm))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError(f"non-finite function value at entry {idx}")
-        grad[idx] = (fp - fm) / (2.0 * h)
-    return grad
 
 
 class Rng:

@@ -15,10 +15,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .model import GradientSet, LayerGrad, ModelParams, backward, forward, layer_roles
+from .model import ModelParams, backward, forward, layer_roles
 
 if TYPE_CHECKING:  # masking imports this module for the contrastive loss
-    from .masking import GradientMaskSet
+    from .masking import GradientMaskSet, Segment
 
 
 @dataclass(frozen=True)
@@ -137,60 +137,59 @@ def scl_loss(features: np.ndarray, labels: np.ndarray, tau: float) -> tuple[floa
 class Penalty:
     """The pull-to-pretrained term of one run, resolved once.
 
-    ``layers`` holds ``(layer, weight index, bias index)`` for each regular
-    layer, the indices being the layer mask's trainable index; it is empty
-    when the penalty is off. Frozen entries equal the anchor bit for bit, so
-    their term is exactly zero and the penalty skips them.
+    ``segments`` pairs each layout segment of a regular layer with the anchor's
+    entries there (a view for a full segment, so the anchor must not change);
+    it is empty when the penalty is off. Frozen entries equal the anchor bit
+    for bit, so their term is exactly zero and the penalty skips them.
     """
-    pre: ModelParams
     cfg: RegConfig
-    layers: tuple[tuple[int, object, object], ...]
+    segments: tuple[tuple[Segment, np.ndarray], ...]
 
 
 def resolve_penalty(pre: ModelParams, cfg: RegConfig, masks: GradientMaskSet) -> Penalty:
     """The penalty towards ``pre`` over the entries ``masks`` leave trainable."""
-    if [m.shape for m in masks.layers] != [l.weight.shape for l in pre.layers]:
-        raise ShapeError("masks and pretrained snapshot have different shapes")
+    masks.check_shapes(pre)
     if cfg.norm == "none" or cfg.lam == 0.0:
-        return Penalty(pre, cfg, ())
-    return Penalty(pre, cfg, tuple((i, *masks.layers[i].trainable)
-                                   for i in resolve_regular_layers(pre, cfg.regular)))
+        return Penalty(cfg, ())
+    return Penalty(cfg, tuple((seg, getattr(pre.layers[i], seg.param)[seg.index])
+                              for i in resolve_regular_layers(pre, cfg.regular)
+                              for seg in masks.segments[2 * i:2 * i + 2]))
 
 
-def reg_penalty(model: ModelParams, penalty: Penalty) -> tuple[float, GradientSet]:
+def reg_penalty(model: ModelParams, penalty: Penalty, grad: np.ndarray) -> float:
     """Distance penalty lambda * sum over regular layers of |W - W_pre| (l2 squared or l1).
 
     Biases of regular layers are penalized symmetrically. sign(0) = 0 for l1.
-    Gradient entry i holds the gradient over the trainable slice of regular
-    layer i, and None for a layer outside the regular set.
+    The gradient is added in place into ``grad``, a vector in the flat layout
+    of the masks ``penalty`` was resolved with (as ``backward`` returns it);
+    entries outside the regular layers are left as they are. Returns the loss.
     """
     lam = penalty.cfg.lam
-    grads: list[LayerGrad | None] = [None] * len(model.layers)
-    loss = 0.0
-    for i, wi, bi in penalty.layers:
-        dw = model.layers[i].weight[wi] - penalty.pre.layers[i].weight[wi]
-        db = model.layers[i].bias[bi] - penalty.pre.layers[i].bias[bi]
+    sums = []
+    for seg, anchor in penalty.segments:
+        d = getattr(model.layers[seg.layer], seg.param)[seg.index] - anchor
+        g = seg.view(grad)
         if penalty.cfg.norm == "l2":
-            loss += lam * (float(np.sum(dw * dw)) + float(np.sum(db * db)))
-            grads[i] = LayerGrad(2.0 * lam * dw, 2.0 * lam * db)
+            sums.append(float(np.sum(d * d)))
+            g += 2.0 * lam * d
         else:
-            loss += lam * (float(np.sum(np.abs(dw))) + float(np.sum(np.abs(db))))
-            grads[i] = LayerGrad(lam * np.sign(dw), lam * np.sign(db))
-    return loss, GradientSet(grads)
+            sums.append(float(np.sum(np.abs(d))))
+            g += lam * np.sign(d)
+    loss = 0.0
+    for weight_sum, bias_sum in zip(sums[::2], sums[1::2]):
+        loss += lam * (weight_sum + bias_sum)
+    return loss
 
 
 def combined_grad(model: ModelParams, masks: GradientMaskSet, penalty: Penalty,
-                  x_batch: np.ndarray, labels: np.ndarray) -> tuple[float, float, GradientSet]:
-    """Cross-entropy plus distance penalty; returns (total loss, ce loss, gradients).
+                  x_batch: np.ndarray, labels: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Cross-entropy plus distance penalty; returns (total loss, ce loss, gradient).
 
-    The gradients are over each layer's trainable slice under ``masks``, the
-    masks ``penalty`` was resolved with.
+    The gradient is one vector in the flat layout of ``masks``, the masks
+    ``penalty`` was resolved with: ``backward``'s cross-entropy gradient with
+    the penalty's added in place.
     """
     logits, _, cache = forward(model, x_batch)
     ce, d_logits = cross_entropy(logits, labels)
-    grads = backward(model, cache, masks, d_logits=d_logits)
-    reg_loss, reg_grads = reg_penalty(model, penalty)
-    for i, _, _ in penalty.layers:
-        grads.layers[i].weight += reg_grads.layers[i].weight
-        grads.layers[i].bias += reg_grads.layers[i].bias
-    return ce + reg_loss, ce, grads
+    grad = backward(model, cache, masks, d_logits=d_logits)
+    return ce + reg_penalty(model, penalty, grad), ce, grad

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .fileio import atomic_open
+from .errors import ConfigError, NumericError, ShapeError
+from .fileio import write_json
 from .linalg import frobenius_sq
 from .losses import scl_loss
 from .model import ModelParams, backward, forward
@@ -201,9 +201,25 @@ def brute_force_best_rows(h: np.ndarray, k: int) -> tuple[int, ...]:
     return best
 
 
+class Segment(NamedTuple):
+    """One trainable slice in the flat layout: ``param`` ("weight" or "bias")
+    of ``layer`` at ``index``, shaped ``shape``, at ``offset`` in the vector."""
+    layer: int
+    param: str
+    index: object
+    shape: tuple[int, ...]
+    offset: int
+    size: int
+
+    def view(self, vector: np.ndarray) -> np.ndarray:
+        """The segment's entries of a layout vector, as a writeable view of shape ``shape``."""
+        return vector[self.offset:self.offset + self.size].reshape(self.shape)
+
+
 @dataclass(frozen=True)
 class GradientMaskSet:
-    """One LayerMask per model layer; the head layer is always full."""
+    """One LayerMask per model layer; the head layer is always full. It owns the
+    flat layout of the trainable entries that backprop, the penalty and Adam share."""
     layers: tuple[LayerMask, ...]
 
     @staticmethod
@@ -220,22 +236,51 @@ class GradientMaskSet:
     def total_storage_bits(self) -> int:
         return sum(m.storage_bits() for m in self.layers)
 
+    def check_shapes(self, model: ModelParams) -> None:
+        """Refuse a model whose weight shapes are not the masks' shapes."""
+        shapes, weights = [m.shape for m in self.layers], [l.weight.shape for l in model.layers]
+        if shapes != weights:
+            raise ShapeError(f"mask shapes {shapes} != weight shapes {weights}")
+
+    @functools.cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        """Layer 0's ``weight[wi]`` then its ``bias[bi]``, then layer 1's, ..., each
+        in C order, end to end: layer ``i``'s segments are ``2 * i`` and ``2 * i + 1``."""
+        segments, offset = [], 0
+        for i, mask in enumerate(self.layers):
+            for param, shape, index in zip(("weight", "bias"), (mask.shape, mask.shape[:1]),
+                                           mask.trainable):
+                sliced = np.broadcast_to(False, shape)[index].shape
+                segments.append(Segment(i, param, index, sliced, offset, math.prod(sliced)))
+                offset += segments[-1].size
+        return tuple(segments)
+
+    @functools.cached_property
+    def size(self) -> int:
+        """The number of trainable entries: the length of a layout vector."""
+        return sum(s.size for s in self.segments)
+
     @functools.cached_property
     def lowest_trainable(self) -> int:
         """The lowest layer with a trainable entry, or the layer count: backprop stops there."""
-        return next((i for i, m in enumerate(self.layers)
-                     if np.broadcast_to(False, m.shape)[m.trainable[0]].size), len(self.layers))
+        return next((s.layer for s in self.segments[::2] if s.size), len(self.layers))
 
 
 def scl_gradients(pre: ModelParams, x: np.ndarray, y: np.ndarray, tau: float) -> list[np.ndarray]:
-    """Mean contrastive-loss weight gradient per layer at the given parameters.
+    """Mean contrastive-loss weight gradient per layer at the given parameters,
+    as matrix views of the weight segments of one full-mask gradient vector.
 
-    The head is excluded from the loss path, so its entry is all zeros.
+    The head is excluded from the loss path, so its entry is all zeros. Scores
+    sum squares, so a gradient whose squares do not sum to a finite number (as
+    a tiny ``tau`` gives) raises NumericError.
     """
     _, features, cache = forward(pre, x)
     _, d_features = scl_loss(features, y, tau)
-    grads = backward(pre, cache, GradientMaskSet.all_full(pre), d_features=d_features / len(y))
-    return [g.weight for g in grads.layers]
+    masks = GradientMaskSet.all_full(pre)
+    grad = backward(pre, cache, masks, d_features=d_features / len(y))
+    if not np.isfinite(np.dot(grad, grad)):
+        raise NumericError(f"contrastive gradient at tau={tau}: its squared norm is not finite")
+    return [s.view(grad) for s in masks.segments[::2]]
 
 
 def check_budget(shapes: list[tuple[int, int]], k: int, variant: str) -> None:
@@ -272,15 +317,8 @@ def compute_mask_set(pre: ModelParams, x: np.ndarray, y: np.ndarray,
 
 def trainable_fraction(model: ModelParams, masks: GradientMaskSet) -> float:
     """Share of all parameters (weights and biases) the masks leave trainable."""
-    if len(masks.layers) != len(model.layers):
-        raise ShapeError("mask count does not match layer count")
-    selected = 0
-    for layer, mask in zip(model.layers, masks.layers):
-        if layer.weight.shape != mask.shape:
-            raise ShapeError(f"mask shape {mask.shape} != weight shape {layer.weight.shape}")
-        wi, bi = mask.trainable
-        selected += layer.weight[wi].size + layer.bias[bi].size
-    return selected / model.param_count()
+    masks.check_shapes(model)
+    return masks.size / model.param_count()
 
 
 def masks_to_doc(masks: GradientMaskSet) -> dict:
@@ -292,5 +330,4 @@ def masks_to_doc(masks: GradientMaskSet) -> dict:
 
 
 def save_masks(masks: GradientMaskSet, path: str | Path) -> None:
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(masks_to_doc(masks), indent=1))
+    write_json(masks_to_doc(masks), path)

@@ -78,17 +78,6 @@ class ModelParams:
 
 
 @dataclass
-class LayerGrad:
-    weight: np.ndarray
-    bias: np.ndarray
-
-
-@dataclass
-class GradientSet:
-    layers: list[LayerGrad]
-
-
-@dataclass
 class ForwardCache:
     model: ModelParams
     inputs: list[np.ndarray] = field(repr=False, default_factory=list)
@@ -123,16 +112,6 @@ def reinit_head(model: ModelParams, num_classes: int, rng: Rng) -> ModelParams:
     return new
 
 
-def _weight_grad(delta: np.ndarray, x: np.ndarray, index) -> np.ndarray:
-    """``(delta.T @ x)[index]``: a row or col index computes only its rows or
-    columns, a full (``...``) or sparse (boolean) index the whole product."""
-    if isinstance(index, tuple):  # col: (slice(None), cols)
-        return delta.T @ x[:, index[1]]
-    if index is ... or index.dtype == bool:  # full, sparse
-        return (delta.T @ x)[index]
-    return delta[:, index].T @ x  # row
-
-
 def forward(model: ModelParams, x_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Run the network; return (logits, features, cache).
 
@@ -157,15 +136,17 @@ def forward(model: ModelParams, x_batch: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def backward(model: ModelParams, cache: ForwardCache, masks: GradientMaskSet,
              d_logits: np.ndarray | None = None,
-             d_features: np.ndarray | None = None) -> GradientSet:
-    """Exact gradients of an upstream loss over each layer's trainable slice.
+             d_features: np.ndarray | None = None) -> np.ndarray:
+    """Exact gradients of an upstream loss over the trainable entries, as one
+    vector in the flat layout of ``masks`` (see ``GradientMaskSet.segments``).
 
-    Entry ``i`` is the gradient of ``weight[wi]`` and ``bias[bi]`` for
-    ``wi, bi = masks.layers[i].trainable``. Backprop stops at the lowest layer
-    with a trainable entry, and into it only the deltas of the rows it trains
-    are propagated (``delta @ W[:, rows]``). Layers it never reaches get zero
-    slices, as does the head on the ``d_features`` path, which starts at the
-    head input. Exactly one of ``d_logits`` / ``d_features`` must be given.
+    Row, col and full weight products are written straight into their
+    segments; a sparse one is gathered from the full product. Backprop stops
+    at the lowest layer with a trainable entry, and into it only the deltas of
+    the rows it trains are propagated (``delta @ W[:, rows]``). Layers it never
+    reaches get zero segments, as does the head on the ``d_features`` path,
+    which starts at the head input. Exactly one of ``d_logits`` /
+    ``d_features`` must be given.
     """
     if cache.model is not model:
         raise StateError("cache does not belong to this model")
@@ -176,24 +157,35 @@ def backward(model: ModelParams, cache: ForwardCache, masks: GradientMaskSet,
     start = n - 1 if d_logits is not None else n - 2
     upstream = np.asarray(d_logits if d_logits is not None else d_features, dtype=np.float64)
     lowest = masks.lowest_trainable
-    grads: list[LayerGrad] = []
+    grad = np.empty(masks.size)
     for l in range(n - 1, -1, -1):
-        layer = model.layers[l]
+        w_seg, b_seg = masks.segments[2 * l:2 * l + 2]
+        if not lowest <= l <= start:
+            grad[w_seg.offset:b_seg.offset + b_seg.size] = 0.0
+            continue
         mask = masks.layers[l]
         wi, bi = mask.trainable
-        if not lowest <= l <= start:
-            grads.append(LayerGrad(np.zeros_like(layer.weight[wi]), np.zeros_like(layer.bias[bi])))
-            continue
         rows = slice(None)
         if l == lowest and mask.variant == "row":
             rows, wi, bi = wi, ..., ...  # delta then holds the trained rows' columns only
         if l == n - 1:
             delta = upstream[:, rows]
-        else:
-            d_out = upstream[:, rows] if l == start else delta @ model.layers[l + 1].weight[:, rows]
-            delta = d_out * (cache.inputs[l + 1][:, rows] > 0.0)  # ReLU'(z) = max(z, 0) > 0
-        grads.append(LayerGrad(_weight_grad(delta, cache.inputs[l], wi), delta.sum(axis=0)[bi]))
-    return GradientSet(grads[::-1])
+        elif l == start:  # ReLU'(z) = max(z, 0) > 0, read off the next layer's input
+            delta = upstream[:, rows] * (cache.inputs[l + 1][:, rows] > 0.0)
+        else:  # in place, so at most two layers' deltas live beside the vector
+            delta = delta @ model.layers[l + 1].weight[:, rows]
+            delta *= cache.inputs[l + 1][:, rows] > 0.0
+        x, w_out = cache.inputs[l], w_seg.view(grad)
+        if isinstance(wi, tuple):  # col: (slice(None), cols)
+            np.matmul(delta.T, x[:, wi[1]], out=w_out)
+        elif wi is ...:  # full, or the rows delta already holds
+            np.matmul(delta.T, x, out=w_out)
+        elif wi.dtype == bool:  # sparse
+            w_out[...] = (delta.T @ x)[wi]
+        else:  # row
+            np.matmul(delta[:, wi].T, x, out=w_out)
+        b_seg.view(grad)[...] = delta.sum(axis=0)[bi]
+    return grad
 
 
 CHECKPOINT_MAGIC = b"masktune-checkpoint 1\n"

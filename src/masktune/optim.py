@@ -1,9 +1,10 @@
 """Masked Adam and the cosine-decay schedule with linear warmup.
 
 Adam reads and writes only the trainable slice of each layer, given by its
-mask's index, and keeps moments for those slices alone, laid end to end in one
-flat vector. Frozen entries are never touched, and a masked trajectory is
-exactly an unmasked Adam trajectory on pre-zeroed gradients. Epsilon sits
+mask's index, and keeps moments for those slices alone, in the mask set's flat
+layout, which the gradient vector shares. Frozen entries are never touched,
+and a masked trajectory is exactly an unmasked Adam trajectory on pre-zeroed
+gradients. Epsilon sits
 inside the square root: W <- W - lr * m_hat / sqrt(v_hat + eps).
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 from .masking import GradientMaskSet
-from .model import GradientSet, ModelParams
+from .model import ModelParams
 
 # entries per pass of the fused update: two float64 work buffers of this
 # length stay in cache, however many entries train
@@ -48,13 +49,12 @@ class OptimConfig:
 class AdamState:
     """Adam moments over every trainable entry, and the step count.
 
-    ``m`` and ``v`` lay the trainable slices end to end: layer 0's
-    ``weight[wi]`` then its ``bias[bi]``, then layer 1's, each in C order.
-    ``shapes`` holds each slice's shape in the same order.
+    ``m`` and ``v`` are vectors in the masks' flat layout
+    (``GradientMaskSet.segments``): layer 0's ``weight[wi]`` then its
+    ``bias[bi]``, then layer 1's, each in C order.
     """
     m: np.ndarray
     v: np.ndarray
-    shapes: list[tuple[int, ...]]
     t: int = 0
 
     @property
@@ -63,11 +63,9 @@ class AdamState:
 
 
 def init_adam_state(model: ModelParams, masks: GradientMaskSet) -> AdamState:
-    """Zero moments, one per trainable entry."""
-    shapes = [s for l, m in zip(model.layers, masks.layers)
-              for s in (l.weight[m.trainable[0]].shape, l.bias[m.trainable[1]].shape)]
-    size = sum(math.prod(s) for s in shapes)
-    return AdamState(np.zeros(size), np.zeros(size), shapes)
+    """Zero moments, one per entry of the masks' flat layout."""
+    masks.check_shapes(model)
+    return AdamState(np.zeros(masks.size), np.zeros(masks.size))
 
 
 def cosine_warmup_lr(epoch: int, cfg: OptimConfig) -> float:
@@ -80,44 +78,40 @@ def cosine_warmup_lr(epoch: int, cfg: OptimConfig) -> float:
     return cfg.base_lr * 0.5 * (1.0 + math.cos(math.pi * (epoch - w) / (t - w)))
 
 
-def masked_adam_step(model: ModelParams, state: AdamState, grad: GradientSet,
+def masked_adam_step(model: ModelParams, state: AdamState, grad: np.ndarray,
                      masks: GradientMaskSet, lr: float,
                      cfg: OptimConfig) -> tuple[ModelParams, AdamState]:
     """One Adam step on the mask-selected entries, in place.
 
-    ``grad`` holds each layer's gradient over its trainable slice, as
-    ``backward`` returns it. Only ``weight[index]`` and ``bias[index]`` of
-    each layer's trainable index are read and written, so frozen entries stay
-    bitwise put. The update runs as one elementwise pass over the gradient
-    slices laid end to end, chunk by chunk, and nothing changes unless every
-    gradient entry is finite. Returns the same model and state.
+    ``grad`` is the gradient vector in the flat layout of ``masks``, as
+    ``backward`` and ``combined_grad`` return it. Only ``weight[index]`` and
+    ``bias[index]`` of each layer's trainable index are read and written, so
+    frozen entries stay bitwise put. The update runs as one elementwise pass
+    over the vector, chunk by chunk, and nothing changes unless every gradient
+    entry is finite. ``grad`` is the step's scratch: on return it holds the
+    update subtracted from the parameters, not the gradient. Returns the same
+    model and state.
     """
-    slices = [a for layer in grad.layers for a in (layer.weight, layer.bias)]
-    if [a.shape for a in slices] != state.shapes:
-        raise ShapeError("gradients must be shaped like the trainable slices")
-    g = np.concatenate(slices, axis=None)
-    if not np.isfinite(g).all():
+    if not grad.shape == state.m.shape == (masks.size,):
+        raise ShapeError(f"gradient shape {grad.shape} is not the layout's ({masks.size},)")
+    if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient entry")
     state.t += 1
     b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    s1 = np.empty(min(_CHUNK, g.size))
+    s1 = np.empty(min(_CHUNK, grad.size))
     s2 = np.empty_like(s1)
-    for a in range(0, g.size, _CHUNK):
-        b = min(a + _CHUNK, g.size)
-        gc, m, v, t1, t2 = g[a:b], state.m[a:b], state.v[a:b], s1[:b - a], s2[:b - a]
-        # the per-entry formula, operand for operand, with the update left in g
+    for a in range(0, grad.size, _CHUNK):
+        b = min(a + _CHUNK, grad.size)
+        gc, m, v, t1, t2 = grad[a:b], state.m[a:b], state.v[a:b], s1[:b - a], s2[:b - a]
+        # the per-entry formula, operand for operand, with the update left in grad
         m *= b1
         m += np.multiply(1.0 - b1, gc, out=t1)
         v *= b2
         v += np.multiply(np.multiply(1.0 - b2, gc, out=t1), gc, out=t1)
         np.sqrt(np.add(np.divide(v, bc2, out=t1), eps, out=t1), out=t1)
         np.divide(np.multiply(lr, np.divide(m, bc1, out=t2), out=t2), t1, out=gc)
-    targets = [(p, i) for l, mask in zip(model.layers, masks.layers)
-               for p, i in zip((l.weight, l.bias), mask.trainable)]
-    a = 0
-    for (param, index), gs in zip(targets, slices):
-        param[index] -= g[a:a + gs.size].reshape(gs.shape)
-        a += gs.size
+    for seg in masks.segments:
+        getattr(model.layers[seg.layer], seg.param)[seg.index] -= seg.view(grad)
     return model, state

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from masktune import init_model
+from masktune.errors import NumericError
 from masktune.linalg import Rng
 from masktune.masking import GradientMaskSet, LayerMask
 
@@ -39,3 +40,36 @@ def grad_rel_err(a, b):
     """Frobenius relative error between two gradient arrays."""
     denom = max(np.linalg.norm(b), 1e-12)
     return np.linalg.norm(np.asarray(a) - np.asarray(b)) / denom
+
+
+def layer_grads(masks, grad):
+    """Each layer's (weight, bias) gradient: the segment views of a layout vector."""
+    s = masks.segments
+    return [(s[i].view(grad), s[i + 1].view(grad)) for i in range(0, len(s), 2)]
+
+
+def gathered(masks, grads):
+    """Full-shape (weight, bias) gradients per layer, gathered into the masks' layout vector."""
+    params = [dict(zip(("weight", "bias"), g)) for g in grads]
+    return np.concatenate([params[s.layer][s.param][s.index].ravel() for s in masks.segments])
+
+
+def finite_diff_grad(f, at, h):
+    """Central-difference gradient of a scalar function, entry by entry.
+
+    Test oracle only: O(rows*cols) evaluations of ``f``.
+    """
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    grad = np.zeros_like(at, dtype=np.float64)
+    for idx in np.ndindex(at.shape):
+        xp = at.copy()
+        xp[idx] += h
+        xm = at.copy()
+        xm[idx] -= h
+        fp = float(f(xp))
+        fm = float(f(xm))
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise NumericError(f"non-finite function value at entry {idx}")
+        grad[idx] = (fp - fm) / (2.0 * h)
+    return grad

@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import sparse_from_bits
+from conftest import finite_diff_grad, gathered, layer_grads, sparse_from_bits
 from masktune.cli import main as cli_main
 from masktune.data import Dataset, ShiftConfig, gen_task, partition_subsets, save_dataset_csv, select_mask_subset
 from masktune.harness import FineTuneConfig, evaluate, finetune, finetune_masks, linear_probe, pretrain
-from masktune.linalg import Rng, finite_diff_grad
+from masktune.linalg import Rng
 from masktune.losses import (
     RegConfig,
     RegularSet,
@@ -37,9 +37,7 @@ from masktune.masking import (
     storage_comparison,
 )
 from masktune.model import (
-    GradientSet,
     Layer,
-    LayerGrad,
     ModelParams,
     backward,
     forward,
@@ -163,15 +161,17 @@ def test_criterion_03_gradient_fidelity():
             cfg = RegConfig(lam=float(rng.uniform(0.1, 2.0)),
                             norm="l1" if i % 2 else "l2",
                             regular=RegularSet(0, include_head=True))
-            penalty = resolve_penalty(pre, cfg, GradientMaskSet.all_full(pre))
-            _, grads = reg_penalty(model, penalty)
+            full = GradientMaskSet.all_full(pre)
+            penalty = resolve_penalty(pre, cfg, full)
+            grad = np.zeros(full.size)
+            reg_penalty(model, penalty, grad)
             for li in resolve_regular_layers(model, cfg.regular):
                 def loss_of(w, li=li):
                     probe = model.copy()
                     probe.layers[li].weight = w
-                    return reg_penalty(probe, penalty)[0]
+                    return reg_penalty(probe, penalty, np.zeros(full.size))
                 fdw = finite_diff_grad(loss_of, model.layers[li].weight, 1e-6)
-                assert rel_err(grads.layers[li].weight, fdw) < 1e-4
+                assert rel_err(layer_grads(full, grad)[li][0], fdw) < 1e-4
         assert time.perf_counter() - tic < 30.0
 
 
@@ -210,14 +210,13 @@ def test_criterion_05_masked_adam_equivalence():
         model = ModelParams([Layer(w0.copy(), b0.copy())])
         state = init_adam_state(model, masks)
         cfg = OptimConfig(base_lr=0.01, total_epochs=1)
-        wi, bi = masks.layers[0].trainable
         rw, rb = w0.copy(), b0.copy()
         rmw = rvw = np.zeros_like(w0)
         rmb = rvb = np.zeros_like(b0)
         for t in range(1, 101):
             gw, gb = rng.normal(size=(4, 5)), rng.normal(size=4)
-            grads = GradientSet([LayerGrad(gw[wi], gb[bi])])
-            model, state = masked_adam_step(model, state, grads, masks, 0.01, cfg)
+            grad = gathered(masks, [(gw, gb)])
+            model, state = masked_adam_step(model, state, grad, masks, 0.01, cfg)
             rw, rmw, rvw = _textbook_adam(rw, rmw, rvw, gw * bits, t, 0.01)
             rb, rmb, rvb = _textbook_adam(rb, rmb, rvb, gb * bias_bits, t, 0.01)
             assert np.all(np.abs(model.layers[0].weight - rw) <= 1e-15)
@@ -232,8 +231,8 @@ def test_criterion_05_masked_adam_equivalence():
         rmb = rvb = np.zeros_like(b0)
         for t in range(1, 101):
             gw, gb = rng.normal(size=(4, 5)), rng.normal(size=4)
-            grads = GradientSet([LayerGrad(gw, gb)])
-            model, state = masked_adam_step(model, state, grads, full, 0.01, cfg)
+            grad = np.concatenate([gw.ravel(), gb])
+            model, state = masked_adam_step(model, state, grad, full, 0.01, cfg)
             rw, rmw, rvw = _textbook_adam(rw, rmw, rvw, gw, t, 0.01)
             rb, rmb, rvb = _textbook_adam(rb, rmb, rvb, gb, t, 0.01)
             assert np.array_equal(model.layers[0].weight, rw)
@@ -266,14 +265,15 @@ def test_criterion_06_reduction_to_full_finetuning(small_setup):
                 idx = order[start:start + cfg.batch_size]
                 logits, _, cache = forward(ref, task.target_train.x[idx])
                 loss, d = cross_entropy(logits, task.target_train.y[idx])
-                grads = backward(ref, cache, GradientMaskSet.all_full(ref), d_logits=d)
+                full = GradientMaskSet.all_full(ref)
+                grads = layer_grads(full, backward(ref, cache, full, d_logits=d))
                 loss_sum += loss * len(idx)
                 t += 1
                 for li, layer in enumerate(ref.layers):
                     layer.weight, ms[li], vs[li] = _textbook_adam(
-                        layer.weight, ms[li], vs[li], grads.layers[li].weight, t, lr)
+                        layer.weight, ms[li], vs[li], grads[li][0], t, lr)
                     layer.bias, mbs[li], vbs[li] = _textbook_adam(
-                        layer.bias, mbs[li], vbs[li], grads.layers[li].bias, t, lr)
+                        layer.bias, mbs[li], vbs[li], grads[li][1], t, lr)
             stats = report.epochs[epoch]
             assert abs(stats.loss_r - loss_sum / n) <= 1e-12 * max(1.0, abs(stats.loss_r))
             assert stats.ce_loss == stats.loss_r

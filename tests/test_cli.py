@@ -555,6 +555,30 @@ class TestContractHoles:
                        [hidden_first])
 
 
+class TestNonFiniteScoring:
+    """A tau so small that contrastive scores overflow (1e-200) or turn NaN
+    (1e-320) exits 3 with one line, and writes no file."""
+
+    @pytest.mark.parametrize("tau", ["1e-320", "1e-200"])
+    def test_mask_report_exits_3(self, trained, tmp_path, capsys, tau):
+        data_path = tmp_path / "target.csv"
+        write_target_csv(data_path)
+        assert main(["mask-report", "--checkpoint", str(trained[1]), "--data", str(data_path),
+                     "--k", "2", "--tau", tau, "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and err.count("\n") == 1
+        assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == [data_path]
+
+    @pytest.mark.parametrize("tau", [1e-320, 1e-200])
+    def test_finetune_exits_3(self, trained, tmp_path, capsys, tau):
+        cfg = write_config(tmp_path, "finetune", "tau", tau)
+        assert main(["finetune", "--config", str(cfg), "--checkpoint", str(trained[1]),
+                     "--out", str(tmp_path / "report.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and err.count("\n") == 1
+        assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == [cfg]
+
+
 class TestSweepIsCheckedBeforeTraining:
     """ablate refuses a sweep with any bad value before its first run trains."""
 

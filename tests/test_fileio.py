@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import small_model
-from masktune.errors import InputError
-from masktune.fileio import atomic_open
+from masktune.errors import InputError, NumericError
+from masktune.fileio import atomic_open, write_json
 from masktune.harness import EpochStats, TrainReport, write_report_csv, write_report_json
 from masktune.masking import GradientMaskSet, save_masks
 from masktune.model import save_checkpoint
@@ -72,6 +72,16 @@ def test_missing_directory_raises_input_error(tmp_path):
     with pytest.raises(InputError):
         with atomic_open(tmp_path / "missing" / "out.txt") as fh:
             fh.write("x")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_json_raises_numeric_error_and_keeps_the_old_file(tmp_path, value):
+    path = tmp_path / "out.json"
+    path.write_text("old")
+    with pytest.raises(NumericError):
+        write_json({"layers": [{"objective": value}]}, path)
+    assert path.read_text() == "old"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def _csv_writer_failing_on_second_row(monkeypatch):

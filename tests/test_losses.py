@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grad_rel_err, small_model
+from conftest import finite_diff_grad, grad_rel_err, layer_grads, small_model
 from masktune.errors import ConfigError, InputError
-from masktune.linalg import finite_diff_grad
 from masktune.losses import (
     RegConfig,
     RegularSet,
@@ -17,12 +16,20 @@ from masktune.losses import (
     scl_loss,
 )
 from masktune.masking import GradientMaskSet
-from masktune.model import Layer, LayerGrad, ModelParams, forward
+from masktune.model import Layer, ModelParams, forward
 
 
 def full_penalty(pre, cfg):
     """The penalty towards pre with every entry trainable."""
     return resolve_penalty(pre, cfg, GradientMaskSet.all_full(pre))
+
+
+def full_reg_penalty(model, pre, cfg):
+    """The penalty's loss and its per-layer (weight, bias) gradients, every entry trainable."""
+    masks = GradientMaskSet.all_full(pre)
+    grad = np.zeros(masks.size)
+    loss = reg_penalty(model, resolve_penalty(pre, cfg, masks), grad)
+    return loss, layer_grads(masks, grad)
 
 
 def scl_reference(features, labels, tau):
@@ -133,14 +140,14 @@ class TestRegPenalty:
     def test_identical_models(self):
         model, _ = self.make_pair()
         cfg = RegConfig(lam=0.3, norm="l2", regular=RegularSet(1))
-        loss, grads = reg_penalty(model, full_penalty(model.copy(), cfg))
+        loss, grads = full_reg_penalty(model, model.copy(), cfg)
         assert loss == 0.0
-        assert all(np.all(g.weight == 0) for g in grads.layers if g is not None)
+        assert all(np.all(w == 0) and np.all(b == 0) for w, b in grads)
 
     def test_zero_lambda(self):
         model, pre = self.make_pair()
         cfg = RegConfig(lam=0.0, norm="l2", regular=RegularSet(1))
-        loss, _ = reg_penalty(model, full_penalty(pre, cfg))
+        loss, _ = full_reg_penalty(model, pre, cfg)
         assert loss == 0.0
 
     def test_hand_single_layer(self):
@@ -148,16 +155,16 @@ class TestRegPenalty:
         model = ModelParams([Layer(w.copy(), np.zeros(2))])
         pre = ModelParams([Layer(np.zeros((2, 2)), np.zeros(2))])
         cfg = RegConfig(lam=0.5, norm="l2", regular=RegularSet(0, include_head=True))
-        loss, grads = reg_penalty(model, full_penalty(pre, cfg))
+        loss, grads = full_reg_penalty(model, pre, cfg)
         assert loss == 1.0
-        assert np.array_equal(grads.layers[0].weight, np.eye(2))
+        assert np.array_equal(grads[0][0], np.eye(2))
 
     def test_l2_equals_frobenius_sum(self):
         model = small_model(dims=(4, 5, 5, 5, 3), seed=1)
         pre = small_model(dims=(4, 5, 5, 5, 3), seed=2)
         cfg = RegConfig(lam=0.7, norm="l2",
                         regular=RegularSet(2, include_embedding=True, include_head=True))
-        loss, _ = reg_penalty(model, full_penalty(pre, cfg))
+        loss, _ = full_reg_penalty(model, pre, cfg)
         expected = 0.7 * sum(
             float(np.sum((model.layers[i].weight - pre.layers[i].weight) ** 2))
             + float(np.sum((model.layers[i].bias - pre.layers[i].bias) ** 2))
@@ -168,14 +175,14 @@ class TestRegPenalty:
     def test_gradient_matches_finite_diff(self, norm):
         model, pre = self.make_pair()
         cfg = RegConfig(lam=0.4, norm=norm, regular=RegularSet(1, include_head=True))
-        _, grads = reg_penalty(model, full_penalty(pre, cfg))
+        _, grads = full_reg_penalty(model, pre, cfg)
         for li in resolve_regular_layers(model, cfg.regular):
             def loss_of(wmat, li=li):
                 probe = model.copy()
                 probe.layers[li].weight = wmat
-                return reg_penalty(probe, full_penalty(pre, cfg))[0]
+                return full_reg_penalty(probe, pre, cfg)[0]
             fd = finite_diff_grad(loss_of, model.layers[li].weight, 1e-6)
-            assert grad_rel_err(grads.layers[li].weight, fd) < 1e-4
+            assert grad_rel_err(grads[li][0], fd) < 1e-4
 
     def test_regular_set_resolution(self):
         model = small_model(dims=(4, 5, 5, 5, 3), seed=0)  # emb, hid, hid, head
@@ -193,15 +200,14 @@ class TestCombinedGrad:
         x = np_rng.normal(size=(6, 4))
         y = np_rng.integers(0, 3, size=6)
         cfg = RegConfig(lam=0.0, norm="l2", regular=RegularSet(1))
-        loss_r, ce, grads = combined_grad(model, GradientMaskSet.all_full(model), full_penalty(model.copy(), cfg), x, y)
+        loss_r, ce, grad = combined_grad(model, GradientMaskSet.all_full(model), full_penalty(model.copy(), cfg), x, y)
         assert loss_r == ce
         from masktune.losses import cross_entropy as ce_fn
         from masktune.model import backward
         logits, _, cache = forward(model, x)
         _, d = ce_fn(logits, y)
         ref = backward(model, cache, GradientMaskSet.all_full(model), d_logits=d)
-        for a, b in zip(grads.layers, ref.layers):
-            assert np.array_equal(a.weight, b.weight)
+        assert np.array_equal(grad, ref)
 
     def test_is_exact_sum_of_parts(self, np_rng):
         model = small_model(seed=5)
@@ -209,18 +215,20 @@ class TestCombinedGrad:
         x = np_rng.normal(size=(6, 4))
         y = np_rng.integers(0, 3, size=6)
         cfg = RegConfig(lam=0.2, norm="l2", regular=RegularSet(1, include_head=True))
-        loss_r, ce, grads = combined_grad(model, GradientMaskSet.all_full(model), full_penalty(pre, cfg), x, y)
-        reg_loss, reg_grads = reg_penalty(model, full_penalty(pre, cfg))
+        masks = GradientMaskSet.all_full(model)
+        loss_r, ce, grad = combined_grad(model, masks, full_penalty(pre, cfg), x, y)
+        reg_loss, reg_grads = full_reg_penalty(model, pre, cfg)
         assert loss_r == ce + reg_loss
         logits, _, cache = forward(model, x)
         from masktune.model import backward
         _, d = cross_entropy(logits, y)
-        ce_grads = backward(model, cache, GradientMaskSet.all_full(model), d_logits=d)
-        for g, a, b in zip(grads.layers, ce_grads.layers, reg_grads.layers):
-            if b is None:  # outside the regular set
-                b = LayerGrad(0.0, 0.0)
-            assert np.array_equal(g.weight, a.weight + b.weight)
-            assert np.array_equal(g.bias, a.bias + b.bias)
+        ce_grads = layer_grads(masks, backward(model, cache, masks, d_logits=d))
+        regular = resolve_regular_layers(model, cfg.regular)
+        for i, (g, a, b) in enumerate(zip(layer_grads(masks, grad), ce_grads, reg_grads)):
+            if i not in regular:  # outside the regular set: the CE gradient alone
+                assert not b[0].any() and not b[1].any()
+            assert np.array_equal(g[0], a[0] + b[0])
+            assert np.array_equal(g[1], a[1] + b[1])
 
     def test_gradient_matches_finite_diff(self, np_rng):
         model = small_model(seed=9)
@@ -228,11 +236,12 @@ class TestCombinedGrad:
         x = np_rng.normal(size=(5, 4))
         y = np_rng.integers(0, 3, size=5)
         cfg = RegConfig(lam=0.15, norm="l2", regular=RegularSet(1, include_head=True))
-        _, _, grads = combined_grad(model, GradientMaskSet.all_full(model), full_penalty(pre, cfg), x, y)
+        masks = GradientMaskSet.all_full(model)
+        grads = layer_grads(masks, combined_grad(model, masks, full_penalty(pre, cfg), x, y)[2])
         for li in range(len(model.layers)):
             def loss_of(wmat, li=li):
                 probe = model.copy()
                 probe.layers[li].weight = wmat
                 return combined_grad(probe, GradientMaskSet.all_full(probe), full_penalty(pre, cfg), x, y)[0]
             fd = finite_diff_grad(loss_of, model.layers[li].weight, 1e-5)
-            assert grad_rel_err(grads.layers[li].weight, fd) < 1e-4
+            assert grad_rel_err(grads[li][0], fd) < 1e-4

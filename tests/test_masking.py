@@ -4,6 +4,7 @@ import pytest
 from conftest import read_masks, small_model, sparse_from_bits
 from masktune.errors import ConfigError, ShapeError
 from masktune.linalg import frobenius_sq
+from masktune.losses import RegConfig, resolve_penalty
 from masktune.masking import (
     GradientMaskSet,
     LayerMask,
@@ -22,6 +23,7 @@ from masktune.masking import (
     trainable_fraction,
 )
 from masktune.model import init_model
+from masktune.optim import init_adam_state
 
 
 H = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -301,6 +303,17 @@ class TestMaskSet:
         # two maskable layers: 1 row of 4 weights + 1 bias each; head 3x4 + 3 fully
         total = (16 + 4) + (16 + 4) + (12 + 3)
         assert trainable_fraction(model, masks) == (5 + 5 + 15) / total
+
+    @pytest.mark.parametrize("dims", [[4, 4, 3], [4, 5, 4, 3], [4, 4, 4, 3, 3]])
+    def test_masks_of_another_model_are_refused(self, dims):
+        model = init_model([4, 4, 4, 3], seed=0)
+        other = GradientMaskSet.all_full(init_model(dims, seed=0))
+        with pytest.raises(ShapeError):
+            trainable_fraction(model, other)
+        with pytest.raises(ShapeError):
+            init_adam_state(model, other)
+        with pytest.raises(ShapeError):
+            resolve_penalty(model, RegConfig(lam=0.1), other)
 
 
 class TestSerialization:

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import grad_rel_err, small_model
+from conftest import finite_diff_grad, grad_rel_err, layer_grads, small_model
 from masktune.errors import ConfigError, InputError, ShapeError, StateError
-from masktune.linalg import Rng, finite_diff_grad
+from masktune.linalg import Rng
 from masktune.losses import cross_entropy
 from masktune.masking import GradientMaskSet
 from masktune.model import (
@@ -95,8 +95,8 @@ class TestBackward:
         m = small_model()
         x = np_rng.normal(size=(4, 4))
         _, _, cache = forward(m, x)
-        grads = backward(m, cache, GradientMaskSet.all_full(m), d_logits=np.zeros((4, 3)))
-        assert all(np.all(g.weight == 0) and np.all(g.bias == 0) for g in grads.layers)
+        grad = backward(m, cache, GradientMaskSet.all_full(m), d_logits=np.zeros((4, 3)))
+        assert grad.shape == (m.param_count(),) and np.all(grad == 0)
 
     def test_linear_squared_loss_closed_form(self, np_rng):
         w = np_rng.normal(size=(3, 4))
@@ -104,9 +104,10 @@ class TestBackward:
         x = np_rng.normal(size=(5, 4))
         y = np_rng.normal(size=(5, 3))
         logits, _, cache = forward(m, x)
-        grads = backward(m, cache, GradientMaskSet.all_full(m), d_logits=2.0 * (logits - y))
+        masks = GradientMaskSet.all_full(m)
+        grads = layer_grads(masks, backward(m, cache, masks, d_logits=2.0 * (logits - y)))
         expected = 2.0 * (x @ w.T - y).T @ x
-        assert np.allclose(grads.layers[0].weight, expected, rtol=1e-12, atol=1e-12)
+        assert np.allclose(grads[0][0], expected, rtol=1e-12, atol=1e-12)
 
     def test_matches_finite_differences(self, np_rng):
         m = small_model(dims=(4, 6, 5, 3), seed=3)
@@ -114,22 +115,24 @@ class TestBackward:
         y = np_rng.integers(0, 3, size=6)
         _, _, cache = forward(m, x)
         _, d_logits = cross_entropy(forward(m, x)[0], y)
-        grads = backward(m, cache, GradientMaskSet.all_full(m), d_logits=d_logits)
+        masks = GradientMaskSet.all_full(m)
+        grads = layer_grads(masks, backward(m, cache, masks, d_logits=d_logits))
         for li in range(len(m.layers)):
             def loss_of(wmat, li=li):
                 probe = m.copy()
                 probe.layers[li].weight = wmat
                 return cross_entropy(forward(probe, x)[0], y)[0]
             fd = finite_diff_grad(loss_of, m.layers[li].weight, 1e-5)
-            assert grad_rel_err(grads.layers[li].weight, fd) < 1e-4
+            assert grad_rel_err(grads[li][0], fd) < 1e-4
 
     def test_feature_path_leaves_head_zero(self, np_rng):
         m = small_model()
         x = np_rng.normal(size=(4, 4))
         _, features, cache = forward(m, x)
-        grads = backward(m, cache, GradientMaskSet.all_full(m), d_features=np.ones_like(features))
-        assert np.all(grads.layers[-1].weight == 0.0)
-        assert np.any(grads.layers[0].weight != 0.0)
+        masks = GradientMaskSet.all_full(m)
+        grads = layer_grads(masks, backward(m, cache, masks, d_features=np.ones_like(features)))
+        assert np.all(grads[-1][0] == 0.0) and np.all(grads[-1][1] == 0.0)
+        assert np.any(grads[0][0] != 0.0)
 
     def test_stale_cache(self, np_rng):
         m = small_model()

@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import sparse_from_bits
+from conftest import gathered, sparse_from_bits
 from masktune.errors import ConfigError, NumericError, ShapeError
 from masktune.masking import GradientMaskSet, LayerMask, full_mask
-from masktune.model import GradientSet, Layer, LayerGrad, ModelParams, init_model
+from masktune.model import Layer, ModelParams, init_model
 from masktune.optim import _CHUNK, OptimConfig, cosine_warmup_lr, init_adam_state, masked_adam_step
 
 
@@ -17,11 +17,10 @@ def one_layer_model(w, b=None):
 
 
 def grad_of(masks, gw, gb=None):
-    """The gradient over the trainable slice of a one-layer model."""
+    """The layout vector of a one-layer model's gradient: its trainable slice."""
     gw = np.asarray(gw, dtype=np.float64)
     gb = np.zeros(gw.shape[0]) if gb is None else np.asarray(gb, dtype=np.float64)
-    wi, bi = masks.layers[0].trainable
-    return GradientSet([LayerGrad(gw[wi], gb[bi])])
+    return gathered(masks, [(gw, gb)])
 
 
 CFG = OptimConfig(base_lr=0.1, total_epochs=10, warmup_epochs=2)
@@ -155,15 +154,13 @@ class TestMaskedAdam:
                                  full_mask((3, 6))))
 
         def gradient():
-            return GradientSet([LayerGrad(rng.normal(size=l.weight[m.trainable[0]].shape),
-                                          rng.normal(size=l.bias[m.trainable[1]].shape))
-                                for l, m in zip(model.layers, masks.layers)])
+            return rng.normal(size=masks.size)
 
         state = init_adam_state(model, masks)
         masked_adam_step(model, state, gradient(), masks, 0.1, CFG)
         before, m0, v0 = model.copy(), state.m.copy(), state.v.copy()
         bad = gradient()
-        bad.layers[-1].bias[-1] = np.nan
+        bad[-1] = np.nan  # the head's last bias
         with pytest.raises(NumericError):
             masked_adam_step(model, state, bad, masks, 0.1, CFG)
         for got, want in zip(model.layers, before.layers):
@@ -172,29 +169,28 @@ class TestMaskedAdam:
         assert state.m.tobytes() == m0.tobytes() and state.v.tobytes() == v0.tobytes()
         assert state.t == 1
 
-    def test_step_temporaries_are_the_gradient_vector_and_two_chunks(self):
+    def test_step_temporaries_are_two_chunks(self):
         model = init_model([128, 512, 512, 10], 0)
         masks = GradientMaskSet.all_full(model)
         rng = np.random.default_rng(0)
-        grad = GradientSet([LayerGrad(rng.normal(size=l.weight.shape),
-                                      rng.normal(size=l.bias.shape)) for l in model.layers])
+        grad = rng.normal(size=masks.size)
         state = init_adam_state(model, masks)
-        masked_adam_step(model, state, grad, masks, 0.01, CFG)
+        masked_adam_step(model, state, grad.copy(), masks, 0.01, CFG)
+        step_grad = grad.copy()  # the step overwrites its gradient with the update
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            masked_adam_step(model, state, grad, masks, 0.01, CFG)
+            masked_adam_step(model, state, step_grad, masks, 0.01, CFG)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        vector = sum(g.weight.nbytes + g.bias.nbytes for g in grad.layers)
-        assert peak <= vector + 2 * 8 * _CHUNK + 64 * 1024
+        assert peak <= 2 * 8 * _CHUNK + 64 * 1024
 
     def test_gradient_shaped_like_the_whole_matrix_is_refused(self):
         model = one_layer_model(np.zeros((3, 2)))
         masks = GradientMaskSet((LayerMask("row", (3, 2), (1,)),))
-        whole = GradientSet([LayerGrad(np.ones((3, 2)), np.ones(3))])
+        whole = np.ones(3 * 2 + 3)  # every weight and bias, not the trained row's 2 + 1
         with pytest.raises(ShapeError):
             masked_adam_step(model, init_adam_state(model, masks), whole, masks, 0.1, CFG)
         assert np.all(model.layers[0].weight == 0.0)

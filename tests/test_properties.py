@@ -22,18 +22,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import grad_rel_err, read_masks, sparse_from_bits
+from conftest import (finite_diff_grad, gathered, grad_rel_err, layer_grads, read_masks,
+                      sparse_from_bits)
 from masktune.data import Dataset, load_dataset_csv, save_dataset_csv
 from masktune.errors import InputError, NumericError
 from masktune.losses import (
     RegConfig,
     RegularSet,
+    combined_grad,
+    cross_entropy,
     reg_penalty,
     resolve_penalty,
     resolve_regular_layers,
     scl_loss,
 )
-from masktune.linalg import finite_diff_grad, frobenius_sq
+from masktune.linalg import frobenius_sq
 from masktune.masking import (
     GradientMaskSet,
     LayerMask,
@@ -44,9 +47,7 @@ from masktune.masking import (
     save_masks,
 )
 from masktune.model import (
-    GradientSet,
     Layer,
-    LayerGrad,
     ModelParams,
     backward,
     forward,
@@ -62,9 +63,9 @@ CFG = OptimConfig(base_lr=0.1, total_epochs=10)
 
 @dataclass
 class DenseAdamState:
-    """The dense oracle's moments: one full-shape array per weight and bias."""
-    m: GradientSet
-    v: GradientSet
+    """The dense oracle's moments: one full-shape (weight, bias) pair per layer."""
+    m: list
+    v: list
     t: int = 0
 
 
@@ -75,38 +76,36 @@ def dense_masked_adam_step(model, state, grad, masks, lr, cfg):
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     new_layers, new_m, new_v = [], [], []
-    for layer, g, mask, m, v in zip(model.layers, grad.layers, masks.layers,
-                                    state.m.layers, state.v.layers):
-        if not (np.all(np.isfinite(g.weight)) and np.all(np.isfinite(g.bias))):
+    for layer, (g_w, g_b), mask, (m_w, m_b), (v_w, v_b) in zip(model.layers, grad, masks.layers,
+                                                                 state.m, state.v):
+        if not (np.all(np.isfinite(g_w)) and np.all(np.isfinite(g_b))):
             raise NumericError("non-finite gradient entry")
         wm = mask.to_dense()
         bm = mask.bias_mask()
-        gw = g.weight * wm
-        gb = g.bias * bm
-        mw = b1 * m.weight + (1.0 - b1) * gw
-        mb = b1 * m.bias + (1.0 - b1) * gb
-        vw = b2 * v.weight + (1.0 - b2) * gw * gw
-        vb = b2 * v.bias + (1.0 - b2) * gb * gb
+        gw = g_w * wm
+        gb = g_b * bm
+        mw = b1 * m_w + (1.0 - b1) * gw
+        mb = b1 * m_b + (1.0 - b1) * gb
+        vw = b2 * v_w + (1.0 - b2) * gw * gw
+        vb = b2 * v_b + (1.0 - b2) * gb * gb
         weight = layer.weight - lr * (mw / bc1) / np.sqrt(vw / bc2 + eps)
         bias = layer.bias - lr * (mb / bc1) / np.sqrt(vb / bc2 + eps)
         weight = np.where(wm == 0.0, layer.weight, weight)
         bias = np.where(bm == 0.0, layer.bias, bias)
         new_layers.append(Layer(weight, bias))
-        new_m.append(LayerGrad(mw, mb))
-        new_v.append(LayerGrad(vw, vb))
-    return ModelParams(new_layers), DenseAdamState(GradientSet(new_m), GradientSet(new_v), t)
+        new_m.append((mw, mb))
+        new_v.append((vw, vb))
+    return ModelParams(new_layers), DenseAdamState(new_m, new_v, t)
 
 
 def dense_zeros(model):
-    """Full-shape zero gradients, the dense oracle's starting moments."""
-    return GradientSet([LayerGrad(np.zeros_like(l.weight), np.zeros_like(l.bias))
-                        for l in model.layers])
+    """Full-shape zero (weight, bias) gradients per layer, the dense oracle's starting moments."""
+    return [[np.zeros_like(l.weight), np.zeros_like(l.bias)] for l in model.layers]
 
 
-def sliced(grad, masks):
-    """The trainable slices of full-shape gradients, as backward returns them."""
-    return GradientSet([LayerGrad(g.weight[m.trainable[0]], g.bias[m.trainable[1]])
-                        for g, m in zip(grad.layers, masks.layers)])
+def dense_random(rng, model):
+    """Full-shape random (weight, bias) gradients per layer."""
+    return [(rng.normal(size=l.weight.shape), rng.normal(size=l.bias.shape)) for l in model.layers]
 
 
 def dense_backward(model, cache, d_logits=None, d_features=None):
@@ -130,8 +129,7 @@ def dense_backward(model, cache, d_logits=None, d_features=None):
 
     for l in range(start, -1, -1):
         layer = model.layers[l]
-        grads.layers[l].weight = delta.T @ cache.inputs[l]
-        grads.layers[l].bias = delta.sum(axis=0)
+        grads[l] = [delta.T @ cache.inputs[l], delta.sum(axis=0)]
         if l > 0:
             d_out = delta @ layer.weight
             delta = d_out * (preact(l - 1) > 0.0).astype(np.float64)
@@ -192,10 +190,9 @@ def test_sliced_step_matches_dense_oracle_bitwise(setup, steps):
     state = init_adam_state(model, masks)
     oracle_state = DenseAdamState(dense_zeros(model), dense_zeros(model))
     for _ in range(steps):
-        grad = GradientSet([LayerGrad(rng.normal(size=l.weight.shape),
-                                      rng.normal(size=l.bias.shape)) for l in model.layers])
+        grad = dense_random(rng, model)
         lr = float(rng.uniform(1e-3, 0.1))
-        model, state = masked_adam_step(model, state, sliced(grad, masks), masks, lr, CFG)
+        model, state = masked_adam_step(model, state, gathered(masks, grad), masks, lr, CFG)
         oracle, oracle_state = dense_masked_adam_step(oracle, oracle_state, grad, masks, lr, CFG)
         for got, want in zip(model.layers, oracle.layers):
             assert bits(got.weight) == bits(want.weight)
@@ -230,10 +227,9 @@ def test_fused_step_matches_dense_oracle_across_chunk_boundaries(seed):
     state = init_adam_state(model, masks)
     oracle_state = DenseAdamState(dense_zeros(model), dense_zeros(model))
     for _ in range(4):
-        grad = GradientSet([LayerGrad(rng.normal(size=l.weight.shape),
-                                      rng.normal(size=l.bias.shape)) for l in model.layers])
+        grad = dense_random(rng, model)
         lr = float(rng.uniform(1e-3, 0.1))
-        model, state = masked_adam_step(model, state, sliced(grad, masks), masks, lr, CFG)
+        model, state = masked_adam_step(model, state, gathered(masks, grad), masks, lr, CFG)
         oracle, oracle_state = dense_masked_adam_step(oracle, oracle_state, grad, masks, lr, CFG)
         for got, want in zip(model.layers, oracle.layers):
             assert bits(got.weight) == bits(want.weight)
@@ -250,9 +246,10 @@ def test_fused_step_matches_dense_oracle_across_chunk_boundaries(seed):
 def test_state_size_equals_trainable_count(setup):
     _, model, masks = random_setup(*setup)
     state = init_adam_state(model, masks)
+    assert masks.size == trainable_count(masks)
     for moments in (state.m, state.v):
-        assert moments.size == trainable_count(masks)
-    assert state.nbytes == 2 * 8 * trainable_count(masks)
+        assert moments.shape == (masks.size,)
+    assert state.nbytes == 16 * masks.size
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,12 +268,15 @@ def test_sliced_penalty_matches_dense_on_trainable_entries(setup, norm, lam, las
         layer.weight[wi] += rng.normal(size=layer.weight[wi].shape)
         layer.bias[bi] += rng.normal(size=layer.bias[bi].shape)
 
-    loss, grads = reg_penalty(model, resolve_penalty(pre, cfg, masks))
+    grad = np.zeros(masks.size)
+    loss = reg_penalty(model, resolve_penalty(pre, cfg, masks), grad)
     penalized = set(resolve_regular_layers(pre, regular))
     dense_loss = 0.0
-    for i, (layer, first, mask) in enumerate(zip(model.layers, pre.layers, masks.layers)):
+    for i, (layer, first, mask, (g_w, g_b)) in enumerate(zip(model.layers, pre.layers,
+                                                             masks.layers,
+                                                             layer_grads(masks, grad))):
         if i not in penalized:
-            assert grads.layers[i] is None
+            assert not g_w.any() and not g_b.any()
             continue
         dw, db = layer.weight - first.weight, layer.bias - first.bias
         if norm == "l2":
@@ -286,9 +286,50 @@ def test_sliced_penalty_matches_dense_on_trainable_entries(setup, norm, lam, las
             dense_w, dense_b = lam * np.sign(dw), lam * np.sign(db)
             dense_loss += lam * (float(np.sum(np.abs(dw))) + float(np.sum(np.abs(db))))
         wi, bi = mask.trainable
-        assert bits(grads.layers[i].weight) == bits(dense_w[wi])
-        assert bits(grads.layers[i].bias) == bits(dense_b[bi])
+        assert bits(g_w) == bits(dense_w[wi])
+        assert bits(g_b) == bits(dense_b[bi])
     assert abs(loss - dense_loss) <= 1e-14 * abs(dense_loss)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=setups, norm=st.sampled_from(["l1", "l2"]), lam=st.floats(1e-3, 10.0),
+       last_l=st.integers(0, 2), batch=st.integers(1, 8))
+def test_combined_vector_is_the_ce_vector_plus_the_full_anchor_penalty(setup, norm, lam,
+                                                                       last_l, batch):
+    rng, pre, masks = random_setup(*setup)
+    hidden = layer_roles(len(pre.layers)).count("hidden")
+    cfg = RegConfig(lam=lam, norm=norm, regular=RegularSet(min(last_l, hidden)))
+    model = pre.copy()
+    for layer, mask in zip(model.layers, masks.layers):
+        wi, bi = mask.trainable
+        layer.weight[wi] += rng.normal(size=layer.weight[wi].shape)
+        layer.bias[bi] += rng.normal(size=layer.bias[bi].shape)
+    x = rng.normal(size=(batch, model.layers[0].in_dim))
+    y = rng.integers(0, model.num_classes, size=batch)
+
+    total, ce, got = combined_grad(model, masks, resolve_penalty(pre, cfg, masks), x, y)
+    logits, _, cache = forward(model, x)
+    want_ce, d_logits = cross_entropy(logits, y)
+    want = backward(model, cache, masks, d_logits=d_logits)
+    # the per-step gather from the whole anchor: what reg_penalty did before it
+    # gathered the anchor's segments once per run
+    reg_loss = 0.0
+    for i in resolve_regular_layers(pre, cfg.regular):
+        sums = []
+        for seg in masks.segments[2 * i:2 * i + 2]:
+            d = getattr(model.layers[i], seg.param)[seg.index] - \
+                getattr(pre.layers[i], seg.param)[seg.index]
+            g = seg.view(want)
+            if norm == "l2":
+                sums.append(float(np.sum(d * d)))
+                g += 2.0 * lam * d
+            else:
+                sums.append(float(np.sum(np.abs(d))))
+                g += lam * np.sign(d)
+        reg_loss += lam * (sums[0] + sums[1])
+    assert got.shape == (masks.size,)
+    assert bits(got) == bits(want)
+    assert ce == want_ce and total == want_ce + reg_loss
 
 
 # A row or col slice is its own, narrower product, and the lowest layer's
@@ -317,20 +358,22 @@ def test_sliced_backward_matches_the_dense_oracle(seed, dims, batch, data, head_
     # no backprop below the lowest trainable layer: it never reads their activations
     cache.inputs[:lowest] = [None] * lowest
     got = backward(model, cache, masks, **{f"d_{path}": upstream})
+    assert got.shape == (masks.size,)
 
-    for i, (g, w, mask, layer) in enumerate(zip(got.layers, want.layers, masks.layers,
-                                                model.layers)):
+    # each layer's segments hold its dense gradients at the trainable index
+    for i, ((g_w, g_b), (w_w, w_b), mask) in enumerate(zip(layer_grads(masks, got), want,
+                                                           masks.layers)):
         wi, bi = mask.trainable
-        assert g.weight.shape == layer.weight[wi].shape and g.bias.shape == layer.bias[bi].shape
+        assert g_w.shape == w_w[wi].shape and g_b.shape == w_b[bi].shape
         if i < lowest:
-            assert g.weight.size == 0 and g.bias.size == 0
+            assert g_w.size == 0 and g_b.size == 0
         elif mask.variant in ("full", "sparse"):
-            assert bits(g.weight) == bits(w.weight[wi])
-            assert bits(g.bias) == bits(w.bias[bi])
+            assert bits(g_w) == bits(w_w[wi])
+            assert bits(g_b) == bits(w_b[bi])
         else:
-            tol = SLICE_TOL * (1.0 + max(np.abs(w.weight).max(), np.abs(w.bias).max()))
-            assert np.all(np.abs(g.weight - w.weight[wi]) <= tol)
-            assert np.all(np.abs(g.bias - w.bias[bi]) <= tol)
+            tol = SLICE_TOL * (1.0 + max(np.abs(w_w).max(), np.abs(w_b).max()))
+            assert np.all(np.abs(g_w - w_w[wi]) <= tol)
+            assert np.all(np.abs(g_b - w_b[bi]) <= tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -343,8 +386,7 @@ def test_all_full_backward_is_the_dense_oracle_bitwise(seed, dims, batch):
                      {"d_features": rng.normal(size=features.shape)}):
         got = backward(model, cache, masks, **upstream)
         want = dense_backward(model, cache, **upstream)
-        for g, w in zip(got.layers, want.layers):
-            assert bits(g.weight) == bits(w.weight) and bits(g.bias) == bits(w.bias)
+        assert bits(got) == bits(gathered(masks, want))
 
 
 # criterion 3's bound on the relative error against central differences
@@ -380,15 +422,16 @@ def test_penalty_slice_gradient_matches_finite_differences(setup, norm, lam, las
         for param, index in zip((layer.weight, layer.bias), mask.trainable):
             step = rng.uniform(0.1, 1.0, size=param[index].shape)
             param[index] += np.where(rng.uniform(size=step.shape) < 0.5, -step, step)
-    _, grads = reg_penalty(model, penalty)
-    for i, wi, bi in penalty.layers:
-        for field, index in (("weight", wi), ("bias", bi)):
-            def loss_of(values, i=i, field=field, index=index):
-                probe = model.copy()
-                getattr(probe.layers[i], field)[index] = values
-                return reg_penalty(probe, penalty)[0]
-            fd = finite_diff_grad(loss_of, getattr(model.layers[i], field)[index], 1e-6)
-            assert grad_rel_err(getattr(grads.layers[i], field), fd) < FD_TOL
+    grad = np.zeros(masks.size)
+    reg_penalty(model, penalty, grad)
+    for seg, _ in penalty.segments:
+        def loss_of(values, seg=seg):
+            probe = model.copy()
+            getattr(probe.layers[seg.layer], seg.param)[seg.index] = values
+            return reg_penalty(probe, penalty, np.zeros(masks.size))
+        fd = finite_diff_grad(loss_of, getattr(model.layers[seg.layer], seg.param)[seg.index],
+                              1e-6)
+        assert grad_rel_err(seg.view(grad), fd) < FD_TOL
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
