@@ -89,6 +89,13 @@ def scl_loss(features: np.ndarray, labels: np.ndarray, tau: float) -> tuple[floa
 
     Returns the summed loss over anchors and its gradient w.r.t. the raw
     features (normalization Jacobian included).
+
+    One n x n float buffer holds the similarities, then in place their
+    exponentials, the softmax and dL/dsim; beside it live one n x n boolean
+    (the positive pairs) and the normalized features. The steps that read a
+    second n x n operand (the positive-pair product, the positive average and
+    the transpose) each hold one n x n temporary, so the peak is two n x n
+    floats, the boolean and one n x d float (23 MB on 1000 x 768 features).
     """
     if not 0.0 < tau < np.inf:
         raise ConfigError(f"temperature must be positive and finite, got {tau}")
@@ -105,32 +112,43 @@ def scl_loss(features: np.ndarray, labels: np.ndarray, tau: float) -> tuple[floa
         raise NumericError("zero-norm feature row cannot be normalized")
     z = features / norms[:, None]
 
-    sim = (z @ z.T) / tau
-    off_diag = ~np.eye(batch, dtype=bool)
-    positives = (labels[:, None] == labels[None, :]) & off_diag
+    sim = z @ z.T
+    sim /= tau
+    positives = labels[:, None] == labels[None, :]
+    np.fill_diagonal(positives, False)
     n_pos = positives.sum(axis=1)
     valid = n_pos > 0
+    denom = np.maximum(n_pos, 1)
+    # before the diagonal turns -inf: False * -inf is NaN
+    mean_pos_sim = (positives * sim).sum(axis=1) / denom
 
-    # log-sum-exp over a != i, stabilized per row
-    row_max = np.where(off_diag, sim, -np.inf).max(axis=1)
-    exp_shift = np.where(off_diag, np.exp(sim - row_max[:, None]), 0.0)
-    lse = row_max + np.log(exp_shift.sum(axis=1))
+    # log-sum-exp over a != i, stabilized per row; exp(-inf) zeroes the diagonal
+    np.fill_diagonal(sim, -np.inf)
+    row_max = sim.max(axis=1)
+    sim -= row_max[:, None]
+    np.exp(sim, out=sim)
+    sums = sim.sum(axis=1)
+    lse = row_max + np.log(sums)
 
-    mean_pos_sim = (positives * sim).sum(axis=1) / np.maximum(n_pos, 1)
     per_anchor = np.where(valid, lse - mean_pos_sim, 0.0)
     loss = float(per_anchor.sum())
 
     # dL/dsim: softmax over non-self entries minus positive-average, per valid anchor
-    softmax = exp_shift / exp_shift.sum(axis=1, keepdims=True)
-    g = np.where(valid[:, None], softmax - positives / np.maximum(n_pos, 1)[:, None], 0.0)
+    sim /= sums[:, None]
+    sim -= positives / denom[:, None]
+    sim[~valid] = 0.0
     # sim is used both as (i, a) and (a, i) terms; tau divides once more because
     # sim already includes 1/tau -> chain through raw dot products
-    d_z = (g + g.T) @ z / tau
+    sim += sim.T  # numpy copies the overlapping transposed operand first
+    d_z = sim @ z
+    del sim  # freed before the n x d temporaries below
+    d_z /= tau
 
     # normalization Jacobian: d/df [f/|f|] applied row-wise
     inner = np.sum(d_z * z, axis=1, keepdims=True)
-    d_features = (d_z - inner * z) / norms[:, None]
-    return loss, d_features
+    d_z -= inner * z
+    d_z /= norms[:, None]
+    return loss, d_z
 
 
 @dataclass(frozen=True)

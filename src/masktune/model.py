@@ -116,7 +116,9 @@ def forward(model: ModelParams, x_batch: np.ndarray) -> tuple[np.ndarray, np.nda
     """Run the network; return (logits, features, cache).
 
     ``features`` is the head input, i.e. the penultimate activation (or the
-    raw batch for a head-only model).
+    raw batch for a head-only model). Each layer allocates one activation:
+    the bias and the ReLU are applied in place to the fresh matmul result, so
+    no cached input is ever written again.
     """
     x_batch = np.asarray(x_batch, dtype=np.float64)
     if x_batch.ndim != 2 or x_batch.shape[1] != model.layers[0].in_dim:
@@ -127,8 +129,10 @@ def forward(model: ModelParams, x_batch: np.ndarray) -> tuple[np.ndarray, np.nda
     head = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
         cache.inputs.append(a)
-        z = a @ layer.weight.T + layer.bias
-        a = z if i == head else np.maximum(z, 0.0)
+        a = a @ layer.weight.T
+        a += layer.bias
+        if i < head:
+            np.maximum(a, 0.0, out=a)
     logits = a
     features = cache.inputs[-1]
     return logits, features, cache

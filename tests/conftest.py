@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,3 +74,62 @@ def finite_diff_grad(f, at, h):
             raise NumericError(f"non-finite function value at entry {idx}")
         grad[idx] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def peak_bytes(fn):
+    """Peak tracemalloc bytes above the starting level while ``fn()`` runs,
+    what it returns included."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def oracle_scl_loss(features, labels, tau):
+    """Test oracle: the contrastive loss as written before it reused one n x n
+    buffer in place (an ``np.eye`` mask, ``np.where`` copies, a separate
+    softmax and ``g + g.T``). ``scl_loss`` must match it bit for bit."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    batch = features.shape[0]
+    norms = np.linalg.norm(features, axis=1)
+    z = features / norms[:, None]
+
+    sim = (z @ z.T) / tau
+    off_diag = ~np.eye(batch, dtype=bool)
+    positives = (labels[:, None] == labels[None, :]) & off_diag
+    n_pos = positives.sum(axis=1)
+    valid = n_pos > 0
+
+    row_max = np.where(off_diag, sim, -np.inf).max(axis=1)
+    exp_shift = np.where(off_diag, np.exp(sim - row_max[:, None]), 0.0)
+    lse = row_max + np.log(exp_shift.sum(axis=1))
+
+    mean_pos_sim = (positives * sim).sum(axis=1) / np.maximum(n_pos, 1)
+    per_anchor = np.where(valid, lse - mean_pos_sim, 0.0)
+    loss = float(per_anchor.sum())
+
+    softmax = exp_shift / exp_shift.sum(axis=1, keepdims=True)
+    g = np.where(valid[:, None], softmax - positives / np.maximum(n_pos, 1)[:, None], 0.0)
+    d_z = (g + g.T) @ z / tau
+
+    inner = np.sum(d_z * z, axis=1, keepdims=True)
+    d_features = (d_z - inner * z) / norms[:, None]
+    return loss, d_features
+
+
+def oracle_forward(model, x_batch):
+    """Test oracle: the forward pass as written before it applied the bias and
+    the ReLU in place. Returns (logits, the inputs of each layer)."""
+    a = np.asarray(x_batch, dtype=np.float64)
+    inputs = []
+    head = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
+        inputs.append(a)
+        z = a @ layer.weight.T + layer.bias
+        a = z if i == head else np.maximum(z, 0.0)
+    return a, inputs

@@ -17,7 +17,7 @@ from masktune.cli import main
 from masktune.config import parse_run_config
 from masktune.data import save_dataset_csv, gen_task, ShiftConfig
 from masktune.errors import ConfigError
-from masktune.model import layer_roles, load_checkpoint
+from masktune.model import layer_roles, load_checkpoint, save_checkpoint
 
 
 BASE_CONFIG = {
@@ -577,6 +577,46 @@ class TestNonFiniteScoring:
         err = capsys.readouterr().err
         assert err.startswith("numeric error: ") and err.count("\n") == 1
         assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == [cfg]
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=20, deadline=None)
+@given(tau=st.floats(-320.0, 300.0).map(lambda e: 10.0 ** e),
+       scale=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+def test_extreme_tau_and_checkpoint_scale_exit_0_or_3_with_finite_json(trained, tau, scale):
+    """Scoring at any valid tau, from a checkpoint scaled by any finite factor,
+    either succeeds with finite JSON or exits 3 and writes nothing."""
+    doc = copy.deepcopy(BASE_CONFIG)
+    doc["finetune"]["tau"] = tau
+    model = load_checkpoint(trained[1])
+    for layer in model.layers:
+        layer.weight *= scale
+        layer.bias *= scale
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg, scaled, data_path = root / "run.json", root / "scaled.ckpt", root / "target.csv"
+        cfg.write_text(json.dumps(doc))
+        save_checkpoint(model, scaled)
+        write_target_csv(data_path)
+        inputs = {cfg, scaled, data_path}
+        for argv in (["mask-report", "--checkpoint", str(scaled), "--data", str(data_path),
+                      "--k", "2", "--tau", repr(tau), "--out", str(root / "r.json")],
+                     ["finetune", "--config", str(cfg), "--checkpoint", str(scaled),
+                      "--out", str(root / "report.json")]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            written = sorted(set(root.iterdir()) - inputs)
+            assert code in (0, 3)
+            if code == 3:
+                assert written == []
+            for path in written:
+                if path.suffix == ".json":
+                    json.loads(path.read_text(), parse_constant=refuse_constant)
+                path.unlink()
 
 
 class TestSweepIsCheckedBeforeTraining:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import finite_diff_grad, grad_rel_err, layer_grads, small_model
+from conftest import finite_diff_grad, grad_rel_err, layer_grads, peak_bytes, small_model
 from masktune.errors import ConfigError, InputError
 from masktune.losses import (
     RegConfig,
@@ -129,6 +129,13 @@ class TestSclLoss:
     def test_bad_tau(self):
         with pytest.raises(ConfigError):
             scl_loss(np.ones((2, 2)), np.array([0, 0]), 0.0)
+
+    def test_peak_is_two_square_buffers_a_boolean_and_two_feature_copies(self, np_rng):
+        n, d = 1000, 768
+        f = np_rng.normal(size=(n, d))
+        y = np_rng.integers(0, 10, size=n)
+        bound = 2 * 8 * n * n + n * n + 2 * 8 * n * d + 64 * 1024
+        assert peak_bytes(lambda: scl_loss(f, y, 0.5)) <= bound
 
 
 class TestRegPenalty:

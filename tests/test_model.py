@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import finite_diff_grad, grad_rel_err, layer_grads, small_model
+from conftest import finite_diff_grad, grad_rel_err, layer_grads, peak_bytes, small_model
 from masktune.errors import ConfigError, InputError, ShapeError, StateError
 from masktune.linalg import Rng
 from masktune.losses import cross_entropy
@@ -88,6 +88,17 @@ class TestForward:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             forward(small_model(), np.zeros((3, 9)))
+
+    def test_allocates_one_activation_per_layer(self, np_rng):
+        model = init_model([256, 768, 768, 10], seed=0)
+        x = np_rng.normal(size=(1000, 256))
+        out = []
+        peak = peak_bytes(lambda: out.append(forward(model, x)))
+        logits, _, cache = out[0]
+        returned = logits.nbytes + sum(a.nbytes for a in cache.inputs[1:])
+        # a broadcast add (the bias) allocates one ufunc buffer of up to
+        # np.getbufsize() entries; the 64 KiB covers the small objects
+        assert peak <= returned + 8 * np.getbufsize() + 64 * 1024
 
 
 class TestBackward:

@@ -1,9 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import gathered, sparse_from_bits
+from conftest import gathered, peak_bytes, sparse_from_bits
 from masktune.errors import ConfigError, NumericError, ShapeError
 from masktune.masking import GradientMaskSet, LayerMask, full_mask
 from masktune.model import Layer, ModelParams, init_model
@@ -177,14 +175,7 @@ class TestMaskedAdam:
         state = init_adam_state(model, masks)
         masked_adam_step(model, state, grad.copy(), masks, 0.01, CFG)
         step_grad = grad.copy()  # the step overwrites its gradient with the update
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            masked_adam_step(model, state, step_grad, masks, 0.01, CFG)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: masked_adam_step(model, state, step_grad, masks, 0.01, CFG))
         assert peak <= 2 * 8 * _CHUNK + 64 * 1024
 
     def test_gradient_shaped_like_the_whole_matrix_is_refused(self):

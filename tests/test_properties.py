@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import (finite_diff_grad, gathered, grad_rel_err, layer_grads, read_masks,
-                      sparse_from_bits)
+from conftest import (finite_diff_grad, gathered, grad_rel_err, layer_grads, oracle_forward,
+                      oracle_scl_loss, read_masks, sparse_from_bits)
 from masktune.data import Dataset, load_dataset_csv, save_dataset_csv
 from masktune.errors import InputError, NumericError
 from masktune.losses import (
@@ -387,6 +387,37 @@ def test_all_full_backward_is_the_dense_oracle_bitwise(seed, dims, batch):
         got = backward(model, cache, masks, **upstream)
         want = dense_backward(model, cache, **upstream)
         assert bits(got) == bits(gathered(masks, want))
+
+
+LABELINGS = ("random", "one_class", "distinct")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), batch=st.integers(2, 64), dim=st.integers(1, 40),
+       scale=st.floats(1e-3, 1e3), tau=st.floats(1e-3, 1e3),
+       labeling=st.sampled_from(LABELINGS),
+       dims=st.lists(st.integers(1, 40), min_size=2, max_size=5))
+def test_in_place_scoring_matches_the_fresh_array_oracles_bitwise(seed, batch, dim, scale, tau,
+                                                                  labeling, dims):
+    rng = np.random.default_rng(seed)
+    features = scale * rng.normal(size=(batch, dim))
+    # random labels over up to batch classes leave anchors with no positive
+    labels = {"random": rng.integers(0, rng.integers(1, batch + 1), size=batch),
+              "one_class": np.zeros(batch, dtype=np.int64),
+              "distinct": rng.permutation(batch)}[labeling]
+    loss, d_features = scl_loss(features, labels, tau)
+    with np.errstate(over="ignore"):  # the oracle exponentiates the self-similarity too
+        want_loss, want_d = oracle_scl_loss(features, labels, tau)
+    assert loss == want_loss
+    assert d_features.tobytes() == want_d.tobytes()
+
+    model = random_setup(seed, dims, ["full"] * (len(dims) - 1))[1]
+    x = rng.normal(size=(batch, dims[0]))
+    logits, _, cache = forward(model, x)
+    want_logits, want_inputs = oracle_forward(model, x)
+    assert logits.tobytes() == want_logits.tobytes()
+    assert len(cache.inputs) == len(want_inputs)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(cache.inputs, want_inputs))
 
 
 # criterion 3's bound on the relative error against central differences
