@@ -19,7 +19,7 @@ from .data import Dataset, TaskPair, partition_subsets, select_mask_subset
 from .errors import ConfigError, NumericError, ShapeError
 from .fileio import atomic_open, write_json
 from .linalg import Rng
-from .losses import Penalty, RegConfig, combined_grad, resolve_penalty
+from .losses import Penalty, RegConfig, combined_grad, resolve_penalty, resolve_regular_layers
 from .masking import (SELECTION_VARIANTS, GradientMaskSet, check_budget, compute_mask_set,
                       trainable_fraction)
 from .model import ModelParams, forward, init_model, reinit_head
@@ -132,7 +132,7 @@ def pretrain(task: TaskPair, dims: list[int], optim: OptimConfig,
 
 
 def _with_new_head(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig) -> ModelParams:
-    """A copy of ``pre`` with the run's freshly drawn head for the target classes."""
+    """The run's anchor: ``pre``'s own arrays below its head under the run's new head."""
     return reinit_head(pre, task.target_train.num_classes,
                        Rng(cfg.seed).child(_STREAM_HEAD))
 
@@ -159,11 +159,12 @@ def finetune_masks(model: ModelParams, task: TaskPair,
     return subset_index, masks
 
 
-def _finetune_with_masks(model: ModelParams, task: TaskPair, cfg: FineTuneConfig,
+def _finetune_with_masks(anchor: ModelParams, task: TaskPair, cfg: FineTuneConfig,
                          subset_index: int,
                          masks: GradientMaskSet) -> tuple[ModelParams, TrainReport]:
-    """Train ``model`` in place towards a copy of its starting weights."""
-    anchor = model.copy()
+    """Train the run's one copy of ``anchor`` towards ``anchor`` and return it; ``anchor``
+    (``pre``'s arrays below the head, viewed by the penalty) is only read."""
+    model = anchor.copy()
     epochs = _train(model, masks, resolve_penalty(anchor, cfg.reg, masks), task.target_train,
                     cfg.optim, cfg.batch_size, Rng(cfg.seed).child(_STREAM_SHUFFLE))
     stats = []
@@ -187,17 +188,20 @@ def _finetune_with_masks(model: ModelParams, task: TaskPair, cfg: FineTuneConfig
 
 def finetune(pre: ModelParams, task: TaskPair,
              cfg: FineTuneConfig) -> tuple[ModelParams, TrainReport]:
-    """New head, subset selection and mask scoring at the pretrained weights, masked training."""
-    model = _with_new_head(pre, task, cfg)
-    subset_index, masks = finetune_masks(model, task, cfg)
-    return _finetune_with_masks(model, task, cfg, subset_index, masks)
+    """New head, subset selection and mask scoring at the pretrained weights, masked
+    training. ``pre`` is only read: under the new head it is the run's anchor, and the
+    run trains and returns one copy."""
+    anchor = _with_new_head(pre, task, cfg)
+    subset_index, masks = finetune_masks(anchor, task, cfg)
+    return _finetune_with_masks(anchor, task, cfg, subset_index, masks)
 
 
 def linear_probe(pre: ModelParams, task: TaskPair,
                  cfg: FineTuneConfig) -> tuple[ModelParams, TrainReport]:
-    """Head-only fine-tuning baseline under the same budget."""
-    model = _with_new_head(pre, task, cfg)
-    return _finetune_with_masks(model, task, cfg, 0, GradientMaskSet.head_only(model))
+    """Head-only fine-tuning baseline under the same budget; it reads ``pre`` and trains
+    one copy as ``finetune`` does."""
+    anchor = _with_new_head(pre, task, cfg)
+    return _finetune_with_masks(anchor, task, cfg, 0, GradientMaskSet.head_only(anchor))
 
 
 ABLATION_AXES = ("k", "lambda", "regular_blocks", "subsets_n", "variant", "norm")
@@ -230,7 +234,7 @@ def sweep_configs(pre: ModelParams, task: TaskPair, base_cfg: FineTuneConfig, ax
     for cfg in configs:
         if cfg.variant != "full":
             check_budget([l.weight.shape for l in pre.layers], cfg.k, cfg.variant)
-        resolve_penalty(pre, cfg.reg, GradientMaskSet.all_full(pre))
+        resolve_regular_layers(pre, cfg.reg.regular)
         _check_subsets_n(cfg.subsets_n, task.target_train)
     return configs
 

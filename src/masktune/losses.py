@@ -165,13 +165,14 @@ class Penalty:
 
 
 def resolve_penalty(pre: ModelParams, cfg: RegConfig, masks: GradientMaskSet) -> Penalty:
-    """The penalty towards ``pre`` over the entries ``masks`` leave trainable."""
+    """The penalty towards ``pre`` over the entries ``masks`` leave trainable. The
+    regular set must fit ``pre`` whether or not the penalty is on."""
     masks.check_shapes(pre)
+    regular = resolve_regular_layers(pre, cfg.regular)
     if cfg.norm == "none" or cfg.lam == 0.0:
         return Penalty(cfg, ())
     return Penalty(cfg, tuple((seg, getattr(pre.layers[i], seg.param)[seg.index])
-                              for i in resolve_regular_layers(pre, cfg.regular)
-                              for seg in masks.segments[2 * i:2 * i + 2]))
+                              for i in regular for seg in masks.segments[2 * i:2 * i + 2]))
 
 
 def reg_penalty(model: ModelParams, penalty: Penalty, grad: np.ndarray) -> float:

@@ -93,12 +93,6 @@ class LayerMask:
         m[self.trainable[0]] = 1.0
         return m
 
-    def bias_mask(self) -> np.ndarray:
-        """0/1 trainability of each output neuron's bias."""
-        b = np.zeros(self.shape[0])
-        b[self.trainable[1]] = 1.0
-        return b
-
     def storage_bits(self) -> int:
         rows, cols = self.shape
         if self.variant == "full":

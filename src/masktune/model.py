@@ -103,13 +103,13 @@ def init_model(dims: list[int], seed: int | Rng) -> ModelParams:
 
 
 def reinit_head(model: ModelParams, num_classes: int, rng: Rng) -> ModelParams:
-    """Return a copy with a freshly initialized head of the given class count."""
-    new = model.copy()
-    fan_in = new.feature_dim
+    """``model``'s layers below the head, as new ``Layer`` objects over the same arrays
+    (not copies), under a freshly drawn head of ``num_classes`` outputs. Writing into
+    the result writes into ``model``, so a caller who trains it must copy it first."""
+    fan_in = model.feature_dim
     bound = np.sqrt(1.0 / fan_in)
-    weight = rng.uniform(-bound, bound, size=(num_classes, fan_in))
-    new.layers[-1] = Layer(weight, np.zeros(num_classes))
-    return new
+    head = Layer(rng.uniform(-bound, bound, size=(num_classes, fan_in)), np.zeros(num_classes))
+    return ModelParams([Layer(l.weight, l.bias) for l in model.layers[:-1]] + [head])
 
 
 def forward(model: ModelParams, x_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, ForwardCache]:

@@ -24,6 +24,13 @@ def sparse_from_bits(bits):
     return LayerMask("sparse", bits.shape, tuple(tuple(np.flatnonzero(row)) for row in bits))
 
 
+def bias_mask(mask):
+    """0/1 trainability of each output neuron's bias, read off the mask's trainable index."""
+    b = np.zeros(mask.shape[0])
+    b[mask.trainable[1]] = 1.0
+    return b
+
+
 def read_masks(path):
     """The mask set a document written by save_masks describes."""
     doc = json.loads(path.read_text())

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import finite_diff_grad, gathered, layer_grads, sparse_from_bits
+from conftest import bias_mask, finite_diff_grad, gathered, layer_grads, sparse_from_bits
 from masktune.cli import main as cli_main
 from masktune.data import Dataset, ShiftConfig, gen_task, partition_subsets, save_dataset_csv, select_mask_subset
 from masktune.harness import FineTuneConfig, evaluate, finetune, finetune_masks, linear_probe, pretrain
@@ -185,7 +185,7 @@ def test_criterion_04_frozen_entries_bitwise(small_setup):
             model, _ = finetune(pre, task, cfg)
             for li in range(len(pre.layers) - 1):
                 wm = masks.layers[li].to_dense()
-                bm = masks.layers[li].bias_mask()
+                bm = bias_mask(masks.layers[li])
                 assert np.array_equal(model.layers[li].weight[wm == 0.0],
                                       pre.layers[li].weight[wm == 0.0])
                 assert np.array_equal(model.layers[li].bias[bm == 0.0],
@@ -205,7 +205,7 @@ def test_criterion_05_masked_adam_equivalence():
         rng = np.random.default_rng(505)
         bits = (rng.uniform(size=(4, 5)) < 0.5).astype(float)
         masks = GradientMaskSet((sparse_from_bits(bits),))
-        bias_bits = masks.layers[0].bias_mask()
+        bias_bits = bias_mask(masks.layers[0])
         w0, b0 = rng.normal(size=(4, 5)), rng.normal(size=4)
         model = ModelParams([Layer(w0.copy(), b0.copy())])
         state = init_adam_state(model, masks)

@@ -513,6 +513,23 @@ class TestContractHoles:
                         "--axis", "regular_blocks", "--values", "-1",
                         "--out-dir", str(tmp_path / "sweep")], tmp_path, capsys, [])
 
+    @pytest.mark.parametrize("lam, norm", [(0.0, "l2"), (0.01, "none")])
+    def test_last_l_above_the_hidden_layers_exits_2_with_the_penalty_off(
+            self, trained, tmp_path, capsys, lam, norm):
+        doc = copy.deepcopy(BASE_CONFIG)
+        doc["finetune"].update({"lambda": lam, "norm": norm, "regular": {"last_l": 7}})
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert_refused(self.finetune_argv(cfg, trained[1], tmp_path), tmp_path, capsys, [cfg])
+
+    def test_regular_blocks_above_the_hidden_layers_exits_2_with_lambda_0(
+            self, trained, tmp_path, capsys):
+        cfg = write_config(tmp_path, "finetune", "lambda", 0.0)
+        assert_refused(["ablate", "--config", str(cfg), "--checkpoint", str(trained[1]),
+                        "--axis", "regular_blocks", "--values", "0,7",
+                        "--out-dir", str(tmp_path / "sweep")], tmp_path, capsys, [cfg])
+        assert not (tmp_path / "sweep").exists()
+
     def test_non_numeric_ablate_value_exits_2(self, trained, tmp_path, capsys):
         cfg, ckpt = trained
         assert_refused(["ablate", "--config", str(cfg), "--checkpoint", str(ckpt),

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import peak_bytes
 from masktune.data import Dataset, ShiftConfig, gen_task
 from masktune.errors import ConfigError, ShapeError
 from masktune.harness import (
@@ -44,6 +45,28 @@ def make_cfg(**overrides):
     )
     base.update(overrides)
     return FineTuneConfig(**base)
+
+
+def param_bytes(model):
+    """Every weight and bias of a model, as bytes, layer by layer."""
+    return [(l.weight.tobytes(), l.bias.tobytes()) for l in model.layers]
+
+
+def shares_any_array(a, b):
+    """Whether any weight or bias of model ``a`` shares memory with one of model ``b``."""
+    arrays_b = [x for l in b.layers for x in (l.weight, l.bias)]
+    return any(np.shares_memory(x, y) for l in a.layers for x in (l.weight, l.bias)
+               for y in arrays_b)
+
+
+def wide_peak_over_model_bytes(run):
+    """Peak bytes of ``run(pre, task, cfg)`` on a [8, 256, 256, 3] model with a row
+    k=2 mask, over the model's bytes: the run holds ``pre`` and one trained copy."""
+    pre = init_model([8, 256, 256, 3], seed=2)
+    task = gen_task(8, 3, 12, 0.15, SHIFT, seed=1)
+    cfg = make_cfg(optim=OptimConfig(base_lr=0.02, total_epochs=2, warmup_epochs=0))
+    model_bytes = sum(l.weight.nbytes + l.bias.nbytes for l in pre.layers)
+    return peak_bytes(lambda: run(pre, task, cfg)) / model_bytes
 
 
 class TestEvaluate:
@@ -139,6 +162,17 @@ class TestFinetune:
         assert report.optimizer_state_bytes == 2 * 8 * trainable  # m and v, float64
         assert report.to_dict()["optimizer_state_bytes"] == report.optimizer_state_bytes
 
+    @pytest.mark.parametrize("variant", ["row", "col", "sparse", "full"])
+    def test_reads_pre_in_place_and_trains_its_own_copy(self, pre_and_task, variant):
+        pre, task = pre_and_task
+        before = param_bytes(pre)
+        model, _ = finetune(pre, task, make_cfg(variant=variant))
+        assert param_bytes(pre) == before
+        assert not shares_any_array(model, pre)
+
+    def test_peak_holds_one_trained_copy_beside_pre(self):
+        assert wide_peak_over_model_bytes(finetune) <= 2.5
+
     def test_full_variant_trains_everything(self, pre_and_task):
         pre, task = pre_and_task
         _, report = finetune(pre, task, make_cfg(variant="full", k=1))
@@ -168,6 +202,16 @@ class TestLinearProbe:
         expected = (head.weight.size + head.bias.size) / pre.param_count()
         assert report.trainable_fraction == expected
 
+    def test_reads_pre_in_place_and_trains_its_own_copy(self, pre_and_task):
+        pre, task = pre_and_task
+        before = param_bytes(pre)
+        model, _ = linear_probe(pre, task, make_cfg())
+        assert param_bytes(pre) == before
+        assert not shares_any_array(model, pre)
+
+    def test_peak_holds_one_trained_copy_beside_pre(self):
+        assert wide_peak_over_model_bytes(linear_probe) <= 2.5
+
 
 class TestAblate:
     def test_k_sweep(self, pre_and_task):
@@ -181,6 +225,14 @@ class TestAblate:
         pre, task = pre_and_task
         reports = ablate(pre, task, sweep_configs(pre, task, make_cfg(), "lambda", [0.0, 1.0]))
         assert [r.config["reg"]["lam"] for r in reports] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("axis, values", [("variant", ["row", "col", "sparse", "full"]),
+                                              ("lambda", [0.0, 1.0])])
+    def test_reads_pre_in_place(self, pre_and_task, axis, values):
+        pre, task = pre_and_task
+        before = param_bytes(pre)
+        ablate(pre, task, sweep_configs(pre, task, make_cfg(), axis, values))
+        assert param_bytes(pre) == before
 
     def test_axes_and_errors(self, pre_and_task):
         pre, task = pre_and_task

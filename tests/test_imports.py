@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and the package
-root exports exactly the names it imports.
+"""No module of the package imports a name it never uses, the package root
+exports exactly the names it imports, and no function, class or method of the
+package is there only for its tests.
 
 The project depends on no linter, so this reads each module's syntax tree
 with the standard library's ``ast``. ``__init__.py`` is skipped by the unused
@@ -8,6 +9,7 @@ import check (its imports are the package's re-exports), and so are
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,70 @@ def test_root_exports_exactly_what_it_imports():
     assert sorted(names) == sorted(masktune.__all__)
     assert len(set(masktune.__all__)) == len(masktune.__all__)
     assert all(hasattr(masktune, name) for name in masktune.__all__)
+
+
+BENCH = PACKAGE.parents[1] / "bench"
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and class, and of each method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def read_names(tree: ast.AST) -> list[str]:
+    """Every identifier and attribute name a tree reads, repeats included."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def bench_names(tree: ast.Module) -> set[str]:
+    """The names a bench script reads or imports, and the parts of its dotted strings."""
+    names = set(read_names(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(p.isidentifier() for p in parts):
+                names.update(parts)
+    return names
+
+
+def unreferenced_definitions(package: list[ast.Module], exported: set[str],
+                             named_elsewhere: set[str]) -> list[str]:
+    """Functions, classes and methods of the package that no other package code
+    reads, that the root does not export and that ``named_elsewhere`` lacks.
+    Dunder methods are called by Python itself and are never flagged."""
+    reads = Counter(name for tree in package for name in read_names(tree))
+    flagged = []
+    for tree in package:
+        for qualname, node in definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            elsewhere = reads[name] - read_names(node).count(name)
+            if not (elsewhere or name in exported or name in named_elsewhere):
+                flagged.append(qualname)
+    return sorted(flagged)
+
+
+def test_no_definition_is_only_called_by_its_own_tests():
+    package = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
+    bench = set().union(*(bench_names(ast.parse(p.read_text())) for p in BENCH.glob("*.py")))
+    assert unreferenced_definitions(package, set(masktune.__all__), bench) == []
+
+
+def test_the_check_sees_unreferenced_definitions():
+    module = ast.parse("def used():\n    return used\n\ndef helper():\n    return used()\n\n"
+                       "def exported():\n    pass\n\ndef benched():\n    pass\n\n"
+                       "class C:\n    def __init__(self):\n        self.m()\n\n"
+                       "    def m(self):\n        pass\n\n    def dead(self):\n        pass\n")
+    assert bench_names(ast.parse("TARGETS = ('C.benched', 'not a name')")) >= {"C", "benched"}
+    assert unreferenced_definitions([module], {"exported"}, {"benched"}) == [
+        "C", "C.dead", "helper"]

@@ -148,8 +148,8 @@ class TestTrainableIndex:
     def test_views_derive_from_the_index(self):
         mask = LayerMask("sparse", (3, 3), ((0, 2), (), (1,)))
         assert np.array_equal(mask.to_dense(), np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0]], float))
-        assert np.array_equal(mask.bias_mask(), np.array([1.0, 0.0, 1.0]))
-        assert np.array_equal(LayerMask("col", (2, 3), (2,)).bias_mask(), np.zeros(2))
+        assert np.array_equal(np.arange(3)[mask.trainable[1]], [0, 2])
+        assert np.arange(2)[LayerMask("col", (2, 3), (2,)).trainable[1]].size == 0
 
 
 class TestObjectiveAndEnergy:

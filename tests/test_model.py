@@ -213,4 +213,6 @@ class TestCheckpoint:
         fresh = reinit_head(m, 7, Rng(0))
         assert fresh.num_classes == 7
         assert np.array_equal(fresh.layers[0].weight, m.layers[0].weight)
+        for got, old in zip(fresh.layers[:-1], m.layers[:-1]):  # the same arrays, new layers
+            assert got is not old and got.weight is old.weight and got.bias is old.bias
         assert np.all(np.abs(fresh.layers[-1].weight) <= np.sqrt(1.0 / m.feature_dim))

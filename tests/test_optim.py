@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import gathered, peak_bytes, sparse_from_bits
+from conftest import bias_mask, gathered, peak_bytes, sparse_from_bits
 from masktune.errors import ConfigError, NumericError, ShapeError
 from masktune.masking import GradientMaskSet, LayerMask, full_mask
 from masktune.model import Layer, ModelParams, init_model
@@ -102,7 +102,7 @@ class TestMaskedAdam:
         rng = np.random.default_rng(9)
         mask_bits = (rng.uniform(size=(3, 4)) < 0.5).astype(float)
         masks = GradientMaskSet((sparse_from_bits(mask_bits),))
-        bias_bits = masks.layers[0].bias_mask()
+        bias_bits = bias_mask(masks.layers[0])
 
         w0 = rng.normal(size=(3, 4))
         b0 = rng.normal(size=3)
