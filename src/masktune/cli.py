@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, masking
+from . import harness, losses, masking
 from .config import RunConfig, load_run_config
 from .data import load_dataset_csv
 from .errors import ConfigError, InputError, NumericError, ShapeError
@@ -24,15 +24,19 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _output_path(path: str) -> Path:
-    """The output path, once its directory is known to exist and the path is
-    not itself a directory, so a run never trains only to fail at its last write."""
+def _output_paths(path: str, *suffixes: str) -> list[Path]:
+    """The output path and its siblings with ``suffixes``, once none is a directory or
+    another's file, so a run never trains only to fail late or overwrite its own output."""
     out = Path(path)
     if not out.parent.is_dir():
         raise InputError(f"output directory {out.parent} does not exist")
-    if out.is_dir():
-        raise InputError(f"output path {out} is a directory")
-    return out
+    paths = [out, *(out.parent / (out.stem + suffix) for suffix in suffixes)]
+    for p in paths:
+        if p.is_dir():
+            raise InputError(f"output path {p} is a directory")
+    if len(set(paths)) < len(paths):
+        raise InputError(f"output path {out} is also the path of its {'/'.join(suffixes)} file")
+    return paths
 
 
 def _load_pretrained(path: str, cfg: RunConfig) -> ModelParams:
@@ -44,7 +48,7 @@ def _load_pretrained(path: str, cfg: RunConfig) -> ModelParams:
 
 
 def cmd_pretrain(args) -> int:
-    out = _output_path(args.out)
+    [out] = _output_paths(args.out)
     cfg = load_run_config(args.config, args.seed)
     task = cfg.make_task()
     model = harness.pretrain(task, cfg.model_dims, cfg.pretrain_optim(), cfg.seed,
@@ -57,7 +61,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    out = _output_path(args.out)
+    out, csv_out, mask_out = _output_paths(args.out, ".csv", ".mask.json")
     cfg = load_run_config(args.config, args.seed)
     task = cfg.make_task()
     pre = _load_pretrained(args.checkpoint, cfg)
@@ -66,8 +70,8 @@ def cmd_finetune(args) -> int:
     report.config = {**report.config, "run_config": cfg.to_dict()}
 
     harness.write_report_json(report, out)
-    harness.write_report_csv(report, out.with_suffix(".csv"))
-    masking.save_masks(report.masks, out.with_suffix(".mask.json"))
+    harness.write_report_csv(report, csv_out)
+    masking.save_masks(report.masks, mask_out)
     print(f"finetune: variant={ft_cfg.variant} k={ft_cfg.k} "
           f"final_accuracy={report.final_accuracy:.4f} "
           f"trainable_fraction={report.trainable_fraction:.4f} report={out}")
@@ -75,11 +79,13 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_mask_report(args) -> int:
-    out = _output_path(args.out)
+    [out] = _output_paths(args.out)
+    losses.check_tau(args.tau)
     pre = load_checkpoint(args.checkpoint)
+    masking.check_budget([l.weight.shape for l in pre.layers], args.k, args.variant)
     data = load_dataset_csv(args.data)
     gradients = masking.scl_gradients(pre, data.x, data.y, args.tau)
-    masks = masking.masks_from_gradients(gradients, args.k, args.variant)
+    masks = masking.compute_mask_set(gradients, args.k, args.variant)
 
     layer_reports = []
     for i, (mask, h) in enumerate(zip(masks.layers, gradients)):
@@ -108,10 +114,10 @@ def cmd_mask_report(args) -> int:
 
 
 def _parse_values(axis: str, raw: str) -> list:
+    convert = harness.axis_type(axis)
     parts = [p for p in raw.split(",") if p]
     if not parts:
         raise ConfigError("values must be a non-empty comma-separated list")
-    convert = {"k": int, "regular_blocks": int, "subsets_n": int, "lambda": float}.get(axis, str)
     try:
         return [convert(p) for p in parts]
     except ValueError as exc:

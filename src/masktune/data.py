@@ -111,8 +111,6 @@ def select_mask_subset(pre: ModelParams, subsets: list[Dataset],
     non-finite loss (as a tiny ``tau`` gives) raises NumericError."""
     losses = []
     for s in subsets:
-        if len(s) == 0:
-            raise ConfigError("subsets must be non-empty")
         _, features, _ = forward(pre, s.x)
         loss, _ = scl_loss(features, s.y, tau)
         losses.append(loss / len(s))

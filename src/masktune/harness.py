@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -19,9 +19,10 @@ from .data import Dataset, TaskPair, partition_subsets, select_mask_subset
 from .errors import ConfigError, NumericError, ShapeError
 from .fileio import atomic_open, write_json
 from .linalg import Rng
-from .losses import Penalty, RegConfig, combined_grad, resolve_penalty, resolve_regular_layers
+from .losses import (Penalty, RegConfig, check_tau, combined_grad, resolve_penalty,
+                     resolve_regular_layers)
 from .masking import (SELECTION_VARIANTS, GradientMaskSet, check_budget, compute_mask_set,
-                      trainable_fraction)
+                      scl_gradients, trainable_fraction)
 from .model import ModelParams, forward, init_model, reinit_head
 from .optim import AdamState, OptimConfig, cosine_warmup_lr, init_adam_state, masked_adam_step
 
@@ -51,8 +52,7 @@ class FineTuneConfig:
     def __post_init__(self):
         if self.variant not in (*SELECTION_VARIANTS, "full"):
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if not 0.0 < self.tau < np.inf:
-            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
+        check_tau(self.tau)
         if self.subsets_n < 1:
             raise ConfigError("subsets_n must be >= 1")
         _check_batch_size(self.batch_size)
@@ -137,26 +137,30 @@ def _with_new_head(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig) -> Mod
                        Rng(cfg.seed).child(_STREAM_HEAD))
 
 
-def _check_subsets_n(n: int, target: Dataset) -> None:
-    """Each scoring subset must hold the two samples the contrastive loss needs."""
-    if 2 * n > len(target):
-        raise ConfigError(f"subsets_n={n} needs {2 * n} samples (2 per subset), got {len(target)}")
+def _check_config(model: ModelParams, task: TaskPair, cfg: FineTuneConfig) -> None:
+    """Before any scoring, refuse a k, regular set or subsets_n ``model`` or ``task`` cannot hold."""
+    if cfg.variant != "full":
+        check_budget([l.weight.shape for l in model.layers], cfg.k, cfg.variant)
+    resolve_regular_layers(model, cfg.reg.regular)
+    n, samples = cfg.subsets_n, len(task.target_train)
+    if 2 * n > samples:
+        raise ConfigError(f"subsets_n={n} needs {2 * n} samples (2 per subset), got {samples}")
 
 
 def finetune_masks(model: ModelParams, task: TaskPair,
                    cfg: FineTuneConfig) -> tuple[int, GradientMaskSet]:
-    """Subset selection and contrastive scoring at the given weights.
-
-    The head's weights play no part in scoring; the head mask is full and
-    has the shape of ``model``'s head. Returns the chosen subset's index and
-    the masks a finetune run with this config trains under.
-    """
-    _check_subsets_n(cfg.subsets_n, task.target_train)
+    """``_check_config``, subset selection, then (unless the variant is full) the subset's
+    scores at the given weights (``scl_gradients``) and the one mask builder ``compute_mask_set``.
+    The head plays no part in scoring; its mask is full, shaped like ``model``'s head. Returns
+    the chosen subset's index and the masks a finetune run with this config trains under."""
+    _check_config(model, task, cfg)
     subsets = partition_subsets(task.target_train, cfg.subsets_n,
                                 Rng(cfg.seed).child(_STREAM_SUBSET))
     subset_index, mask_data = select_mask_subset(model, subsets, cfg.tau)
-    masks = compute_mask_set(model, mask_data.x, mask_data.y, cfg.k, cfg.variant, cfg.tau)
-    return subset_index, masks
+    if cfg.variant == "full":
+        return subset_index, GradientMaskSet.all_full(model)
+    gradients = scl_gradients(model, mask_data.x, mask_data.y, cfg.tau)
+    return subset_index, compute_mask_set(gradients, cfg.k, cfg.variant)
 
 
 def _finetune_with_masks(anchor: ModelParams, task: TaskPair, cfg: FineTuneConfig,
@@ -204,38 +208,37 @@ def linear_probe(pre: ModelParams, task: TaskPair,
     return _finetune_with_masks(anchor, task, cfg, 0, GradientMaskSet.head_only(anchor))
 
 
-ABLATION_AXES = ("k", "lambda", "regular_blocks", "subsets_n", "variant", "norm")
+ABLATION_AXES = {"k": int, "lambda": float, "regular_blocks": int, "subsets_n": int,
+                 "variant": str, "norm": str}
+
+
+def axis_type(axis: str) -> type:
+    """The type of an ablation axis's values; an unknown axis raises ConfigError."""
+    if axis not in ABLATION_AXES:
+        raise ConfigError(f"unknown ablation axis {axis!r}; choose from {', '.join(ABLATION_AXES)}")
+    return ABLATION_AXES[axis]
 
 
 def _with_axis_value(cfg: FineTuneConfig, axis: str, value) -> FineTuneConfig:
-    if axis == "k":
-        return dataclasses.replace(cfg, k=int(value))
     if axis == "lambda":
-        return dataclasses.replace(cfg, reg=dataclasses.replace(cfg.reg, lam=float(value)))
-    if axis == "regular_blocks":
-        regular = dataclasses.replace(cfg.reg.regular, last_l=int(value))
-        return dataclasses.replace(cfg, reg=dataclasses.replace(cfg.reg, regular=regular))
-    if axis == "subsets_n":
-        return dataclasses.replace(cfg, subsets_n=int(value))
-    if axis == "variant":
-        return dataclasses.replace(cfg, variant=str(value))
+        return replace(cfg, reg=replace(cfg.reg, lam=value))
     if axis == "norm":
-        return dataclasses.replace(cfg, reg=dataclasses.replace(cfg.reg, norm=str(value)))
-    raise ConfigError(f"unknown ablation axis {axis!r}; choose from {', '.join(ABLATION_AXES)}")
+        return replace(cfg, reg=replace(cfg.reg, norm=value))
+    if axis == "regular_blocks":
+        return replace(cfg, reg=replace(cfg.reg, regular=replace(cfg.reg.regular, last_l=value)))
+    return replace(cfg, **{axis: value})  # k, subsets_n and variant are fields of cfg
 
 
 def sweep_configs(pre: ModelParams, task: TaskPair, base_cfg: FineTuneConfig, axis: str,
                   values: list) -> list[FineTuneConfig]:
-    """``base_cfg`` with ``axis`` set to each value, all else (seeds included) fixed; each
-    k, regular set and subsets_n is checked against ``pre`` and ``task`` before any run."""
+    """``base_cfg`` with ``axis`` set to each value (of ``axis_type(axis)``), all else (seeds
+    included) fixed; every config passes ``_check_config`` against ``pre`` and ``task``."""
+    axis_type(axis)  # refuses an unknown axis
     if not values:
         raise ConfigError("values must be non-empty")
     configs = [_with_axis_value(base_cfg, axis, value) for value in values]
     for cfg in configs:
-        if cfg.variant != "full":
-            check_budget([l.weight.shape for l in pre.layers], cfg.k, cfg.variant)
-        resolve_regular_layers(pre, cfg.reg.regular)
-        _check_subsets_n(cfg.subsets_n, task.target_train)
+        _check_config(pre, task, cfg)
     return configs
 
 

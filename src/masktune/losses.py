@@ -84,6 +84,12 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return loss, d_logits
 
 
+def check_tau(tau: float) -> None:
+    """The contrastive temperature divides every similarity: it must be positive and finite."""
+    if not 0.0 < tau < np.inf:
+        raise ConfigError(f"tau must be positive and finite, got {tau}")
+
+
 def scl_loss(features: np.ndarray, labels: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
     """Supervised contrastive loss over L2-normalized feature rows.
 
@@ -97,8 +103,7 @@ def scl_loss(features: np.ndarray, labels: np.ndarray, tau: float) -> tuple[floa
     the transpose) each hold one n x n temporary, so the peak is two n x n
     floats, the boolean and one n x d float (23 MB on 1000 x 768 features).
     """
-    if not 0.0 < tau < np.inf:
-        raise ConfigError(f"temperature must be positive and finite, got {tau}")
+    check_tau(tau)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     batch = features.shape[0]

@@ -289,26 +289,13 @@ def check_budget(shapes: list[tuple[int, int]], k: int, variant: str) -> None:
             raise ConfigError(f"k={k} out of range for layer {i} with shape {rows}x{cols}")
 
 
-def masks_from_gradients(gradients: list[np.ndarray], k: int, variant: str) -> GradientMaskSet:
-    """One mask per maskable layer from per-layer gradients, head last and full."""
+def compute_mask_set(gradients: list[np.ndarray], k: int, variant: str) -> GradientMaskSet:
+    """The one mask builder: per-layer scores (``scl_gradients``) to one mask per maskable
+    layer. The head is never scored (it is fresh per task); its mask is full."""
     check_budget([h.shape for h in gradients], k, variant)
     masks = [build_mask(h, k, variant) for h in gradients[:-1]]
     masks.append(full_mask(gradients[-1].shape))
     return GradientMaskSet(tuple(masks))
-
-
-def compute_mask_set(pre: ModelParams, x: np.ndarray, y: np.ndarray,
-                     k: int, variant: str, tau: float) -> GradientMaskSet:
-    """Single pass over the mask data; builds one mask per maskable layer.
-
-    The head is never scored: it is freshly initialized per task and stays
-    fully trainable.
-    """
-    if variant == "full":
-        return GradientMaskSet.all_full(pre)
-    if len(y) == 0:
-        raise ConfigError("mask data must be non-empty")
-    return masks_from_gradients(scl_gradients(pre, x, y, tau), k, variant)
 
 
 def trainable_fraction(model: ModelParams, masks: GradientMaskSet) -> float:

@@ -17,7 +17,7 @@ from masktune.cli import main
 from masktune.config import parse_run_config
 from masktune.data import save_dataset_csv, gen_task, ShiftConfig
 from masktune.errors import ConfigError
-from masktune.model import layer_roles, load_checkpoint, save_checkpoint
+from masktune.model import init_model, layer_roles, load_checkpoint, save_checkpoint
 
 
 BASE_CONFIG = {
@@ -363,6 +363,18 @@ class TestOutputPaths:
         assert calls == []
         assert "is a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out, directory", [("r.csv", None), ("r.json", "r.csv"),
+                                                ("r.json", "r.mask.json")])
+    def test_finetune_report_sibling_collides_or_is_a_directory(
+            self, trained, tmp_path, monkeypatch, capsys, out, directory):
+        cfg, ckpt = trained
+        if directory:
+            (tmp_path / directory).mkdir()
+        calls = count_calls(monkeypatch, harness.finetune)
+        assert_refused(["finetune", "--config", str(cfg), "--checkpoint", str(ckpt),
+                        "--out", str(tmp_path / out)], tmp_path, capsys, [])
+        assert calls == []
+
     def test_pretrain(self, trained, tmp_path, monkeypatch):
         cfg, _ = trained
         calls = count_calls(monkeypatch, harness.pretrain)
@@ -453,12 +465,14 @@ class TestAblateCommand:
         assert lines[1].startswith("k,1,")
         assert lines[2].startswith("k,2,")
 
-    def test_unknown_axis_exits_2(self, trained, tmp_path, capsys):
+    def test_unknown_axis_exits_2(self, trained, tmp_path, capsys, monkeypatch):
         cfg, ckpt = trained
+        calls = count_calls(monkeypatch, load_checkpoint)
         assert main(["ablate", "--config", str(cfg), "--checkpoint", str(ckpt),
                      "--axis", "nope", "--values", "1",
                      "--out-dir", str(tmp_path / "d")]) == 2
         assert "axis" in capsys.readouterr().err
+        assert calls == []
 
 
 def assert_refused(argv, tmp_path, capsys, inputs) -> None:
@@ -475,6 +489,10 @@ def write_config(tmp_path, section, key, value, nested=None) -> Path:
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+# the calls that split, select and score a scoring subset
+SCORING = (data.partition_subsets, data.select_mask_subset, masking.scl_gradients)
 
 
 class TestContractHoles:
@@ -521,6 +539,28 @@ class TestContractHoles:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(doc))
         assert_refused(self.finetune_argv(cfg, trained[1], tmp_path), tmp_path, capsys, [cfg])
+
+    @pytest.mark.parametrize("key, value, nested", [("k", 999, None), ("last_l", 7, "regular")])
+    def test_finetune_refuses_before_any_scoring(self, trained, tmp_path, capsys, monkeypatch,
+                                                 key, value, nested):
+        cfg = write_config(tmp_path, "finetune", key, value, nested=nested)
+        calls = [count_calls(monkeypatch, f) for f in SCORING]
+        assert_refused(self.finetune_argv(cfg, trained[1], tmp_path), tmp_path, capsys, [cfg])
+        assert calls == [[], [], []]
+
+    @pytest.mark.parametrize("flag, value", [("--k", "999"), ("--k", "0"), ("--tau", "0"),
+                                             ("--tau", "-1"), ("--tau", "nan"), ("--tau", "inf")])
+    def test_mask_report_refuses_before_reading_the_data(self, trained, tmp_path, capsys,
+                                                         monkeypatch, flag, value):
+        data_path = tmp_path / "target.csv"
+        write_target_csv(data_path)
+        calls = [count_calls(monkeypatch, f) for f in (data.load_dataset_csv,
+                                                       masking.scl_gradients)]
+        flags = {"--k": "2", "--tau": "0.5", flag: value}
+        assert_refused(["mask-report", "--checkpoint", str(trained[1]), "--data", str(data_path),
+                        *(f"{f}={v}" for f, v in flags.items()),
+                        "--out", str(tmp_path / "r.json")], tmp_path, capsys, [data_path])
+        assert calls == [[], []]
 
     def test_regular_blocks_above_the_hidden_layers_exits_2_with_lambda_0(
             self, trained, tmp_path, capsys):
@@ -724,3 +764,87 @@ def test_any_non_finite_or_negative_number_exits_2(trained, field, value, comman
             assert main(argv[command]) == 2
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert list(root.rglob("*")) == [cfg]
+
+
+def small_config(dims: list[int]) -> dict:
+    """A valid config for ``dims``: k 1, no hidden layer regularized, two scoring subsets."""
+    doc = copy.deepcopy(BASE_CONFIG)
+    doc["task"].update(dim=dims[0], classes=dims[-1], per_class=4)
+    doc["model"]["dims"] = dims
+    doc["finetune"].update(k=1, subsets_n=2, regular={"last_l": 0})
+    return doc
+
+
+def max_k(dims: list[int], variant: str) -> list[int]:
+    """The largest k of each maskable layer: its rows for row masks, else its columns."""
+    return [dims[i + 1] if variant == "row" else dims[i] for i in range(len(dims) - 2)]
+
+
+def refuse_in_tmp(argv, files: dict, calls_of) -> tuple[str, list]:
+    """Write ``files`` (name -> writer) into a fresh directory, run ``argv`` (a function
+    of that directory) once, and assert it exits 2 with one error line and writes
+    nothing. Returns the error line and the calls to each of ``calls_of``."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        root = Path(tmp)
+        for name, write in files.items():
+            write(root / name)
+        calls = [count_calls(mp, f) for f in calls_of]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv(root)) == 2
+        assert sorted(p.name for p in root.rglob("*")) == sorted(files)
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return err.getvalue(), calls
+
+
+DIMS = st.lists(st.integers(2, 8), min_size=3, max_size=5)  # 2-4 layers
+
+
+@settings(max_examples=25, deadline=None, report_multiple_bugs=False)
+@given(dims=DIMS, seed=st.integers(0, 2**16), pick=st.data())
+def test_a_bad_k_regular_set_or_subset_count_is_refused_before_any_scoring(dims, seed, pick):
+    doc = small_config(dims)
+    field = pick.draw(st.sampled_from(["k", "last_l", "subsets_n"]))
+    if field == "k":
+        variant = pick.draw(st.sampled_from(masking.SELECTION_VARIANTS))
+        limits = max_k(dims, variant)
+        k = pick.draw(st.integers(min(limits) + 1, max(limits) + 3))
+        doc["finetune"].update(variant=variant, k=k)
+    elif field == "last_l":
+        hidden = len(dims) - 3
+        doc["finetune"].update({"regular": {"last_l": pick.draw(st.integers(hidden + 1, 9))},
+                                "lambda": pick.draw(st.sampled_from([0, 0.01])),
+                                "norm": pick.draw(st.sampled_from(["none", "l2"]))})
+    else:
+        target = doc["task"]["classes"] * doc["task"]["per_class"]
+        doc["finetune"]["subsets_n"] = pick.draw(st.integers(target // 2 + 1, target + 3))
+    files = {"run.json": lambda p: p.write_text(json.dumps(doc)),
+             "model.ckpt": lambda p: save_checkpoint(init_model(dims, seed), p)}
+    err, calls = refuse_in_tmp(
+        lambda root: ["finetune", "--config", str(root / "run.json"),
+                      "--checkpoint", str(root / "model.ckpt"), "--out", str(root / "r.json")],
+        files, SCORING)
+    assert f"{field}=" in err
+    assert calls == [[], [], []]
+
+
+@settings(max_examples=25, deadline=None, report_multiple_bugs=False)
+@given(dims=DIMS, seed=st.integers(0, 2**16), pick=st.data())
+def test_a_bad_mask_report_k_or_tau_is_refused_before_reading_the_data(dims, seed, pick):
+    variant = pick.draw(st.sampled_from(masking.SELECTION_VARIANTS))
+    k, tau = 1, 0.5
+    if pick.draw(st.booleans()):
+        k = pick.draw(st.one_of(st.integers(-3, 0), st.integers(min(max_k(dims, variant)) + 1, 12)))
+    else:
+        tau = pick.draw(st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                                  st.floats(max_value=-1e-300, allow_infinity=False)))
+    task = gen_task(dims[0], dims[-1], 4, 0.15, ShiftConfig(7, 0.6), seed=seed)
+    files = {"target.csv": lambda p: save_dataset_csv(task.target_train, p),
+             "model.ckpt": lambda p: save_checkpoint(init_model(dims, seed), p)}
+    err, calls = refuse_in_tmp(
+        lambda root: ["mask-report", "--checkpoint", str(root / "model.ckpt"),
+                      "--data", str(root / "target.csv"), f"--k={k}", f"--tau={tau!r}",
+                      "--variant", variant, "--out", str(root / "r.json")],
+        files, (data.load_dataset_csv, masking.scl_gradients))
+    assert ("k=" if tau == 0.5 else "tau") in err
+    assert calls == [[], []]

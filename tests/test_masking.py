@@ -254,19 +254,19 @@ class TestMaskSet:
 
     def test_head_full_and_k_rows_selected(self):
         model, x, y = self.make_inputs()
-        masks = compute_mask_set(model, x, y, 2, "row", 0.5)
+        masks = compute_mask_set(scl_gradients(model, x, y, 0.5), 2, "row")
         assert masks.layers[-1].variant == "full"
         assert all(len(m.indices) == 2 for m in masks.layers[:-1])
 
     def test_deterministic(self):
         model, x, y = self.make_inputs()
-        a = compute_mask_set(model, x, y, 2, "row", 0.5)
-        b = compute_mask_set(model, x, y, 2, "row", 0.5)
+        a = compute_mask_set(scl_gradients(model, x, y, 0.5), 2, "row")
+        b = compute_mask_set(scl_gradients(model, x, y, 0.5), 2, "row")
         assert all(ma.indices == mb.indices for ma, mb in zip(a.layers[:-1], b.layers[:-1]))
 
     def test_matches_brute_force_per_layer(self):
         model, x, y = self.make_inputs(seed=3)
-        masks = compute_mask_set(model, x, y, 2, "row", 0.5)
+        masks = compute_mask_set(scl_gradients(model, x, y, 0.5), 2, "row")
         hs = scl_gradients(model, x, y, 0.5)
         for mask, h in zip(masks.layers[:-1], hs[:-1]):
             fast = mask_objective(h, mask)
@@ -275,7 +275,7 @@ class TestMaskSet:
 
     def test_k_full_rows_equals_full_effect(self):
         model, x, y = self.make_inputs()
-        masks = compute_mask_set(model, x, y, 5, "row", 0.5)
+        masks = compute_mask_set(scl_gradients(model, x, y, 0.5), 5, "row")
         # every maskable layer here has >= 5 rows only when all rows selected match
         for m, layer in zip(masks.layers[:-1], model.layers[:-1]):
             if layer.weight.shape[0] == 5:
@@ -284,7 +284,7 @@ class TestMaskSet:
     def test_k_out_of_range_names_layer(self):
         model, x, y = self.make_inputs()
         with pytest.raises(ConfigError, match="layer"):
-            compute_mask_set(model, x, y, 99, "row", 0.5)
+            compute_mask_set(scl_gradients(model, x, y, 0.5), 99, "row")
 
     def test_trainable_fraction_full(self):
         model, _, _ = self.make_inputs()
@@ -298,8 +298,8 @@ class TestMaskSet:
 
     def test_trainable_fraction_hand_count(self):
         model = init_model([4, 4, 4, 3], seed=0)
-        masks = compute_mask_set(model, np.random.default_rng(0).normal(size=(8, 4)),
-                                 np.array([0, 0, 1, 1, 2, 2, 0, 1]), 1, "row", 0.5)
+        x, y = np.random.default_rng(0).normal(size=(8, 4)), np.array([0, 0, 1, 1, 2, 2, 0, 1])
+        masks = compute_mask_set(scl_gradients(model, x, y, 0.5), 1, "row")
         # two maskable layers: 1 row of 4 weights + 1 bias each; head 3x4 + 3 fully
         total = (16 + 4) + (16 + 4) + (12 + 3)
         assert trainable_fraction(model, masks) == (5 + 5 + 15) / total
