@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -24,9 +25,19 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _output_paths(path: str, *suffixes: str) -> list[Path]:
-    """The output path and its siblings with ``suffixes``, once none is a directory or
-    another's file, so a run never trains only to fail late or overwrite its own output."""
+def _refuse_inputs(outputs: list[Path], inputs: tuple[str, ...]) -> None:
+    """Refuse an output that resolves to one of the command's ``inputs`` or is the same file."""
+    for out in outputs:
+        for inp in map(Path, inputs):
+            if out.resolve() == inp.resolve() or (
+                    out.exists() and inp.exists() and os.path.samefile(out, inp)):
+                raise InputError(f"output path {out} is the command's input {inp}")
+
+
+def _output_paths(path: str, *suffixes: str, inputs: tuple[str, ...]) -> list[Path]:
+    """The output path and its siblings with ``suffixes``, once none is a directory, another's
+    file or one of the command's ``inputs``, so a run never trains only to fail late or to
+    overwrite its own output or input."""
     out = Path(path)
     if not out.parent.is_dir():
         raise InputError(f"output directory {out.parent} does not exist")
@@ -36,6 +47,7 @@ def _output_paths(path: str, *suffixes: str) -> list[Path]:
             raise InputError(f"output path {p} is a directory")
     if len(set(paths)) < len(paths):
         raise InputError(f"output path {out} is also the path of its {'/'.join(suffixes)} file")
+    _refuse_inputs(paths, inputs)
     return paths
 
 
@@ -48,7 +60,7 @@ def _load_pretrained(path: str, cfg: RunConfig) -> ModelParams:
 
 
 def cmd_pretrain(args) -> int:
-    [out] = _output_paths(args.out)
+    [out] = _output_paths(args.out, inputs=(args.config,))
     cfg = load_run_config(args.config, args.seed)
     task = cfg.make_task()
     model = harness.pretrain(task, cfg.model_dims, cfg.pretrain_optim(), cfg.seed,
@@ -61,7 +73,8 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    out, csv_out, mask_out = _output_paths(args.out, ".csv", ".mask.json")
+    out, csv_out, mask_out = _output_paths(args.out, ".csv", ".mask.json",
+                                          inputs=(args.config, args.checkpoint))
     cfg = load_run_config(args.config, args.seed)
     task = cfg.make_task()
     pre = _load_pretrained(args.checkpoint, cfg)
@@ -79,7 +92,7 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_mask_report(args) -> int:
-    [out] = _output_paths(args.out)
+    [out] = _output_paths(args.out, inputs=(args.checkpoint, args.data))
     losses.check_tau(args.tau)
     pre = load_checkpoint(args.checkpoint)
     masking.check_budget([l.weight.shape for l in pre.layers], args.k, args.variant)
@@ -131,21 +144,25 @@ def cmd_ablate(args) -> int:
     pre = _load_pretrained(args.checkpoint, cfg)
     configs = harness.sweep_configs(pre, task, cfg.finetune_config(), args.axis, values)
     out_dir = Path(args.out_dir)
+    combined = out_dir / "combined.csv"
+    run_paths = [(out_dir / f"{args.axis}_{value}.json", out_dir / f"{args.axis}_{value}.csv")
+                 for value in values]
+    _refuse_inputs([combined, *(p for pair in run_paths for p in pair)],
+                   (args.config, args.checkpoint))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot create output directory {out_dir}: {exc}") from exc
     reports = harness.ablate(pre, task, configs)
 
-    combined = out_dir / "combined.csv"
     with atomic_open(combined, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["axis", "value", "final_accuracy", "trainable_fraction",
                          "storage_bits", "final_loss_R"])
-        for value, report in zip(values, reports):
+        for value, report, (json_out, csv_out) in zip(values, reports, run_paths):
             report.config = {**report.config, "run_config": cfg.to_dict()}
-            harness.write_report_json(report, out_dir / f"{args.axis}_{value}.json")
-            harness.write_report_csv(report, out_dir / f"{args.axis}_{value}.csv")
+            harness.write_report_json(report, json_out)
+            harness.write_report_csv(report, csv_out)
             writer.writerow([args.axis, value, repr(report.final_accuracy),
                              repr(report.trainable_fraction), report.storage_bits,
                              repr(report.epochs[-1].loss_r)])

@@ -8,6 +8,7 @@ the source means. Everything is deterministic per seed.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,13 +46,6 @@ class ShiftConfig:
     magnitude: float
 
 
-@dataclass
-class TaskPair:
-    source: Dataset
-    target_train: Dataset
-    target_test: Dataset
-
-
 def _unit_rows(rng: Rng, n: int, dim: int) -> np.ndarray:
     v = rng.standard_normal((n, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -66,33 +60,59 @@ def _rotation(dim: int, shift: ShiftConfig) -> np.ndarray:
     return np.linalg.solve(eye - skew, eye + skew)
 
 
-def _sample(rng: Rng, means: np.ndarray, per_class: int, sigma: float) -> Dataset:
-    classes, dim = means.shape
-    y = np.repeat(np.arange(classes), per_class)
-    noise = rng.standard_normal((len(y), dim))
-    x = means[y] + sigma * noise
-    return Dataset(x, y, classes)
+@dataclass(frozen=True)
+class TaskPair:
+    """A source dataset and a target train/test pair. Each set is built on first
+    read from its own child stream of the seed (``child(1)`` to ``child(3)``), so a
+    command builds only the sets it reads, and skipping one changes no other draw."""
+    dim: int
+    classes: int
+    per_class: int
+    noise_sigma: float
+    shift: ShiftConfig
+    seed: int
+
+    @functools.cached_property
+    def _source_means(self) -> np.ndarray:
+        return _unit_rows(Rng(self.seed).child(0), self.classes, self.dim)
+
+    @functools.cached_property
+    def _target_means(self) -> np.ndarray:
+        """The source means, rotated and offset (a copy when the shift is zero)."""
+        shift = self.shift
+        if shift.magnitude == 0.0:
+            return self._source_means.copy()
+        offset_rng = Rng(shift.rotation_seed).child(1)
+        return (self._source_means @ _rotation(self.dim, shift).T
+                + shift.magnitude * _unit_rows(offset_rng, self.classes, self.dim))
+
+    def _sample(self, tag: int, means: np.ndarray) -> Dataset:
+        y = np.repeat(np.arange(self.classes), self.per_class)
+        noise = Rng(self.seed).child(tag).standard_normal((len(y), self.dim))
+        return Dataset(means[y] + self.noise_sigma * noise, y, self.classes)
+
+    @functools.cached_property
+    def source(self) -> Dataset:
+        return self._sample(1, self._source_means)
+
+    @functools.cached_property
+    def target_train(self) -> Dataset:
+        return self._sample(2, self._target_means)
+
+    @functools.cached_property
+    def target_test(self) -> Dataset:
+        return self._sample(3, self._target_means)
 
 
 def gen_task(dim: int, classes: int, per_class: int, noise_sigma: float,
              shift: ShiftConfig, seed: int) -> TaskPair:
-    """Gaussian class clusters; target means are a rotated + offset copy of source means."""
+    """Gaussian class clusters; target means are a rotated + offset copy of source means.
+    The sets are drawn on first read (see ``TaskPair``)."""
     if classes < 2 or per_class < 2:
         raise ConfigError("need at least 2 classes and 2 samples per class")
     if dim < 1 or noise_sigma < 0:
         raise ConfigError("dim must be >= 1 and noise_sigma >= 0")
-    rng = Rng(seed)
-    source_means = _unit_rows(rng.child(0), classes, dim)
-    if shift.magnitude == 0.0:
-        target_means = source_means.copy()
-    else:
-        offset_rng = Rng(shift.rotation_seed).child(1)
-        target_means = (source_means @ _rotation(dim, shift).T
-                        + shift.magnitude * _unit_rows(offset_rng, classes, dim))
-    source = _sample(rng.child(1), source_means, per_class, noise_sigma)
-    target_train = _sample(rng.child(2), target_means, per_class, noise_sigma)
-    target_test = _sample(rng.child(3), target_means, per_class, noise_sigma)
-    return TaskPair(source, target_train, target_test)
+    return TaskPair(dim, classes, per_class, noise_sigma, shift, seed)
 
 
 def partition_subsets(data: Dataset, n: int, seed: int | Rng) -> list[Dataset]:

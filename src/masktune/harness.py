@@ -23,8 +23,14 @@ from .losses import (Penalty, RegConfig, check_tau, combined_grad, resolve_penal
                      resolve_regular_layers)
 from .masking import (SELECTION_VARIANTS, GradientMaskSet, check_budget, compute_mask_set,
                       scl_gradients, trainable_fraction)
-from .model import ModelParams, forward, init_model, reinit_head
+from .model import (ModelParams, RowAnchor, forward, init_model, reinit_head, row_anchor,
+                    row_chunks)
 from .optim import AdamState, OptimConfig, cosine_warmup_lr, init_adam_state, masked_adam_step
+
+# below this many weights in layer 1, the dozen numpy calls the row path adds to a
+# step cost more than the layer-1 product it avoids: with batches of 32 on one CPU,
+# the two forwards took equal time near 128 x 128 (16,384 weights)
+_ROW_PATH_MIN_WEIGHTS = 1 << 15
 
 # sub-stream tags; fixed so trajectories are reproducible by construction
 _STREAM_HEAD = 1
@@ -88,18 +94,27 @@ class TrainReport:
         return {**doc, "epochs": [dataclasses.asdict(e) for e in self.epochs]}
 
 
-def evaluate(model: ModelParams, data: Dataset) -> float:
-    """Fraction of argmax-correct predictions; argmax ties go to the lowest class."""
+def evaluate(model: ModelParams, data: Dataset, anchor: RowAnchor | None = None) -> float:
+    """Fraction of argmax-correct predictions; argmax ties go to the lowest class. Given
+    ``anchor`` (the ``RowAnchor`` of ``data``), the set is forwarded on the row path, chunk
+    by chunk (``row_chunks``); else in one dense forward."""
     if model.num_classes != data.num_classes:
         raise ShapeError(f"head width {model.num_classes} != classes {data.num_classes}")
-    logits, _, _ = forward(model, data.x)
-    return float(np.mean(np.argmax(logits, axis=1) == data.y))
+    if anchor is None:
+        logits, _, _ = forward(model, data.x)
+        return float(np.mean(np.argmax(logits, axis=1) == data.y))
+    predicted = np.empty(len(data), dtype=np.intp)
+    for rows in row_chunks(len(data), max(model.dims)):
+        logits, _, _ = forward(model, data.x[rows], anchor.take(rows))
+        predicted[rows] = np.argmax(logits, axis=1)
+    return float(np.mean(predicted == data.y))
 
 
 def _train(model: ModelParams, masks: GradientMaskSet, penalty: Penalty, train: Dataset,
-           optim: OptimConfig, batch_size: int,
-           shuffle_rng: Rng) -> Iterator[tuple[int, float, float, float, AdamState]]:
-    """Train ``model`` in place; yield (epoch, lr, mean loss_R, mean CE, Adam state) per epoch."""
+           optim: OptimConfig, batch_size: int, shuffle_rng: Rng,
+           anchor: RowAnchor | None = None) -> Iterator[tuple[int, float, float, float, AdamState]]:
+    """Train ``model`` in place, on the row path where ``anchor`` (the ``RowAnchor`` of
+    ``train``) is given; yield (epoch, lr, mean loss_R, mean CE, Adam state) per epoch."""
     state = init_adam_state(model, masks)
     for epoch in range(optim.total_epochs):
         lr = cosine_warmup_lr(epoch, optim)
@@ -107,7 +122,9 @@ def _train(model: ModelParams, masks: GradientMaskSet, penalty: Penalty, train: 
         loss_sum = ce_sum = 0.0
         for start in range(0, len(train), batch_size):
             idx = order[start:start + batch_size]
-            loss_r, ce, grad = combined_grad(model, masks, penalty, train.x[idx], train.y[idx])
+            batch_anchor = None if anchor is None else anchor.take(idx)
+            loss_r, ce, grad = combined_grad(model, masks, penalty, train.x[idx], train.y[idx],
+                                             batch_anchor)
             if not np.isfinite(loss_r):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             masked_adam_step(model, state, grad, masks, lr, optim)
@@ -163,17 +180,36 @@ def finetune_masks(model: ModelParams, task: TaskPair,
     return subset_index, compute_mask_set(gradients, cfg.k, cfg.variant)
 
 
+def _row_anchors(anchor: ModelParams, task: TaskPair,
+                 masks: GradientMaskSet) -> tuple[RowAnchor | None, RowAnchor | None]:
+    """The ``RowAnchor``s of the target train and test sets where row masks (empty ones, as
+    the linear probe's, included) cover layers 0 and 1 below the head and layer 1 holds at
+    least ``_ROW_PATH_MIN_WEIGHTS`` weights; else no anchors, and the run takes the dense
+    forward."""
+    if (len(masks.layers) < 3 or any(m.variant != "row" for m in masks.layers[:2])
+            or anchor.layers[1].weight.size < _ROW_PATH_MIN_WEIGHTS):
+        return None, None
+    rows0, rows1 = (m.trainable[0] for m in masks.layers[:2])
+    return tuple(row_anchor(anchor, data.x, rows0, rows1)
+                 for data in (task.target_train, task.target_test))
+
+
 def _finetune_with_masks(anchor: ModelParams, task: TaskPair, cfg: FineTuneConfig,
                          subset_index: int,
                          masks: GradientMaskSet) -> tuple[ModelParams, TrainReport]:
     """Train the run's one copy of ``anchor`` towards ``anchor`` and return it; ``anchor``
-    (``pre``'s arrays below the head, viewed by the penalty) is only read."""
+    (``pre``'s arrays below the head, viewed by the penalty) is only read. Where
+    ``_row_anchors`` gives anchors, the run forwards on the row path from them, and frees
+    them before the report."""
+    train_rows, test_rows = _row_anchors(anchor, task, masks)
     model = anchor.copy()
     epochs = _train(model, masks, resolve_penalty(anchor, cfg.reg, masks), task.target_train,
-                    cfg.optim, cfg.batch_size, Rng(cfg.seed).child(_STREAM_SHUFFLE))
+                    cfg.optim, cfg.batch_size, Rng(cfg.seed).child(_STREAM_SHUFFLE), train_rows)
     stats = []
     for epoch, lr, loss_r, ce, state in epochs:
-        stats.append(EpochStats(epoch, lr, loss_r, ce, evaluate(model, task.target_test)))
+        stats.append(EpochStats(epoch, lr, loss_r, ce,
+                                evaluate(model, task.target_test, test_rows)))
+    del train_rows, test_rows  # before the distances' full-matrix temporaries
     distances = [float(np.sqrt(np.sum((m.weight - a.weight) ** 2)))
                  for m, a in zip(model.layers, anchor.layers)]
     report = TrainReport(
@@ -232,12 +268,17 @@ def _with_axis_value(cfg: FineTuneConfig, axis: str, value) -> FineTuneConfig:
 def sweep_configs(pre: ModelParams, task: TaskPair, base_cfg: FineTuneConfig, axis: str,
                   values: list) -> list[FineTuneConfig]:
     """``base_cfg`` with ``axis`` set to each value (of ``axis_type(axis)``), all else (seeds
-    included) fixed; every config passes ``_check_config`` against ``pre`` and ``task``."""
+    included) fixed; every config passes ``_check_config`` against ``pre`` and ``task``. Two
+    values that give equal configs or print alike (the name of a run's files) are refused."""
     axis_type(axis)  # refuses an unknown axis
     if not values:
         raise ConfigError("values must be non-empty")
     configs = [_with_axis_value(base_cfg, axis, value) for value in values]
-    for cfg in configs:
+    for i, (value, cfg) in enumerate(zip(values, configs)):
+        for earlier, twin in zip(values[:i], configs[:i]):
+            if twin == cfg or str(earlier) == str(value):
+                raise ConfigError(f"{axis} values {earlier!r} and {value!r} give the same "
+                                  f"run or the same file name; give each value once")
         _check_config(pre, task, cfg)
     return configs
 

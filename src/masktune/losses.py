@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .model import ModelParams, backward, forward, layer_roles
+from .model import ModelParams, RowAnchor, backward, forward, layer_roles
 
 if TYPE_CHECKING:  # masking imports this module for the contrastive loss
     from .masking import GradientMaskSet, Segment
@@ -206,14 +206,15 @@ def reg_penalty(model: ModelParams, penalty: Penalty, grad: np.ndarray) -> float
 
 
 def combined_grad(model: ModelParams, masks: GradientMaskSet, penalty: Penalty,
-                  x_batch: np.ndarray, labels: np.ndarray) -> tuple[float, float, np.ndarray]:
+                  x_batch: np.ndarray, labels: np.ndarray,
+                  anchor: RowAnchor | None = None) -> tuple[float, float, np.ndarray]:
     """Cross-entropy plus distance penalty; returns (total loss, ce loss, gradient).
 
     The gradient is one vector in the flat layout of ``masks``, the masks
     ``penalty`` was resolved with: ``backward``'s cross-entropy gradient with
-    the penalty's added in place.
+    the penalty's added in place. ``anchor`` is passed on to ``forward``.
     """
-    logits, _, cache = forward(model, x_batch)
+    logits, _, cache = forward(model, x_batch, anchor)
     ce, d_logits = cross_entropy(logits, labels)
     grad = backward(model, cache, masks, d_logits=d_logits)
     return ce + reg_penalty(model, penalty, grad), ce, grad

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -112,25 +112,97 @@ def reinit_head(model: ModelParams, num_classes: int, rng: Rng) -> ModelParams:
     return ModelParams([Layer(l.weight, l.bias) for l in model.layers[:-1]] + [head])
 
 
-def forward(model: ModelParams, x_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
+# rows per chunk where a whole dataset is forwarded: about this many entries
+# of its widest activation, however many rows the dataset has
+_CHUNK = 1 << 15
+
+
+def row_chunks(samples: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(samples)``, each about ``_CHUNK`` entries ``width`` wide."""
+    step = max(1, _CHUNK // width)
+    return (slice(a, min(a + step, samples)) for a in range(0, samples, step))
+
+
+class RowAnchor(NamedTuple):
+    """What row masks on layers 0 and 1 leave of the anchor's forward pass, per dataset row.
+
+    Such masks change layer 0 only in its trained rows ``rows0``, and so its
+    activation ``a0`` only in those columns, and layer 1 only in its trained
+    rows ``rows1``. So layer 1's pre-activation is the anchor's ``z1`` plus
+    ``(a0[:, rows0] - a0_pre[:, rows0]) @ W1[:, rows0].T``, except in the rows
+    ``rows1``, which are computed afresh. Each row of ``pre`` holds the anchor's
+    ``z1`` and then its ``a0[:, rows0]``, so that a batch gathers both at once;
+    ``forward`` given an anchor never forms ``a0 @ W1.T``.
+    """
+    rows0: np.ndarray
+    rows1: np.ndarray
+    pre: np.ndarray  # (samples, layer 1 width + len(rows0))
+
+    def take(self, index) -> "RowAnchor":
+        """The anchor of the dataset rows at ``index`` (a view for a slice)."""
+        return RowAnchor(self.rows0, self.rows1, self.pre[index])
+
+
+def row_anchor(model: ModelParams, x: np.ndarray, rows0: np.ndarray,
+               rows1: np.ndarray) -> RowAnchor:
+    """The ``RowAnchor`` of ``model`` over the rows of ``x`` for the trained rows ``rows0`` of
+    layer 0 and ``rows1`` of layer 1: the dense forward of those two layers, chunk by chunk,
+    so no whole-dataset activation is formed beside the one array it keeps."""
+    bottom = ModelParams(model.layers[:2])
+    width = bottom.num_classes
+    pre = np.empty((len(x), width + len(rows0)))
+    for rows in row_chunks(len(x), max(bottom.dims)):
+        z1, a0, _ = forward(bottom, x[rows])
+        pre[rows, :width] = z1
+        pre[rows, width:] = a0[:, rows0]
+    return RowAnchor(rows0, rows1, pre)
+
+
+def _row_layer(layer: Layer, a0: np.ndarray, anchor: RowAnchor) -> np.ndarray:
+    """Layer 1's pre-activation from layer 0's activation ``a0`` and the batch's anchor."""
+    rows0, rows1, pre = anchor
+    width = layer.out_dim
+    change = a0[:, rows0]
+    change -= pre[:, width:]
+    z = change @ layer.weight[:, rows0].T
+    z += pre[:, :width]
+    z[:, rows1] = a0 @ layer.weight[rows1].T + layer.bias[rows1]
+    return z
+
+
+def forward(model: ModelParams, x_batch: np.ndarray,
+            anchor: RowAnchor | None = None) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Run the network; return (logits, features, cache).
 
     ``features`` is the head input, i.e. the penultimate activation (or the
     raw batch for a head-only model). Each layer allocates one activation:
     the bias and the ReLU are applied in place to the fresh matmul result, so
     no cached input is ever written again.
+
+    Given ``anchor``, the ``RowAnchor`` of the batch's rows at weights that
+    ``model`` equals outside the trained rows of row masks on layers 0 and 1,
+    layer 1 is computed from it (see ``RowAnchor``): the row path, which costs
+    the trained rows of layer 1 rather than its whole matrix. Its logits and
+    cache equal the dense ones up to rounding.
     """
     x_batch = np.asarray(x_batch, dtype=np.float64)
     if x_batch.ndim != 2 or x_batch.shape[1] != model.layers[0].in_dim:
         raise ShapeError(f"batch shape {x_batch.shape} does not match "
                          f"input width {model.layers[0].in_dim}")
+    if anchor is not None and (len(model.layers) < 3 or anchor.pre.shape != (
+            len(x_batch), model.layers[1].out_dim + len(anchor.rows0))):
+        raise ShapeError(f"row anchor of shape {anchor.pre.shape} does not fit a batch of "
+                         f"{len(x_batch)} rows into layer 1 of a {len(model.layers)}-layer model")
     cache = ForwardCache(model=model)
     a = x_batch
     head = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
         cache.inputs.append(a)
-        a = a @ layer.weight.T
-        a += layer.bias
+        if i == 1 and anchor is not None:
+            a = _row_layer(layer, a, anchor)
+        else:
+            a = a @ layer.weight.T
+            a += layer.bias
         if i < head:
             np.maximum(a, 0.0, out=a)
     logits = a

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masktune import data, harness, masking
+from masktune import data, harness, masking, model
 from masktune.cli import main
 from masktune.config import parse_run_config
 from masktune.data import save_dataset_csv, gen_task, ShiftConfig
@@ -218,6 +219,29 @@ class TestFinetuneCommand:
         for name in ("report.json", "report.csv", "report.mask.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_a_rerun_after_another_run_is_byte_identical(self, tmp_path, monkeypatch):
+        # row k=2, row k=3, then row k=2 again in one process: nothing a run leaves behind
+        # (the row anchors included) reaches the next one; layer 1 of 192 x 192 weights
+        # is wide enough for the row path
+        dims = [6, 192, 192, 3]
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(dims, seed=3), ckpt)
+        anchors = count_calls(monkeypatch, model.row_anchor)
+        for run, k in (("a", 2), ("b", 3), ("c", 2)):
+            doc = copy.deepcopy(BASE_CONFIG)
+            doc["model"]["dims"] = dims
+            doc["finetune"]["k"] = k
+            (tmp_path / run).mkdir()
+            (tmp_path / run / "run.json").write_text(json.dumps(doc))
+            assert main(["finetune", "--config", str(tmp_path / run / "run.json"),
+                         "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / run / "report.json")]) == 0
+        assert len(anchors) == 6  # two per run: each run took the row path
+        for name in ("report.csv", "report.mask.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+        assert (tmp_path / "a" / "report.mask.json").read_bytes() != \
+            (tmp_path / "b" / "report.mask.json").read_bytes()
+
     def test_scores_once_and_saves_the_trained_masks(self, trained, tmp_path, monkeypatch):
         cfg, ckpt = trained
         subset_calls = count_calls(monkeypatch, data.select_mask_subset)
@@ -416,6 +440,80 @@ class TestOutputPaths:
         assert calls == []
 
 
+def copy_inputs(trained, root) -> dict:
+    """The config, the checkpoint and a target CSV, copied under ``root``."""
+    cfg, ckpt = trained
+    root.mkdir()
+    inputs = {"config": root / "run.json", "checkpoint": root / "model.ckpt",
+              "data": root / "target.csv"}
+    inputs["config"].write_bytes(cfg.read_bytes())
+    inputs["checkpoint"].write_bytes(ckpt.read_bytes())
+    write_target_csv(inputs["data"])
+    return inputs
+
+
+def command_argv(command, inputs, out) -> list[str]:
+    if command == "pretrain":
+        return ["pretrain", "--config", str(inputs["config"]), "--out", str(out)]
+    if command == "finetune":
+        return ["finetune", "--config", str(inputs["config"]),
+                "--checkpoint", str(inputs["checkpoint"]), "--out", str(out)]
+    return ["mask-report", "--checkpoint", str(inputs["checkpoint"]),
+            "--data", str(inputs["data"]), "--k", "2", "--out", str(out)]
+
+
+class TestOutputIsAnInput:
+    """An output that is one of the command's inputs, by its path or as the same file,
+    exits 2 before any work and leaves every input as it was."""
+
+    @pytest.mark.parametrize("command, name", [
+        ("pretrain", "config"), ("finetune", "config"), ("finetune", "checkpoint"),
+        ("mask-report", "checkpoint"), ("mask-report", "data")])
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "hard link", "symlink"])
+    def test_refused(self, trained, tmp_path, capsys, command, name, spelling):
+        inputs = copy_inputs(trained, tmp_path / "in")
+        before = {p: p.read_bytes() for p in inputs.values()}
+        target = inputs[name]
+        if spelling == "same":
+            out = target
+        elif spelling == "dotted":
+            out = target.parent / ".." / target.parent.name / target.name
+        else:
+            out = target.parent / ("link" + target.suffix)
+            (os.link if spelling == "hard link" else os.symlink)(target, out)
+        assert main(command_argv(command, inputs, out)) == 2
+        assert "is the command's input" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in inputs.values()} == before
+
+    def test_a_finetune_sibling_that_is_the_config_is_refused(self, trained, tmp_path, capsys):
+        inputs = copy_inputs(trained, tmp_path / "in")
+        inputs["config"] = inputs["config"].rename(tmp_path / "in" / "r.csv")
+        before = inputs["config"].read_bytes()
+        assert main(command_argv("finetune", inputs, tmp_path / "in" / "r.json")) == 2
+        assert "is the command's input" in capsys.readouterr().err
+        assert inputs["config"].read_bytes() == before
+
+    @pytest.mark.parametrize("name, file", [("config", "combined.csv"),
+                                            ("checkpoint", "k_1.json")])
+    def test_an_ablate_output_that_is_an_input_is_refused(self, trained, tmp_path, capsys,
+                                                         monkeypatch, name, file):
+        inputs = copy_inputs(trained, tmp_path / "in")
+        inputs[name] = inputs[name].rename(tmp_path / "in" / file)
+        before = {p: p.read_bytes() for p in inputs.values()}
+        calls = count_calls(monkeypatch, harness.finetune)
+        assert main(["ablate", "--config", str(inputs["config"]),
+                     "--checkpoint", str(inputs["checkpoint"]), "--axis", "k",
+                     "--values", "1,2", "--out-dir", str(tmp_path / "in")]) == 2
+        assert "is the command's input" in capsys.readouterr().err
+        assert calls == []
+        assert {p: p.read_bytes() for p in inputs.values()} == before
+
+    def test_fresh_names_beside_the_inputs_are_written(self, trained, tmp_path):
+        inputs = copy_inputs(trained, tmp_path / "in")
+        for command in ("pretrain", "finetune", "mask-report"):
+            assert main(command_argv(command, inputs, tmp_path / "in" / f"{command}.out")) == 0
+
+
 class TestAtomicOutputs:
     """A command that fails while writing leaves no partial file and no temp file."""
 
@@ -464,6 +562,17 @@ class TestAblateCommand:
         assert len(lines) == 3
         assert lines[1].startswith("k,1,")
         assert lines[2].startswith("k,2,")
+
+    @pytest.mark.parametrize("axis, values", [("lambda", "0.5,0.50,5e-1"), ("k", "1,2,01"),
+                                              ("lambda", "0,-0")])
+    def test_repeated_values_exit_2_without_training(self, trained, tmp_path, capsys,
+                                                     monkeypatch, axis, values):
+        cfg, ckpt = trained
+        calls = count_calls(monkeypatch, harness.finetune)
+        assert_refused(["ablate", "--config", str(cfg), "--checkpoint", str(ckpt),
+                        "--axis", axis, "--values", values,
+                        "--out-dir", str(tmp_path / "sweep")], tmp_path, capsys, [])
+        assert calls == []
 
     def test_unknown_axis_exits_2(self, trained, tmp_path, capsys, monkeypatch):
         cfg, ckpt = trained

@@ -34,6 +34,17 @@ class TestGenTask:
         assert np.array_equal(a.target_train.x, b.target_train.x)
         assert np.array_equal(a.target_test.x, b.target_test.x)
 
+    def test_each_set_is_drawn_on_first_read_from_its_own_stream(self):
+        names = ("source", "target_train", "target_test")
+        a, b = gen_task(6, 3, 5, 0.2, SHIFT, seed=2), gen_task(6, 3, 5, 0.2, SHIFT, seed=2)
+        assert not any(name in vars(a) for name in names)
+        b.target_test  # b draws its test set alone first, then the rest in reverse order
+        assert [name in vars(b) for name in names] == [False, False, True]
+        for name in reversed(names):
+            getattr(b, name)
+        for name in names:
+            assert np.array_equal(getattr(a, name).x, getattr(b, name).x)
+
     def test_zero_noise_samples_on_means(self):
         task = gen_task(6, 3, 4, 0.0, SHIFT, seed=3)
         for c in range(3):

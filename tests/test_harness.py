@@ -1,9 +1,11 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import peak_bytes
+from masktune import harness
 from masktune.data import Dataset, ShiftConfig, gen_task
 from masktune.errors import ConfigError, ShapeError
 from masktune.harness import (
@@ -108,6 +110,19 @@ class TestPretrain:
         optim = OptimConfig(base_lr=0.05, total_epochs=30, warmup_epochs=2)
         model = pretrain(task, DIMS, optim, seed=2)
         assert evaluate(model, task.source) >= 0.95
+
+
+class TestLazyTask:
+    def test_pretrain_builds_no_target_set(self):
+        task = make_task()
+        pretrain(task, DIMS, OptimConfig(base_lr=0.02, total_epochs=1), seed=5)
+        assert "target_train" not in vars(task) and "target_test" not in vars(task)
+
+    def test_finetune_builds_no_source_set(self, pre_and_task):
+        pre, _ = pre_and_task
+        task = make_task(seed=1, per_class=16, noise=0.12)
+        finetune(pre, task, make_cfg())
+        assert "source" not in vars(task)
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +249,13 @@ class TestAblate:
         ablate(pre, task, sweep_configs(pre, task, make_cfg(), axis, values))
         assert param_bytes(pre) == before
 
+    @pytest.mark.parametrize("axis, values", [("lambda", [0.5, 0.5]), ("lambda", [0.0, -0.0]),
+                                              ("k", [1, 2, 1]), ("variant", ["row", "row"])])
+    def test_repeated_values_are_refused(self, pre_and_task, axis, values):
+        pre, task = pre_and_task
+        with pytest.raises(ConfigError, match="give each value once"):
+            sweep_configs(pre, task, make_cfg(), axis, values)
+
     def test_axes_and_errors(self, pre_and_task):
         pre, task = pre_and_task
         assert "variant" in ABLATION_AXES
@@ -241,6 +263,55 @@ class TestAblate:
             ablate(pre, task, sweep_configs(pre, task, make_cfg(), "nope", [1]))
         with pytest.raises(ConfigError):
             ablate(pre, task, sweep_configs(pre, task, make_cfg(), "k", []))
+
+
+# layer 1 of 192 x 192 = 36,864 weights is wide enough for the row path
+ROW_PATH_DIMS = [6, 192, 192, 3]
+
+
+class TestRowPath:
+    """A run under row masks on layers 0 and 1 (the linear probe's empty ones included)
+    whose layer 1 is wide enough forwards from two row anchors, and frees both before
+    its report."""
+
+    @pytest.mark.parametrize("run, variant, dims, anchors", [
+        (finetune, "row", ROW_PATH_DIMS, 2), (linear_probe, "row", ROW_PATH_DIMS, 2),
+        (finetune, "col", ROW_PATH_DIMS, 0), (finetune, "sparse", ROW_PATH_DIMS, 0),
+        (finetune, "full", ROW_PATH_DIMS, 0), (finetune, "row", DIMS, 0),
+        (linear_probe, "row", DIMS, 0), (finetune, "row", [6, 192, 3], 0)])
+    def test_only_wide_row_masks_build_anchors_and_the_report_frees_them(
+            self, monkeypatch, run, variant, dims, anchors):
+        task = make_task(seed=1, per_class=16, noise=0.12)
+        pre = init_model(dims, seed=2)
+        built, alive_at_report = [], []
+        row_anchor, trainable_fraction = harness.row_anchor, harness.trainable_fraction
+
+        def recorded(*args):
+            anchor = row_anchor(*args)
+            built.append(weakref.ref(anchor.pre))
+            return anchor
+
+        def report_begins(*args):  # after the weight distances, before the report returns
+            alive_at_report.append(sum(ref() is not None for ref in built))
+            return trainable_fraction(*args)
+
+        monkeypatch.setattr(harness, "row_anchor", recorded)
+        monkeypatch.setattr(harness, "trainable_fraction", report_begins)
+        run(pre, task, make_cfg(variant=variant, reg=RegConfig(lam=0.01, regular=RegularSet(0))))
+        assert len(built) == anchors
+        assert alive_at_report == [0]
+
+    @pytest.mark.parametrize("run", [finetune, linear_probe])
+    def test_row_path_run_is_the_dense_run_up_to_rounding(self, monkeypatch, run):
+        task = make_task(seed=1, per_class=16, noise=0.12)
+        pre = init_model(ROW_PATH_DIMS, seed=2)
+        _, row = run(pre, task, make_cfg())
+        monkeypatch.setattr(harness, "_row_anchors", lambda *args: (None, None))
+        _, dense = run(pre, task, make_cfg())
+        assert [e.test_accuracy for e in row.epochs] == [e.test_accuracy for e in dense.epochs]
+        for a, b in zip(row.epochs, dense.epochs):
+            assert a.loss_r == pytest.approx(b.loss_r, rel=1e-12)
+        assert row.weight_distances == pytest.approx(dense.weight_distances, rel=1e-9)
 
 
 class TestReportFiles:

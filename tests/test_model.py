@@ -17,6 +17,7 @@ from masktune.model import (
     layer_roles,
     load_checkpoint,
     reinit_head,
+    row_anchor,
     save_checkpoint,
 )
 
@@ -88,6 +89,17 @@ class TestForward:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             forward(small_model(), np.zeros((3, 9)))
+
+    def test_a_row_anchor_that_does_not_fit_the_batch_or_the_model_raises(self, np_rng):
+        model = small_model()  # [4, 6, 5, 3]
+        x = np_rng.normal(size=(7, 4))
+        anchor = row_anchor(model, x, np.array([0, 2]), np.array([1]))
+        assert anchor.pre.shape == (7, 5 + 2)
+        forward(model, x[:3], anchor.take(slice(0, 3)))
+        with pytest.raises(ShapeError):
+            forward(model, x[:3], anchor.take(slice(0, 4)))
+        with pytest.raises(ShapeError):  # layer 1 is the head: no row path
+            forward(small_model(dims=(4, 5, 3)), x, anchor)
 
     def test_allocates_one_activation_per_layer(self, np_rng):
         model = init_model([256, 768, 768, 10], seed=0)

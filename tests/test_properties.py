@@ -26,6 +26,7 @@ from conftest import (bias_mask, finite_diff_grad, gathered, grad_rel_err, layer
                       oracle_forward, oracle_scl_loss, read_masks, sparse_from_bits)
 from masktune.data import Dataset, load_dataset_csv, save_dataset_csv
 from masktune.errors import InputError, NumericError
+from masktune.harness import evaluate
 from masktune.losses import (
     RegConfig,
     RegularSet,
@@ -53,6 +54,8 @@ from masktune.model import (
     forward,
     layer_roles,
     load_checkpoint,
+    row_anchor,
+    row_chunks,
     save_checkpoint,
 )
 from masktune.optim import _CHUNK, OptimConfig, init_adam_state, masked_adam_step
@@ -636,3 +639,77 @@ def test_masks_round_trip_through_json(seed, layers):
             (want.variant, want.shape, want.storage_bits())
         assert_same_index(got.trainable, want.trainable)
     assert loaded.total_storage_bits() == masks.total_storage_bits()
+
+
+@st.composite
+def row_path_setups(draw):
+    """A model of 3 to 5 layers with random weights and biases, its anchor, row masks
+    with k from 0 (the linear probe) up to the full width below a full head, a dataset
+    and a batch of its rows, drawn with repeats."""
+    dims = draw(st.lists(st.integers(1, 9), min_size=4, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pre = ModelParams([Layer(rng.normal(size=(n_out, n_in)), rng.normal(size=n_out))
+                       for n_in, n_out in zip(dims, dims[1:])])
+    masks = [LayerMask("row", l.weight.shape, sorted(draw(st.sets(
+        st.integers(0, l.out_dim - 1), max_size=l.out_dim)))) for l in pre.layers[:-1]]
+    masks = GradientMaskSet((*masks, LayerMask("full", pre.layers[-1].weight.shape)))
+    model = pre.copy()
+    for seg in masks.segments:  # move every trainable entry off the anchor
+        getattr(model.layers[seg.layer], seg.param)[seg.index] += rng.normal(size=seg.shape)
+    samples = draw(st.integers(1, 40))
+    x = rng.normal(size=(samples, dims[0]))
+    y = rng.integers(0, dims[-1], size=samples)
+    batch = np.array(draw(st.lists(st.integers(0, samples - 1), min_size=1, max_size=40)))
+    return rng, pre, model, masks, x, y, batch
+
+
+def anchor_of(pre, masks, x):
+    return row_anchor(pre, x, *(m.trainable[0] for m in masks.layers[:2]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(setup=row_path_setups())
+def test_row_path_forward_and_backward_match_the_dense_path(setup):
+    rng, pre, model, masks, x, _, batch = setup
+    anchor = anchor_of(pre, masks, x)
+    logits, features, cache = forward(model, x[batch], anchor.take(batch))
+    dense_logits, dense_features, dense_cache = forward(model, x[batch])
+    assert grad_rel_err(logits, dense_logits) <= 1e-12
+    assert grad_rel_err(features, dense_features) <= 1e-12
+    d_logits = rng.normal(size=logits.shape)
+    grad = backward(model, cache, masks, d_logits=d_logits)
+    assert grad_rel_err(grad, backward(model, dense_cache, masks, d_logits=d_logits)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=row_path_setups(), steps=st.integers(1, 4))
+def test_row_path_training_keeps_frozen_entries_bitwise(setup, steps):
+    rng, pre, model, masks, x, y, batch = setup
+    anchor = anchor_of(pre, masks, x)
+    penalty = resolve_penalty(pre, RegConfig(lam=0.1, regular=RegularSet(1)), masks)
+    state = init_adam_state(model, masks)
+    before = model.copy()
+    for _ in range(steps):
+        _, _, grad = combined_grad(model, masks, penalty, x[batch], y[batch], anchor.take(batch))
+        masked_adam_step(model, state, grad, masks, 0.05, CFG)
+    for mask, got, want in zip(masks.layers, model.layers, before.layers):
+        frozen = mask.to_dense() == 0.0
+        assert bits(got.weight[frozen]) == bits(want.weight[frozen])
+        assert bits(got.bias[bias_mask(mask) == 0.0]) == bits(want.bias[bias_mask(mask) == 0.0])
+
+
+def test_row_path_evaluation_reads_the_anchor_chunk_by_chunk():
+    # 4,000 wide, so each chunk holds 8 of the 100 rows and the last one 4
+    rng = np.random.default_rng(5)
+    pre = ModelParams([Layer(rng.normal(size=(n_out, n_in)), rng.normal(size=n_out))
+                       for n_in, n_out in [(6, 4000), (4000, 7), (7, 3)]])
+    masks = GradientMaskSet((LayerMask("row", (4000, 6), (1, 2999)),
+                             LayerMask("row", (7, 4000), (0, 5)), LayerMask("full", (3, 7))))
+    data = Dataset(rng.normal(size=(100, 6)), rng.integers(0, 3, size=100), 3)
+    anchor = anchor_of(pre, masks, data.x)
+    chunks = list(row_chunks(100, 4000))
+    assert [(c.start, c.stop) for c in chunks[-2:]] == [(88, 96), (96, 100)]
+    for rows in chunks:  # z1, then a0's trained columns: the dense forward of each chunk
+        z1, a0, _ = forward(ModelParams(pre.layers[:2]), data.x[rows])
+        assert bits(anchor.pre[rows]) == bits(np.hstack([z1, a0[:, [1, 2999]]]))
+    assert evaluate(pre, data, anchor) == evaluate(pre, data)
