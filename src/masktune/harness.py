@@ -189,7 +189,7 @@ def _row_anchors(anchor: ModelParams, task: TaskPair,
     if (len(masks.layers) < 3 or any(m.variant != "row" for m in masks.layers[:2])
             or anchor.layers[1].weight.size < _ROW_PATH_MIN_WEIGHTS):
         return None, None
-    rows0, rows1 = (m.trainable[0] for m in masks.layers[:2])
+    rows0, rows1 = (m.index for m in masks.layers[:2])
     return tuple(row_anchor(anchor, data.x, rows0, rows1)
                  for data in (task.target_train, task.target_test))
 

@@ -1,9 +1,10 @@
 """Selection scores, mask construction, objective accounting, and storage costs.
 
-A mask decides which weight entries train. Row and column masks store only
-sorted index lists; the per-neuron sparse variant stores one index list per
-row; ``full`` marks an entirely trainable layer (canonical form for the head)
-and costs zero storage.
+A mask decides which weight entries train. Row and column masks hold a
+sorted ``intp`` array of their rows or columns; the per-neuron sparse variant
+holds the boolean matrix of its trainable entries; ``full`` marks an entirely
+trainable layer (canonical form for the head) and costs zero storage. The
+per-row index lists of a sparse mask are built only for its JSON document.
 """
 
 from __future__ import annotations
@@ -27,41 +28,52 @@ SELECTION_VARIANTS = ("row", "col", "sparse")  # the variants scoring can build
 VARIANTS = (*SELECTION_VARIANTS, "full")
 
 
-def _check_indices(indices, bound: int, what: str) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in indices)
-    if any(b <= a for a, b in zip(idx, idx[1:])):
-        raise ConfigError(f"{what} indices must be strictly increasing: {idx}")
-    if idx and (idx[0] < 0 or idx[-1] >= bound):
-        raise ConfigError(f"{what} indices out of bounds [0, {bound}): {idx}")
-    return idx
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-@dataclass(frozen=True)
+def _check_indices(index, bound: int, what: str) -> np.ndarray:
+    """A read-only ``intp`` copy of a strictly increasing index list into ``bound`` positions."""
+    idx = np.array(index)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ConfigError(f"{what} indices must be a list of integers: {index!r}")
+    idx = idx.astype(np.intp, copy=False)  # np.array made the copy
+    if np.any(idx[1:] <= idx[:-1]):
+        raise ConfigError(f"{what} indices must be strictly increasing: {idx.tolist()}")
+    if idx.size and (idx[0] < 0 or idx[-1] >= bound):
+        raise ConfigError(f"{what} indices out of bounds [0, {bound}): {idx.tolist()}")
+    return _frozen(idx)
+
+
+@dataclass(frozen=True, eq=False)
 class LayerMask:
     """Per-layer selection of trainable weight entries.
 
-    ``indices`` is a sorted int tuple for row/col, a tuple of per-row sorted
-    int tuples for sparse, and None for full.
+    ``index`` is a read-only copy of what the variant selects: a strictly
+    increasing ``intp`` array of rows or columns for row/col, the boolean
+    matrix of trainable entries (of ``shape``) for sparse, and None for full.
+    Masks compare by identity, as their index is an array.
     """
     variant: str
     shape: tuple[int, int]
-    indices: object = None
+    index: np.ndarray | None = None
 
     def __post_init__(self):
         rows, cols = self.shape
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown mask variant {self.variant!r}")
         if self.variant == "row":
-            object.__setattr__(self, "indices", _check_indices(self.indices, rows, "row"))
+            object.__setattr__(self, "index", _check_indices(self.index, rows, "row"))
         elif self.variant == "col":
-            object.__setattr__(self, "indices", _check_indices(self.indices, cols, "col"))
+            object.__setattr__(self, "index", _check_indices(self.index, cols, "col"))
         elif self.variant == "sparse":
-            if len(self.indices) != rows:
-                raise ConfigError(f"sparse mask needs {rows} per-row lists")
-            fixed = tuple(_check_indices(r, cols, f"sparse row {i}")
-                          for i, r in enumerate(self.indices))
-            object.__setattr__(self, "indices", fixed)
-        elif self.indices is not None:
+            bits = self.index
+            if not (isinstance(bits, np.ndarray) and bits.dtype == bool
+                    and bits.shape == self.shape):
+                raise ConfigError(f"sparse mask needs a {rows}x{cols} boolean matrix")
+            object.__setattr__(self, "index", _frozen(bits.copy()))
+        elif self.index is not None:
             raise ConfigError("full mask carries no indices")
 
     @functools.cached_property
@@ -69,23 +81,20 @@ class LayerMask:
         """Index of the trainable weight entries and of the trainable biases.
 
         ``weight[index]`` (``bias[index]``) is exactly the entries the mask
-        leaves trainable: row and col masks give index arrays, ``full`` the
-        whole array, sparse masks a boolean matrix. A bias trains
+        leaves trainable: row and col masks give their index arrays, ``full``
+        the whole array, sparse masks their boolean matrix. A bias trains
         when its row holds selected weights; column masks leave all biases
-        frozen (a column targets no single output neuron). Built on first use
-        and kept with the mask; every other reading of a mask derives from it.
+        frozen (a column targets no single output neuron). Every array is
+        read-only. Built on first use and kept with the mask; every other
+        reading of a mask derives from it.
         """
         if self.variant == "full":
             return ..., ...
         if self.variant == "row":
-            rows = np.array(self.indices, dtype=np.intp)
-            return rows, rows
+            return self.index, self.index
         if self.variant == "col":
-            return (slice(None), np.array(self.indices, dtype=np.intp)), np.zeros(0, np.intp)
-        bits = np.zeros(self.shape, dtype=bool)
-        for i, cols_i in enumerate(self.indices):
-            bits[i, list(cols_i)] = True
-        return bits, bits.any(axis=1)
+            return (slice(None), self.index), _frozen(np.zeros(0, np.intp))
+        return self.index, _frozen(self.index.any(axis=1))
 
     def to_dense(self) -> np.ndarray:
         """0/1 matrix of the trainable weight entries."""
@@ -98,10 +107,10 @@ class LayerMask:
         if self.variant == "full":
             return 0
         if self.variant == "row":
-            return len(self.indices) * _index_bits(rows)
+            return self.index.size * _index_bits(rows)
         if self.variant == "col":
-            return len(self.indices) * _index_bits(cols)
-        return sum(len(r) for r in self.indices) * _index_bits(cols)
+            return self.index.size * _index_bits(cols)
+        return int(np.count_nonzero(self.index)) * _index_bits(cols)
 
 
 def _index_bits(n: int) -> int:
@@ -136,13 +145,13 @@ def col_scores(h: np.ndarray) -> np.ndarray:
     return np.sum(h * h, axis=0)
 
 
-def topk_indices(scores: np.ndarray, k: int) -> tuple[int, ...]:
-    """Indices of the k largest scores, ties broken by lowest index, sorted."""
+def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest scores along the last axis, ties broken by lowest
+    index, sorted: one ``intp`` row of k per row of ``scores``."""
     scores = np.asarray(scores)
-    if not 1 <= k <= len(scores):
-        raise ConfigError(f"k={k} out of range for {len(scores)} scores")
-    order = np.argsort(-scores, kind="stable")
-    return tuple(sorted(int(i) for i in order[:k]))
+    if not 1 <= k <= scores.shape[-1]:
+        raise ConfigError(f"k={k} out of range for {scores.shape[-1]} scores")
+    return np.sort(np.argsort(-scores, axis=-1, kind="stable")[..., :k], axis=-1)
 
 
 def build_mask(h: np.ndarray, k: int, variant: str) -> LayerMask:
@@ -153,8 +162,9 @@ def build_mask(h: np.ndarray, k: int, variant: str) -> LayerMask:
     if variant == "col":
         return LayerMask("col", (rows, cols), topk_indices(col_scores(h), k))
     if variant == "sparse":
-        per_row = tuple(topk_indices(np.abs(h[i]), k) for i in range(rows))
-        return LayerMask("sparse", (rows, cols), per_row)
+        bits = np.zeros((rows, cols), dtype=bool)
+        np.put_along_axis(bits, topk_indices(np.abs(h), k), True, axis=1)
+        return LayerMask("sparse", (rows, cols), bits)
     raise ConfigError(f"build_mask supports row/col/sparse, got {variant!r}")
 
 
@@ -304,10 +314,18 @@ def trainable_fraction(model: ModelParams, masks: GradientMaskSet) -> float:
     return masks.size / model.param_count()
 
 
+def _index_lists(mask: LayerMask) -> list | None:
+    """The JSON form of a mask's index: its sorted list for row/col, one sorted list
+    of columns per row for sparse, and None for full."""
+    if mask.variant == "sparse":
+        return [np.flatnonzero(row).tolist() for row in mask.index]
+    return None if mask.index is None else mask.index.tolist()
+
+
 def masks_to_doc(masks: GradientMaskSet) -> dict:
     """JSON document of a mask set: one entry per layer and the total storage."""
     return {"layers": [{"variant": m.variant, "shape": list(m.shape),
-                        "storage_bits": m.storage_bits(), "indices": m.indices}
+                        "storage_bits": m.storage_bits(), "indices": _index_lists(m)}
                        for m in masks.layers],
             "storage_bits": masks.total_storage_bits()}
 

@@ -241,9 +241,10 @@ def backward(model: ModelParams, cache: ForwardCache, masks: GradientMaskSet,
             continue
         mask = masks.layers[l]
         wi, bi = mask.trainable
-        rows = slice(None)
-        if l == lowest and mask.variant == "row":
-            rows, wi, bi = wi, ..., ...  # delta then holds the trained rows' columns only
+        variant, rows = mask.variant, slice(None)
+        if l == lowest and variant == "row":
+            # delta then holds the trained rows' columns only: the layer is full over them
+            rows, wi, bi, variant = wi, ..., ..., "full"
         if l == n - 1:
             delta = upstream[:, rows]
         elif l == start:  # ReLU'(z) = max(z, 0) > 0, read off the next layer's input
@@ -252,14 +253,14 @@ def backward(model: ModelParams, cache: ForwardCache, masks: GradientMaskSet,
             delta = delta @ model.layers[l + 1].weight[:, rows]
             delta *= cache.inputs[l + 1][:, rows] > 0.0
         x, w_out = cache.inputs[l], w_seg.view(grad)
-        if isinstance(wi, tuple):  # col: (slice(None), cols)
-            np.matmul(delta.T, x[:, wi[1]], out=w_out)
-        elif wi is ...:  # full, or the rows delta already holds
+        if variant == "full":
             np.matmul(delta.T, x, out=w_out)
-        elif wi.dtype == bool:  # sparse
-            w_out[...] = (delta.T @ x)[wi]
-        else:  # row
+        elif variant == "row":
             np.matmul(delta[:, wi].T, x, out=w_out)
+        elif variant == "col":  # wi is (slice(None), cols)
+            np.matmul(delta.T, x[:, wi[1]], out=w_out)
+        else:  # sparse: gathered from the full product
+            w_out[...] = (delta.T @ x)[wi]
         b_seg.view(grad)[...] = delta.sum(axis=0)[bi]
     return grad
 

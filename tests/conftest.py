@@ -21,7 +21,15 @@ def small_model(dims=(4, 6, 5, 3), seed=7):
 
 def sparse_from_bits(bits):
     """The sparse mask that trains exactly the 1 entries of a 0/1 matrix."""
-    return LayerMask("sparse", bits.shape, tuple(tuple(np.flatnonzero(row)) for row in bits))
+    return LayerMask("sparse", bits.shape, bits != 0)
+
+
+def sparse_from_lists(shape, per_row):
+    """The sparse mask that trains, in each row, the columns its list names."""
+    bits = np.zeros(shape, dtype=bool)
+    for i, cols in enumerate(per_row):
+        bits[i, list(cols)] = True
+    return LayerMask("sparse", shape, bits)
 
 
 def bias_mask(mask):
@@ -34,8 +42,26 @@ def bias_mask(mask):
 def read_masks(path):
     """The mask set a document written by save_masks describes."""
     doc = json.loads(path.read_text())
-    return GradientMaskSet(tuple(LayerMask(m["variant"], tuple(m["shape"]), m["indices"])
-                                 for m in doc["layers"]))
+    return GradientMaskSet(tuple(
+        sparse_from_lists(tuple(m["shape"]), m["indices"]) if m["variant"] == "sparse"
+        else LayerMask(m["variant"], tuple(m["shape"]), m["indices"]) for m in doc["layers"]))
+
+
+def oracle_topk(scores, k):
+    """Test oracle: the top-k selection of a 1-D score vector as written before
+    ``topk_indices`` worked along the last axis; a sorted tuple of ints."""
+    order = np.argsort(-np.asarray(scores), kind="stable")
+    return tuple(sorted(int(i) for i in order[:k]))
+
+
+def oracle_build_mask(h, k, variant):
+    """Test oracle: the JSON index lists of ``build_mask(h, k, variant)`` as
+    built before sparse masks held a boolean matrix, one ``oracle_topk`` per row."""
+    if variant == "row":
+        return list(oracle_topk(np.sum(h * h, axis=1), k))
+    if variant == "col":
+        return list(oracle_topk(np.sum(h * h, axis=0), k))
+    return [list(oracle_topk(np.abs(h[i]), k)) for i in range(h.shape[0])]
 
 
 def random_batch(rng, n, dim, classes):

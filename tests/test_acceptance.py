@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bias_mask, finite_diff_grad, gathered, layer_grads, sparse_from_bits
+from conftest import (bias_mask, finite_diff_grad, gathered, layer_grads, sparse_from_bits,
+                      sparse_from_lists)
 from masktune.cli import main as cli_main
 from masktune.data import Dataset, ShiftConfig, gen_task, partition_subsets, save_dataset_csv, select_mask_subset
 from masktune.harness import FineTuneConfig, evaluate, finetune, finetune_masks, linear_probe, pretrain
@@ -299,7 +300,7 @@ def test_criterion_07_regularization_pull(reference):
 def test_criterion_08_storage_accounting(tmp_path, capsys):
     with criterion(8, "768x768 @ k=2: 20-bit row mask vs 589824 dense vs 15360 sparse, printed by mask-report"):
         row = LayerMask("row", (768, 768), (0, 1))
-        sparse = LayerMask("sparse", (768, 768), tuple((0, 1) for _ in range(768)))
+        sparse = sparse_from_lists((768, 768), tuple((0, 1) for _ in range(768)))
         assert row.storage_bits() == 20
         assert storage_comparison(row, 2)["dense"] == 589824
         assert sparse.storage_bits() == 15360

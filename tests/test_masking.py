@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import read_masks, small_model, sparse_from_bits
+from conftest import read_masks, small_model, sparse_from_bits, sparse_from_lists
 from masktune.errors import ConfigError, ShapeError
 from masktune.linalg import frobenius_sq
 from masktune.losses import RegConfig, resolve_penalty
@@ -49,29 +49,33 @@ class TestScores:
 
 class TestTopK:
     def test_hand(self):
-        assert topk_indices(np.array([5.0, 25.0, 9.0]), 2) == (1, 2)
+        assert topk_indices(np.array([5.0, 25.0, 9.0]), 2).tolist() == [1, 2]
 
     def test_tie_lowest_index(self):
-        assert topk_indices(np.array([7.0, 7.0, 7.0]), 1) == (0,)
+        assert topk_indices(np.array([7.0, 7.0, 7.0]), 1).tolist() == [0]
 
     def test_k_equals_len(self):
-        assert topk_indices(np.array([3.0, 1.0, 2.0]), 3) == (0, 1, 2)
+        assert topk_indices(np.array([3.0, 1.0, 2.0]), 3).tolist() == [0, 1, 2]
 
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
             topk_indices(np.array([1.0]), 2)
 
+    def test_each_row_of_a_matrix(self):
+        got = topk_indices(np.array([[1.0, 3.0, 2.0], [5.0, 0.0, 5.0]]), 2)
+        assert got.dtype == np.intp and got.tolist() == [[1, 2], [0, 2]]
+
 
 class TestBuildMask:
     def test_row_hand(self):
         mask = build_mask(H, 1, "row")
-        assert mask.indices == (1,)
+        assert mask.index.tolist() == [1]
         assert np.array_equal(mask.to_dense(), np.array([[0.0, 0.0], [1.0, 1.0]]))
 
     def test_sparse_hand(self):
         h = np.array([[1.0, -5.0, 2.0], [0.0, 3.0, -1.0]])
         mask = build_mask(h, 1, "sparse")
-        assert mask.indices == ((1,), (1,))
+        assert mask.index.tolist() == [[False, True, False], [False, True, False]]
 
     def test_row_k_equals_rows_is_full_effect(self, np_rng):
         h = np_rng.normal(size=(3, 4))
@@ -88,7 +92,7 @@ class TestToDense:
         assert np.array_equal(mask.to_dense(), np.array([[1, 1, 1], [0, 0, 0]], dtype=float))
 
     def test_sparse(self):
-        mask = LayerMask("sparse", (2, 3), ((1,), (1,)))
+        mask = sparse_from_lists((2, 3), ((1,), (1,)))
         assert np.array_equal(mask.to_dense(), np.array([[0, 1, 0], [0, 1, 0]], dtype=float))
 
     def test_invalid_indices_rejected(self):
@@ -96,6 +100,55 @@ class TestToDense:
             LayerMask("row", (2, 3), (1, 1))
         with pytest.raises(ConfigError):
             LayerMask("col", (2, 3), (3,))
+        with pytest.raises(ConfigError):
+            LayerMask("row", (2, 3), (1, 0))
+        with pytest.raises(ConfigError):
+            LayerMask("row", (2, 3), (-1,))
+        with pytest.raises(ConfigError):
+            LayerMask("row", (2, 3), (0.5,))
+
+    def test_sparse_index_must_be_a_boolean_matrix_of_the_shape(self):
+        for index in (np.ones((3, 2), dtype=bool), np.ones((2, 3)), ((1,), (1,)), None):
+            with pytest.raises(ConfigError, match="boolean matrix"):
+                LayerMask("sparse", (2, 3), index)
+
+
+class TestReadOnlyIndex:
+    """A mask's index is what segments, backward and Adam index with, so no
+    write can retarget training: the mask keeps its own read-only copy."""
+
+    @staticmethod
+    def masks_and_inputs():
+        rows = np.array([0, 2])
+        cols = np.array([1, 3])
+        bits = np.array([[True, False, True, False], [False, False, False, True],
+                         [False, True, False, False]])
+        masks = (LayerMask("row", (3, 4), rows), LayerMask("col", (3, 4), cols),
+                 LayerMask("sparse", (3, 4), bits))
+        return masks, (rows, cols, bits)
+
+    def test_index_and_trainable_refuse_writes(self):
+        masks, _ = self.masks_and_inputs()
+        for mask in masks:
+            with pytest.raises(ValueError):
+                mask.index[0] = 1
+            wi, bi = mask.trainable
+            with pytest.raises(ValueError):
+                (wi[1] if mask.variant == "col" else wi)[0] = 1
+            if bi.size:
+                with pytest.raises(ValueError):
+                    bi[0] = 0
+
+    def test_mutating_the_constructor_input_changes_nothing(self):
+        masks, inputs = self.masks_and_inputs()
+        before = [m.to_dense() for m in masks]
+        segments = GradientMaskSet(masks).segments
+        weight = np.arange(12.0).reshape(3, 4)
+        selected = [weight[s.index] for s in segments[::2]]
+        for a in inputs:
+            a[...] = ~a if a.dtype == bool else 0
+        assert all(np.array_equal(m.to_dense(), b) for m, b in zip(masks, before))
+        assert all(np.array_equal(weight[s.index], w) for s, w in zip(segments[::2], selected))
 
 
 class TestTrainableIndex:
@@ -123,7 +176,7 @@ class TestTrainableIndex:
         self.assert_index(bi, np.zeros(0, dtype=np.intp))
 
     def test_sparse_with_an_empty_row_freezes_its_bias(self):
-        wi, bi = LayerMask("sparse", (3, 3), ((0, 2), (), (1,))).trainable
+        wi, bi = sparse_from_lists((3, 3), ((0, 2), (), (1,))).trainable
         self.assert_index(wi, np.array([[True, False, True],
                                         [False, False, False],
                                         [False, True, False]]))
@@ -146,7 +199,7 @@ class TestTrainableIndex:
         assert masks.layers[1].trainable == (..., ...)
 
     def test_views_derive_from_the_index(self):
-        mask = LayerMask("sparse", (3, 3), ((0, 2), (), (1,)))
+        mask = sparse_from_lists((3, 3), ((0, 2), (), (1,)))
         assert np.array_equal(mask.to_dense(), np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0]], float))
         assert np.array_equal(np.arange(3)[mask.trainable[1]], [0, 2])
         assert np.arange(2)[LayerMask("col", (2, 3), (2,)).trainable[1]].size == 0
@@ -231,7 +284,7 @@ class TestStorageBits:
         assert LayerMask("row", (768, 768), (1, 2)).storage_bits() == 20
 
     def test_sparse_768_k1(self):
-        mask = LayerMask("sparse", (768, 768), tuple((0,) for _ in range(768)))
+        mask = sparse_from_lists((768, 768), tuple((0,) for _ in range(768)))
         assert mask.storage_bits() == 7680
 
     def test_full_free(self):
@@ -240,7 +293,7 @@ class TestStorageBits:
     def test_row_dominates(self, np_rng):
         rows, cols, k = 16, 64, 2
         row = LayerMask("row", (rows, cols), tuple(range(k)))
-        sparse = LayerMask("sparse", (rows, cols), tuple(tuple(range(k)) for _ in range(rows)))
+        sparse = sparse_from_lists((rows, cols), tuple(tuple(range(k)) for _ in range(rows)))
         assert row.storage_bits() < sparse.storage_bits() < storage_comparison(row, k)["dense"]
 
 
@@ -256,13 +309,13 @@ class TestMaskSet:
         model, x, y = self.make_inputs()
         masks = compute_mask_set(scl_gradients(model, x, y, 0.5), 2, "row")
         assert masks.layers[-1].variant == "full"
-        assert all(len(m.indices) == 2 for m in masks.layers[:-1])
+        assert all(len(m.index) == 2 for m in masks.layers[:-1])
 
     def test_deterministic(self):
         model, x, y = self.make_inputs()
         a = compute_mask_set(scl_gradients(model, x, y, 0.5), 2, "row")
         b = compute_mask_set(scl_gradients(model, x, y, 0.5), 2, "row")
-        assert all(ma.indices == mb.indices for ma, mb in zip(a.layers[:-1], b.layers[:-1]))
+        assert all(np.array_equal(ma.index, mb.index) for ma, mb in zip(a.layers[:-1], b.layers[:-1]))
 
     def test_matches_brute_force_per_layer(self):
         model, x, y = self.make_inputs(seed=3)

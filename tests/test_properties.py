@@ -8,7 +8,8 @@ every layer, the oracle for ``backward``'s slices. Likewise ``csv_module_reader`
 the package used before numpy's C parser, kept as the oracle for
 ``load_dataset_csv``, and ``dense_objective``/``dense_retained`` are the
 formulas ``mask_objective``/``retained_energy`` used before they read the
-mask's trainable index.
+mask's trainable index. ``oracle_build_mask`` (in conftest) is the per-row
+top-k loop ``build_mask`` ran before sparse masks held a boolean matrix.
 """
 
 import csv
@@ -23,7 +24,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import (bias_mask, finite_diff_grad, gathered, grad_rel_err, layer_grads,
-                      oracle_forward, oracle_scl_loss, read_masks, sparse_from_bits)
+                      oracle_build_mask, oracle_forward, oracle_scl_loss, read_masks,
+                      sparse_from_bits, sparse_from_lists)
 from masktune.data import Dataset, load_dataset_csv, save_dataset_csv
 from masktune.errors import InputError, NumericError
 from masktune.harness import evaluate
@@ -44,6 +46,7 @@ from masktune.masking import (
     brute_force_best_rows,
     build_mask,
     mask_objective,
+    masks_to_doc,
     retained_energy,
     save_masks,
 )
@@ -151,7 +154,7 @@ def random_mask(rng, variant, shape):
     if variant == "col":
         return LayerMask("col", shape, subset(cols, 1))
     if variant == "sparse":
-        return LayerMask("sparse", shape, tuple(subset(cols, 0) for _ in range(rows)))
+        return sparse_from_lists(shape, tuple(subset(cols, 0) for _ in range(rows)))
     if variant == "bits":
         return sparse_from_bits((rng.uniform(size=shape) < 0.5).astype(float))
     if variant == "full":
@@ -558,15 +561,14 @@ def indices_to_dense(mask):
     if mask.variant == "full":
         m[:, :] = 1.0
     elif mask.variant == "row":
-        for i in mask.indices:
+        for i in mask.index:
             m[i, :] = 1.0
     elif mask.variant == "col":
-        for j in mask.indices:
+        for j in mask.index:
             m[:, j] = 1.0
     else:
-        for i, cols in enumerate(mask.indices):
-            for j in cols:
-                m[i, j] = 1.0
+        for i, j in zip(*np.nonzero(mask.index)):
+            m[i, j] = 1.0
     return m
 
 
@@ -609,6 +611,40 @@ def test_top_k_rows_and_cols_reach_the_brute_force_objective(h, data):
         k = data.draw(st.integers(1, scored.shape[0]))
         best = LayerMask(variant, h.shape, brute_force_best_rows(scored, k))
         assert abs(mask_objective(h, build_mask(h, k, variant)) - mask_objective(h, best)) <= tol
+
+
+@st.composite
+def scored_gradients(draw):
+    """A gradient matrix of 1-40 rows and columns, either random or integer-valued
+    (heavily tied), a selection variant and a k from 1 to the width it selects over."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        h = rng.normal(size=(rows, cols))
+    else:
+        h = rng.integers(-2, 3, size=(rows, cols)).astype(np.float64)
+    variant = draw(st.sampled_from(("row", "col", "sparse")))
+    k = draw(st.integers(1, rows if variant == "row" else cols))
+    return h, k, variant
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=scored_gradients())
+def test_build_mask_selects_the_per_row_oracles_entries(case):
+    h, k, variant = case
+    want = oracle_build_mask(h, k, variant)
+    mask = build_mask(h, k, variant)
+    dense = np.zeros(h.shape)
+    if variant == "row":
+        dense[want, :] = 1.0
+    elif variant == "col":
+        dense[:, want] = 1.0
+    else:
+        for i, cols in enumerate(want):
+            dense[i, cols] = 1.0
+    assert np.array_equal(indices_to_dense(mask), dense)
+    [layer] = masks_to_doc(GradientMaskSet((mask,)))["layers"]
+    assert layer["indices"] == want
 
 
 def assert_same_index(a, b):
