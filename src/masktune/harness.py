@@ -22,7 +22,7 @@ from .linalg import Rng
 from .losses import (Penalty, RegConfig, check_tau, combined_grad, resolve_penalty,
                      resolve_regular_layers)
 from .masking import (SELECTION_VARIANTS, GradientMaskSet, check_budget, compute_mask_set,
-                      scl_gradients, trainable_fraction)
+                      full_mask, scl_gradients, trainable_fraction)
 from .model import (ModelParams, RowAnchor, forward, init_model, reinit_head, row_anchor,
                     row_chunks)
 from .optim import AdamState, OptimConfig, cosine_warmup_lr, init_adam_state, masked_adam_step
@@ -141,7 +141,7 @@ def pretrain(task: TaskPair, dims: list[int], optim: OptimConfig,
     rng = Rng(seed)
     model = init_model(dims, rng.child(0))
     masks = GradientMaskSet.all_full(model)
-    penalty = resolve_penalty(model, RegConfig(lam=0.0, norm="none"), masks)
+    penalty = resolve_penalty(model.layers, RegConfig(lam=0.0, norm="none"), masks)
     for _ in _train(model, masks, penalty, task.source, optim, batch_size,
                     rng.child(_STREAM_SHUFFLE)):
         pass
@@ -149,7 +149,8 @@ def pretrain(task: TaskPair, dims: list[int], optim: OptimConfig,
 
 
 def _with_new_head(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig) -> ModelParams:
-    """The run's anchor: ``pre``'s own arrays below its head under the run's new head."""
+    """The run's one trained copy of ``pre``: its layers below the head under the run's
+    new head, in one fresh vector."""
     return reinit_head(pre, task.target_train.num_classes,
                        Rng(cfg.seed).child(_STREAM_HEAD))
 
@@ -158,51 +159,56 @@ def _check_config(model: ModelParams, task: TaskPair, cfg: FineTuneConfig) -> No
     """Before any scoring, refuse a k, regular set or subsets_n ``model`` or ``task`` cannot hold."""
     if cfg.variant != "full":
         check_budget([l.weight.shape for l in model.layers], cfg.k, cfg.variant)
-    resolve_regular_layers(model, cfg.reg.regular)
+    resolve_regular_layers(len(model.layers), cfg.reg.regular)
     n, samples = cfg.subsets_n, len(task.target_train)
     if 2 * n > samples:
         raise ConfigError(f"subsets_n={n} needs {2 * n} samples (2 per subset), got {samples}")
 
 
-def finetune_masks(model: ModelParams, task: TaskPair,
+def finetune_masks(pre: ModelParams, task: TaskPair,
                    cfg: FineTuneConfig) -> tuple[int, GradientMaskSet]:
     """``_check_config``, subset selection, then (unless the variant is full) the subset's
-    scores at the given weights (``scl_gradients``) and the one mask builder ``compute_mask_set``.
-    The head plays no part in scoring; its mask is full, shaped like ``model``'s head. Returns
-    the chosen subset's index and the masks a finetune run with this config trains under."""
-    _check_config(model, task, cfg)
+    scores at ``pre`` (``scl_gradients``) and the one mask builder ``compute_mask_set``.
+    The head plays no part in scoring; its mask is full, shaped like the head a run draws
+    for ``task`` (``_with_new_head``). Returns the chosen subset's index and the masks a
+    finetune run with this config trains under."""
+    _check_config(pre, task, cfg)
     subsets = partition_subsets(task.target_train, cfg.subsets_n,
                                 Rng(cfg.seed).child(_STREAM_SUBSET))
-    subset_index, mask_data = select_mask_subset(model, subsets, cfg.tau)
+    subset_index, mask_data = select_mask_subset(pre, subsets, cfg.tau)
     if cfg.variant == "full":
-        return subset_index, GradientMaskSet.all_full(model)
-    gradients = scl_gradients(model, mask_data.x, mask_data.y, cfg.tau)
-    return subset_index, compute_mask_set(gradients, cfg.k, cfg.variant)
+        masks = GradientMaskSet.all_full(pre)
+    else:
+        gradients = scl_gradients(pre, mask_data.x, mask_data.y, cfg.tau)
+        masks = compute_mask_set(gradients, cfg.k, cfg.variant)
+    head = full_mask((task.target_train.num_classes, pre.feature_dim))
+    return subset_index, GradientMaskSet((*masks.layers[:-1], head))
 
 
-def _row_anchors(anchor: ModelParams, task: TaskPair,
+def _row_anchors(pre: ModelParams, task: TaskPair,
                  masks: GradientMaskSet) -> tuple[RowAnchor | None, RowAnchor | None]:
-    """The ``RowAnchor``s of the target train and test sets where row masks (empty ones, as
-    the linear probe's, included) cover layers 0 and 1 below the head and layer 1 holds at
-    least ``_ROW_PATH_MIN_WEIGHTS`` weights; else no anchors, and the run takes the dense
-    forward."""
+    """The ``RowAnchor``s of ``pre`` over the target train and test sets where row masks
+    (empty ones, as the linear probe's, included) cover layers 0 and 1 below the head and
+    layer 1 holds at least ``_ROW_PATH_MIN_WEIGHTS`` weights; else no anchors, and the run
+    takes the dense forward."""
     if (len(masks.layers) < 3 or any(m.variant != "row" for m in masks.layers[:2])
-            or anchor.layers[1].weight.size < _ROW_PATH_MIN_WEIGHTS):
+            or pre.layers[1].weight.size < _ROW_PATH_MIN_WEIGHTS):
         return None, None
     rows0, rows1 = (m.index for m in masks.layers[:2])
-    return tuple(row_anchor(anchor, data.x, rows0, rows1)
+    return tuple(row_anchor(pre, data.x, rows0, rows1)
                  for data in (task.target_train, task.target_test))
 
 
-def _finetune_with_masks(anchor: ModelParams, task: TaskPair, cfg: FineTuneConfig,
-                         subset_index: int,
+def _finetune_with_masks(pre: ModelParams, model: ModelParams, task: TaskPair,
+                         cfg: FineTuneConfig, subset_index: int,
                          masks: GradientMaskSet) -> tuple[ModelParams, TrainReport]:
-    """Train the run's one copy of ``anchor`` towards ``anchor`` and return it; ``anchor``
-    (``pre``'s arrays below the head, viewed by the penalty) is only read. Where
+    """Train ``model``, the run's one copy of ``pre`` under a new head (``_with_new_head``),
+    towards its values now, and return it. The anchor is ``pre``'s layers below the head,
+    which are only read (and viewed by the penalty), and a copy of the new head. Where
     ``_row_anchors`` gives anchors, the run forwards on the row path from them, and frees
     them before the report."""
-    train_rows, test_rows = _row_anchors(anchor, task, masks)
-    model = anchor.copy()
+    anchor = (*pre.layers[:-1], model.layers[-1].copy())
+    train_rows, test_rows = _row_anchors(pre, task, masks)
     epochs = _train(model, masks, resolve_penalty(anchor, cfg.reg, masks), task.target_train,
                     cfg.optim, cfg.batch_size, Rng(cfg.seed).child(_STREAM_SHUFFLE), train_rows)
     stats = []
@@ -211,7 +217,7 @@ def _finetune_with_masks(anchor: ModelParams, task: TaskPair, cfg: FineTuneConfi
                                 evaluate(model, task.target_test, test_rows)))
     del train_rows, test_rows  # before the distances' full-matrix temporaries
     distances = [float(np.sqrt(np.sum((m.weight - a.weight) ** 2)))
-                 for m, a in zip(model.layers, anchor.layers)]
+                 for m, a in zip(model.layers, anchor)]
     report = TrainReport(
         epochs=stats,
         final_accuracy=stats[-1].test_accuracy,
@@ -231,17 +237,17 @@ def finetune(pre: ModelParams, task: TaskPair,
     """New head, subset selection and mask scoring at the pretrained weights, masked
     training. ``pre`` is only read: under the new head it is the run's anchor, and the
     run trains and returns one copy."""
-    anchor = _with_new_head(pre, task, cfg)
-    subset_index, masks = finetune_masks(anchor, task, cfg)
-    return _finetune_with_masks(anchor, task, cfg, subset_index, masks)
+    subset_index, masks = finetune_masks(pre, task, cfg)
+    model = _with_new_head(pre, task, cfg)  # once scoring has freed its buffers
+    return _finetune_with_masks(pre, model, task, cfg, subset_index, masks)
 
 
 def linear_probe(pre: ModelParams, task: TaskPair,
                  cfg: FineTuneConfig) -> tuple[ModelParams, TrainReport]:
     """Head-only fine-tuning baseline under the same budget; it reads ``pre`` and trains
     one copy as ``finetune`` does."""
-    anchor = _with_new_head(pre, task, cfg)
-    return _finetune_with_masks(anchor, task, cfg, 0, GradientMaskSet.head_only(anchor))
+    model = _with_new_head(pre, task, cfg)
+    return _finetune_with_masks(pre, model, task, cfg, 0, GradientMaskSet.head_only(model))
 
 
 ABLATION_AXES = {"k": int, "lambda": float, "regular_blocks": int, "subsets_n": int,

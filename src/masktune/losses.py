@@ -10,12 +10,12 @@ contribute zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .model import ModelParams, RowAnchor, backward, forward, layer_roles
+from .model import Layer, ModelParams, RowAnchor, backward, forward, layer_roles
 
 if TYPE_CHECKING:  # masking imports this module for the contrastive loss
     from .masking import GradientMaskSet, Segment
@@ -50,9 +50,9 @@ class RegConfig:
             raise ConfigError(f"unknown norm {self.norm!r}")
 
 
-def resolve_regular_layers(model: ModelParams, regular: RegularSet) -> list[int]:
-    """Indices of layers in the regular set, in ascending order."""
-    roles = layer_roles(len(model.layers))
+def resolve_regular_layers(num_layers: int, regular: RegularSet) -> list[int]:
+    """Indices of the layers of a ``num_layers``-layer model in the regular set, ascending."""
+    roles = layer_roles(num_layers)
     hidden = [i for i, role in enumerate(roles) if role == "hidden"]
     if regular.last_l > len(hidden):
         raise ConfigError(f"last_l={regular.last_l} exceeds the {len(hidden)} hidden layers")
@@ -60,7 +60,7 @@ def resolve_regular_layers(model: ModelParams, regular: RegularSet) -> list[int]
     if regular.include_embedding:
         chosen.update(i for i, role in enumerate(roles) if role == "embedding")
     if regular.include_head:
-        chosen.add(len(model.layers) - 1)
+        chosen.add(num_layers - 1)
     return sorted(chosen)
 
 
@@ -156,28 +156,76 @@ def scl_loss(features: np.ndarray, labels: np.ndarray, tau: float) -> tuple[floa
     return loss, d_z
 
 
+class PenaltyPart(NamedTuple):
+    """Regular entries that lie end to end both in the layout and in what
+    ``reg_penalty`` reads: ``grad`` is their range of the layout vector,
+    ``source`` their range of the values read, and ``anchor`` the anchor's values
+    there. ``sums`` gives each of their segments' range within the part, and for a
+    col weight segment its (rows, cols) shape: its sum runs column by column, the
+    memory order of ``weight[:, cols]``, which fixes the loss's rounding."""
+    grad: slice
+    source: slice
+    anchor: np.ndarray
+    sums: tuple[tuple[slice, tuple[int, int] | None], ...]
+
+
 @dataclass(frozen=True)
 class Penalty:
     """The pull-to-pretrained term of one run, resolved once.
 
-    ``segments`` pairs each layout segment of a regular layer with the anchor's
-    entries there (a view for a full segment, so the anchor must not change);
-    it is empty when the penalty is off. Frozen entries equal the anchor bit
-    for bit, so their term is exactly zero and the penalty skips them.
+    ``parts`` covers the trainable entries of the regular layers, in layout
+    order; it is empty when the penalty is off. Under masks that are not all
+    full, ``index`` gathers those entries from the model's parameter vector in
+    one go and the anchor's values are copies. Under all-full masks ``index`` is
+    None: the parts are the segments, read in place from the parameter vector
+    against views of the anchor's arrays, so the anchor must not change. Frozen
+    entries equal the anchor bit for bit, so their term is exactly zero and the
+    penalty skips them.
     """
     cfg: RegConfig
-    segments: tuple[tuple[Segment, np.ndarray], ...]
+    index: np.ndarray | None
+    parts: tuple[PenaltyPart, ...]
 
 
-def resolve_penalty(pre: ModelParams, cfg: RegConfig, masks: GradientMaskSet) -> Penalty:
-    """The penalty towards ``pre`` over the entries ``masks`` leave trainable. The
-    regular set must fit ``pre`` whether or not the penalty is on."""
-    masks.check_shapes(pre)
-    regular = resolve_regular_layers(pre, cfg.regular)
-    if cfg.norm == "none" or cfg.lam == 0.0:
-        return Penalty(cfg, ())
-    return Penalty(cfg, tuple((seg, getattr(pre.layers[i], seg.param)[seg.index])
-                              for i in regular for seg in masks.segments[2 * i:2 * i + 2]))
+def resolve_penalty(anchor: Sequence[Layer], cfg: RegConfig, masks: GradientMaskSet) -> Penalty:
+    """The penalty towards the weights and biases of ``anchor``, one layer per mask, over
+    the entries ``masks`` leave trainable. The regular set must fit ``anchor`` whether or
+    not the penalty is on."""
+    masks.check_shapes(anchor)
+    regular = resolve_regular_layers(len(anchor), cfg.regular)
+    if cfg.norm == "none" or cfg.lam == 0.0 or not regular:
+        return Penalty(cfg, None, ())
+    if masks.positions is None:  # each segment in place, against a view of the anchor
+        return Penalty(cfg, None, tuple(
+            _part(masks, (s,), s.offset, getattr(anchor[s.layer], s.param).reshape(-1))
+            for i in regular for s in masks.segments[2 * i:2 * i + 2]))
+    runs = []  # runs of consecutive regular layers: their segments lie end to end
+    for i in regular:
+        if runs and runs[-1][-1] == i - 1:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    parts, read = [], 0
+    for run in runs:
+        segments = masks.segments[2 * run[0]:2 * run[-1] + 2]
+        values = np.concatenate([getattr(anchor[s.layer], s.param)[s.index].ravel()
+                                 for s in segments])
+        parts.append(_part(masks, segments, read, values))
+        read += values.size
+    index = np.concatenate([masks.positions[part.grad] for part in parts])
+    return Penalty(cfg, index, tuple(parts))
+
+
+def _part(masks: GradientMaskSet, segments: Sequence[Segment], read: int,
+          anchor: np.ndarray) -> PenaltyPart:
+    """The ``PenaltyPart`` of ``segments``, end to end in the layout of ``masks``, read from
+    ``read`` on and compared with ``anchor``."""
+    start = segments[0].offset
+    size = segments[-1].offset + segments[-1].size - start
+    sums = tuple((slice(s.offset - start, s.offset - start + s.size),
+                  s.shape if s.param == "weight" and masks.layers[s.layer].variant == "col"
+                  else None) for s in segments)
+    return PenaltyPart(slice(start, start + size), slice(read, read + size), anchor, sums)
 
 
 def reg_penalty(model: ModelParams, penalty: Penalty, grad: np.ndarray) -> float:
@@ -186,19 +234,23 @@ def reg_penalty(model: ModelParams, penalty: Penalty, grad: np.ndarray) -> float
     Biases of regular layers are penalized symmetrically. sign(0) = 0 for l1.
     The gradient is added in place into ``grad``, a vector in the flat layout
     of the masks ``penalty`` was resolved with (as ``backward`` returns it);
-    entries outside the regular layers are left as they are. Returns the loss.
+    entries outside the regular layers are left as they are. Returns the loss,
+    summed segment by segment and then layer by layer.
     """
     lam = penalty.cfg.lam
+    values = model.params if penalty.index is None else model.params[penalty.index]
     sums = []
-    for seg, anchor in penalty.segments:
-        d = getattr(model.layers[seg.layer], seg.param)[seg.index] - anchor
-        g = seg.view(grad)
+    for part in penalty.parts:
+        d, g = values[part.source] - part.anchor, grad[part.grad]
         if penalty.cfg.norm == "l2":
-            sums.append(float(np.sum(d * d)))
             g += 2.0 * lam * d
+            d *= d
         else:
-            sums.append(float(np.sum(np.abs(d))))
             g += lam * np.sign(d)
+            np.abs(d, out=d)
+        for at, shape in part.sums:
+            term = d[at] if shape is None else d[at].reshape(shape).ravel("F")
+            sums.append(float(term.sum()))
     loss = 0.0
     for weight_sum, bias_sum in zip(sums[::2], sums[1::2]):
         loss += lam * (weight_sum + bias_sum)

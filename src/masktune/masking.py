@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import ConfigError, NumericError, ShapeError
 from .fileio import write_json
 from .linalg import frobenius_sq
 from .losses import scl_loss
-from .model import ModelParams, backward, forward
+from .model import Layer, ModelParams, backward, forward, param_offsets
 
 SELECTION_VARIANTS = ("row", "col", "sparse")  # the variants scoring can build
 VARIANTS = (*SELECTION_VARIANTS, "full")
@@ -205,6 +205,22 @@ def brute_force_best_rows(h: np.ndarray, k: int) -> tuple[int, ...]:
     return best
 
 
+def _layer_positions(mask: LayerMask, at: int) -> np.ndarray:
+    """The positions of a layer's trainable weight entries then biases, in C order, in a
+    parameter vector where the layer starts at ``at`` (its weight row-major, then its bias)."""
+    rows, cols = mask.shape
+    wi, bi = mask.trainable
+    if mask.variant == "full":
+        return np.arange(at, at + rows * cols + rows)
+    if mask.variant == "row":
+        weight = (wi[:, None] * cols + np.arange(cols)).ravel()
+    elif mask.variant == "col":
+        weight = (np.arange(rows)[:, None] * cols + wi[1]).ravel()
+    else:
+        weight, bi = np.flatnonzero(wi), np.flatnonzero(bi)
+    return np.concatenate([weight + at, bi + (at + rows * cols)])
+
+
 class Segment(NamedTuple):
     """One trainable slice in the flat layout: ``param`` ("weight" or "bias")
     of ``layer`` at ``index``, shaped ``shape``, at ``offset`` in the vector."""
@@ -223,7 +239,8 @@ class Segment(NamedTuple):
 @dataclass(frozen=True)
 class GradientMaskSet:
     """One LayerMask per model layer; the head layer is always full. It owns the
-    flat layout of the trainable entries that backprop, the penalty and Adam share."""
+    flat layout of the trainable entries that backprop, the penalty and Adam share,
+    and where each of them sits in the model's parameter vector (``positions``)."""
     layers: tuple[LayerMask, ...]
 
     @staticmethod
@@ -240,9 +257,9 @@ class GradientMaskSet:
     def total_storage_bits(self) -> int:
         return sum(m.storage_bits() for m in self.layers)
 
-    def check_shapes(self, model: ModelParams) -> None:
-        """Refuse a model whose weight shapes are not the masks' shapes."""
-        shapes, weights = [m.shape for m in self.layers], [l.weight.shape for l in model.layers]
+    def check_shapes(self, layers: Sequence[Layer]) -> None:
+        """Refuse layers whose weight shapes are not the masks' shapes."""
+        shapes, weights = [m.shape for m in self.layers], [l.weight.shape for l in layers]
         if shapes != weights:
             raise ShapeError(f"mask shapes {shapes} != weight shapes {weights}")
 
@@ -263,6 +280,18 @@ class GradientMaskSet:
     def size(self) -> int:
         """The number of trainable entries: the length of a layout vector."""
         return sum(s.size for s in self.segments)
+
+    @functools.cached_property
+    def positions(self) -> np.ndarray | None:
+        """Where each entry of the flat layout sits in a parameter vector of the masks'
+        shapes (``ModelParams.params``), as one read-only ``intp`` array in layout order,
+        built in memory proportional to the trainable entries; None when every mask is
+        full, as the layout is then the parameter vector itself."""
+        if all(m.variant == "full" for m in self.layers):
+            return None
+        offsets = param_offsets([m.shape for m in self.layers])
+        return _frozen(np.concatenate([_layer_positions(m, at)
+                                       for m, at in zip(self.layers, offsets)]))
 
     @functools.cached_property
     def lowest_trainable(self) -> int:
@@ -310,7 +339,7 @@ def compute_mask_set(gradients: list[np.ndarray], k: int, variant: str) -> Gradi
 
 def trainable_fraction(model: ModelParams, masks: GradientMaskSet) -> float:
     """Share of all parameters (weights and biases) the masks leave trainable."""
-    masks.check_shapes(model)
+    masks.check_shapes(model.layers)
     return masks.size / model.param_count()
 
 

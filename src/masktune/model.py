@@ -8,10 +8,11 @@ position alone: ``embedding`` (first), ``hidden``, or ``head`` (last); see
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,8 +23,10 @@ from .linalg import Rng
 if TYPE_CHECKING:  # masking imports this module for forward and backward
     from .masking import GradientMaskSet
 
-@dataclass
+@dataclass(frozen=True)
 class Layer:
+    """One dense layer's weight and bias. In a ``ModelParams`` both are views into
+    its parameter vector; the layer is frozen, so no code can rebind them away."""
     weight: np.ndarray  # (out, in)
     bias: np.ndarray    # (out,)
 
@@ -39,42 +42,75 @@ class Layer:
         return self.weight.shape[1]
 
 
-@dataclass
+def param_offsets(shapes: Sequence[tuple[int, int]]) -> list[int]:
+    """Where the layers of the given weight shapes start in a parameter vector, each
+    layer its weight (row-major) then its bias, and the vector's length last."""
+    return list(itertools.accumulate((rows * cols + rows for rows, cols in shapes), initial=0))
+
+
+def _weight_shapes(dims: Sequence[int]) -> list[tuple[int, int]]:
+    return list(zip(dims[1:], dims))
+
+
+@dataclass(frozen=True, eq=False)
 class ModelParams:
-    layers: list[Layer]
+    """An MLP's parameters as one C-contiguous float64 vector, ``params``, in
+    checkpoint order: layer 0's weight (row-major) then its bias, then layer 1's,
+    and so on. ``dims`` lists the input width and every layer's output width.
+    Each ``Layer`` of ``layers`` holds views into ``params``, so writing into a
+    layer writes into the vector and the reverse."""
+    params: np.ndarray
+    dims: list[int]
+    layers: tuple[Layer, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "dims", list(self.dims))
         self.validate()
+        shapes = _weight_shapes(self.dims)
+        layers = []
+        for (rows, cols), at in zip(shapes, param_offsets(shapes)):
+            layers.append(Layer(self.params[at:at + rows * cols].reshape(rows, cols),
+                                self.params[at + rows * cols:at + rows * cols + rows]))
+        object.__setattr__(self, "layers", tuple(layers))
 
     def validate(self) -> None:
-        if not self.layers:
+        """Refuse fewer than two widths, or a vector that is not C-contiguous float64
+        of the length they need."""
+        if len(self.dims) < 2:
+            raise ConfigError("dims must list at least an input and an output width")
+        size = param_offsets(_weight_shapes(self.dims))[-1]
+        p = self.params
+        if not (p.dtype == np.float64 and p.shape == (size,) and p.flags.c_contiguous):
+            raise ShapeError(f"dims {self.dims} need a C-contiguous float64 vector of {size} "
+                             f"parameters, got {p.dtype} of shape {p.shape}")
+
+    @staticmethod
+    def from_layers(layers: Sequence[Layer]) -> "ModelParams":
+        """A model over a fresh vector holding copies of ``layers``' weights and biases."""
+        if not layers:
             raise ConfigError("model must have at least one layer")
-        for i, layer in enumerate(self.layers):
-            if layer.bias.shape != (layer.weight.shape[0],):
+        for i, layer in enumerate(layers):
+            if layer.bias.shape != (layer.out_dim,):
                 raise ShapeError(f"layer {i}: bias length {layer.bias.shape} "
-                                 f"does not match weight rows {layer.weight.shape[0]}")
-            if i > 0 and layer.in_dim != self.layers[i - 1].out_dim:
+                                 f"does not match weight rows {layer.out_dim}")
+            if i > 0 and layer.in_dim != layers[i - 1].out_dim:
                 raise ShapeError(f"layer {i}: input width {layer.in_dim} does not chain "
-                                 f"with previous output width {self.layers[i - 1].out_dim}")
-
-    def copy(self) -> "ModelParams":
-        return ModelParams([l.copy() for l in self.layers])
-
-    @property
-    def dims(self) -> list[int]:
-        return [self.layers[0].in_dim] + [l.out_dim for l in self.layers]
+                                 f"with previous output width {layers[i - 1].out_dim}")
+        params = np.concatenate([a.ravel() for l in layers for a in (l.weight, l.bias)],
+                                dtype=np.float64)
+        return ModelParams(params, [layers[0].in_dim] + [l.out_dim for l in layers])
 
     @property
     def feature_dim(self) -> int:
         """Width of the head input (penultimate activation)."""
-        return self.layers[-1].in_dim
+        return self.dims[-2]
 
     @property
     def num_classes(self) -> int:
-        return self.layers[-1].out_dim
+        return self.dims[-1]
 
     def param_count(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
+        return self.params.size
 
 
 @dataclass
@@ -91,25 +127,24 @@ def layer_roles(num_layers: int) -> list[str]:
 
 
 def init_model(dims: list[int], seed: int | Rng) -> ModelParams:
-    """Build an MLP with uniform [-sqrt(1/fan_in), sqrt(1/fan_in)] weights and zero biases."""
-    if len(dims) < 2:
-        raise ConfigError("dims must list at least an input and an output width")
+    """Build an MLP with uniform [-sqrt(1/fan_in), sqrt(1/fan_in)] weights and zero biases,
+    drawn layer by layer into one vector."""
     rng = seed if isinstance(seed, Rng) else Rng(seed)
-    layers = []
-    for n_in, n_out in zip(dims, dims[1:]):
-        bound = np.sqrt(1.0 / n_in)
-        layers.append(Layer(rng.uniform(-bound, bound, size=(n_out, n_in)), np.zeros(n_out)))
-    return ModelParams(layers)
+    model = ModelParams(np.zeros(param_offsets(_weight_shapes(dims))[-1]), dims)
+    for layer in model.layers:
+        bound = np.sqrt(1.0 / layer.in_dim)
+        layer.weight[...] = rng.uniform(-bound, bound, size=layer.weight.shape)
+    return model
 
 
 def reinit_head(model: ModelParams, num_classes: int, rng: Rng) -> ModelParams:
-    """``model``'s layers below the head, as new ``Layer`` objects over the same arrays
-    (not copies), under a freshly drawn head of ``num_classes`` outputs. Writing into
-    the result writes into ``model``, so a caller who trains it must copy it first."""
+    """A copy of ``model``'s layers below the head, in one fresh vector, under a freshly
+    drawn head of ``num_classes`` outputs: a fine-tuning run's one trained copy of
+    ``model``, which it leaves as it is."""
     fan_in = model.feature_dim
     bound = np.sqrt(1.0 / fan_in)
     head = Layer(rng.uniform(-bound, bound, size=(num_classes, fan_in)), np.zeros(num_classes))
-    return ModelParams([Layer(l.weight, l.bias) for l in model.layers[:-1]] + [head])
+    return ModelParams.from_layers([*model.layers[:-1], head])
 
 
 # rows per chunk where a whole dataset is forwarded: about this many entries
@@ -148,7 +183,8 @@ def row_anchor(model: ModelParams, x: np.ndarray, rows0: np.ndarray,
     """The ``RowAnchor`` of ``model`` over the rows of ``x`` for the trained rows ``rows0`` of
     layer 0 and ``rows1`` of layer 1: the dense forward of those two layers, chunk by chunk,
     so no whole-dataset activation is formed beside the one array it keeps."""
-    bottom = ModelParams(model.layers[:2])
+    end = param_offsets([l.weight.shape for l in model.layers[:2]])[-1]
+    bottom = ModelParams(model.params[:end], model.dims[:3])  # a view of the first two layers
     width = bottom.num_classes
     pre = np.empty((len(x), width + len(rows0)))
     for rows in row_chunks(len(x), max(bottom.dims)):
@@ -270,16 +306,14 @@ CHECKPOINT_MAGIC = b"masktune-checkpoint 1\n"
 
 def save_checkpoint(model: ModelParams, path: str | Path) -> None:
     """Write the binary checkpoint: the magic line, a one-line JSON header
-    with ``dims`` and the positional ``roles``, then per layer the weight
-    (row-major) and the bias as raw little-endian float64. The bytes depend on
-    the model only."""
+    with ``dims`` and the positional ``roles``, then the parameter vector (per
+    layer the weight, row-major, and the bias) as raw little-endian float64.
+    The bytes depend on the model only."""
     roles = layer_roles(len(model.layers))
     header = json.dumps({"dims": model.dims, "roles": roles}).encode() + b"\n"
     with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + header)
-        for layer in model.layers:
-            fh.write(np.ascontiguousarray(layer.weight, dtype="<f8"))
-            fh.write(np.ascontiguousarray(layer.bias, dtype="<f8"))
+        fh.write(np.asarray(model.params, dtype="<f8"))
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
@@ -288,8 +322,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     An unreadable file, a missing magic line (as in the older JSON
     checkpoints), a malformed header, header roles other than the positional
     ones, a byte count that does not fit the header or a non-finite value
-    raises InputError. The weights and biases are writeable arrays that own
-    their data.
+    (named by its first layer) raises InputError. The model's vector is one
+    writeable copy of the file's values, and its layers are views into it.
     """
     try:
         blob = Path(path).read_bytes()
@@ -316,19 +350,14 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     if roles != positional:
         raise InputError(f"checkpoint {path}: roles {roles!r} are not the positional {positional}")
     offset = end + 1
-    expected = 8 * sum(n_out * (n_in + 1) for n_in, n_out in zip(dims, dims[1:]))
+    expected = 8 * param_offsets(_weight_shapes(dims))[-1]
     if len(blob) - offset != expected:
         raise InputError(f"checkpoint {path}: {len(blob) - offset} bytes of parameters "
                          f"after the header, dims {dims} need {expected}")
-    values = np.frombuffer(blob, dtype="<f8", offset=offset)
-    layers, at = [], 0
-    for i, (n_in, n_out) in enumerate(zip(dims, dims[1:])):
-        # astype copies out of the read-only buffer into native float64
-        weight = values[at:at + n_out * n_in].reshape(n_out, n_in).astype(np.float64)
-        at += n_out * n_in
-        bias = values[at:at + n_out].astype(np.float64)
-        at += n_out
-        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
-            raise InputError(f"checkpoint {path}: layer {i} has non-finite entries")
-        layers.append(Layer(weight, bias))
-    return ModelParams(layers)
+    # astype copies out of the read-only buffer into native float64
+    model = ModelParams(np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64), dims)
+    if not np.isfinite(model.params).all():
+        bad = next(i for i, l in enumerate(model.layers)
+                   if not (np.isfinite(l.weight).all() and np.isfinite(l.bias).all()))
+        raise InputError(f"checkpoint {path}: layer {bad} has non-finite entries")
+    return model

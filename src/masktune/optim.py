@@ -1,11 +1,12 @@
 """Masked Adam and the cosine-decay schedule with linear warmup.
 
-Adam reads and writes only the trainable slice of each layer, given by its
-mask's index, and keeps moments for those slices alone, in the mask set's flat
-layout, which the gradient vector shares. Frozen entries are never touched,
-and a masked trajectory is exactly an unmasked Adam trajectory on pre-zeroed
-gradients. Epsilon sits
-inside the square root: W <- W - lr * m_hat / sqrt(v_hat + eps).
+Adam keeps moments for the trainable entries alone, in the mask set's flat
+layout, which the gradient vector shares. It writes its update back into the
+model's parameter vector in one scatter to the mask set's ``positions`` (one
+subtraction from the whole vector when every mask is full), so frozen entries
+are never touched, and a masked trajectory is exactly an unmasked Adam
+trajectory on pre-zeroed gradients. Epsilon sits inside the square root:
+W <- W - lr * m_hat / sqrt(v_hat + eps).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class AdamState:
 
 def init_adam_state(model: ModelParams, masks: GradientMaskSet) -> AdamState:
     """Zero moments, one per entry of the masks' flat layout."""
-    masks.check_shapes(model)
+    masks.check_shapes(model.layers)
     return AdamState(np.zeros(masks.size), np.zeros(masks.size))
 
 
@@ -84,13 +85,12 @@ def masked_adam_step(model: ModelParams, state: AdamState, grad: np.ndarray,
     """One Adam step on the mask-selected entries, in place.
 
     ``grad`` is the gradient vector in the flat layout of ``masks``, as
-    ``backward`` and ``combined_grad`` return it. Only ``weight[index]`` and
-    ``bias[index]`` of each layer's trainable index are read and written, so
-    frozen entries stay bitwise put. The update runs as one elementwise pass
-    over the vector, chunk by chunk, and nothing changes unless every gradient
-    entry is finite. ``grad`` is the step's scratch: on return it holds the
-    update subtracted from the parameters, not the gradient. Returns the same
-    model and state.
+    ``backward`` and ``combined_grad`` return it. The update runs as one
+    elementwise pass over the vector, chunk by chunk, and is subtracted from
+    the parameter vector at the masks' ``positions`` alone, so frozen entries
+    stay bitwise put. Nothing changes unless every gradient entry is finite.
+    ``grad`` is the step's scratch: on return it holds the update subtracted
+    from the parameters, not the gradient. Returns the same model and state.
     """
     if not grad.shape == state.m.shape == (masks.size,):
         raise ShapeError(f"gradient shape {grad.shape} is not the layout's ({masks.size},)")
@@ -112,6 +112,9 @@ def masked_adam_step(model: ModelParams, state: AdamState, grad: np.ndarray,
         v += np.multiply(np.multiply(1.0 - b2, gc, out=t1), gc, out=t1)
         np.sqrt(np.add(np.divide(v, bc2, out=t1), eps, out=t1), out=t1)
         np.divide(np.multiply(lr, np.divide(m, bc1, out=t2), out=t2), t1, out=gc)
-    for seg in masks.segments:
-        getattr(model.layers[seg.layer], seg.param)[seg.index] -= seg.view(grad)
+    params = model.params
+    if masks.positions is None:
+        params -= grad
+    else:
+        params[masks.positions] -= grad
     return model, state

@@ -7,7 +7,9 @@ import pytest
 from masktune import init_model
 from masktune.errors import NumericError
 from masktune.linalg import Rng
+from masktune.losses import resolve_regular_layers
 from masktune.masking import GradientMaskSet, LayerMask
+from masktune.model import CHECKPOINT_MAGIC, ModelParams, layer_roles
 
 
 @pytest.fixture
@@ -17,6 +19,11 @@ def np_rng():
 
 def small_model(dims=(4, 6, 5, 3), seed=7):
     return init_model(list(dims), seed=seed)
+
+
+def copy_model(model):
+    """A model over a copy of ``model``'s parameter vector."""
+    return ModelParams(model.params.copy(), model.dims)
 
 
 def sparse_from_bits(bits):
@@ -166,3 +173,57 @@ def oracle_forward(model, x_batch):
         z = a @ layer.weight.T + layer.bias
         a = z if i == head else np.maximum(z, 0.0)
     return a, inputs
+
+
+def oracle_masked_adam_step(model, state, grad, masks, lr, cfg):
+    """Test oracle: the masked Adam step as written before it wrote back in one
+    scatter: the per-entry update over the layout vector, then one fancy-indexed
+    subtraction per layout segment. ``grad`` is left as it is."""
+    state.t += 1
+    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    state.m *= b1
+    state.m += (1.0 - b1) * grad
+    state.v *= b2
+    state.v += (1.0 - b2) * grad * grad
+    update = lr * (state.m / bc1) / np.sqrt(state.v / bc2 + eps)
+    for seg in masks.segments:
+        getattr(model.layers[seg.layer], seg.param)[seg.index] -= seg.view(update)
+
+
+def oracle_reg_penalty(model, anchor, cfg, masks, grad):
+    """Test oracle: the penalty towards the layers ``anchor`` as written before it
+    read the parameter vector in one gather: per segment of each regular layer, a
+    fancy-indexed gather of the model's entries less the anchor's, its sum and its
+    gradient, added into ``grad``. Returns the loss."""
+    if cfg.norm == "none" or cfg.lam == 0.0:
+        return 0.0
+    lam, sums = cfg.lam, []
+    for i in resolve_regular_layers(len(masks.layers), cfg.regular):
+        for seg in masks.segments[2 * i:2 * i + 2]:
+            d = getattr(model.layers[i], seg.param)[seg.index] - \
+                getattr(anchor[i], seg.param)[seg.index]
+            g = seg.view(grad)
+            if cfg.norm == "l2":
+                sums.append(float(np.sum(d * d)))
+                g += 2.0 * lam * d
+            else:
+                sums.append(float(np.sum(np.abs(d))))
+                g += lam * np.sign(d)
+    loss = 0.0
+    for weight_sum, bias_sum in zip(sums[::2], sums[1::2]):
+        loss += lam * (weight_sum + bias_sum)
+    return loss
+
+
+def oracle_save_checkpoint(model, path):
+    """Test oracle: the checkpoint writer as it was before it wrote the parameter
+    vector in one go: the magic line, the header, then per layer the weight
+    (row-major) and the bias as little-endian float64."""
+    header = json.dumps({"dims": model.dims, "roles": layer_roles(len(model.layers))})
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + header.encode() + b"\n")
+        for layer in model.layers:
+            fh.write(np.ascontiguousarray(layer.weight, dtype="<f8"))
+            fh.write(np.ascontiguousarray(layer.bias, dtype="<f8"))

@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (bias_mask, finite_diff_grad, gathered, layer_grads, sparse_from_bits,
-                      sparse_from_lists)
+from conftest import (bias_mask, copy_model, finite_diff_grad, gathered, layer_grads,
+                      sparse_from_bits, sparse_from_lists)
 from masktune.cli import main as cli_main
 from masktune.data import Dataset, ShiftConfig, gen_task, partition_subsets, save_dataset_csv, select_mask_subset
 from masktune.harness import FineTuneConfig, evaluate, finetune, finetune_masks, linear_probe, pretrain
@@ -163,13 +163,13 @@ def test_criterion_03_gradient_fidelity():
                             norm="l1" if i % 2 else "l2",
                             regular=RegularSet(0, include_head=True))
             full = GradientMaskSet.all_full(pre)
-            penalty = resolve_penalty(pre, cfg, full)
+            penalty = resolve_penalty(pre.layers, cfg, full)
             grad = np.zeros(full.size)
             reg_penalty(model, penalty, grad)
-            for li in resolve_regular_layers(model, cfg.regular):
+            for li in resolve_regular_layers(len(model.layers), cfg.regular):
                 def loss_of(w, li=li):
-                    probe = model.copy()
-                    probe.layers[li].weight = w
+                    probe = copy_model(model)
+                    probe.layers[li].weight[...] = w
                     return reg_penalty(probe, penalty, np.zeros(full.size))
                 fdw = finite_diff_grad(loss_of, model.layers[li].weight, 1e-6)
                 assert rel_err(layer_grads(full, grad)[li][0], fdw) < 1e-4
@@ -208,7 +208,7 @@ def test_criterion_05_masked_adam_equivalence():
         masks = GradientMaskSet((sparse_from_bits(bits),))
         bias_bits = bias_mask(masks.layers[0])
         w0, b0 = rng.normal(size=(4, 5)), rng.normal(size=4)
-        model = ModelParams([Layer(w0.copy(), b0.copy())])
+        model = ModelParams.from_layers([Layer(w0.copy(), b0.copy())])
         state = init_adam_state(model, masks)
         cfg = OptimConfig(base_lr=0.01, total_epochs=1)
         rw, rb = w0.copy(), b0.copy()
@@ -224,7 +224,7 @@ def test_criterion_05_masked_adam_equivalence():
             assert np.all(np.abs(model.layers[0].bias - rb) <= 1e-15)
 
         # all-Full masks reproduce standard Adam exactly
-        model = ModelParams([Layer(w0.copy(), b0.copy())])
+        model = ModelParams.from_layers([Layer(w0.copy(), b0.copy())])
         full = GradientMaskSet((full_mask((4, 5)),))
         state = init_adam_state(model, full)
         rw, rb = w0.copy(), b0.copy()
@@ -271,9 +271,9 @@ def test_criterion_06_reduction_to_full_finetuning(small_setup):
                 loss_sum += loss * len(idx)
                 t += 1
                 for li, layer in enumerate(ref.layers):
-                    layer.weight, ms[li], vs[li] = _textbook_adam(
+                    layer.weight[...], ms[li], vs[li] = _textbook_adam(
                         layer.weight, ms[li], vs[li], grads[li][0], t, lr)
-                    layer.bias, mbs[li], vbs[li] = _textbook_adam(
+                    layer.bias[...], mbs[li], vbs[li] = _textbook_adam(
                         layer.bias, mbs[li], vbs[li], grads[li][1], t, lr)
             stats = report.epochs[epoch]
             assert abs(stats.loss_r - loss_sum / n) <= 1e-12 * max(1.0, abs(stats.loss_r))
@@ -292,7 +292,7 @@ def test_criterion_07_regularization_pull(reference):
         pulled = reference_cfg(reg=RegConfig(lam=100.0, norm="l2", regular=regular))
         _, rep_free = finetune(pre, task, free)
         _, rep_pulled = finetune(pre, task, pulled)
-        for li in resolve_regular_layers(pre, regular):
+        for li in resolve_regular_layers(len(pre.layers), regular):
             assert rep_free.weight_distances[li] > 0.0
             assert rep_pulled.weight_distances[li] < 0.10 * rep_free.weight_distances[li]
 

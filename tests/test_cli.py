@@ -759,8 +759,8 @@ def test_extreme_tau_and_checkpoint_scale_exit_0_or_3_with_finite_json(trained, 
     doc["finetune"]["tau"] = tau
     model = load_checkpoint(trained[1])
     for layer in model.layers:
-        layer.weight *= scale
-        layer.bias *= scale
+        layer.weight[...] *= scale
+        layer.bias[...] *= scale
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         cfg, scaled, data_path = root / "run.json", root / "scaled.ckpt", root / "target.csv"

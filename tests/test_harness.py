@@ -73,12 +73,12 @@ def wide_peak_over_model_bytes(run):
 
 class TestEvaluate:
     def test_perfect_identity_model(self):
-        model = ModelParams([Layer(np.eye(3), np.zeros(3))])
+        model = ModelParams.from_layers([Layer(np.eye(3), np.zeros(3))])
         data = Dataset(np.eye(3) * 5.0, np.array([0, 1, 2]), 3)
         assert evaluate(model, data) == 1.0
 
     def test_all_wrong(self):
-        model = ModelParams([Layer(-np.eye(2), np.zeros(2))])
+        model = ModelParams.from_layers([Layer(-np.eye(2), np.zeros(2))])
         data = Dataset(np.eye(2), np.array([0, 1]), 2)
         assert evaluate(model, data) == 0.0
 
@@ -187,6 +187,15 @@ class TestFinetune:
 
     def test_peak_holds_one_trained_copy_beside_pre(self):
         assert wide_peak_over_model_bytes(finetune) <= 2.5
+
+    @pytest.mark.parametrize("variant", ["row", "full"])
+    def test_head_is_drawn_for_the_task_whatever_pre_s_head(self, variant):
+        pre = init_model([6, 12, 12, 5], seed=2)  # a 5-output head on a 3-class task
+        task = make_task(seed=1, per_class=16, noise=0.12)
+        model, report = finetune(pre, task, make_cfg(variant=variant))
+        assert model.dims == [6, 12, 12, 3] and pre.dims == [6, 12, 12, 5]
+        assert [m.shape for m in report.masks.layers] == [(12, 6), (12, 12), (3, 12)]
+        assert report.masks.layers[-1].variant == "full"
 
     def test_full_variant_trains_everything(self, pre_and_task):
         pre, task = pre_and_task

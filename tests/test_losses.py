@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import finite_diff_grad, grad_rel_err, layer_grads, peak_bytes, small_model
+from conftest import (copy_model, finite_diff_grad, grad_rel_err, layer_grads, peak_bytes,
+                      small_model)
 from masktune.errors import ConfigError, InputError
 from masktune.losses import (
     RegConfig,
@@ -21,14 +22,14 @@ from masktune.model import Layer, ModelParams, forward
 
 def full_penalty(pre, cfg):
     """The penalty towards pre with every entry trainable."""
-    return resolve_penalty(pre, cfg, GradientMaskSet.all_full(pre))
+    return resolve_penalty(pre.layers, cfg, GradientMaskSet.all_full(pre))
 
 
 def full_reg_penalty(model, pre, cfg):
     """The penalty's loss and its per-layer (weight, bias) gradients, every entry trainable."""
     masks = GradientMaskSet.all_full(pre)
     grad = np.zeros(masks.size)
-    loss = reg_penalty(model, resolve_penalty(pre, cfg, masks), grad)
+    loss = reg_penalty(model, resolve_penalty(pre.layers, cfg, masks), grad)
     return loss, layer_grads(masks, grad)
 
 
@@ -147,7 +148,7 @@ class TestRegPenalty:
     def test_identical_models(self):
         model, _ = self.make_pair()
         cfg = RegConfig(lam=0.3, norm="l2", regular=RegularSet(1))
-        loss, grads = full_reg_penalty(model, model.copy(), cfg)
+        loss, grads = full_reg_penalty(model, copy_model(model), cfg)
         assert loss == 0.0
         assert all(np.all(w == 0) and np.all(b == 0) for w, b in grads)
 
@@ -159,8 +160,8 @@ class TestRegPenalty:
 
     def test_hand_single_layer(self):
         w = np.eye(2)
-        model = ModelParams([Layer(w.copy(), np.zeros(2))])
-        pre = ModelParams([Layer(np.zeros((2, 2)), np.zeros(2))])
+        model = ModelParams.from_layers([Layer(w.copy(), np.zeros(2))])
+        pre = ModelParams.from_layers([Layer(np.zeros((2, 2)), np.zeros(2))])
         cfg = RegConfig(lam=0.5, norm="l2", regular=RegularSet(0, include_head=True))
         loss, grads = full_reg_penalty(model, pre, cfg)
         assert loss == 1.0
@@ -175,7 +176,7 @@ class TestRegPenalty:
         expected = 0.7 * sum(
             float(np.sum((model.layers[i].weight - pre.layers[i].weight) ** 2))
             + float(np.sum((model.layers[i].bias - pre.layers[i].bias) ** 2))
-            for i in resolve_regular_layers(model, cfg.regular))
+            for i in resolve_regular_layers(len(model.layers), cfg.regular))
         assert loss == expected
 
     @pytest.mark.parametrize("norm", ["l1", "l2"])
@@ -183,10 +184,10 @@ class TestRegPenalty:
         model, pre = self.make_pair()
         cfg = RegConfig(lam=0.4, norm=norm, regular=RegularSet(1, include_head=True))
         _, grads = full_reg_penalty(model, pre, cfg)
-        for li in resolve_regular_layers(model, cfg.regular):
+        for li in resolve_regular_layers(len(model.layers), cfg.regular):
             def loss_of(wmat, li=li):
-                probe = model.copy()
-                probe.layers[li].weight = wmat
+                probe = copy_model(model)
+                probe.layers[li].weight[...] = wmat
                 return full_reg_penalty(probe, pre, cfg)[0]
             fd = finite_diff_grad(loss_of, model.layers[li].weight, 1e-6)
             assert grad_rel_err(grads[li][0], fd) < 1e-4
@@ -194,11 +195,22 @@ class TestRegPenalty:
     def test_regular_set_resolution(self):
         model = small_model(dims=(4, 5, 5, 5, 3), seed=0)  # emb, hid, hid, head
         assert resolve_regular_layers(
-            model, RegularSet(1, include_embedding=False, include_head=False)) == [2]
+            len(model.layers), RegularSet(1, include_embedding=False, include_head=False)) == [2]
         assert resolve_regular_layers(
-            model, RegularSet(2, include_embedding=True, include_head=True)) == [0, 1, 2, 3]
+            len(model.layers), RegularSet(2, include_embedding=True,
+                                          include_head=True)) == [0, 1, 2, 3]
         with pytest.raises(ConfigError):
-            resolve_regular_layers(model, RegularSet(3))
+            resolve_regular_layers(len(model.layers), RegularSet(3))
+
+    def test_all_full_masks_view_the_anchor(self):
+        pre = small_model(dims=(64, 256, 256, 8), seed=2)
+        cfg = RegConfig(lam=0.3, norm="l2", regular=RegularSet(1))
+        full = GradientMaskSet.all_full(pre)
+        penalty = resolve_penalty(pre.layers, cfg, full)
+        assert penalty.index is None and len(penalty.parts) == 2 * len(pre.layers)
+        assert all(np.shares_memory(part.anchor, pre.params) for part in penalty.parts)
+        # resolving copies none of the anchor's 680 KB
+        assert peak_bytes(lambda: resolve_penalty(pre.layers, cfg, full)) < 1 << 14
 
 
 class TestCombinedGrad:
@@ -207,7 +219,7 @@ class TestCombinedGrad:
         x = np_rng.normal(size=(6, 4))
         y = np_rng.integers(0, 3, size=6)
         cfg = RegConfig(lam=0.0, norm="l2", regular=RegularSet(1))
-        loss_r, ce, grad = combined_grad(model, GradientMaskSet.all_full(model), full_penalty(model.copy(), cfg), x, y)
+        loss_r, ce, grad = combined_grad(model, GradientMaskSet.all_full(model), full_penalty(copy_model(model), cfg), x, y)
         assert loss_r == ce
         from masktune.losses import cross_entropy as ce_fn
         from masktune.model import backward
@@ -230,7 +242,7 @@ class TestCombinedGrad:
         from masktune.model import backward
         _, d = cross_entropy(logits, y)
         ce_grads = layer_grads(masks, backward(model, cache, masks, d_logits=d))
-        regular = resolve_regular_layers(model, cfg.regular)
+        regular = resolve_regular_layers(len(model.layers), cfg.regular)
         for i, (g, a, b) in enumerate(zip(layer_grads(masks, grad), ce_grads, reg_grads)):
             if i not in regular:  # outside the regular set: the CE gradient alone
                 assert not b[0].any() and not b[1].any()
@@ -247,8 +259,8 @@ class TestCombinedGrad:
         grads = layer_grads(masks, combined_grad(model, masks, full_penalty(pre, cfg), x, y)[2])
         for li in range(len(model.layers)):
             def loss_of(wmat, li=li):
-                probe = model.copy()
-                probe.layers[li].weight = wmat
+                probe = copy_model(model)
+                probe.layers[li].weight[...] = wmat
                 return combined_grad(probe, GradientMaskSet.all_full(probe), full_penalty(pre, cfg), x, y)[0]
             fd = finite_diff_grad(loss_of, model.layers[li].weight, 1e-5)
             assert grad_rel_err(grads[li][0], fd) < 1e-4

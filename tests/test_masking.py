@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import read_masks, small_model, sparse_from_bits, sparse_from_lists
+from conftest import peak_bytes, read_masks, small_model, sparse_from_bits, sparse_from_lists
 from masktune.errors import ConfigError, ShapeError
 from masktune.linalg import frobenius_sq
 from masktune.losses import RegConfig, resolve_penalty
@@ -366,7 +366,26 @@ class TestMaskSet:
         with pytest.raises(ShapeError):
             init_adam_state(model, other)
         with pytest.raises(ShapeError):
-            resolve_penalty(model, RegConfig(lam=0.1), other)
+            resolve_penalty(model.layers, RegConfig(lam=0.1), other)
+
+
+class TestPositions:
+    @pytest.mark.parametrize("variant", ["row", "col", "sparse"])
+    def test_built_in_memory_proportional_to_the_trainable_entries(self, variant):
+        shape = (1000, 1000)  # a full-size position index would take 8 MB
+        if variant == "sparse":
+            mask = sparse_from_lists(shape, [(0, 500, 999)] * 1000)
+        else:
+            mask = LayerMask(variant, shape, (0, 500, 999))
+        masks = GradientMaskSet((mask, full_mask((4, 1000))))
+        assert peak_bytes(lambda: masks.positions) < 1 << 20
+        assert masks.positions.shape == (masks.size,)
+
+    def test_layer_offsets_follow_the_checkpoint_order(self):
+        masks = GradientMaskSet((LayerMask("row", (3, 2), (1,)), LayerMask("col", (2, 3), (0, 2)),
+                                 full_mask((1, 2))))
+        # layer 0: weight [0, 6), bias [6, 9); layer 1: weight [9, 15), bias [15, 17); head
+        assert masks.positions.tolist() == [2, 3, 7, 9, 11, 12, 14, 17, 18, 19]
 
 
 class TestSerialization:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import finite_diff_grad, grad_rel_err, layer_grads, peak_bytes, small_model
+from conftest import (copy_model, finite_diff_grad, grad_rel_err, layer_grads, peak_bytes,
+                      small_model)
 from masktune.errors import ConfigError, InputError, ShapeError, StateError
 from masktune.linalg import Rng
 from masktune.losses import cross_entropy
@@ -49,12 +50,12 @@ class TestInit:
         layers = [Layer(np.zeros((3, 4)), np.zeros(3)),
                   Layer(np.zeros((2, 5)), np.zeros(2))]
         with pytest.raises(ShapeError):
-            ModelParams(layers)
+            ModelParams.from_layers(layers)
 
 
 class TestForward:
     def test_identity_single_layer(self, np_rng):
-        m = ModelParams([Layer(np.eye(4), np.zeros(4))])
+        m = ModelParams.from_layers([Layer(np.eye(4), np.zeros(4))])
         x = np_rng.normal(size=(6, 4))
         logits, features, _ = forward(m, x)
         assert np.array_equal(logits, x)
@@ -70,8 +71,8 @@ class TestForward:
     def test_two_layer_hand_trace(self):
         w1 = np.array([[1.0, -1.0], [0.5, 2.0]])
         w2 = np.array([[1.0, 1.0]])
-        m = ModelParams([Layer(w1, np.array([0.0, -1.0])),
-                         Layer(w2, np.array([0.5]))])
+        m = ModelParams.from_layers([Layer(w1, np.array([0.0, -1.0])),
+                                     Layer(w2, np.array([0.5]))])
         x = np.array([[2.0, 1.0]])
         # z1 = [2*1 + 1*(-1), 2*0.5 + 1*2 - 1] = [1, 2]; relu -> [1, 2]
         # logits = 1 + 2 + 0.5 = 3.5
@@ -123,7 +124,7 @@ class TestBackward:
 
     def test_linear_squared_loss_closed_form(self, np_rng):
         w = np_rng.normal(size=(3, 4))
-        m = ModelParams([Layer(w.copy(), np.zeros(3))])
+        m = ModelParams.from_layers([Layer(w.copy(), np.zeros(3))])
         x = np_rng.normal(size=(5, 4))
         y = np_rng.normal(size=(5, 3))
         logits, _, cache = forward(m, x)
@@ -142,8 +143,8 @@ class TestBackward:
         grads = layer_grads(masks, backward(m, cache, masks, d_logits=d_logits))
         for li in range(len(m.layers)):
             def loss_of(wmat, li=li):
-                probe = m.copy()
-                probe.layers[li].weight = wmat
+                probe = copy_model(m)
+                probe.layers[li].weight[...] = wmat
                 return cross_entropy(forward(probe, x)[0], y)[0]
             fd = finite_diff_grad(loss_of, m.layers[li].weight, 1e-5)
             assert grad_rel_err(grads[li][0], fd) < 1e-4
@@ -220,11 +221,24 @@ class TestCheckpoint:
         with pytest.raises(InputError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_non_finite_error_names_the_first_bad_layer(self, tmp_path, bad):
+        model = small_model(seed=21)
+        model.layers[bad].weight[0, -1] = np.nan
+        for layer in model.layers[bad + 1:]:
+            layer.bias[0] = np.inf
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(InputError, match=f"layer {bad} has non-finite entries"):
+            load_checkpoint(path)
+
     def test_reinit_head(self):
         m = small_model(seed=4)
         fresh = reinit_head(m, 7, Rng(0))
         assert fresh.num_classes == 7
         assert np.array_equal(fresh.layers[0].weight, m.layers[0].weight)
-        for got, old in zip(fresh.layers[:-1], m.layers[:-1]):  # the same arrays, new layers
-            assert got is not old and got.weight is old.weight and got.bias is old.bias
+        for got, old in zip(fresh.layers[:-1], m.layers[:-1]):  # copies, in one fresh vector
+            assert got.weight.tobytes() == old.weight.tobytes()
+            assert got.bias.tobytes() == old.bias.tobytes()
+        assert not np.shares_memory(fresh.params, m.params)
         assert np.all(np.abs(fresh.layers[-1].weight) <= np.sqrt(1.0 / m.feature_dim))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import bias_mask, gathered, peak_bytes, sparse_from_bits
+from conftest import bias_mask, copy_model, gathered, peak_bytes, sparse_from_bits
 from masktune.errors import ConfigError, NumericError, ShapeError
 from masktune.masking import GradientMaskSet, LayerMask, full_mask
 from masktune.model import Layer, ModelParams, init_model
@@ -11,7 +11,7 @@ from masktune.optim import _CHUNK, OptimConfig, cosine_warmup_lr, init_adam_stat
 def one_layer_model(w, b=None):
     w = np.asarray(w, dtype=np.float64)
     b = np.zeros(w.shape[0]) if b is None else np.asarray(b, dtype=np.float64)
-    return ModelParams([Layer(w, b)])
+    return ModelParams.from_layers([Layer(w, b)])
 
 
 def grad_of(masks, gw, gb=None):
@@ -156,7 +156,7 @@ class TestMaskedAdam:
 
         state = init_adam_state(model, masks)
         masked_adam_step(model, state, gradient(), masks, 0.1, CFG)
-        before, m0, v0 = model.copy(), state.m.copy(), state.v.copy()
+        before, m0, v0 = copy_model(model), state.m.copy(), state.v.copy()
         bad = gradient()
         bad[-1] = np.nan  # the head's last bias
         with pytest.raises(NumericError):

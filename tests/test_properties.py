@@ -23,8 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import (bias_mask, finite_diff_grad, gathered, grad_rel_err, layer_grads,
-                      oracle_build_mask, oracle_forward, oracle_scl_loss, read_masks,
+from conftest import (bias_mask, copy_model, finite_diff_grad, gathered, grad_rel_err,
+                      layer_grads, oracle_build_mask, oracle_forward, oracle_masked_adam_step,
+                      oracle_reg_penalty, oracle_save_checkpoint, oracle_scl_loss, read_masks,
                       sparse_from_bits, sparse_from_lists)
 from masktune.data import Dataset, load_dataset_csv, save_dataset_csv
 from masktune.errors import InputError, NumericError
@@ -101,7 +102,7 @@ def dense_masked_adam_step(model, state, grad, masks, lr, cfg):
         new_layers.append(Layer(weight, bias))
         new_m.append((mw, mb))
         new_v.append((vw, vb))
-    return ModelParams(new_layers), DenseAdamState(new_m, new_v, t)
+    return ModelParams.from_layers(new_layers), DenseAdamState(new_m, new_v, t)
 
 
 def dense_zeros(model):
@@ -167,7 +168,7 @@ def random_setup(seed, dims, variants):
     rng = np.random.default_rng(seed)
     layers = [Layer(rng.normal(size=(dims[i + 1], dims[i])), rng.normal(size=dims[i + 1]))
               for i in range(len(dims) - 1)]
-    model = ModelParams(layers)
+    model = ModelParams.from_layers(layers)
     masks = GradientMaskSet(tuple(random_mask(rng, v, l.weight.shape)
                                   for v, l in zip(variants, layers)))
     return rng, model, masks
@@ -191,8 +192,8 @@ setups = st.integers(1, 3).flatmap(lambda n: st.tuples(
 @given(setup=setups, steps=st.integers(1, 20))
 def test_sliced_step_matches_dense_oracle_bitwise(setup, steps):
     rng, model, masks = random_setup(*setup)
-    start = model.copy()
-    oracle = model.copy()
+    start = copy_model(model)
+    oracle = copy_model(model)
     state = init_adam_state(model, masks)
     oracle_state = DenseAdamState(dense_zeros(model), dense_zeros(model))
     for _ in range(steps):
@@ -217,8 +218,9 @@ def test_fused_step_matches_dense_oracle_across_chunk_boundaries(seed):
     # chunks, so slices straddle chunk boundaries and the last chunk is ragged
     rng = np.random.default_rng(seed)
     dims = [160, 240, 200, 180, 10]
-    model = ModelParams([Layer(rng.normal(size=(dims[i + 1], dims[i])),
-                               rng.normal(size=dims[i + 1])) for i in range(len(dims) - 1)])
+    model = ModelParams.from_layers([Layer(rng.normal(size=(dims[i + 1], dims[i])),
+                                           rng.normal(size=dims[i + 1]))
+                                     for i in range(len(dims) - 1)])
 
     def some(n, size):
         return tuple(sorted(int(i) for i in rng.choice(n, size=size, replace=False)))
@@ -229,7 +231,7 @@ def test_fused_step_matches_dense_oracle_across_chunk_boundaries(seed):
         sparse_from_bits((rng.uniform(size=(180, 200)) < 0.5).astype(float)),
         LayerMask("full", (10, 180))))
     assert 2 * _CHUNK < trainable_count(masks) and trainable_count(masks) % _CHUNK
-    start, oracle = model.copy(), model.copy()
+    start, oracle = copy_model(model), copy_model(model)
     state = init_adam_state(model, masks)
     oracle_state = DenseAdamState(dense_zeros(model), dense_zeros(model))
     for _ in range(4):
@@ -245,6 +247,47 @@ def test_fused_step_matches_dense_oracle_across_chunk_boundaries(seed):
         frozen_b = bias_mask(mask) == 0.0
         assert bits(got.weight[frozen_w]) == bits(first.weight[frozen_w])
         assert bits(got.bias[frozen_b]) == bits(first.bias[frozen_b])
+
+
+# the masks a run can train under: drawn per layer, the linear probe's (empty row
+# masks under a full head) or all full (no position index: the layout is the vector)
+MASK_KINDS = st.sampled_from(["drawn", "head_only", "all_full"])
+
+
+def masks_of_kind(model, masks, kind):
+    if kind == "head_only":
+        return GradientMaskSet.head_only(model)
+    return GradientMaskSet.all_full(model) if kind == "all_full" else masks
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=setups, kind=MASK_KINDS)
+def test_positions_pick_the_layout_out_of_the_parameter_vector(setup, kind):
+    _, model, masks = random_setup(*setup)
+    masks = masks_of_kind(model, masks, kind)
+    want = gathered(masks, [(l.weight, l.bias) for l in model.layers])
+    if all(m.variant == "full" for m in masks.layers):
+        assert masks.positions is None
+        assert bits(model.params) == bits(want)
+    else:
+        assert masks.positions.dtype == np.intp and not masks.positions.flags.writeable
+        assert bits(model.params[masks.positions]) == bits(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=setups, kind=MASK_KINDS, steps=st.integers(1, 6))
+def test_one_scatter_step_matches_the_per_segment_loop_bitwise(setup, kind, steps):
+    rng, model, masks = random_setup(*setup)
+    masks = masks_of_kind(model, masks, kind)
+    oracle = copy_model(model)
+    state, oracle_state = init_adam_state(model, masks), init_adam_state(oracle, masks)
+    for _ in range(steps):
+        grad = rng.normal(size=masks.size)
+        lr = float(rng.uniform(1e-3, 0.1))
+        masked_adam_step(model, state, grad.copy(), masks, lr, CFG)
+        oracle_masked_adam_step(oracle, oracle_state, grad, masks, lr, CFG)
+        assert bits(model.params) == bits(oracle.params)
+        assert bits(state.m) == bits(oracle_state.m) and bits(state.v) == bits(oracle_state.v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -268,15 +311,15 @@ def test_sliced_penalty_matches_dense_on_trainable_entries(setup, norm, lam, las
     regular = RegularSet(min(last_l, hidden), include_embedding=embedding, include_head=head)
     cfg = RegConfig(lam=lam, norm=norm, regular=regular)
     # the model moves only on trainable entries, as it does in training
-    model = pre.copy()
+    model = copy_model(pre)
     for layer, mask in zip(model.layers, masks.layers):
         wi, bi = mask.trainable
         layer.weight[wi] += rng.normal(size=layer.weight[wi].shape)
         layer.bias[bi] += rng.normal(size=layer.bias[bi].shape)
 
     grad = np.zeros(masks.size)
-    loss = reg_penalty(model, resolve_penalty(pre, cfg, masks), grad)
-    penalized = set(resolve_regular_layers(pre, regular))
+    loss = reg_penalty(model, resolve_penalty(pre.layers, cfg, masks), grad)
+    penalized = set(resolve_regular_layers(len(pre.layers), regular))
     dense_loss = 0.0
     for i, (layer, first, mask, (g_w, g_b)) in enumerate(zip(model.layers, pre.layers,
                                                              masks.layers,
@@ -305,7 +348,7 @@ def test_combined_vector_is_the_ce_vector_plus_the_full_anchor_penalty(setup, no
     rng, pre, masks = random_setup(*setup)
     hidden = layer_roles(len(pre.layers)).count("hidden")
     cfg = RegConfig(lam=lam, norm=norm, regular=RegularSet(min(last_l, hidden)))
-    model = pre.copy()
+    model = copy_model(pre)
     for layer, mask in zip(model.layers, masks.layers):
         wi, bi = mask.trainable
         layer.weight[wi] += rng.normal(size=layer.weight[wi].shape)
@@ -313,29 +356,40 @@ def test_combined_vector_is_the_ce_vector_plus_the_full_anchor_penalty(setup, no
     x = rng.normal(size=(batch, model.layers[0].in_dim))
     y = rng.integers(0, model.num_classes, size=batch)
 
-    total, ce, got = combined_grad(model, masks, resolve_penalty(pre, cfg, masks), x, y)
+    total, ce, got = combined_grad(model, masks, resolve_penalty(pre.layers, cfg, masks), x, y)
     logits, _, cache = forward(model, x)
     want_ce, d_logits = cross_entropy(logits, y)
     want = backward(model, cache, masks, d_logits=d_logits)
-    # the per-step gather from the whole anchor: what reg_penalty did before it
-    # gathered the anchor's segments once per run
-    reg_loss = 0.0
-    for i in resolve_regular_layers(pre, cfg.regular):
-        sums = []
-        for seg in masks.segments[2 * i:2 * i + 2]:
-            d = getattr(model.layers[i], seg.param)[seg.index] - \
-                getattr(pre.layers[i], seg.param)[seg.index]
-            g = seg.view(want)
-            if norm == "l2":
-                sums.append(float(np.sum(d * d)))
-                g += 2.0 * lam * d
-            else:
-                sums.append(float(np.sum(np.abs(d))))
-                g += lam * np.sign(d)
-        reg_loss += lam * (sums[0] + sums[1])
+    reg_loss = oracle_reg_penalty(model, pre.layers, cfg, masks, want)
     assert got.shape == (masks.size,)
     assert bits(got) == bits(want)
     assert ce == want_ce and total == want_ce + reg_loss
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data(), kind=MASK_KINDS,
+       norm=st.sampled_from(["l1", "l2"]), lam=st.floats(1e-3, 10.0), last_l=st.integers(0, 2),
+       embedding=st.booleans(), head=st.booleans())
+def test_one_gather_penalty_matches_the_per_segment_body_bitwise(seed, data, kind, norm, lam,
+                                                                 last_l, embedding, head):
+    # widths up to 20, so col segments hold columns long enough to sum in another order
+    dims = data.draw(st.lists(st.integers(1, 20), min_size=2, max_size=5))
+    variants = data.draw(st.lists(st.sampled_from(VARIANTS), min_size=len(dims) - 1,
+                                  max_size=len(dims) - 1))
+    rng, pre, masks = random_setup(seed, dims, variants)
+    masks = masks_of_kind(pre, masks, kind)
+    hidden = layer_roles(len(pre.layers)).count("hidden")
+    regular = RegularSet(min(last_l, hidden), include_embedding=embedding, include_head=head)
+    cfg = RegConfig(lam=lam, norm=norm, regular=regular)
+    model = copy_model(pre)
+    for seg in masks.segments:  # every trainable entry moves off the anchor
+        getattr(model.layers[seg.layer], seg.param)[seg.index] += rng.normal(size=seg.shape)
+    grad = rng.normal(size=masks.size)  # the penalty adds into what backward wrote
+    want = grad.copy()
+    loss = reg_penalty(model, resolve_penalty(pre.layers, cfg, masks), grad)
+    assert bits(np.float64(loss)) == bits(np.float64(
+        oracle_reg_penalty(model, pre.layers, cfg, masks, want)))
+    assert bits(grad) == bits(want)
 
 
 # A row or col slice is its own, narrower product, and the lowest layer's
@@ -452,18 +506,19 @@ def test_penalty_slice_gradient_matches_finite_differences(setup, norm, lam, las
     rng, pre, masks = random_setup(*setup)
     hidden = layer_roles(len(pre.layers)).count("hidden")
     cfg = RegConfig(lam=lam, norm=norm, regular=RegularSet(min(last_l, hidden)))
-    penalty = resolve_penalty(pre, cfg, masks)
+    penalty = resolve_penalty(pre.layers, cfg, masks)
     # trainable entries move at least 0.1 away, far from l1's kink at the anchor
-    model = pre.copy()
+    model = copy_model(pre)
     for layer, mask in zip(model.layers, masks.layers):
         for param, index in zip((layer.weight, layer.bias), mask.trainable):
             step = rng.uniform(0.1, 1.0, size=param[index].shape)
             param[index] += np.where(rng.uniform(size=step.shape) < 0.5, -step, step)
     grad = np.zeros(masks.size)
     reg_penalty(model, penalty, grad)
-    for seg, _ in penalty.segments:
+    regular = resolve_regular_layers(len(pre.layers), cfg.regular)
+    for seg in (s for i in regular for s in masks.segments[2 * i:2 * i + 2]):
         def loss_of(values, seg=seg):
-            probe = model.copy()
+            probe = copy_model(model)
             getattr(probe.layers[seg.layer], seg.param)[seg.index] = values
             return reg_penalty(probe, penalty, np.zeros(masks.size))
         fd = finite_diff_grad(loss_of, getattr(model.layers[seg.layer], seg.param)[seg.index],
@@ -481,7 +536,7 @@ def models(draw):
     layers = [Layer(draw(hnp.arrays(np.float64, (dims[i + 1], dims[i]), elements=finite)),
                     draw(hnp.arrays(np.float64, dims[i + 1], elements=finite)))
               for i in range(len(dims) - 1)]
-    return ModelParams(layers)
+    return ModelParams.from_layers(layers)
 
 
 @settings(max_examples=60, deadline=None)
@@ -492,11 +547,12 @@ def test_checkpoint_round_trips_value_exact_into_writeable_arrays(model):
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
     assert loaded.dims == model.dims
+    assert loaded.params.flags.writeable and loaded.params.flags.owndata
     for got, want in zip(loaded.layers, model.layers):
         for a, b in ((got.weight, want.weight), (got.bias, want.bias)):
             assert a.dtype == np.float64 and a.shape == b.shape
             assert bits(a) == bits(b)
-            assert a.flags.writeable and a.flags.owndata
+            assert a.flags.writeable and a.base is loaded.params
 
 
 @settings(max_examples=60, deadline=None)
@@ -505,8 +561,18 @@ def test_saving_twice_gives_identical_bytes(model):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a", Path(tmp) / "b"
         save_checkpoint(model, first)
-        save_checkpoint(model.copy(), second)
+        save_checkpoint(copy_model(model), second)
         assert first.read_bytes() == second.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=models())
+def test_one_write_gives_the_per_layer_writers_bytes(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "a", Path(tmp) / "b"
+        save_checkpoint(model, got)
+        oracle_save_checkpoint(model, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -684,12 +750,12 @@ def row_path_setups(draw):
     and a batch of its rows, drawn with repeats."""
     dims = draw(st.lists(st.integers(1, 9), min_size=4, max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    pre = ModelParams([Layer(rng.normal(size=(n_out, n_in)), rng.normal(size=n_out))
-                       for n_in, n_out in zip(dims, dims[1:])])
+    pre = ModelParams.from_layers([Layer(rng.normal(size=(n_out, n_in)), rng.normal(size=n_out))
+                                   for n_in, n_out in zip(dims, dims[1:])])
     masks = [LayerMask("row", l.weight.shape, sorted(draw(st.sets(
         st.integers(0, l.out_dim - 1), max_size=l.out_dim)))) for l in pre.layers[:-1]]
     masks = GradientMaskSet((*masks, LayerMask("full", pre.layers[-1].weight.shape)))
-    model = pre.copy()
+    model = copy_model(pre)
     for seg in masks.segments:  # move every trainable entry off the anchor
         getattr(model.layers[seg.layer], seg.param)[seg.index] += rng.normal(size=seg.shape)
     samples = draw(st.integers(1, 40))
@@ -722,9 +788,9 @@ def test_row_path_forward_and_backward_match_the_dense_path(setup):
 def test_row_path_training_keeps_frozen_entries_bitwise(setup, steps):
     rng, pre, model, masks, x, y, batch = setup
     anchor = anchor_of(pre, masks, x)
-    penalty = resolve_penalty(pre, RegConfig(lam=0.1, regular=RegularSet(1)), masks)
+    penalty = resolve_penalty(pre.layers, RegConfig(lam=0.1, regular=RegularSet(1)), masks)
     state = init_adam_state(model, masks)
-    before = model.copy()
+    before = copy_model(model)
     for _ in range(steps):
         _, _, grad = combined_grad(model, masks, penalty, x[batch], y[batch], anchor.take(batch))
         masked_adam_step(model, state, grad, masks, 0.05, CFG)
@@ -737,8 +803,8 @@ def test_row_path_training_keeps_frozen_entries_bitwise(setup, steps):
 def test_row_path_evaluation_reads_the_anchor_chunk_by_chunk():
     # 4,000 wide, so each chunk holds 8 of the 100 rows and the last one 4
     rng = np.random.default_rng(5)
-    pre = ModelParams([Layer(rng.normal(size=(n_out, n_in)), rng.normal(size=n_out))
-                       for n_in, n_out in [(6, 4000), (4000, 7), (7, 3)]])
+    pre = ModelParams.from_layers([Layer(rng.normal(size=(n_out, n_in)), rng.normal(size=n_out))
+                                   for n_in, n_out in [(6, 4000), (4000, 7), (7, 3)]])
     masks = GradientMaskSet((LayerMask("row", (4000, 6), (1, 2999)),
                              LayerMask("row", (7, 4000), (0, 5)), LayerMask("full", (3, 7))))
     data = Dataset(rng.normal(size=(100, 6)), rng.integers(0, 3, size=100), 3)
@@ -746,6 +812,6 @@ def test_row_path_evaluation_reads_the_anchor_chunk_by_chunk():
     chunks = list(row_chunks(100, 4000))
     assert [(c.start, c.stop) for c in chunks[-2:]] == [(88, 96), (96, 100)]
     for rows in chunks:  # z1, then a0's trained columns: the dense forward of each chunk
-        z1, a0, _ = forward(ModelParams(pre.layers[:2]), data.x[rows])
+        z1, a0, _ = forward(ModelParams.from_layers(pre.layers[:2]), data.x[rows])
         assert bits(anchor.pre[rows]) == bits(np.hstack([z1, a0[:, [1, 2999]]]))
     assert evaluate(pre, data, anchor) == evaluate(pre, data)
