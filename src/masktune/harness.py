@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
@@ -114,8 +115,11 @@ def _train(model: ModelParams, masks: GradientMaskSet, penalty: Penalty, train: 
            optim: OptimConfig, batch_size: int, shuffle_rng: Rng,
            anchor: RowAnchor | None = None) -> Iterator[tuple[int, float, float, float, AdamState]]:
     """Train ``model`` in place, on the row path where ``anchor`` (the ``RowAnchor`` of
-    ``train``) is given; yield (epoch, lr, mean loss_R, mean CE, Adam state) per epoch."""
+    ``train``) is given; yield (epoch, lr, mean loss_R, mean CE, Adam state) per epoch.
+    The run holds one gradient vector: each step's backward writes all of it, the
+    penalty adds into it and Adam leaves its update in it."""
     state = init_adam_state(model, masks)
+    grad = np.empty(masks.size)
     for epoch in range(optim.total_epochs):
         lr = cosine_warmup_lr(epoch, optim)
         order = shuffle_rng.permutation(len(train))
@@ -123,9 +127,9 @@ def _train(model: ModelParams, masks: GradientMaskSet, penalty: Penalty, train: 
         for start in range(0, len(train), batch_size):
             idx = order[start:start + batch_size]
             batch_anchor = None if anchor is None else anchor.take(idx)
-            loss_r, ce, grad = combined_grad(model, masks, penalty, train.x[idx], train.y[idx],
-                                             batch_anchor)
-            if not np.isfinite(loss_r):
+            loss_r, ce, _ = combined_grad(model, masks, penalty, train.x[idx], train.y[idx],
+                                          batch_anchor, out=grad)
+            if not math.isfinite(loss_r):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             masked_adam_step(model, state, grad, masks, lr, optim)
             loss_sum += loss_r * len(idx)

@@ -65,21 +65,26 @@ def resolve_regular_layers(num_layers: int, regular: RegularSet) -> list[int]:
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean negative log-softmax of the true class; gradient is (softmax - onehot)/batch."""
+    """Mean negative log-softmax of the true class; gradient is (softmax - onehot)/batch.
+
+    The reductions call their ufuncs' ``reduce`` straight, as ``np.sum``, ``np.mean``
+    and ``ndarray.max`` do behind their Python wrappers, so every bit is theirs. One
+    flat index picks the true classes, and the gradient is formed in place in the
+    exponentials' array."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     batch, num_classes = logits.shape
     if labels.shape != (batch,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {batch}")
-    if labels.min() < 0 or labels.max() >= num_classes:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= num_classes:
         raise InputError(f"labels must lie in [0, {num_classes})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    total = np.sum(exp, axis=1, keepdims=True)
-    rows = np.arange(batch)
-    loss = float(np.mean(np.log(total[:, 0]) - shifted[rows, labels]))
-    d_logits = exp / total
-    d_logits[rows, labels] -= 1.0
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    d_logits = np.exp(shifted)
+    total = np.add.reduce(d_logits, axis=1, keepdims=True)
+    true = np.arange(0, batch * num_classes, num_classes) + labels  # flat, row-major
+    loss = float(np.add.reduce(np.log(total[:, 0]) - shifted.ravel()[true]) / batch)
+    d_logits /= total
+    d_logits.ravel()[true] -= 1.0
     d_logits /= batch
     return loss, d_logits
 
@@ -176,7 +181,8 @@ class Penalty:
     ``parts`` covers the trainable entries of the regular layers, in layout
     order; it is empty when the penalty is off. Under masks that are not all
     full, ``index`` gathers those entries from the model's parameter vector in
-    one go and the anchor's values are copies. Under all-full masks ``index`` is
+    one go (it is ``masks.positions`` itself when they cover the layout) and
+    the anchor's values are copies. Under all-full masks ``index`` is
     None: the parts are the segments, read in place from the parameter vector
     against views of the anchor's arrays, so the anchor must not change. Frozen
     entries equal the anchor bit for bit, so their term is exactly zero and the
@@ -212,7 +218,10 @@ def resolve_penalty(anchor: Sequence[Layer], cfg: RegConfig, masks: GradientMask
                                  for s in segments])
         parts.append(_part(masks, segments, read, values))
         read += values.size
-    index = np.concatenate([masks.positions[part.grad] for part in parts])
+    if len(parts) == 1 and parts[0].grad == slice(0, masks.size):
+        index = masks.positions  # the regular layers cover the layout
+    else:
+        index = np.concatenate([masks.positions[part.grad] for part in parts])
     return Penalty(cfg, index, tuple(parts))
 
 
@@ -250,7 +259,7 @@ def reg_penalty(model: ModelParams, penalty: Penalty, grad: np.ndarray) -> float
             np.abs(d, out=d)
         for at, shape in part.sums:
             term = d[at] if shape is None else d[at].reshape(shape).ravel("F")
-            sums.append(float(term.sum()))
+            sums.append(float(np.add.reduce(term)))
     loss = 0.0
     for weight_sum, bias_sum in zip(sums[::2], sums[1::2]):
         loss += lam * (weight_sum + bias_sum)
@@ -258,15 +267,16 @@ def reg_penalty(model: ModelParams, penalty: Penalty, grad: np.ndarray) -> float
 
 
 def combined_grad(model: ModelParams, masks: GradientMaskSet, penalty: Penalty,
-                  x_batch: np.ndarray, labels: np.ndarray,
-                  anchor: RowAnchor | None = None) -> tuple[float, float, np.ndarray]:
+                  x_batch: np.ndarray, labels: np.ndarray, anchor: RowAnchor | None = None,
+                  out: np.ndarray | None = None) -> tuple[float, float, np.ndarray]:
     """Cross-entropy plus distance penalty; returns (total loss, ce loss, gradient).
 
     The gradient is one vector in the flat layout of ``masks``, the masks
-    ``penalty`` was resolved with: ``backward``'s cross-entropy gradient with
-    the penalty's added in place. ``anchor`` is passed on to ``forward``.
+    ``penalty`` was resolved with: ``backward``'s cross-entropy gradient, written
+    into ``out`` when given (a training run passes its one vector on every step),
+    with the penalty's added in place. ``anchor`` is passed on to ``forward``.
     """
     logits, _, cache = forward(model, x_batch, anchor)
     ce, d_logits = cross_entropy(logits, labels)
-    grad = backward(model, cache, masks, d_logits=d_logits)
+    grad = backward(model, cache, masks, d_logits=d_logits, out=out)
     return ce + reg_penalty(model, penalty, grad), ce, grad

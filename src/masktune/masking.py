@@ -236,11 +236,32 @@ class Segment(NamedTuple):
         return vector[self.offset:self.offset + self.size].reshape(self.shape)
 
 
+class BackpropStep(NamedTuple):
+    """What ``backward`` reads of the masks at one layer. ``rows`` picks the columns of
+    the layer's delta: the trained rows of the lowest layer when it carries a row mask
+    (the layer is then full over them), else all. ``kind`` names the weight product
+    ("full", "row", "col" or "sparse") and ``index`` what it takes: the delta columns
+    of a row product, the input columns of a col product, the boolean matrix of a
+    sparse one. ``bias_index`` picks the bias gradients out of the delta's column
+    sums (``...`` for all), None when the layer trains no bias. ``weight_at``, shaped
+    ``shape``, and ``bias_at`` are the layer's two segments of the layout vector."""
+    layer: int
+    rows: object
+    kind: str
+    index: object
+    bias_index: object
+    weight_at: slice
+    shape: tuple[int, ...]
+    bias_at: slice
+
+
 @dataclass(frozen=True)
 class GradientMaskSet:
     """One LayerMask per model layer; the head layer is always full. It owns the
     flat layout of the trainable entries that backprop, the penalty and Adam share,
-    and where each of them sits in the model's parameter vector (``positions``)."""
+    where each of them sits in the model's parameter vector (``positions``), and
+    the plan ``backward`` follows (``backprop``). Each is built on first use and
+    kept with the set, so a run derives them once."""
     layers: tuple[LayerMask, ...]
 
     @staticmethod
@@ -294,9 +315,33 @@ class GradientMaskSet:
                                        for m, at in zip(self.layers, offsets)]))
 
     @functools.cached_property
-    def lowest_trainable(self) -> int:
-        """The lowest layer with a trainable entry, or the layer count: backprop stops there."""
-        return next((s.layer for s in self.segments[::2] if s.size), len(self.layers))
+    def full_tail(self) -> int:
+        """The number of entries the trailing full layers (the head at least, when full)
+        hold: the layout ends with them in the order the parameter vector ends with them."""
+        tail = 0
+        for mask in reversed(self.layers):
+            if mask.variant != "full":
+                break
+            rows, cols = mask.shape
+            tail += rows * cols + rows
+        return tail
+
+    @functools.cached_property
+    def backprop(self) -> tuple[BackpropStep, ...]:
+        """One ``BackpropStep`` per layer from the head down to the lowest layer with a
+        trainable entry, where backprop stops. The layers below it hold no layout entry."""
+        lowest = next((s.layer for s in self.segments[::2] if s.size), len(self.layers))
+        steps = []
+        for l in range(len(self.layers) - 1, lowest - 1, -1):
+            w, b = self.segments[2 * l:2 * l + 2]
+            kind, (wi, bi), rows = self.layers[l].variant, self.layers[l].trainable, slice(None)
+            if l == lowest and kind == "row":
+                rows, kind, bi = wi, "full", ...
+            index = wi[1] if kind == "col" else None if kind == "full" else wi
+            steps.append(BackpropStep(l, rows, kind, index, bi if b.size else None,
+                                      slice(w.offset, w.offset + w.size), w.shape,
+                                      slice(b.offset, b.offset + b.size)))
+        return tuple(steps)
 
 
 def scl_gradients(pre: ModelParams, x: np.ndarray, y: np.ndarray, tau: float) -> list[np.ndarray]:

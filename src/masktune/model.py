@@ -247,40 +247,38 @@ def forward(model: ModelParams, x_batch: np.ndarray,
 
 
 def backward(model: ModelParams, cache: ForwardCache, masks: GradientMaskSet,
-             d_logits: np.ndarray | None = None,
-             d_features: np.ndarray | None = None) -> np.ndarray:
+             d_logits: np.ndarray | None = None, d_features: np.ndarray | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Exact gradients of an upstream loss over the trainable entries, as one
-    vector in the flat layout of ``masks`` (see ``GradientMaskSet.segments``).
+    vector in the flat layout of ``masks`` (see ``GradientMaskSet.segments``):
+    ``out`` when given (a C-contiguous float64 vector of ``masks.size``, whatever
+    it held), else a fresh vector. Every entry is written.
 
-    Row, col and full weight products are written straight into their
-    segments; a sparse one is gathered from the full product. Backprop stops
-    at the lowest layer with a trainable entry, and into it only the deltas of
-    the rows it trains are propagated (``delta @ W[:, rows]``). Layers it never
-    reaches get zero segments, as does the head on the ``d_features`` path,
-    which starts at the head input. Exactly one of ``d_logits`` /
-    ``d_features`` must be given.
+    It follows the masks' ``backprop`` plan and reads nothing else of them but
+    their size. Row, col and full weight products are written straight into
+    their segments; a sparse one is gathered from the full product. Backprop
+    stops at the lowest layer with a trainable entry, and into it only the
+    deltas of the rows it trains are propagated (``delta @ W[:, rows]``). The
+    head's segments are zero on the ``d_features`` path, which starts at the
+    head input. Exactly one of ``d_logits`` / ``d_features`` must be given.
     """
     if cache.model is not model:
         raise StateError("cache does not belong to this model")
     if (d_logits is None) == (d_features is None):
         raise ValueError("provide exactly one of d_logits or d_features")
+    if out is None:
+        out = np.empty(masks.size)
+    elif not (out.dtype == np.float64 and out.shape == (masks.size,) and out.flags.c_contiguous):
+        raise ShapeError(f"out must be a C-contiguous float64 vector of {masks.size} entries")
 
     n = len(model.layers)
     start = n - 1 if d_logits is not None else n - 2
     upstream = np.asarray(d_logits if d_logits is not None else d_features, dtype=np.float64)
-    lowest = masks.lowest_trainable
-    grad = np.empty(masks.size)
-    for l in range(n - 1, -1, -1):
-        w_seg, b_seg = masks.segments[2 * l:2 * l + 2]
-        if not lowest <= l <= start:
-            grad[w_seg.offset:b_seg.offset + b_seg.size] = 0.0
+    for step in masks.backprop:
+        l, rows = step.layer, step.rows
+        if l > start:  # the head, on the d_features path
+            out[step.weight_at.start:step.bias_at.stop] = 0.0
             continue
-        mask = masks.layers[l]
-        wi, bi = mask.trainable
-        variant, rows = mask.variant, slice(None)
-        if l == lowest and variant == "row":
-            # delta then holds the trained rows' columns only: the layer is full over them
-            rows, wi, bi, variant = wi, ..., ..., "full"
         if l == n - 1:
             delta = upstream[:, rows]
         elif l == start:  # ReLU'(z) = max(z, 0) > 0, read off the next layer's input
@@ -288,17 +286,20 @@ def backward(model: ModelParams, cache: ForwardCache, masks: GradientMaskSet,
         else:  # in place, so at most two layers' deltas live beside the vector
             delta = delta @ model.layers[l + 1].weight[:, rows]
             delta *= cache.inputs[l + 1][:, rows] > 0.0
-        x, w_out = cache.inputs[l], w_seg.view(grad)
-        if variant == "full":
+        x, w_out = cache.inputs[l], out[step.weight_at].reshape(step.shape)
+        if step.kind == "full":
             np.matmul(delta.T, x, out=w_out)
-        elif variant == "row":
-            np.matmul(delta[:, wi].T, x, out=w_out)
-        elif variant == "col":  # wi is (slice(None), cols)
-            np.matmul(delta.T, x[:, wi[1]], out=w_out)
+        elif step.kind == "row":
+            np.matmul(delta[:, step.index].T, x, out=w_out)
+        elif step.kind == "col":
+            np.matmul(delta.T, x[:, step.index], out=w_out)
         else:  # sparse: gathered from the full product
-            w_out[...] = (delta.T @ x)[wi]
-        b_seg.view(grad)[...] = delta.sum(axis=0)[bi]
-    return grad
+            w_out[...] = (delta.T @ x)[step.index]
+        if step.bias_index is ...:
+            np.add.reduce(delta, axis=0, out=out[step.bias_at])
+        elif step.bias_index is not None:
+            out[step.bias_at] = np.add.reduce(delta, axis=0)[step.bias_index]
+    return out
 
 
 CHECKPOINT_MAGIC = b"masktune-checkpoint 1\n"

@@ -2,8 +2,9 @@
 
 Adam keeps moments for the trainable entries alone, in the mask set's flat
 layout, which the gradient vector shares. It writes its update back into the
-model's parameter vector in one scatter to the mask set's ``positions`` (one
-subtraction from the whole vector when every mask is full), so frozen entries
+model's parameter vector with one in-place subtraction for the trailing full
+layers (the head's entries, or the whole vector when every mask is full) and
+one scatter to the mask set's ``positions`` for the rest, so frozen entries
 are never touched, and a masked trajectory is exactly an unmasked Adam
 trajectory on pre-zeroed gradients. Epsilon sits inside the square root:
 W <- W - lr * m_hat / sqrt(v_hat + eps).
@@ -85,17 +86,21 @@ def masked_adam_step(model: ModelParams, state: AdamState, grad: np.ndarray,
     """One Adam step on the mask-selected entries, in place.
 
     ``grad`` is the gradient vector in the flat layout of ``masks``, as
-    ``backward`` and ``combined_grad`` return it. The update runs as one
-    elementwise pass over the vector, chunk by chunk, and is subtracted from
-    the parameter vector at the masks' ``positions`` alone, so frozen entries
-    stay bitwise put. Nothing changes unless every gradient entry is finite.
-    ``grad`` is the step's scratch: on return it holds the update subtracted
-    from the parameters, not the gradient. Returns the same model and state.
+    ``backward`` and ``combined_grad`` return it. Nothing changes unless every
+    gradient entry is finite, which a first pass checks chunk by chunk. The
+    update then runs as one elementwise pass over the vector, chunk by chunk,
+    and is subtracted from the parameter vector at the masks' entries alone, so
+    frozen entries stay bitwise put: the trailing full layers (``full_tail``,
+    the head's) from the end of the vector in place, the rest through one
+    scatter to ``positions``. ``grad`` is the step's scratch: on return it holds
+    the update subtracted from the parameters, not the gradient. Returns the
+    same model and state.
     """
     if not grad.shape == state.m.shape == (masks.size,):
         raise ShapeError(f"gradient shape {grad.shape} is not the layout's ({masks.size},)")
-    if not np.isfinite(grad).all():
-        raise NumericError("non-finite gradient entry")
+    for a in range(0, grad.size, _CHUNK):
+        if not np.logical_and.reduce(np.isfinite(grad[a:a + _CHUNK])):
+            raise NumericError("non-finite gradient entry")
     state.t += 1
     b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
     bc1 = 1.0 - b1 ** state.t
@@ -112,9 +117,9 @@ def masked_adam_step(model: ModelParams, state: AdamState, grad: np.ndarray,
         v += np.multiply(np.multiply(1.0 - b2, gc, out=t1), gc, out=t1)
         np.sqrt(np.add(np.divide(v, bc2, out=t1), eps, out=t1), out=t1)
         np.divide(np.multiply(lr, np.divide(m, bc1, out=t2), out=t2), t1, out=gc)
-    params = model.params
-    if masks.positions is None:
-        params -= grad
-    else:
-        params[masks.positions] -= grad
+    params, tail = model.params, masks.full_tail
+    scattered = grad.size - tail
+    params[params.size - tail:] -= grad[scattered:]
+    if scattered:
+        params[masks.positions[:scattered]] -= grad[:scattered]
     return model, state

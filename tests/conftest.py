@@ -162,6 +162,24 @@ def oracle_scl_loss(features, labels, tau):
     return loss, d_features
 
 
+def oracle_cross_entropy(logits, labels):
+    """Test oracle: the cross-entropy as written before it called its reductions'
+    ufuncs straight (``ndarray.max``, ``np.sum`` and ``np.mean``, a fresh gradient
+    array and a two-array fancy index). ``cross_entropy`` must match it bit for bit."""
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    batch = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = np.sum(exp, axis=1, keepdims=True)
+    rows = np.arange(batch)
+    loss = float(np.mean(np.log(total[:, 0]) - shifted[rows, labels]))
+    d_logits = exp / total
+    d_logits[rows, labels] -= 1.0
+    d_logits /= batch
+    return loss, d_logits
+
+
 def oracle_forward(model, x_batch):
     """Test oracle: the forward pass as written before it applied the bias and
     the ReLU in place. Returns (logits, the inputs of each layer)."""

@@ -23,7 +23,7 @@ from masktune.harness import (
 )
 from masktune.losses import RegConfig, RegularSet
 from masktune.model import Layer, ModelParams, init_model
-from masktune.optim import OptimConfig
+from masktune.optim import OptimConfig, masked_adam_step
 
 
 DIMS = [6, 12, 12, 3]
@@ -110,6 +110,32 @@ class TestPretrain:
         optim = OptimConfig(base_lr=0.05, total_epochs=30, warmup_epochs=2)
         model = pretrain(task, DIMS, optim, seed=2)
         assert evaluate(model, task.source) >= 0.95
+
+
+class TestOneGradientVector:
+    @pytest.mark.parametrize("run", ["pretrain", "finetune", "linear_probe"])
+    def test_every_step_of_a_run_gets_the_same_vector(self, monkeypatch, pre_and_task, run):
+        vectors = []
+
+        def recording_step(model, state, grad, masks, lr, cfg):
+            vectors.append(grad)
+            return masked_adam_step(model, state, grad, masks, lr, cfg)
+
+        monkeypatch.setattr(harness, "masked_adam_step", recording_step)
+        pre, task = pre_and_task
+        if run == "pretrain":
+            pretrain(task, DIMS, OptimConfig(base_lr=0.02, total_epochs=3), seed=5)
+        else:
+            getattr(harness, run)(pre, task, make_cfg())
+        assert len(vectors) > 3 and all(grad is vectors[0] for grad in vectors)
+
+    def test_pretrain_peak_holds_the_model_adam_and_one_gradient_vector(self):
+        # model, m, v and one gradient vector are 4x; a second vector would make 5x
+        dims = [8, 512, 512, 3]
+        task = gen_task(8, 3, 12, 0.15, SHIFT, seed=1)
+        optim = OptimConfig(base_lr=0.02, total_epochs=2, warmup_epochs=0)
+        model_bytes = init_model(dims, 0).params.nbytes
+        assert peak_bytes(lambda: pretrain(task, dims, optim, seed=2)) <= 4.5 * model_bytes
 
 
 class TestLazyTask:

@@ -16,7 +16,7 @@ from masktune.losses import (
     resolve_regular_layers,
     scl_loss,
 )
-from masktune.masking import GradientMaskSet
+from masktune.masking import GradientMaskSet, LayerMask
 from masktune.model import Layer, ModelParams, forward
 
 
@@ -211,6 +211,18 @@ class TestRegPenalty:
         assert all(np.shares_memory(part.anchor, pre.params) for part in penalty.parts)
         # resolving copies none of the anchor's 680 KB
         assert peak_bytes(lambda: resolve_penalty(pre.layers, cfg, full)) < 1 << 14
+
+    def test_regular_layers_covering_the_layout_gather_through_positions_itself(self):
+        pre = small_model(dims=(4, 5, 5, 3), seed=2)
+        masks = GradientMaskSet((LayerMask("row", (5, 4), (1, 3)), LayerMask("col", (5, 5), (0,)),
+                                 LayerMask("full", (3, 5))))
+        every = resolve_penalty(pre.layers, RegConfig(0.3, "l2", RegularSet(1)), masks)
+        assert every.index is masks.positions
+        no_head = RegularSet(1, include_head=False)
+        part = resolve_penalty(pre.layers, RegConfig(0.3, "l2", no_head), masks)
+        head = 3 * 5 + 3
+        assert np.array_equal(part.index, masks.positions[:-head])
+        assert not np.shares_memory(part.index, masks.positions)
 
 
 class TestCombinedGrad:

@@ -166,6 +166,14 @@ class TestBackward:
         with pytest.raises(StateError):
             backward(other, cache, GradientMaskSet.all_full(other), d_logits=np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("out", [np.empty(10), np.empty(83, dtype=np.float32),
+                                     np.empty(166)[::2]], ids=["short", "float32", "strided"])
+    def test_a_vector_that_is_not_the_layout_s_is_refused(self, np_rng, out):
+        m = small_model()  # 83 parameters, all trainable
+        _, _, cache = forward(m, np_rng.normal(size=(4, 4)))
+        with pytest.raises(ShapeError):
+            backward(m, cache, GradientMaskSet.all_full(m), d_logits=np.zeros((4, 3)), out=out)
+
 
 class TestCheckpoint:
     def test_round_trip_value_exact(self, tmp_path, np_rng):

@@ -167,6 +167,25 @@ class TestMaskedAdam:
         assert state.m.tobytes() == m0.tobytes() and state.v.tobytes() == v0.tobytes()
         assert state.t == 1
 
+    def test_finiteness_is_checked_chunk_by_chunk_before_anything_changes(self):
+        # five chunks of row-masked entries; the one NaN sits in the last chunk
+        model = one_layer_model(np.zeros((8 * _CHUNK // 4, 4)))
+        masks = GradientMaskSet((LayerMask("row", model.layers[0].weight.shape,
+                                           range(0, 8 * _CHUNK // 4, 2)),))
+        state = init_adam_state(model, masks)
+        bad = np.ones(masks.size)
+        bad[-1] = np.nan
+        params = model.params.copy()
+
+        def failing_step():
+            with pytest.raises(NumericError):
+                masked_adam_step(model, state, bad, masks, 0.1, CFG)
+
+        # no boolean as long as the vector: at most one chunk's
+        assert peak_bytes(failing_step) <= _CHUNK + 16 * 1024
+        assert model.params.tobytes() == params.tobytes() and state.t == 0
+        assert not state.m.any() and not state.v.any()
+
     def test_step_temporaries_are_two_chunks(self):
         model = init_model([128, 512, 512, 10], 0)
         masks = GradientMaskSet.all_full(model)

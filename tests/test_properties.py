@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import (bias_mask, copy_model, finite_diff_grad, gathered, grad_rel_err,
-                      layer_grads, oracle_build_mask, oracle_forward, oracle_masked_adam_step,
+                      layer_grads, oracle_build_mask, oracle_cross_entropy, oracle_forward,
+                      oracle_masked_adam_step,
                       oracle_reg_penalty, oracle_save_checkpoint, oracle_scl_loss, read_masks,
                       sparse_from_bits, sparse_from_lists)
 from masktune.data import Dataset, load_dataset_csv, save_dataset_csv
@@ -434,6 +435,34 @@ def test_sliced_backward_matches_the_dense_oracle(seed, dims, batch, data, head_
             tol = SLICE_TOL * (1.0 + max(np.abs(w_w).max(), np.abs(w_b).max()))
             assert np.all(np.abs(g_w - w_w[wi]) <= tol)
             assert np.all(np.abs(g_b - w_b[bi]) <= tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(setup=setups, kind=MASK_KINDS, batch=st.integers(1, 8),
+       path=st.sampled_from(["logits", "features"]))
+def test_backward_into_a_reused_dirty_buffer_is_a_fresh_backward_bitwise(setup, kind, batch, path):
+    # a training run hands backward the vector Adam left its update in
+    rng, model, masks = random_setup(*setup)
+    masks = masks_of_kind(model, masks, kind)
+    logits, features, cache = forward(model, rng.normal(size=(batch, model.dims[0])))
+    upstream = {f"d_{path}": rng.normal(size=(logits if path == "logits" else features).shape)}
+    buffer = np.full(masks.size, np.nan)
+    got = backward(model, cache, masks, out=buffer, **upstream)
+    assert got is buffer
+    assert bits(got) == bits(backward(model, cache, masks, **upstream))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), batch=st.integers(1, 64), classes=st.integers(1, 12),
+       scale=st.floats(1e-3, 1e3))
+def test_cross_entropy_matches_its_old_body_bitwise(seed, batch, classes, scale):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=(batch, classes)) * scale
+    labels = rng.integers(0, classes, size=batch)
+    loss, d_logits = cross_entropy(logits, labels)
+    want_loss, want_d = oracle_cross_entropy(logits, labels)
+    assert bits(np.float64(loss)) == bits(np.float64(want_loss))
+    assert bits(d_logits) == bits(want_d)
 
 
 @settings(max_examples=60, deadline=None)
