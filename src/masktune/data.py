@@ -115,29 +115,45 @@ def gen_task(dim: int, classes: int, per_class: int, noise_sigma: float,
     return TaskPair(dim, classes, per_class, noise_sigma, shift, seed)
 
 
-def partition_subsets(data: Dataset, n: int, seed: int | Rng) -> list[Dataset]:
-    """Seeded random split into n parts with sizes differing by at most one."""
+def partition_subsets(data: Dataset, n: int, seed: int | Rng) -> list[np.ndarray]:
+    """Seeded random split of the row indices of ``data`` into n index arrays whose
+    sizes differ by at most one; no rows are copied."""
     if not 1 <= n <= len(data):
         raise ConfigError(f"n={n} out of range for {len(data)} samples")
     rng = seed if isinstance(seed, Rng) else Rng(seed)
-    order = rng.permutation(len(data))
-    return [data.take(chunk) for chunk in np.array_split(order, n)]
+    return np.array_split(rng.permutation(len(data)), n)
 
 
-def select_mask_subset(pre: ModelParams, subsets: list[Dataset],
-                       tau: float) -> tuple[int, Dataset]:
-    """Pick the subset whose per-sample contrastive loss at the given weights
-    is minimal; ties go to the lowest index. No parameters are updated. A
-    non-finite loss (as a tiny ``tau`` gives) raises NumericError."""
+def select_mask_subset(pre: ModelParams, data: Dataset, subsets: list[np.ndarray], tau: float,
+                       z1_out: np.ndarray | None = None) -> tuple[int, Dataset]:
+    """Pick the subset (an index array into ``data``, as ``partition_subsets`` gives)
+    whose per-sample contrastive loss at the given weights is minimal; ties go to
+    the lowest index. Returns its index and its rows of ``data``. Each subset's rows
+    are gathered when it is scored, not all up front, and no parameters are updated.
+
+    Given ``z1_out`` (``len(data)`` rows of layer 1's width, for a model of three or
+    more layers), each subset is forwarded through layers 0 and 1 as a model of their
+    own (``ModelParams.layer_range``), its layer-1 pre-activation is written into its
+    rows of ``z1_out``, and the forward goes on from its ReLU; the losses are the
+    dense forward's, bit for bit. A non-finite loss (as a tiny ``tau`` gives) raises
+    NumericError."""
+    if z1_out is not None:
+        bottom, top = pre.layer_range(0, 2), pre.layer_range(2, len(pre.layers))
     losses = []
-    for s in subsets:
-        _, features, _ = forward(pre, s.x)
-        loss, _ = scl_loss(features, s.y, tau)
-        losses.append(loss / len(s))
+    for idx in subsets:
+        x = data.x[idx]
+        if z1_out is None:
+            _, features, _ = forward(pre, x)
+        else:
+            z1, _, _ = forward(bottom, x)
+            z1_out[idx] = z1
+            _, features, _ = forward(top, np.maximum(z1, 0.0, out=z1))
+        loss, _ = scl_loss(features, data.y[idx], tau)
+        losses.append(loss / len(idx))
     if not np.isfinite(losses).all():
         raise NumericError(f"non-finite contrastive loss of a scoring subset at tau={tau}")
-    idx = int(np.argmin(losses))
-    return idx, subsets[idx]
+    best = int(np.argmin(losses))
+    return best, data.take(subsets[best])
 
 
 def save_dataset_csv(data: Dataset, path: str | Path) -> None:

@@ -12,7 +12,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .losses import (Penalty, RegConfig, check_tau, combined_grad, resolve_penal
                      resolve_regular_layers)
 from .masking import (SELECTION_VARIANTS, GradientMaskSet, check_budget, compute_mask_set,
                       full_mask, scl_gradients, trainable_fraction)
-from .model import (ModelParams, RowAnchor, forward, init_model, reinit_head, row_anchor,
-                    row_chunks)
+from .model import (ModelParams, RowAnchor, fill_row_anchor, forward, init_model, reinit_head,
+                    row_anchor, row_chunks)
 from .optim import AdamState, OptimConfig, cosine_warmup_lr, init_adam_state, masked_adam_step
 
 # below this many weights in layer 1, the dozen numpy calls the row path adds to a
@@ -169,50 +169,82 @@ def _check_config(model: ModelParams, task: TaskPair, cfg: FineTuneConfig) -> No
         raise ConfigError(f"subsets_n={n} needs {2 * n} samples (2 per subset), got {samples}")
 
 
+def _row_path(pre: ModelParams, variant: str) -> bool:
+    """Whether a run on ``pre`` whose masks below the head are of ``variant`` forwards on
+    the row path: row masks (empty ones, as the linear probe's, included), three or more
+    layers, and at least ``_ROW_PATH_MIN_WEIGHTS`` weights in layer 1."""
+    return (variant == "row" and len(pre.layers) >= 3
+            and pre.layers[1].weight.size >= _ROW_PATH_MIN_WEIGHTS)
+
+
+def _with_head_mask(masks: GradientMaskSet, pre: ModelParams, task: TaskPair) -> GradientMaskSet:
+    """``masks`` under a full head mask shaped like the head a run draws for ``task``
+    (``_with_new_head``)."""
+    head = full_mask((task.target_train.num_classes, pre.feature_dim))
+    return GradientMaskSet((*masks.layers[:-1], head))
+
+
 def finetune_masks(pre: ModelParams, task: TaskPair,
-                   cfg: FineTuneConfig) -> tuple[int, GradientMaskSet]:
+                   cfg: FineTuneConfig) -> tuple[int, GradientMaskSet, RowAnchor | None]:
     """``_check_config``, subset selection, then (unless the variant is full) the subset's
     scores at ``pre`` (``scl_gradients``) and the one mask builder ``compute_mask_set``.
-    The head plays no part in scoring; its mask is full, shaped like the head a run draws
-    for ``task`` (``_with_new_head``). Returns the chosen subset's index and the masks a
-    finetune run with this config trains under."""
+    The head plays no part in scoring; its mask is full (``_with_head_mask``). Returns the
+    chosen subset's index, the masks a finetune run with this config trains under, and,
+    where the run takes the row path (``_row_path``), the ``RowAnchor`` of ``pre`` over the
+    target training set: selection writes its layer-1 pre-activations as it forwards the
+    subsets, which cover the set, and ``fill_row_anchor`` adds layer 0's trained rows once
+    the masks are known. Else the anchor is None."""
     _check_config(pre, task, cfg)
-    subsets = partition_subsets(task.target_train, cfg.subsets_n,
-                                Rng(cfg.seed).child(_STREAM_SUBSET))
-    subset_index, mask_data = select_mask_subset(pre, subsets, cfg.tau)
+    train = task.target_train
+    subsets = partition_subsets(train, cfg.subsets_n, Rng(cfg.seed).child(_STREAM_SUBSET))
+    rows = np.empty((len(train), pre.dims[2] + cfg.k)) if _row_path(pre, cfg.variant) else None
+    subset_index, mask_data = select_mask_subset(
+        pre, train, subsets, cfg.tau, None if rows is None else rows[:, :pre.dims[2]])
     if cfg.variant == "full":
         masks = GradientMaskSet.all_full(pre)
     else:
         gradients = scl_gradients(pre, mask_data.x, mask_data.y, cfg.tau)
         masks = compute_mask_set(gradients, cfg.k, cfg.variant)
-    head = full_mask((task.target_train.num_classes, pre.feature_dim))
-    return subset_index, GradientMaskSet((*masks.layers[:-1], head))
+    masks = _with_head_mask(masks, pre, task)
+    if rows is None:
+        return subset_index, masks, None
+    rows0, rows1 = (m.index for m in masks.layers[:2])
+    return subset_index, masks, fill_row_anchor(pre, train.x, rows, rows0, rows1)
 
 
-def _row_anchors(pre: ModelParams, task: TaskPair,
-                 masks: GradientMaskSet) -> tuple[RowAnchor | None, RowAnchor | None]:
-    """The ``RowAnchor``s of ``pre`` over the target train and test sets where row masks
-    (empty ones, as the linear probe's, included) cover layers 0 and 1 below the head and
-    layer 1 holds at least ``_ROW_PATH_MIN_WEIGHTS`` weights; else no anchors, and the run
-    takes the dense forward."""
-    if (len(masks.layers) < 3 or any(m.variant != "row" for m in masks.layers[:2])
-            or pre.layers[1].weight.size < _ROW_PATH_MIN_WEIGHTS):
+def _probe_masks(pre: ModelParams, task: TaskPair,
+                 cfg: FineTuneConfig) -> tuple[int, GradientMaskSet, None]:
+    """The linear probe's stand-in for ``finetune_masks``: no scoring, subset index 0,
+    masks that train the head alone and no anchor."""
+    return 0, _with_head_mask(GradientMaskSet.head_only(pre), pre, task), None
+
+
+def _row_anchors(pre: ModelParams, task: TaskPair, masks: GradientMaskSet,
+                 train_rows: RowAnchor | None) -> tuple[RowAnchor | None, RowAnchor | None]:
+    """The ``RowAnchor``s of ``pre`` over the target train and test sets where the run takes
+    the row path (``_row_path`` of the masks' variant); else no anchors, and the run takes
+    the dense forward. ``train_rows`` is the training set's where scoring built it
+    (``finetune_masks``); else ``row_anchor`` builds it, as it builds the test set's."""
+    if not _row_path(pre, masks.layers[0].variant):
         return None, None
     rows0, rows1 = (m.index for m in masks.layers[:2])
-    return tuple(row_anchor(pre, data.x, rows0, rows1)
-                 for data in (task.target_train, task.target_test))
+    if train_rows is None:
+        train_rows = row_anchor(pre, task.target_train.x, rows0, rows1)
+    return train_rows, row_anchor(pre, task.target_test.x, rows0, rows1)
 
 
-def _finetune_with_masks(pre: ModelParams, model: ModelParams, task: TaskPair,
-                         cfg: FineTuneConfig, subset_index: int,
-                         masks: GradientMaskSet) -> tuple[ModelParams, TrainReport]:
-    """Train ``model``, the run's one copy of ``pre`` under a new head (``_with_new_head``),
-    towards its values now, and return it. The anchor is ``pre``'s layers below the head,
-    which are only read (and viewed by the penalty), and a copy of the new head. Where
-    ``_row_anchors`` gives anchors, the run forwards on the row path from them, and frees
-    them before the report."""
+def _finetune_with_masks(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig,
+                         score: Callable) -> tuple[ModelParams, TrainReport]:
+    """Score (``score(pre, task, cfg)``: ``finetune_masks`` or ``_probe_masks``), then draw
+    the run's one copy of ``pre`` under a new head (``_with_new_head``), train it towards
+    its values now and return it. The anchor is ``pre``'s layers below the head, which
+    are only read (and viewed by the penalty), and a copy of the new head. Where
+    ``_row_anchors`` gives anchors, the run forwards on the row path from them; this
+    frame alone holds them, and frees them before the report."""
+    subset_index, masks, train_rows = score(pre, task, cfg)
+    model = _with_new_head(pre, task, cfg)  # once scoring has freed its buffers
     anchor = (*pre.layers[:-1], model.layers[-1].copy())
-    train_rows, test_rows = _row_anchors(pre, task, masks)
+    train_rows, test_rows = _row_anchors(pre, task, masks, train_rows)
     epochs = _train(model, masks, resolve_penalty(anchor, cfg.reg, masks), task.target_train,
                     cfg.optim, cfg.batch_size, Rng(cfg.seed).child(_STREAM_SHUFFLE), train_rows)
     stats = []
@@ -241,17 +273,14 @@ def finetune(pre: ModelParams, task: TaskPair,
     """New head, subset selection and mask scoring at the pretrained weights, masked
     training. ``pre`` is only read: under the new head it is the run's anchor, and the
     run trains and returns one copy."""
-    subset_index, masks = finetune_masks(pre, task, cfg)
-    model = _with_new_head(pre, task, cfg)  # once scoring has freed its buffers
-    return _finetune_with_masks(pre, model, task, cfg, subset_index, masks)
+    return _finetune_with_masks(pre, task, cfg, finetune_masks)
 
 
 def linear_probe(pre: ModelParams, task: TaskPair,
                  cfg: FineTuneConfig) -> tuple[ModelParams, TrainReport]:
     """Head-only fine-tuning baseline under the same budget; it reads ``pre`` and trains
     one copy as ``finetune`` does."""
-    model = _with_new_head(pre, task, cfg)
-    return _finetune_with_masks(pre, model, task, cfg, 0, GradientMaskSet.head_only(model))
+    return _finetune_with_masks(pre, task, cfg, _probe_masks)
 
 
 ABLATION_AXES = {"k": int, "lambda": float, "regular_blocks": int, "subsets_n": int,

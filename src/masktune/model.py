@@ -112,6 +112,11 @@ class ModelParams:
     def param_count(self) -> int:
         return self.params.size
 
+    def layer_range(self, start: int, stop: int) -> "ModelParams":
+        """Layers ``start`` to ``stop - 1`` as a model of their own over a view of ``params``."""
+        at = param_offsets([l.weight.shape for l in self.layers[:stop]])
+        return ModelParams(self.params[at[start]:at[stop]], self.dims[start:stop + 1])
+
 
 @dataclass
 class ForwardCache:
@@ -167,7 +172,9 @@ class RowAnchor(NamedTuple):
     ``(a0[:, rows0] - a0_pre[:, rows0]) @ W1[:, rows0].T``, except in the rows
     ``rows1``, which are computed afresh. Each row of ``pre`` holds the anchor's
     ``z1`` and then its ``a0[:, rows0]``, so that a batch gathers both at once;
-    ``forward`` given an anchor never forms ``a0 @ W1.T``.
+    ``forward`` given an anchor never forms ``a0 @ W1.T``. ``row_anchor`` builds
+    one from a dense forward of layers 0 and 1; ``fill_row_anchor`` completes one
+    whose ``z1`` columns an earlier forward (subset selection's) already wrote.
     """
     rows0: np.ndarray
     rows1: np.ndarray
@@ -183,14 +190,32 @@ def row_anchor(model: ModelParams, x: np.ndarray, rows0: np.ndarray,
     """The ``RowAnchor`` of ``model`` over the rows of ``x`` for the trained rows ``rows0`` of
     layer 0 and ``rows1`` of layer 1: the dense forward of those two layers, chunk by chunk,
     so no whole-dataset activation is formed beside the one array it keeps."""
-    end = param_offsets([l.weight.shape for l in model.layers[:2]])[-1]
-    bottom = ModelParams(model.params[:end], model.dims[:3])  # a view of the first two layers
+    bottom = model.layer_range(0, 2)
     width = bottom.num_classes
     pre = np.empty((len(x), width + len(rows0)))
     for rows in row_chunks(len(x), max(bottom.dims)):
         z1, a0, _ = forward(bottom, x[rows])
         pre[rows, :width] = z1
         pre[rows, width:] = a0[:, rows0]
+    return RowAnchor(rows0, rows1, pre)
+
+
+def fill_row_anchor(model: ModelParams, x: np.ndarray, pre: np.ndarray, rows0: np.ndarray,
+                    rows1: np.ndarray) -> RowAnchor:
+    """The ``RowAnchor`` of ``model`` over the rows of ``x`` in ``pre``, whose first columns
+    already hold layer 1's pre-activation of those rows (as subset selection writes it):
+    its last ``len(rows0)`` columns receive layer 0's activation in its trained rows alone,
+    a product of ``len(rows0)`` columns rather than of layer 0's whole matrix."""
+    layer, width = model.layers[0], model.layers[1].out_dim
+    if pre.shape != (len(x), width + len(rows0)):
+        raise ShapeError(f"row anchor of shape {pre.shape} cannot hold {len(x)} rows of "
+                         f"layer 1's {width} outputs and {len(rows0)} trained rows of layer 0")
+    # one row would make this a matrix-vector product, whose sums round apart from the
+    # matrix product of row_anchor; the row twice keeps the matrix kernel
+    picked = np.repeat(rows0, 2) if len(rows0) == 1 else rows0
+    a0 = x @ layer.weight[picked].T
+    a0 += layer.bias[picked]
+    np.maximum(a0[:, :len(rows0)], 0.0, out=pre[:, width:])
     return RowAnchor(rows0, rows1, pre)
 
 

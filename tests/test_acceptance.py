@@ -182,7 +182,7 @@ def test_criterion_04_frozen_entries_bitwise(small_setup):
         for variant in ("row", "col", "sparse"):
             cfg = reference_cfg(variant=variant, k=2, subsets_n=2, batch_size=12, seed=3,
                                 optim=OptimConfig(base_lr=0.02, total_epochs=100, warmup_epochs=2))
-            _, masks = finetune_masks(pre, task, cfg)
+            _, masks, _ = finetune_masks(pre, task, cfg)
             model, _ = finetune(pre, task, cfg)
             for li in range(len(pre.layers) - 1):
                 wm = masks.layers[li].to_dense()
@@ -340,18 +340,20 @@ def test_criterion_10_subset_selection(reference):
     with criterion(10, "selected subset has the minimal contrastive loss; n=1 returns the whole set"):
         pre, task = reference
         anchor = reinit_head(pre, task.target_train.num_classes, Rng(0).child(1))
-        subsets = partition_subsets(task.target_train, 5, seed=4)
-        idx, chosen = select_mask_subset(anchor, subsets, 0.5)
+        train = task.target_train
+        subsets = partition_subsets(train, 5, seed=4)
+        idx, chosen = select_mask_subset(anchor, train, subsets, 0.5)
         losses = []
         for s in subsets:
-            _, feats, _ = forward(anchor, s.x)
-            losses.append(scl_loss(feats, s.y, 0.5)[0] / len(s))
+            _, feats, _ = forward(anchor, train.x[s])
+            losses.append(scl_loss(feats, train.y[s], 0.5)[0] / len(s))
         assert all(losses[idx] <= l for l in losses)
-        assert chosen is subsets[idx]
+        assert np.array_equal(chosen.x, train.x[subsets[idx]])
+        assert np.array_equal(chosen.y, train.y[subsets[idx]])
 
-        whole = partition_subsets(task.target_train, 1, seed=4)
-        idx1, only = select_mask_subset(anchor, whole, 0.5)
-        assert idx1 == 0 and len(only) == len(task.target_train)
+        whole = partition_subsets(train, 1, seed=4)
+        idx1, only = select_mask_subset(anchor, train, whole, 0.5)
+        assert idx1 == 0 and len(only) == len(train)
 
 
 def test_criterion_11_transfer_reproduction(reference):

@@ -227,6 +227,7 @@ class TestFinetuneCommand:
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(init_model(dims, seed=3), ckpt)
         anchors = count_calls(monkeypatch, model.row_anchor)
+        filled = count_calls(monkeypatch, model.fill_row_anchor)
         for run, k in (("a", 2), ("b", 3), ("c", 2)):
             doc = copy.deepcopy(BASE_CONFIG)
             doc["model"]["dims"] = dims
@@ -236,7 +237,9 @@ class TestFinetuneCommand:
             assert main(["finetune", "--config", str(tmp_path / run / "run.json"),
                          "--checkpoint", str(ckpt),
                          "--out", str(tmp_path / run / "report.json")]) == 0
-        assert len(anchors) == 6  # two per run: each run took the row path
+        # each run took the row path: row_anchor built the test set's anchor, and scoring
+        # filled the training set's
+        assert (len(anchors), len(filled)) == (3, 3)
         for name in ("report.csv", "report.mask.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
         assert (tmp_path / "a" / "report.mask.json").read_bytes() != \
@@ -735,14 +738,25 @@ class TestNonFiniteScoring:
         assert err.startswith("numeric error: ") and err.count("\n") == 1
         assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == [data_path]
 
+    @pytest.mark.parametrize("dims", [None, [6, 192, 192, 3]])
     @pytest.mark.parametrize("tau", [1e-320, 1e-200])
-    def test_finetune_exits_3(self, trained, tmp_path, capsys, tau):
+    def test_finetune_exits_3(self, trained, tmp_path, capsys, tau, dims):
+        # dims None: the trained checkpoint; [6, 192, 192, 3] takes the row path, where
+        # scoring fills the training set's row anchor
         cfg = write_config(tmp_path, "finetune", "tau", tau)
-        assert main(["finetune", "--config", str(cfg), "--checkpoint", str(trained[1]),
+        inputs, ckpt = [cfg], trained[1]
+        if dims is not None:
+            doc = json.loads(cfg.read_text())
+            doc["model"]["dims"] = dims
+            cfg.write_text(json.dumps(doc))
+            ckpt = tmp_path / "model.ckpt"
+            save_checkpoint(init_model(dims, seed=3), ckpt)
+            inputs.append(ckpt)
+        assert main(["finetune", "--config", str(cfg), "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "report.json")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric error: ") and err.count("\n") == 1
-        assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == [cfg]
+        assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sorted(inputs)
 
 
 def refuse_constant(name):

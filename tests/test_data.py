@@ -13,7 +13,7 @@ from masktune.data import (
 )
 from masktune.errors import ConfigError, InputError
 from masktune.losses import scl_loss
-from masktune.model import forward
+from masktune.model import Layer, ModelParams, forward
 
 
 SHIFT = ShiftConfig(rotation_seed=11, magnitude=0.8)
@@ -78,17 +78,16 @@ class TestPartition:
         data = self.make_data(10)
         parts = partition_subsets(data, 1, seed=0)
         assert len(parts) == 1
-        assert sorted(map(tuple, parts[0].x)) == sorted(map(tuple, data.x))
+        assert sorted(parts[0]) == list(range(10))
 
     def test_balanced_sizes(self):
         parts = partition_subsets(self.make_data(103), 4, seed=1)
         assert sorted(len(p) for p in parts) == [25, 26, 26, 26]
 
-    def test_union_is_original_multiset(self):
+    def test_union_is_every_row_once(self):
         data = self.make_data(30)
         parts = partition_subsets(data, 4, seed=2)
-        merged = np.concatenate([p.x for p in parts])
-        assert sorted(map(tuple, merged)) == sorted(map(tuple, data.x))
+        assert sorted(np.concatenate(parts)) == list(range(30))
 
     def test_singletons(self):
         data = self.make_data(6)
@@ -100,11 +99,20 @@ class TestPartition:
         a = partition_subsets(data, 3, seed=4)
         b = partition_subsets(data, 3, seed=4)
         for pa, pb in zip(a, b):
-            assert np.array_equal(pa.x, pb.x)
+            assert np.array_equal(pa, pb)
 
     def test_out_of_range(self):
         with pytest.raises(ConfigError):
             partition_subsets(self.make_data(5), 6, seed=0)
+
+
+def dense_subset_losses(model, data, subsets, tau=0.5):
+    """Each subset's per-sample contrastive loss from the dense forward of its rows."""
+    losses = []
+    for s in subsets:
+        _, feats, _ = forward(model, data.x[s])
+        losses.append(scl_loss(feats, data.y[s], tau)[0] / len(s))
+    return losses
 
 
 class TestSelectSubset:
@@ -112,29 +120,46 @@ class TestSelectSubset:
         model = small_model()
         data = Dataset(np.random.default_rng(0).normal(size=(8, 4)),
                        np.array([0, 0, 1, 1, 2, 2, 0, 1]), 3)
-        idx, chosen = select_mask_subset(model, [data], 0.5)
+        idx, chosen = select_mask_subset(model, data, [np.arange(8)], 0.5)
         assert idx == 0
-        assert chosen is data
+        assert np.array_equal(chosen.x, data.x) and np.array_equal(chosen.y, data.y)
 
     def test_picks_minimum_and_ties_low(self):
         model = small_model()
         rng = np.random.default_rng(1)
-        subsets = [Dataset(rng.normal(size=(6, 4)), rng.integers(0, 3, size=6), 3)
-                   for _ in range(4)]
-        idx, chosen = select_mask_subset(model, subsets, 0.5)
-        losses = []
-        for s in subsets:
-            _, feats, _ = forward(model, s.x)
-            losses.append(scl_loss(feats, s.y, 0.5)[0] / len(s))
+        data = Dataset(rng.normal(size=(24, 4)), rng.integers(0, 3, size=24), 3)
+        subsets = partition_subsets(data, 4, seed=1)
+        idx, chosen = select_mask_subset(model, data, subsets, 0.5)
+        losses = dense_subset_losses(model, data, subsets)
         assert losses[idx] <= min(losses)
         assert idx == int(np.argmin(losses))
+        assert np.array_equal(chosen.x, data.x[subsets[idx]])
 
     def test_tied_subsets_pick_first(self):
         model = small_model()
         data = Dataset(np.random.default_rng(2).normal(size=(6, 4)),
                        np.array([0, 0, 1, 1, 2, 2]), 3)
-        idx, _ = select_mask_subset(model, [data, data], 0.5)
+        idx, _ = select_mask_subset(model, data, [np.arange(6), np.arange(6)], 0.5)
         assert idx == 0
+
+    @pytest.mark.parametrize("dims", [[4, 7, 5, 3], [4, 7, 5, 6, 3]])
+    def test_z1_out_holds_layer_1_and_the_choice_is_the_dense_one(self, dims):
+        # the forward split after layer 1 gives the dense losses bit for bit, on a
+        # 3-layer model (features are ReLU(z1)) and a deeper one alike
+        rng = np.random.default_rng(3)
+        model = ModelParams.from_layers([Layer(rng.normal(size=(n_out, n_in)),
+                                               rng.uniform(0.5, 1.0, size=n_out))
+                                         for n_in, n_out in zip(dims, dims[1:])])
+        data = Dataset(rng.normal(size=(30, 4)), rng.integers(0, 3, size=30), 3)
+        subsets = partition_subsets(data, 3, seed=5)
+        z1_out = np.full((30, dims[2]), np.nan)
+        idx, chosen = select_mask_subset(model, data, subsets, 0.5, z1_out)
+        losses = dense_subset_losses(model, data, subsets)
+        assert idx == int(np.argmin(losses))
+        assert (idx, chosen.x.tobytes()) == (select_mask_subset(model, data, subsets, 0.5)[0],
+                                             data.x[subsets[idx]].tobytes())
+        z1, _, _ = forward(ModelParams.from_layers(model.layers[:2]), data.x)
+        assert np.allclose(z1_out, z1, rtol=1e-12, atol=1e-12)
 
 
 class TestCsv:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import peak_bytes
-from masktune import harness
-from masktune.data import Dataset, ShiftConfig, gen_task
+from masktune import data as data_module
+from masktune import harness, masking
+from masktune import model as model_module
+from masktune.data import Dataset, ShiftConfig, gen_task, partition_subsets
 from masktune.errors import ConfigError, ShapeError
 from masktune.harness import (
     ABLATION_AXES,
@@ -21,8 +23,9 @@ from masktune.harness import (
     write_report_csv,
     write_report_json,
 )
+from masktune.linalg import Rng
 from masktune.losses import RegConfig, RegularSet
-from masktune.model import Layer, ModelParams, init_model
+from masktune.model import Layer, ModelParams, init_model, row_anchor
 from masktune.optim import OptimConfig, masked_adam_step
 
 
@@ -172,7 +175,7 @@ class TestFinetune:
     def test_frozen_rows_bitwise_unchanged(self, pre_and_task):
         pre, task = pre_and_task
         cfg = make_cfg(k=1)
-        _, masks = finetune_masks(pre, task, cfg)
+        _, masks, _ = finetune_masks(pre, task, cfg)
         model, _ = finetune(pre, task, cfg)
         for li in range(len(pre.layers) - 1):
             dense = masks.layers[li].to_dense()
@@ -307,34 +310,98 @@ ROW_PATH_DIMS = [6, 192, 192, 3]
 class TestRowPath:
     """A run under row masks on layers 0 and 1 (the linear probe's empty ones included)
     whose layer 1 is wide enough forwards from two row anchors, and frees both before
-    its report."""
+    its report. A finetune run's training-set anchor comes out of subset selection's
+    forward; the linear probe, which does not score, builds both with ``row_anchor``."""
 
-    @pytest.mark.parametrize("run, variant, dims, anchors", [
-        (finetune, "row", ROW_PATH_DIMS, 2), (linear_probe, "row", ROW_PATH_DIMS, 2),
-        (finetune, "col", ROW_PATH_DIMS, 0), (finetune, "sparse", ROW_PATH_DIMS, 0),
-        (finetune, "full", ROW_PATH_DIMS, 0), (finetune, "row", DIMS, 0),
-        (linear_probe, "row", DIMS, 0), (finetune, "row", [6, 192, 3], 0)])
+    @pytest.mark.parametrize("run, variant, dims, built, scored", [
+        (finetune, "row", ROW_PATH_DIMS, 1, 1), (linear_probe, "row", ROW_PATH_DIMS, 2, 0),
+        (finetune, "col", ROW_PATH_DIMS, 0, 0), (finetune, "sparse", ROW_PATH_DIMS, 0, 0),
+        (finetune, "full", ROW_PATH_DIMS, 0, 0), (finetune, "row", DIMS, 0, 0),
+        (linear_probe, "row", DIMS, 0, 0), (finetune, "row", [6, 192, 3], 0, 0)])
     def test_only_wide_row_masks_build_anchors_and_the_report_frees_them(
-            self, monkeypatch, run, variant, dims, anchors):
+            self, monkeypatch, run, variant, dims, built, scored):
         task = make_task(seed=1, per_class=16, noise=0.12)
         pre = init_model(dims, seed=2)
-        built, alive_at_report = [], []
+        anchors, from_scoring, alive_at_report = [], [], []
         row_anchor, trainable_fraction = harness.row_anchor, harness.trainable_fraction
+        finetune_masks = harness.finetune_masks
 
         def recorded(*args):
             anchor = row_anchor(*args)
-            built.append(weakref.ref(anchor.pre))
+            anchors.append(weakref.ref(anchor.pre))
             return anchor
 
+        def scoring(*args):
+            subset_index, masks, anchor = finetune_masks(*args)
+            if anchor is not None:
+                from_scoring.append(weakref.ref(anchor.pre))
+            return subset_index, masks, anchor
+
         def report_begins(*args):  # after the weight distances, before the report returns
-            alive_at_report.append(sum(ref() is not None for ref in built))
+            alive_at_report.append(sum(ref() is not None for ref in anchors + from_scoring))
             return trainable_fraction(*args)
 
         monkeypatch.setattr(harness, "row_anchor", recorded)
+        monkeypatch.setattr(harness, "finetune_masks", scoring)
         monkeypatch.setattr(harness, "trainable_fraction", report_begins)
         run(pre, task, make_cfg(variant=variant, reg=RegConfig(lam=0.01, regular=RegularSet(0))))
-        assert len(built) == anchors
+        assert (len(anchors), len(from_scoring)) == (built, scored)
         assert alive_at_report == [0]
+
+    @pytest.mark.parametrize("seed, k", [(1, 2), (3, 3), (7, 2), (11, 5)])
+    def test_scoring_builds_the_training_anchor_row_anchor_builds(self, seed, k):
+        task = make_task(seed=seed, per_class=16, noise=0.12)
+        pre = init_model(ROW_PATH_DIMS, seed=seed)
+        _, masks, anchor = finetune_masks(pre, task, make_cfg(k=k, seed=seed))
+        rows0, rows1 = (m.index for m in masks.layers[:2])
+        want = row_anchor(pre, task.target_train.x, rows0, rows1)
+        assert anchor.rows0 is rows0 and anchor.rows1 is rows1
+        assert anchor.pre.tobytes() == want.pre.tobytes()
+
+    def test_a_finetune_forwards_the_training_set_through_layer_1_at_pre_once(self, monkeypatch):
+        # selection forwards every training row through layers 0 and 1 at pre and keeps
+        # layer 1's pre-activation; only the chosen subset passes again (its scores), and
+        # row_anchor builds the test set's anchor alone
+        task = make_task(seed=1, per_class=16, noise=0.12)
+        pre = init_model(ROW_PATH_DIMS, seed=2)
+        train = task.target_train
+        training_rows = {row.tobytes() for row in train.x}
+        rows_at_pre, built = [], []
+        forward, row_anchor = model_module.forward, harness.row_anchor
+
+        def counted(m, x, *args):
+            if len(m.layers) >= 2 and all(np.may_share_memory(a.weight, b.weight)
+                                          for a, b in zip(m.layers[:2], pre.layers)):
+                rows_at_pre.append(sum(row.tobytes() in training_rows for row in x))
+            return forward(m, x, *args)
+
+        for module in (data_module, masking, model_module, harness):
+            if vars(module).get("forward") is forward:
+                monkeypatch.setattr(module, "forward", counted)
+        monkeypatch.setattr(harness, "row_anchor", lambda *args: built.append(1) or row_anchor(*args))
+        cfg = make_cfg()
+        _, report = finetune(pre, task, cfg)
+        subsets = partition_subsets(train, cfg.subsets_n,
+                                    Rng(cfg.seed).child(harness._STREAM_SUBSET))
+        assert sum(rows_at_pre) == len(train) + len(subsets[report.mask_subset_index])
+        assert len(built) == 1
+
+    def test_a_4_layer_row_path_model_scores_as_the_dense_forward(self, monkeypatch):
+        # layers 2 and up go on from ReLU(z1): the features are not ReLU(z1) here
+        task = make_task(seed=1, per_class=16, noise=0.12)
+        pre = init_model([6, 192, 192, 16, 3], seed=2)
+        cfg = make_cfg(subsets_n=4, seed=4)
+        subset_index, masks, anchor = finetune_masks(pre, task, cfg)
+        # the subset and masks finetune_masks chose before it built the anchor
+        assert subset_index == 3
+        assert [m.index.tolist() for m in masks.layers[:-1]] == [[67, 124], [84, 138], [1, 4]]
+        dense = row_anchor(pre, task.target_train.x, masks.layers[0].index, masks.layers[1].index)
+        assert anchor.pre.tobytes() == dense.pre.tobytes()
+        monkeypatch.setattr(harness, "_ROW_PATH_MIN_WEIGHTS", np.inf)
+        dense_index, dense_masks, no_anchor = finetune_masks(pre, task, cfg)
+        assert (dense_index, no_anchor) == (subset_index, None)
+        for got, dense in zip(masks.layers, dense_masks.layers):
+            assert got.variant == dense.variant and np.array_equal(got.index, dense.index)
 
     @pytest.mark.parametrize("run", [finetune, linear_probe])
     def test_row_path_run_is_the_dense_run_up_to_rounding(self, monkeypatch, run):

@@ -13,6 +13,7 @@ from masktune.model import (
     Layer,
     ModelParams,
     backward,
+    fill_row_anchor,
     forward,
     init_model,
     layer_roles,
@@ -101,6 +102,30 @@ class TestForward:
             forward(model, x[:3], anchor.take(slice(0, 4)))
         with pytest.raises(ShapeError):  # layer 1 is the head: no row path
             forward(small_model(dims=(4, 5, 3)), x, anchor)
+
+    @pytest.mark.parametrize("rows0", [[3], [0, 4], []])
+    def test_fill_row_anchor_completes_the_anchor_row_anchor_builds(self, np_rng, rows0):
+        # one trained row included: its product must not round apart from row_anchor's
+        model = init_model([4, 6, 5, 3], seed=1)
+        model.params[...] = np_rng.normal(size=model.params.shape)
+        x, rows0 = np_rng.normal(size=(7, 4)), np.array(rows0, dtype=np.intp)
+        want = row_anchor(model, x, rows0, np.array([1]))
+        pre = np.full(want.pre.shape, np.nan)
+        pre[:, :5] = want.pre[:, :5]
+        got = fill_row_anchor(model, x, pre, rows0, want.rows1)
+        assert got.pre is pre and got.pre.tobytes() == want.pre.tobytes()
+        with pytest.raises(ShapeError):
+            fill_row_anchor(model, x, pre[:, :-1] if len(rows0) else pre[:-1], rows0, want.rows1)
+
+    def test_layer_range_views_its_layers(self):
+        model = init_model([4, 6, 5, 7, 3], seed=2)
+        for start, stop in [(0, 2), (2, 4), (1, 3), (0, 4)]:
+            part = model.layer_range(start, stop)
+            assert part.dims == model.dims[start:stop + 1]
+            assert np.shares_memory(part.params, model.params)
+            for got, want in zip(part.layers, model.layers[start:stop]):
+                assert np.array_equal(got.weight, want.weight)
+                assert np.array_equal(got.bias, want.bias)
 
     def test_allocates_one_activation_per_layer(self, np_rng):
         model = init_model([256, 768, 768, 10], seed=0)

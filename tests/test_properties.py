@@ -28,9 +28,10 @@ from conftest import (bias_mask, copy_model, finite_diff_grad, gathered, grad_re
                       oracle_masked_adam_step,
                       oracle_reg_penalty, oracle_save_checkpoint, oracle_scl_loss, read_masks,
                       sparse_from_bits, sparse_from_lists)
-from masktune.data import Dataset, load_dataset_csv, save_dataset_csv
+from masktune import harness
+from masktune.data import Dataset, ShiftConfig, gen_task, load_dataset_csv, save_dataset_csv
 from masktune.errors import InputError, NumericError
-from masktune.harness import evaluate
+from masktune.harness import FineTuneConfig, evaluate, finetune_masks
 from masktune.losses import (
     RegConfig,
     RegularSet,
@@ -844,3 +845,41 @@ def test_row_path_evaluation_reads_the_anchor_chunk_by_chunk():
         z1, a0, _ = forward(ModelParams.from_layers(pre.layers[:2]), data.x[rows])
         assert bits(anchor.pre[rows]) == bits(np.hstack([z1, a0[:, [1, 2999]]]))
     assert evaluate(pre, data, anchor) == evaluate(pre, data)
+
+
+@st.composite
+def scoring_setups(draw):
+    """A model of 3 to 5 layers whose positive biases leave no feature row zero, a task
+    for it, and a row finetune config with k up to the narrowest layer below the head
+    and 1 to 4 subsets of at least 2 rows."""
+    dims = draw(st.lists(st.integers(2, 9), min_size=4, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pre = ModelParams.from_layers([Layer(0.1 * rng.normal(size=(n_out, n_in)),
+                                         rng.uniform(2.0, 3.0, size=n_out))
+                                   for n_in, n_out in zip(dims, dims[1:])])
+    per_class = draw(st.integers(2, 12))
+    task = gen_task(dims[0], dims[-1], per_class, 0.3, ShiftConfig(3, 0.5),
+                    seed=draw(st.integers(0, 1000)))
+    cfg = FineTuneConfig(k=draw(st.integers(1, min(dims[1:-1]))), variant="row",
+                         reg=RegConfig(lam=0.01), tau=0.5,
+                         subsets_n=draw(st.integers(1, min(4, dims[-1] * per_class // 2))),
+                         optim=CFG, batch_size=8, seed=draw(st.integers(0, 1000)))
+    return pre, task, cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=scoring_setups())
+def test_scoring_fills_the_training_anchor_and_chooses_as_the_dense_path(setup):
+    # any layer 1 takes the row path here: the anchor selection's forward fills is
+    # row_anchor's up to rounding, and the chosen subset and masks are the dense path's
+    pre, task, cfg = setup
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_ROW_PATH_MIN_WEIGHTS", 0)
+        index, masks, anchor = finetune_masks(pre, task, cfg)
+        mp.setattr(harness, "_ROW_PATH_MIN_WEIGHTS", np.inf)
+        dense_index, dense_masks, no_anchor = finetune_masks(pre, task, cfg)
+    assert (index, no_anchor) == (dense_index, None)
+    for got, want in zip(masks.layers, dense_masks.layers):
+        assert got.variant == want.variant and np.array_equal(got.index, want.index)
+    want = row_anchor(pre, task.target_train.x, masks.layers[0].index, masks.layers[1].index)
+    assert grad_rel_err(anchor.pre, want.pre) <= 1e-12
