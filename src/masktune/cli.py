@@ -25,9 +25,16 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _refuse_inputs(outputs: list[Path], inputs: tuple[str, ...]) -> None:
-    """Refuse an output that resolves to one of the command's ``inputs`` or is the same file."""
-    for out in outputs:
+def _check_outputs(paths: list[Path], inputs: tuple[str, ...]) -> None:
+    """Refuse output ``paths`` of which one is a directory, another's file, or one of the
+    command's ``inputs`` (by path or as the same file), so a run never trains only to fail
+    late or to overwrite its own output or input."""
+    for p in paths:
+        if p.is_dir():
+            raise InputError(f"output path {p} is a directory")
+    if len(set(paths)) < len(paths):
+        raise InputError(f"output paths {', '.join(map(str, paths))} name one file twice")
+    for out in paths:
         for inp in map(Path, inputs):
             if out.resolve() == inp.resolve() or (
                     out.exists() and inp.exists() and os.path.samefile(out, inp)):
@@ -35,19 +42,13 @@ def _refuse_inputs(outputs: list[Path], inputs: tuple[str, ...]) -> None:
 
 
 def _output_paths(path: str, *suffixes: str, inputs: tuple[str, ...]) -> list[Path]:
-    """The output path and its siblings with ``suffixes``, once none is a directory, another's
-    file or one of the command's ``inputs``, so a run never trains only to fail late or to
-    overwrite its own output or input."""
+    """The output path and its siblings with ``suffixes``, once its directory exists and
+    ``_check_outputs`` passes them."""
     out = Path(path)
     if not out.parent.is_dir():
         raise InputError(f"output directory {out.parent} does not exist")
     paths = [out, *(out.parent / (out.stem + suffix) for suffix in suffixes)]
-    for p in paths:
-        if p.is_dir():
-            raise InputError(f"output path {p} is a directory")
-    if len(set(paths)) < len(paths):
-        raise InputError(f"output path {out} is also the path of its {'/'.join(suffixes)} file")
-    _refuse_inputs(paths, inputs)
+    _check_outputs(paths, inputs)
     return paths
 
 
@@ -147,7 +148,7 @@ def cmd_ablate(args) -> int:
     combined = out_dir / "combined.csv"
     run_paths = [(out_dir / f"{args.axis}_{value}.json", out_dir / f"{args.axis}_{value}.csv")
                  for value in values]
-    _refuse_inputs([combined, *(p for pair in run_paths for p in pair)],
+    _check_outputs([combined, *(p for pair in run_paths for p in pair)],
                    (args.config, args.checkpoint))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -135,8 +135,9 @@ def select_mask_subset(pre: ModelParams, data: Dataset, subsets: list[np.ndarray
     more layers), each subset is forwarded through layers 0 and 1 as a model of their
     own (``ModelParams.layer_range``), its layer-1 pre-activation is written into its
     rows of ``z1_out``, and the forward goes on from its ReLU; the losses are the
-    dense forward's, bit for bit. A non-finite loss (as a tiny ``tau`` gives) raises
-    NumericError."""
+    dense forward's, bit for bit. Subsets that cover ``data`` leave in ``z1_out`` the
+    ``z1`` that ``model.row_anchor`` takes. A non-finite loss (as a tiny ``tau`` gives)
+    raises NumericError."""
     if z1_out is not None:
         bottom, top = pre.layer_range(0, 2), pre.layer_range(2, len(pre.layers))
     losses = []

@@ -24,8 +24,8 @@ from .losses import (Penalty, RegConfig, check_tau, combined_grad, resolve_penal
                      resolve_regular_layers)
 from .masking import (SELECTION_VARIANTS, GradientMaskSet, check_budget, compute_mask_set,
                       full_mask, scl_gradients, trainable_fraction)
-from .model import (ModelParams, RowAnchor, fill_row_anchor, forward, init_model, reinit_head,
-                    row_anchor, row_chunks)
+from .model import (ModelParams, RowAnchor, forward, init_model, reinit_head, row_anchor,
+                    row_chunks)
 from .optim import AdamState, OptimConfig, cosine_warmup_lr, init_adam_state, masked_adam_step
 
 # below this many weights in layer 1, the dozen numpy calls the row path adds to a
@@ -96,17 +96,14 @@ class TrainReport:
 
 
 def evaluate(model: ModelParams, data: Dataset, anchor: RowAnchor | None = None) -> float:
-    """Fraction of argmax-correct predictions; argmax ties go to the lowest class. Given
-    ``anchor`` (the ``RowAnchor`` of ``data``), the set is forwarded on the row path, chunk
-    by chunk (``row_chunks``); else in one dense forward."""
+    """Fraction of argmax-correct predictions; argmax ties go to the lowest class. The set
+    is forwarded chunk by chunk (``row_chunks``): on the row path given ``anchor`` (the
+    ``RowAnchor`` of ``data``), else densely."""
     if model.num_classes != data.num_classes:
         raise ShapeError(f"head width {model.num_classes} != classes {data.num_classes}")
-    if anchor is None:
-        logits, _, _ = forward(model, data.x)
-        return float(np.mean(np.argmax(logits, axis=1) == data.y))
     predicted = np.empty(len(data), dtype=np.intp)
     for rows in row_chunks(len(data), max(model.dims)):
-        logits, _, _ = forward(model, data.x[rows], anchor.take(rows))
+        logits, _, _ = forward(model, data.x[rows], None if anchor is None else anchor.take(rows))
         predicted[rows] = np.argmax(logits, axis=1)
     return float(np.mean(predicted == data.y))
 
@@ -191,25 +188,24 @@ def finetune_masks(pre: ModelParams, task: TaskPair,
     The head plays no part in scoring; its mask is full (``_with_head_mask``). Returns the
     chosen subset's index, the masks a finetune run with this config trains under, and,
     where the run takes the row path (``_row_path``), the ``RowAnchor`` of ``pre`` over the
-    target training set: selection writes its layer-1 pre-activations as it forwards the
-    subsets, which cover the set, and ``fill_row_anchor`` adds layer 0's trained rows once
-    the masks are known. Else the anchor is None."""
+    target training set: selection writes layer 1's pre-activation of the set as it
+    forwards the subsets, which cover it, and ``row_anchor`` takes it once the masks are
+    known. Else the anchor is None."""
     _check_config(pre, task, cfg)
     train = task.target_train
     subsets = partition_subsets(train, cfg.subsets_n, Rng(cfg.seed).child(_STREAM_SUBSET))
-    rows = np.empty((len(train), pre.dims[2] + cfg.k)) if _row_path(pre, cfg.variant) else None
-    subset_index, mask_data = select_mask_subset(
-        pre, train, subsets, cfg.tau, None if rows is None else rows[:, :pre.dims[2]])
+    z1 = np.empty((len(train), pre.dims[2])) if _row_path(pre, cfg.variant) else None
+    subset_index, mask_data = select_mask_subset(pre, train, subsets, cfg.tau, z1)
     if cfg.variant == "full":
         masks = GradientMaskSet.all_full(pre)
     else:
         gradients = scl_gradients(pre, mask_data.x, mask_data.y, cfg.tau)
         masks = compute_mask_set(gradients, cfg.k, cfg.variant)
     masks = _with_head_mask(masks, pre, task)
-    if rows is None:
+    if z1 is None:
         return subset_index, masks, None
     rows0, rows1 = (m.index for m in masks.layers[:2])
-    return subset_index, masks, fill_row_anchor(pre, train.x, rows, rows0, rows1)
+    return subset_index, masks, row_anchor(pre, train.x, rows0, rows1, z1)
 
 
 def _probe_masks(pre: ModelParams, task: TaskPair,
@@ -223,8 +219,9 @@ def _row_anchors(pre: ModelParams, task: TaskPair, masks: GradientMaskSet,
                  train_rows: RowAnchor | None) -> tuple[RowAnchor | None, RowAnchor | None]:
     """The ``RowAnchor``s of ``pre`` over the target train and test sets where the run takes
     the row path (``_row_path`` of the masks' variant); else no anchors, and the run takes
-    the dense forward. ``train_rows`` is the training set's where scoring built it
-    (``finetune_masks``); else ``row_anchor`` builds it, as it builds the test set's."""
+    the dense forward. ``train_rows`` is the training set's where scoring built it from
+    selection's forward (``finetune_masks``); else ``row_anchor`` builds it, as it builds
+    the test set's, from a forward of its own."""
     if not _row_path(pre, masks.layers[0].variant):
         return None, None
     rows0, rows1 = (m.index for m in masks.layers[:2])

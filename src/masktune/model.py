@@ -167,66 +167,57 @@ class RowAnchor(NamedTuple):
     """What row masks on layers 0 and 1 leave of the anchor's forward pass, per dataset row.
 
     Such masks change layer 0 only in its trained rows ``rows0``, and so its
-    activation ``a0`` only in those columns, and layer 1 only in its trained
-    rows ``rows1``. So layer 1's pre-activation is the anchor's ``z1`` plus
-    ``(a0[:, rows0] - a0_pre[:, rows0]) @ W1[:, rows0].T``, except in the rows
-    ``rows1``, which are computed afresh. Each row of ``pre`` holds the anchor's
-    ``z1`` and then its ``a0[:, rows0]``, so that a batch gathers both at once;
-    ``forward`` given an anchor never forms ``a0 @ W1.T``. ``row_anchor`` builds
-    one from a dense forward of layers 0 and 1; ``fill_row_anchor`` completes one
-    whose ``z1`` columns an earlier forward (subset selection's) already wrote.
+    activation ``a`` only in those columns, and layer 1 only in its trained rows
+    ``rows1``. So layer 1's pre-activation is the anchor's ``z1`` plus
+    ``(a[:, rows0] - a0) @ W1[:, rows0].T``, where ``a0`` is the anchor's
+    activation in the columns ``rows0``, except in the rows ``rows1``, which are
+    computed afresh; ``forward`` given an anchor never forms ``a @ W1.T``.
+    ``row_anchor`` builds one, and no other module reads its arrays.
     """
     rows0: np.ndarray
     rows1: np.ndarray
-    pre: np.ndarray  # (samples, layer 1 width + len(rows0))
+    z1: np.ndarray  # (samples, layer 1 width)
+    a0: np.ndarray  # (samples, len(rows0))
 
     def take(self, index) -> "RowAnchor":
-        """The anchor of the dataset rows at ``index`` (a view for a slice)."""
-        return RowAnchor(self.rows0, self.rows1, self.pre[index])
+        """The anchor of the dataset rows at ``index`` (views for a slice)."""
+        return RowAnchor(self.rows0, self.rows1, self.z1[index], self.a0[index])
 
 
-def row_anchor(model: ModelParams, x: np.ndarray, rows0: np.ndarray,
-               rows1: np.ndarray) -> RowAnchor:
+def row_anchor(model: ModelParams, x: np.ndarray, rows0: np.ndarray, rows1: np.ndarray,
+               z1: np.ndarray | None = None) -> RowAnchor:
     """The ``RowAnchor`` of ``model`` over the rows of ``x`` for the trained rows ``rows0`` of
-    layer 0 and ``rows1`` of layer 1: the dense forward of those two layers, chunk by chunk,
-    so no whole-dataset activation is formed beside the one array it keeps."""
+    layer 0 and ``rows1`` of layer 1. ``z1``, layer 1's pre-activation of those rows, is
+    taken as given (as subset selection writes it) or computed by a dense forward of
+    layers 0 and 1, chunk by chunk, so no whole-dataset activation is formed beside it.
+    Layer 0's activation is computed in its trained rows alone, a product of
+    ``len(rows0)`` columns rather than of layer 0's whole matrix."""
     bottom = model.layer_range(0, 2)
     width = bottom.num_classes
-    pre = np.empty((len(x), width + len(rows0)))
-    for rows in row_chunks(len(x), max(bottom.dims)):
-        z1, a0, _ = forward(bottom, x[rows])
-        pre[rows, :width] = z1
-        pre[rows, width:] = a0[:, rows0]
-    return RowAnchor(rows0, rows1, pre)
-
-
-def fill_row_anchor(model: ModelParams, x: np.ndarray, pre: np.ndarray, rows0: np.ndarray,
-                    rows1: np.ndarray) -> RowAnchor:
-    """The ``RowAnchor`` of ``model`` over the rows of ``x`` in ``pre``, whose first columns
-    already hold layer 1's pre-activation of those rows (as subset selection writes it):
-    its last ``len(rows0)`` columns receive layer 0's activation in its trained rows alone,
-    a product of ``len(rows0)`` columns rather than of layer 0's whole matrix."""
-    layer, width = model.layers[0], model.layers[1].out_dim
-    if pre.shape != (len(x), width + len(rows0)):
-        raise ShapeError(f"row anchor of shape {pre.shape} cannot hold {len(x)} rows of "
-                         f"layer 1's {width} outputs and {len(rows0)} trained rows of layer 0")
+    if z1 is None:
+        z1 = np.empty((len(x), width))
+        for rows in row_chunks(len(x), max(bottom.dims)):
+            z1[rows] = forward(bottom, x[rows])[0]
+    elif z1.shape != (len(x), width):
+        raise ShapeError(f"z1 of shape {z1.shape} cannot hold {len(x)} rows of "
+                         f"layer 1's {width} outputs")
+    layer = bottom.layers[0]
     # one row would make this a matrix-vector product, whose sums round apart from the
-    # matrix product of row_anchor; the row twice keeps the matrix kernel
+    # dense forward's matrix product; the row twice keeps the matrix kernel
     picked = np.repeat(rows0, 2) if len(rows0) == 1 else rows0
     a0 = x @ layer.weight[picked].T
     a0 += layer.bias[picked]
-    np.maximum(a0[:, :len(rows0)], 0.0, out=pre[:, width:])
-    return RowAnchor(rows0, rows1, pre)
+    np.maximum(a0, 0.0, out=a0)
+    return RowAnchor(rows0, rows1, z1, a0[:, :len(rows0)])
 
 
 def _row_layer(layer: Layer, a0: np.ndarray, anchor: RowAnchor) -> np.ndarray:
     """Layer 1's pre-activation from layer 0's activation ``a0`` and the batch's anchor."""
-    rows0, rows1, pre = anchor
-    width = layer.out_dim
+    rows0, rows1, z1, a0_pre = anchor
     change = a0[:, rows0]
-    change -= pre[:, width:]
+    change -= a0_pre
     z = change @ layer.weight[:, rows0].T
-    z += pre[:, :width]
+    z += z1
     z[:, rows1] = a0 @ layer.weight[rows1].T + layer.bias[rows1]
     return z
 
@@ -250,10 +241,11 @@ def forward(model: ModelParams, x_batch: np.ndarray,
     if x_batch.ndim != 2 or x_batch.shape[1] != model.layers[0].in_dim:
         raise ShapeError(f"batch shape {x_batch.shape} does not match "
                          f"input width {model.layers[0].in_dim}")
-    if anchor is not None and (len(model.layers) < 3 or anchor.pre.shape != (
-            len(x_batch), model.layers[1].out_dim + len(anchor.rows0))):
-        raise ShapeError(f"row anchor of shape {anchor.pre.shape} does not fit a batch of "
-                         f"{len(x_batch)} rows into layer 1 of a {len(model.layers)}-layer model")
+    if anchor is not None and (len(model.layers) < 3 or (anchor.z1.shape, anchor.a0.shape) != (
+            (len(x_batch), model.layers[1].out_dim), (len(x_batch), len(anchor.rows0)))):
+        raise ShapeError(f"row anchor of shapes {anchor.z1.shape} and {anchor.a0.shape} does "
+                         f"not fit a batch of {len(x_batch)} rows into layer 1 of a "
+                         f"{len(model.layers)}-layer model")
     cache = ForwardCache(model=model)
     a = x_batch
     head = len(model.layers) - 1

@@ -227,7 +227,6 @@ class TestFinetuneCommand:
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(init_model(dims, seed=3), ckpt)
         anchors = count_calls(monkeypatch, model.row_anchor)
-        filled = count_calls(monkeypatch, model.fill_row_anchor)
         for run, k in (("a", 2), ("b", 3), ("c", 2)):
             doc = copy.deepcopy(BASE_CONFIG)
             doc["model"]["dims"] = dims
@@ -237,9 +236,9 @@ class TestFinetuneCommand:
             assert main(["finetune", "--config", str(tmp_path / run / "run.json"),
                          "--checkpoint", str(ckpt),
                          "--out", str(tmp_path / run / "report.json")]) == 0
-        # each run took the row path: row_anchor built the test set's anchor, and scoring
-        # filled the training set's
-        assert (len(anchors), len(filled)) == (3, 3)
+        # each run took the row path: row_anchor built the training set's anchor from
+        # scoring's forward, and the test set's
+        assert len(anchors) == 6
         for name in ("report.csv", "report.mask.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
         assert (tmp_path / "a" / "report.mask.json").read_bytes() != \
@@ -440,6 +439,16 @@ class TestOutputPaths:
         assert main(["ablate", "--config", str(cfg), "--checkpoint", str(ckpt),
                      "--axis", "k", "--values", "1",
                      "--out-dir", str(tmp_path / "file" / "sweep")]) == 2
+        assert calls == []
+
+    def test_ablate_run_file_is_a_directory(self, trained, tmp_path, monkeypatch, capsys):
+        # refused before the first run, not after it wrote its reports
+        cfg, ckpt = trained
+        (tmp_path / "sweep" / "variant_col.json").mkdir(parents=True)
+        calls = count_calls(monkeypatch, harness.finetune)
+        assert_refused(["ablate", "--config", str(cfg), "--checkpoint", str(ckpt),
+                        "--axis", "variant", "--values", "row,col",
+                        "--out-dir", str(tmp_path / "sweep")], tmp_path, capsys, [])
         assert calls == []
 
 

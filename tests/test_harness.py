@@ -91,6 +91,18 @@ class TestEvaluate:
         data = Dataset(rng.normal(size=(2000, 6)), rng.integers(0, 4, size=2000), 4)
         assert abs(evaluate(model, data) - 0.25) < 0.05
 
+    @pytest.mark.parametrize("dims, samples, chunks", [([8, 768, 768, 3], 200, 5),
+                                                       ([16, 32, 32, 4], 200, 1)])
+    def test_chunked_evaluation_is_the_argmax_of_one_dense_forward(self, dims, samples, chunks):
+        # 32,768 // 768 = 42 rows per chunk on the wide model; the reference config is one chunk
+        model = init_model(dims, seed=4)
+        rng = np.random.default_rng(4)
+        data = Dataset(rng.normal(size=(samples, dims[0])),
+                       rng.integers(0, dims[-1], size=samples), dims[-1])
+        assert len(list(model_module.row_chunks(samples, max(dims)))) == chunks
+        logits, _, _ = model_module.forward(model, data.x)
+        assert evaluate(model, data) == float(np.mean(np.argmax(logits, axis=1) == data.y))
+
     def test_class_count_mismatch(self):
         model = init_model([6, 4], seed=0)
         data = Dataset(np.zeros((2, 6)), np.array([0, 1]), 3)
@@ -311,10 +323,10 @@ class TestRowPath:
     """A run under row masks on layers 0 and 1 (the linear probe's empty ones included)
     whose layer 1 is wide enough forwards from two row anchors, and frees both before
     its report. A finetune run's training-set anchor comes out of subset selection's
-    forward; the linear probe, which does not score, builds both with ``row_anchor``."""
+    forward; the linear probe, which does not score, forwards both sets in ``row_anchor``."""
 
     @pytest.mark.parametrize("run, variant, dims, built, scored", [
-        (finetune, "row", ROW_PATH_DIMS, 1, 1), (linear_probe, "row", ROW_PATH_DIMS, 2, 0),
+        (finetune, "row", ROW_PATH_DIMS, 2, 1), (linear_probe, "row", ROW_PATH_DIMS, 2, 0),
         (finetune, "col", ROW_PATH_DIMS, 0, 0), (finetune, "sparse", ROW_PATH_DIMS, 0, 0),
         (finetune, "full", ROW_PATH_DIMS, 0, 0), (finetune, "row", DIMS, 0, 0),
         (linear_probe, "row", DIMS, 0, 0), (finetune, "row", [6, 192, 3], 0, 0)])
@@ -328,13 +340,13 @@ class TestRowPath:
 
         def recorded(*args):
             anchor = row_anchor(*args)
-            anchors.append(weakref.ref(anchor.pre))
+            anchors.extend((weakref.ref(anchor.z1), weakref.ref(anchor.a0)))
             return anchor
 
         def scoring(*args):
             subset_index, masks, anchor = finetune_masks(*args)
             if anchor is not None:
-                from_scoring.append(weakref.ref(anchor.pre))
+                from_scoring.extend((weakref.ref(anchor.z1), weakref.ref(anchor.a0)))
             return subset_index, masks, anchor
 
         def report_begins(*args):  # after the weight distances, before the report returns
@@ -345,7 +357,7 @@ class TestRowPath:
         monkeypatch.setattr(harness, "finetune_masks", scoring)
         monkeypatch.setattr(harness, "trainable_fraction", report_begins)
         run(pre, task, make_cfg(variant=variant, reg=RegConfig(lam=0.01, regular=RegularSet(0))))
-        assert (len(anchors), len(from_scoring)) == (built, scored)
+        assert (len(anchors), len(from_scoring)) == (2 * built, 2 * scored)
         assert alive_at_report == [0]
 
     @pytest.mark.parametrize("seed, k", [(1, 2), (3, 3), (7, 2), (11, 5)])
@@ -356,12 +368,13 @@ class TestRowPath:
         rows0, rows1 = (m.index for m in masks.layers[:2])
         want = row_anchor(pre, task.target_train.x, rows0, rows1)
         assert anchor.rows0 is rows0 and anchor.rows1 is rows1
-        assert anchor.pre.tobytes() == want.pre.tobytes()
+        assert anchor.z1.tobytes() == want.z1.tobytes()
+        assert anchor.a0.tobytes() == want.a0.tobytes()
 
     def test_a_finetune_forwards_the_training_set_through_layer_1_at_pre_once(self, monkeypatch):
         # selection forwards every training row through layers 0 and 1 at pre and keeps
         # layer 1's pre-activation; only the chosen subset passes again (its scores), and
-        # row_anchor builds the test set's anchor alone
+        # row_anchor forwards the test set alone
         task = make_task(seed=1, per_class=16, noise=0.12)
         pre = init_model(ROW_PATH_DIMS, seed=2)
         train = task.target_train
@@ -378,13 +391,14 @@ class TestRowPath:
         for module in (data_module, masking, model_module, harness):
             if vars(module).get("forward") is forward:
                 monkeypatch.setattr(module, "forward", counted)
-        monkeypatch.setattr(harness, "row_anchor", lambda *args: built.append(1) or row_anchor(*args))
+        monkeypatch.setattr(harness, "row_anchor",
+                            lambda *args: built.append(len(args) == 5) or row_anchor(*args))
         cfg = make_cfg()
         _, report = finetune(pre, task, cfg)
         subsets = partition_subsets(train, cfg.subsets_n,
                                     Rng(cfg.seed).child(harness._STREAM_SUBSET))
         assert sum(rows_at_pre) == len(train) + len(subsets[report.mask_subset_index])
-        assert len(built) == 1
+        assert built == [True, False]  # the training set's from selection's z1, then the test set's
 
     def test_a_4_layer_row_path_model_scores_as_the_dense_forward(self, monkeypatch):
         # layers 2 and up go on from ReLU(z1): the features are not ReLU(z1) here
@@ -396,7 +410,8 @@ class TestRowPath:
         assert subset_index == 3
         assert [m.index.tolist() for m in masks.layers[:-1]] == [[67, 124], [84, 138], [1, 4]]
         dense = row_anchor(pre, task.target_train.x, masks.layers[0].index, masks.layers[1].index)
-        assert anchor.pre.tobytes() == dense.pre.tobytes()
+        assert anchor.z1.tobytes() == dense.z1.tobytes()
+        assert anchor.a0.tobytes() == dense.a0.tobytes()
         monkeypatch.setattr(harness, "_ROW_PATH_MIN_WEIGHTS", np.inf)
         dense_index, dense_masks, no_anchor = finetune_masks(pre, task, cfg)
         assert (dense_index, no_anchor) == (subset_index, None)

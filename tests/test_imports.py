@@ -2,6 +2,9 @@
 exports exactly the names it imports, and no function, class or method of the
 package is there only for its tests.
 
+A ``RowAnchor``'s arrays are read in ``model.py`` alone, which builds them, so
+no other module depends on the anchor's layout.
+
 The project depends on no linter, so this reads each module's syntax tree
 with the standard library's ``ast``. ``__init__.py`` is skipped by the unused
 import check (its imports are the package's re-exports), and so are
@@ -66,6 +69,24 @@ def test_root_exports_exactly_what_it_imports():
     assert sorted(names) == sorted(masktune.__all__)
     assert len(set(masktune.__all__)) == len(masktune.__all__)
     assert all(hasattr(masktune, name) for name in masktune.__all__)
+
+
+def row_anchor_array_reads(source: str) -> list[int]:
+    """Lines of a source that read a ``RowAnchor`` array field, ``.z1`` or ``.a0``."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute) and n.attr in ("z1", "a0"))
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "model.py"),
+                         ids=lambda p: p.name)
+def test_only_the_model_module_reads_the_row_anchor_layout(path):
+    assert row_anchor_array_reads(path.read_text()) == []
+
+
+def test_the_check_sees_row_anchor_array_reads():
+    source = ("z1 = anchor.z1\nrows0 = anchor.rows0\n"
+              "change = a0[:, rows0] - anchor.take(rows).a0\n")
+    assert row_anchor_array_reads(source) == [1, 3]
 
 
 BENCH = PACKAGE.parents[1] / "bench"

@@ -13,7 +13,6 @@ from masktune.model import (
     Layer,
     ModelParams,
     backward,
-    fill_row_anchor,
     forward,
     init_model,
     layer_roles,
@@ -96,7 +95,7 @@ class TestForward:
         model = small_model()  # [4, 6, 5, 3]
         x = np_rng.normal(size=(7, 4))
         anchor = row_anchor(model, x, np.array([0, 2]), np.array([1]))
-        assert anchor.pre.shape == (7, 5 + 2)
+        assert (anchor.z1.shape, anchor.a0.shape) == ((7, 5), (7, 2))
         forward(model, x[:3], anchor.take(slice(0, 3)))
         with pytest.raises(ShapeError):
             forward(model, x[:3], anchor.take(slice(0, 4)))
@@ -104,18 +103,21 @@ class TestForward:
             forward(small_model(dims=(4, 5, 3)), x, anchor)
 
     @pytest.mark.parametrize("rows0", [[3], [0, 4], []])
-    def test_fill_row_anchor_completes_the_anchor_row_anchor_builds(self, np_rng, rows0):
-        # one trained row included: its product must not round apart from row_anchor's
+    def test_row_anchor_from_a_given_z1_is_the_one_it_computes(self, np_rng, rows0):
+        # one trained row included: its product must not round apart from the dense forward's
         model = init_model([4, 6, 5, 3], seed=1)
         model.params[...] = np_rng.normal(size=model.params.shape)
         x, rows0 = np_rng.normal(size=(7, 4)), np.array(rows0, dtype=np.intp)
         want = row_anchor(model, x, rows0, np.array([1]))
-        pre = np.full(want.pre.shape, np.nan)
-        pre[:, :5] = want.pre[:, :5]
-        got = fill_row_anchor(model, x, pre, rows0, want.rows1)
-        assert got.pre is pre and got.pre.tobytes() == want.pre.tobytes()
-        with pytest.raises(ShapeError):
-            fill_row_anchor(model, x, pre[:, :-1] if len(rows0) else pre[:-1], rows0, want.rows1)
+        z1, a0, _ = forward(model.layer_range(0, 2), x)
+        assert want.z1.tobytes() == z1.tobytes() and want.a0.tobytes() == a0[:, rows0].tobytes()
+        given = z1.copy()
+        got = row_anchor(model, x, rows0, want.rows1, given)
+        assert got.z1 is given
+        assert got.z1.tobytes() == want.z1.tobytes() and got.a0.tobytes() == want.a0.tobytes()
+        for wrong in (given[:, :-1], given[:-1]):
+            with pytest.raises(ShapeError):
+                row_anchor(model, x, rows0, want.rows1, wrong)
 
     def test_layer_range_views_its_layers(self):
         model = init_model([4, 6, 5, 7, 3], seed=2)

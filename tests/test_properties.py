@@ -843,7 +843,7 @@ def test_row_path_evaluation_reads_the_anchor_chunk_by_chunk():
     assert [(c.start, c.stop) for c in chunks[-2:]] == [(88, 96), (96, 100)]
     for rows in chunks:  # z1, then a0's trained columns: the dense forward of each chunk
         z1, a0, _ = forward(ModelParams.from_layers(pre.layers[:2]), data.x[rows])
-        assert bits(anchor.pre[rows]) == bits(np.hstack([z1, a0[:, [1, 2999]]]))
+        assert bits(anchor.z1[rows]) == bits(z1) and bits(anchor.a0[rows]) == bits(a0[:, [1, 2999]])
     assert evaluate(pre, data, anchor) == evaluate(pre, data)
 
 
@@ -882,4 +882,5 @@ def test_scoring_fills_the_training_anchor_and_chooses_as_the_dense_path(setup):
     for got, want in zip(masks.layers, dense_masks.layers):
         assert got.variant == want.variant and np.array_equal(got.index, want.index)
     want = row_anchor(pre, task.target_train.x, masks.layers[0].index, masks.layers[1].index)
-    assert grad_rel_err(anchor.pre, want.pre) <= 1e-12
+    assert grad_rel_err(anchor.z1, want.z1) <= 1e-12
+    assert grad_rel_err(anchor.a0, want.a0) <= 1e-12
