@@ -117,8 +117,10 @@ def parse_run_config(doc: dict, seed_override: int | None = None) -> RunConfig:
 
 
 def load_run_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
+    """The run config of a JSON file; a file that cannot be read, is not UTF-8 text (a
+    checkpoint, say) or is not JSON raises ConfigError."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_run_config(doc, seed_override)

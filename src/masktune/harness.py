@@ -24,8 +24,8 @@ from .losses import (Penalty, RegConfig, check_tau, combined_grad, resolve_penal
                      resolve_regular_layers)
 from .masking import (SELECTION_VARIANTS, GradientMaskSet, check_budget, compute_mask_set,
                       full_mask, scl_gradients, trainable_fraction)
-from .model import (ModelParams, RowAnchor, forward, init_model, reinit_head, row_anchor,
-                    row_chunks)
+from .model import (ModelParams, RowAnchor, RowParams, forward, init_model, reinit_head,
+                    row_anchor, row_chunks)
 from .optim import AdamState, OptimConfig, cosine_warmup_lr, init_adam_state, masked_adam_step
 
 # below this many weights in layer 1, the dozen numpy calls the row path adds to a
@@ -95,10 +95,11 @@ class TrainReport:
         return {**doc, "epochs": [dataclasses.asdict(e) for e in self.epochs]}
 
 
-def evaluate(model: ModelParams, data: Dataset, anchor: RowAnchor | None = None) -> float:
+def evaluate(model: ModelParams | RowParams, data: Dataset,
+             anchor: RowAnchor | None = None) -> float:
     """Fraction of argmax-correct predictions; argmax ties go to the lowest class. The set
-    is forwarded chunk by chunk (``row_chunks``): on the row path given ``anchor`` (the
-    ``RowAnchor`` of ``data``), else densely."""
+    is forwarded chunk by chunk (``row_chunks``): a ``RowParams`` on the row path from
+    ``anchor`` (the ``RowAnchor`` of ``data``), a ``ModelParams`` densely."""
     if model.num_classes != data.num_classes:
         raise ShapeError(f"head width {model.num_classes} != classes {data.num_classes}")
     predicted = np.empty(len(data), dtype=np.intp)
@@ -108,11 +109,11 @@ def evaluate(model: ModelParams, data: Dataset, anchor: RowAnchor | None = None)
     return float(np.mean(predicted == data.y))
 
 
-def _train(model: ModelParams, masks: GradientMaskSet, penalty: Penalty, train: Dataset,
-           optim: OptimConfig, batch_size: int, shuffle_rng: Rng,
+def _train(model: ModelParams | RowParams, masks: GradientMaskSet, penalty: Penalty,
+           train: Dataset, optim: OptimConfig, batch_size: int, shuffle_rng: Rng,
            anchor: RowAnchor | None = None) -> Iterator[tuple[int, float, float, float, AdamState]]:
-    """Train ``model`` in place, on the row path where ``anchor`` (the ``RowAnchor`` of
-    ``train``) is given; yield (epoch, lr, mean loss_R, mean CE, Adam state) per epoch.
+    """Train ``model`` in place, a ``RowParams`` on the row path from ``anchor`` (the
+    ``RowAnchor`` of ``train``); yield (epoch, lr, mean loss_R, mean CE, Adam state) per epoch.
     The run holds one gradient vector: each step's backward writes all of it, the
     penalty adds into it and Adam leaves its update in it."""
     state = init_adam_state(model, masks)
@@ -149,11 +150,13 @@ def pretrain(task: TaskPair, dims: list[int], optim: OptimConfig,
     return model
 
 
-def _with_new_head(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig) -> ModelParams:
-    """The run's one trained copy of ``pre``: its layers below the head under the run's
-    new head, in one fresh vector."""
+def _with_new_head(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig,
+                   rows: tuple[np.ndarray, np.ndarray] | None) -> ModelParams | RowParams:
+    """The run's one trained copy of ``pre`` under the run's new head, in one fresh vector:
+    its layers below the head, or on the row path, where ``rows`` are the trained rows of
+    layers 0 and 1, a ``RowParams`` of those rows and the layers above."""
     return reinit_head(pre, task.target_train.num_classes,
-                       Rng(cfg.seed).child(_STREAM_HEAD))
+                       Rng(cfg.seed).child(_STREAM_HEAD), rows)
 
 
 def _check_config(model: ModelParams, task: TaskPair, cfg: FineTuneConfig) -> None:
@@ -204,8 +207,7 @@ def finetune_masks(pre: ModelParams, task: TaskPair,
     masks = _with_head_mask(masks, pre, task)
     if z1 is None:
         return subset_index, masks, None
-    rows0, rows1 = (m.index for m in masks.layers[:2])
-    return subset_index, masks, row_anchor(pre, train.x, rows0, rows1, z1)
+    return subset_index, masks, row_anchor(pre, train.x, masks.layers[0].index, z1)
 
 
 def _probe_masks(pre: ModelParams, task: TaskPair,
@@ -215,42 +217,48 @@ def _probe_masks(pre: ModelParams, task: TaskPair,
     return 0, _with_head_mask(GradientMaskSet.head_only(pre), pre, task), None
 
 
-def _row_anchors(pre: ModelParams, task: TaskPair, masks: GradientMaskSet,
-                 train_rows: RowAnchor | None) -> tuple[RowAnchor | None, RowAnchor | None]:
-    """The ``RowAnchor``s of ``pre`` over the target train and test sets where the run takes
-    the row path (``_row_path`` of the masks' variant); else no anchors, and the run takes
-    the dense forward. ``train_rows`` is the training set's where scoring built it from
-    selection's forward (``finetune_masks``); else ``row_anchor`` builds it, as it builds
-    the test set's, from a forward of its own."""
-    if not _row_path(pre, masks.layers[0].variant):
-        return None, None
-    rows0, rows1 = (m.index for m in masks.layers[:2])
-    if train_rows is None:
-        train_rows = row_anchor(pre, task.target_train.x, rows0, rows1)
-    return train_rows, row_anchor(pre, task.target_test.x, rows0, rows1)
-
-
 def _finetune_with_masks(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig,
                          score: Callable) -> tuple[ModelParams, TrainReport]:
     """Score (``score(pre, task, cfg)``: ``finetune_masks`` or ``_probe_masks``), then draw
     the run's one copy of ``pre`` under a new head (``_with_new_head``), train it towards
-    its values now and return it. The anchor is ``pre``'s layers below the head, which
-    are only read (and viewed by the penalty), and a copy of the new head. Where
-    ``_row_anchors`` gives anchors, the run forwards on the row path from them; this
-    frame alone holds them, and frees them before the report."""
+    its values now and return it as a ``ModelParams``. The anchor is ``pre``'s layers
+    below the head, which are only read (and viewed by the penalty), and a copy of the
+    new head.
+
+    On the row path (``_row_path`` of the masks' variant) the copy is a ``RowParams``
+    that trains under the masks with ``rows_held=2``, the anchor holds copies of its
+    rows of layers 0 and 1 in place of ``pre``'s layers, and the run forwards from the
+    ``RowAnchor``s of ``pre`` over the target train and test sets. The training set's
+    comes from scoring where ``finetune_masks`` built it from selection's forward; else
+    ``row_anchor`` builds it, as it builds the test set's, from a forward of its own.
+    The test set's keeps its layer-0 activation, so ``evaluate`` forms only layer 0's
+    trained columns. This frame alone holds the anchors, and frees them before it
+    writes the copy's layers 0 and 1 out whole for the report."""
     subset_index, masks, train_rows = score(pre, task, cfg)
-    model = _with_new_head(pre, task, cfg)  # once scoring has freed its buffers
-    anchor = (*pre.layers[:-1], model.layers[-1].copy())
-    train_rows, test_rows = _row_anchors(pre, task, masks, train_rows)
-    epochs = _train(model, masks, resolve_penalty(anchor, cfg.reg, masks), task.target_train,
-                    cfg.optim, cfg.batch_size, Rng(cfg.seed).child(_STREAM_SHUFFLE), train_rows)
+    rows = None
+    if _row_path(pre, masks.layers[0].variant):
+        rows = masks.layers[0].index, masks.layers[1].index
+    model = _with_new_head(pre, task, cfg, rows)  # once scoring has freed its buffers
+    held, run_masks, test_rows = 0, masks, None
+    if rows is not None:
+        held, run_masks = 2, replace(masks, rows_held=2)
+        if train_rows is None:
+            train_rows = row_anchor(pre, task.target_train.x, rows[0])
+        test_rows = row_anchor(pre, task.target_test.x, rows[0], keep=True)
+    anchor = (*(l.copy() for l in model.layers[:held]), *pre.layers[held:-1],
+              model.layers[-1].copy())
+    epochs = _train(model, run_masks, resolve_penalty(anchor, cfg.reg, run_masks),
+                    task.target_train, cfg.optim, cfg.batch_size,
+                    Rng(cfg.seed).child(_STREAM_SHUFFLE), train_rows)
     stats = []
     for epoch, lr, loss_r, ce, state in epochs:
         stats.append(EpochStats(epoch, lr, loss_r, ce,
                                 evaluate(model, task.target_test, test_rows)))
-    del train_rows, test_rows  # before the distances' full-matrix temporaries
+    del train_rows, test_rows  # before the whole copy and the distances' temporaries
+    if held:
+        model = model.to_model()
     distances = [float(np.sqrt(np.sum((m.weight - a.weight) ** 2)))
-                 for m, a in zip(model.layers, anchor)]
+                 for m, a in zip(model.layers, (*pre.layers[:-1], anchor[-1]))]
     report = TrainReport(
         epochs=stats,
         final_accuracy=stats[-1].test_accuracy,

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .model import Layer, ModelParams, RowAnchor, backward, forward, layer_roles
+from .model import Layer, ModelParams, RowAnchor, RowParams, backward, forward, layer_roles
 
 if TYPE_CHECKING:  # masking imports this module for the contrastive loss
     from .masking import GradientMaskSet, Segment
@@ -237,7 +237,7 @@ def _part(masks: GradientMaskSet, segments: Sequence[Segment], read: int,
     return PenaltyPart(slice(start, start + size), slice(read, read + size), anchor, sums)
 
 
-def reg_penalty(model: ModelParams, penalty: Penalty, grad: np.ndarray) -> float:
+def reg_penalty(model: ModelParams | RowParams, penalty: Penalty, grad: np.ndarray) -> float:
     """Distance penalty lambda * sum over regular layers of |W - W_pre| (l2 squared or l1).
 
     Biases of regular layers are penalized symmetrically. sign(0) = 0 for l1.
@@ -266,7 +266,7 @@ def reg_penalty(model: ModelParams, penalty: Penalty, grad: np.ndarray) -> float
     return loss
 
 
-def combined_grad(model: ModelParams, masks: GradientMaskSet, penalty: Penalty,
+def combined_grad(model: ModelParams | RowParams, masks: GradientMaskSet, penalty: Penalty,
                   x_batch: np.ndarray, labels: np.ndarray, anchor: RowAnchor | None = None,
                   out: np.ndarray | None = None) -> tuple[float, float, np.ndarray]:
     """Cross-entropy plus distance penalty; returns (total loss, ce loss, gradient).

@@ -145,13 +145,27 @@ def col_scores(h: np.ndarray) -> np.ndarray:
     return np.sum(h * h, axis=0)
 
 
+def _topk_bits(scores: np.ndarray, k: int) -> np.ndarray:
+    """Boolean of ``scores``' shape that picks the k largest scores along the last axis,
+    ties broken by lowest index: each row's k-th largest value, found by partition, and
+    every score above it, then the lowest-index scores equal to it."""
+    scores = np.asarray(scores)
+    n = scores.shape[-1]
+    if not 1 <= k <= n:
+        raise ConfigError(f"k={k} out of range for {n} scores")
+    kth = np.partition(scores, n - k, axis=-1)[..., [n - k]]  # a copy: the partition is freed
+    bits = scores > kth
+    tied = scores == kth
+    wanted = k - np.count_nonzero(bits, axis=-1, keepdims=True)
+    bits |= tied & (np.cumsum(tied, axis=-1) <= wanted)
+    return bits
+
+
 def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest scores along the last axis, ties broken by lowest
     index, sorted: one ``intp`` row of k per row of ``scores``."""
-    scores = np.asarray(scores)
-    if not 1 <= k <= scores.shape[-1]:
-        raise ConfigError(f"k={k} out of range for {scores.shape[-1]} scores")
-    return np.sort(np.argsort(-scores, axis=-1, kind="stable")[..., :k], axis=-1)
+    bits = _topk_bits(scores, k)
+    return np.nonzero(bits)[-1].reshape(*bits.shape[:-1], k)
 
 
 def build_mask(h: np.ndarray, k: int, variant: str) -> LayerMask:
@@ -162,9 +176,7 @@ def build_mask(h: np.ndarray, k: int, variant: str) -> LayerMask:
     if variant == "col":
         return LayerMask("col", (rows, cols), topk_indices(col_scores(h), k))
     if variant == "sparse":
-        bits = np.zeros((rows, cols), dtype=bool)
-        np.put_along_axis(bits, topk_indices(np.abs(h), k), True, axis=1)
-        return LayerMask("sparse", (rows, cols), bits)
+        return LayerMask("sparse", (rows, cols), _topk_bits(np.abs(h), k))
     raise ConfigError(f"build_mask supports row/col/sparse, got {variant!r}")
 
 
@@ -261,8 +273,20 @@ class GradientMaskSet:
     flat layout of the trainable entries that backprop, the penalty and Adam share,
     where each of them sits in the model's parameter vector (``positions``), and
     the plan ``backward`` follows (``backprop``). Each is built on first use and
-    kept with the set, so a run derives them once."""
+    kept with the set, so a run derives them once.
+
+    The vector is a ``ModelParams``'s when ``rows_held`` is 0. When it is 2 (the row
+    path), it is a ``model.RowParams``'s, which holds only the trained rows of layers
+    0 and 1, both under row masks: ``stored`` sees those as full masks over their
+    rows, and the layout, the positions and the shapes a vector's layers must have
+    follow ``stored``, while the plan follows ``layers``."""
     layers: tuple[LayerMask, ...]
+    rows_held: int = 0
+
+    def __post_init__(self):
+        if any(m.variant != "row" for m in self.layers[:self.rows_held]):
+            raise ConfigError(f"a vector holds the trained rows of row masks alone, not of "
+                              f"{[m.variant for m in self.layers[:self.rows_held]]}")
 
     @staticmethod
     def all_full(model: ModelParams) -> "GradientMaskSet":
@@ -279,17 +303,26 @@ class GradientMaskSet:
         return sum(m.storage_bits() for m in self.layers)
 
     def check_shapes(self, layers: Sequence[Layer]) -> None:
-        """Refuse layers whose weight shapes are not the masks' shapes."""
-        shapes, weights = [m.shape for m in self.layers], [l.weight.shape for l in layers]
+        """Refuse layers whose weight shapes are not the ``stored`` masks' shapes."""
+        shapes, weights = [m.shape for m in self.stored], [l.weight.shape for l in layers]
         if shapes != weights:
             raise ShapeError(f"mask shapes {shapes} != weight shapes {weights}")
 
     @functools.cached_property
+    def stored(self) -> tuple[LayerMask, ...]:
+        """The masks as the parameter vector holds their layers: the first ``rows_held`` as
+        full masks over the rows they train, the rest as they are."""
+        held = self.layers[:self.rows_held]
+        return (*(full_mask((m.index.size, m.shape[1])) for m in held),
+                *self.layers[self.rows_held:])
+
+    @functools.cached_property
     def segments(self) -> tuple[Segment, ...]:
         """Layer 0's ``weight[wi]`` then its ``bias[bi]``, then layer 1's, ..., each
-        in C order, end to end: layer ``i``'s segments are ``2 * i`` and ``2 * i + 1``."""
+        in C order, end to end: layer ``i``'s segments are ``2 * i`` and ``2 * i + 1``,
+        indexed as the ``stored`` masks index the vector's layers."""
         segments, offset = [], 0
-        for i, mask in enumerate(self.layers):
+        for i, mask in enumerate(self.stored):
             for param, shape, index in zip(("weight", "bias"), (mask.shape, mask.shape[:1]),
                                            mask.trainable):
                 sliced = np.broadcast_to(False, shape)[index].shape
@@ -304,22 +337,24 @@ class GradientMaskSet:
 
     @functools.cached_property
     def positions(self) -> np.ndarray | None:
-        """Where each entry of the flat layout sits in a parameter vector of the masks'
-        shapes (``ModelParams.params``), as one read-only ``intp`` array in layout order,
-        built in memory proportional to the trainable entries; None when every mask is
-        full, as the layout is then the parameter vector itself."""
-        if all(m.variant == "full" for m in self.layers):
+        """Where each entry of the flat layout sits in a parameter vector of the ``stored``
+        masks' shapes (``ModelParams.params``, or a ``RowParams``'s), as one read-only
+        ``intp`` array in layout order, built in memory proportional to the trainable
+        entries; None when every stored mask is full, as the layout is then the parameter
+        vector itself."""
+        if all(m.variant == "full" for m in self.stored):
             return None
-        offsets = param_offsets([m.shape for m in self.layers])
+        offsets = param_offsets([m.shape for m in self.stored])
         return _frozen(np.concatenate([_layer_positions(m, at)
-                                       for m, at in zip(self.layers, offsets)]))
+                                       for m, at in zip(self.stored, offsets)]))
 
     @functools.cached_property
     def full_tail(self) -> int:
-        """The number of entries the trailing full layers (the head at least, when full)
-        hold: the layout ends with them in the order the parameter vector ends with them."""
+        """The number of entries the layers of the trailing full ``stored`` masks (the head
+        at least, when full) hold: the layout ends with them in the order the parameter
+        vector ends with them."""
         tail = 0
-        for mask in reversed(self.layers):
+        for mask in reversed(self.stored):
             if mask.variant != "full":
                 break
             rows, cols = mask.shape

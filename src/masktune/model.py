@@ -52,6 +52,19 @@ def _weight_shapes(dims: Sequence[int]) -> list[tuple[int, int]]:
     return list(zip(dims[1:], dims))
 
 
+def _layer_views(params: np.ndarray, shapes: Sequence[tuple[int, int]]) -> tuple[Layer, ...]:
+    """Layers of the given weight shapes as views into ``params``, laid out end to end."""
+    return tuple(Layer(params[at:at + rows * cols].reshape(rows, cols),
+                       params[at + rows * cols:at + rows * cols + rows])
+                 for (rows, cols), at in zip(shapes, param_offsets(shapes)))
+
+
+def _concatenated(layers: Sequence[Layer]) -> np.ndarray:
+    """One fresh vector of ``layers``' weights (row-major) and biases, layer by layer."""
+    return np.concatenate([a.ravel() for l in layers for a in (l.weight, l.bias)],
+                          dtype=np.float64)
+
+
 @dataclass(frozen=True, eq=False)
 class ModelParams:
     """An MLP's parameters as one C-contiguous float64 vector, ``params``, in
@@ -66,12 +79,7 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "dims", list(self.dims))
         self.validate()
-        shapes = _weight_shapes(self.dims)
-        layers = []
-        for (rows, cols), at in zip(shapes, param_offsets(shapes)):
-            layers.append(Layer(self.params[at:at + rows * cols].reshape(rows, cols),
-                                self.params[at + rows * cols:at + rows * cols + rows]))
-        object.__setattr__(self, "layers", tuple(layers))
+        object.__setattr__(self, "layers", _layer_views(self.params, _weight_shapes(self.dims)))
 
     def validate(self) -> None:
         """Refuse fewer than two widths, or a vector that is not C-contiguous float64
@@ -96,9 +104,7 @@ class ModelParams:
             if i > 0 and layer.in_dim != layers[i - 1].out_dim:
                 raise ShapeError(f"layer {i}: input width {layer.in_dim} does not chain "
                                  f"with previous output width {layers[i - 1].out_dim}")
-        params = np.concatenate([a.ravel() for l in layers for a in (l.weight, l.bias)],
-                                dtype=np.float64)
-        return ModelParams(params, [layers[0].in_dim] + [l.out_dim for l in layers])
+        return ModelParams(_concatenated(layers), [layers[0].in_dim] + [l.out_dim for l in layers])
 
     @property
     def feature_dim(self) -> int:
@@ -118,9 +124,62 @@ class ModelParams:
         return ModelParams(self.params[at[start]:at[stop]], self.dims[start:stop + 1])
 
 
+@dataclass(frozen=True, eq=False)
+class RowParams:
+    """A row-path run's trained parameters, of an MLP of ``dims``. Row masks on layers 0
+    and 1 train their rows ``rows0`` and ``rows1`` alone, so ``params``, one C-contiguous
+    float64 vector, holds just those rows of the two layers, each layer's weight rows then
+    their biases (segments 0 to 3 of the masks' layout), and then layers 2 and up in
+    checkpoint order. ``layers`` views it, layers 0 and 1 as their trained rows. The
+    frozen entries of layers 0 and 1 are read in place from ``base``, which is never
+    written, but for ``w1_at_base``, a copy of ``base``'s layer-1 weight columns
+    ``rows0``. ``forward`` takes one with a ``RowAnchor``; ``to_model`` writes its rows
+    into a copy of ``base``'s layers."""
+    base: ModelParams
+    rows0: np.ndarray
+    rows1: np.ndarray
+    params: np.ndarray
+    dims: list[int]
+    layers: tuple[Layer, ...] = field(init=False, repr=False)
+    w1_at_base: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if len(self.dims) < 4 or self.base.dims[:3] != self.dims[:3]:
+            raise ShapeError(f"dims {self.dims} hold no layer 2 over base's layers 0 and 1 "
+                             f"of dims {self.base.dims[:3]}")
+        shapes = [(len(self.rows0), self.dims[0]), (len(self.rows1), self.dims[1]),
+                  *_weight_shapes(self.dims[2:])]
+        if self.params.shape != (param_offsets(shapes)[-1],):
+            raise ShapeError(f"{len(self.rows0)} and {len(self.rows1)} trained rows under dims "
+                             f"{self.dims} need {param_offsets(shapes)[-1]} parameters, got "
+                             f"shape {self.params.shape}")
+        object.__setattr__(self, "layers", _layer_views(self.params, shapes))
+        object.__setattr__(self, "w1_at_base", self.base.layers[1].weight[:, self.rows0])
+
+    @property
+    def num_classes(self) -> int:
+        return self.dims[-1]
+
+    def w1_columns(self) -> np.ndarray:
+        """Layer 1's weight columns ``rows0`` (a fresh array), its trained rows ``rows1``
+        written in: the weights the trained rows of layer 0 feed."""
+        columns = self.w1_at_base.copy()
+        columns[self.rows1] = self.layers[1].weight[:, self.rows0]
+        return columns
+
+    def to_model(self) -> ModelParams:
+        """The run's model in one fresh vector: ``base``'s layers 0 and 1 with the trained
+        rows written in, then layers 2 and up."""
+        model = ModelParams.from_layers([*self.base.layers[:2], *self.layers[2:]])
+        for whole, rows, trained in zip(model.layers, (self.rows0, self.rows1), self.layers):
+            whole.weight[rows] = trained.weight
+            whole.bias[rows] = trained.bias
+        return model
+
+
 @dataclass
 class ForwardCache:
-    model: ModelParams
+    model: ModelParams | RowParams
     inputs: list[np.ndarray] = field(repr=False, default_factory=list)
 
 
@@ -142,14 +201,20 @@ def init_model(dims: list[int], seed: int | Rng) -> ModelParams:
     return model
 
 
-def reinit_head(model: ModelParams, num_classes: int, rng: Rng) -> ModelParams:
-    """A copy of ``model``'s layers below the head, in one fresh vector, under a freshly
-    drawn head of ``num_classes`` outputs: a fine-tuning run's one trained copy of
-    ``model``, which it leaves as it is."""
+def reinit_head(model: ModelParams, num_classes: int, rng: Rng,
+                rows: tuple[np.ndarray, np.ndarray] | None = None) -> ModelParams | RowParams:
+    """A fine-tuning run's one trained copy of ``model``, which it leaves as it is, under a
+    freshly drawn head of ``num_classes`` outputs, in one fresh vector: a copy of
+    ``model``'s layers below the head, or, given ``rows`` (the trained rows of layers 0
+    and 1: the row path), a ``RowParams`` that copies only those rows of the two layers."""
     fan_in = model.feature_dim
     bound = np.sqrt(1.0 / fan_in)
     head = Layer(rng.uniform(-bound, bound, size=(num_classes, fan_in)), np.zeros(num_classes))
-    return ModelParams.from_layers([*model.layers[:-1], head])
+    if rows is None:
+        return ModelParams.from_layers([*model.layers[:-1], head])
+    trained = [Layer(l.weight[r], l.bias[r]) for l, r in zip(model.layers, rows)]
+    return RowParams(model, *rows, _concatenated([*trained, *model.layers[2:-1], head]),
+                     [*model.dims[:-1], num_classes])
 
 
 # rows per chunk where a whole dataset is forwarded: about this many entries
@@ -171,58 +236,86 @@ class RowAnchor(NamedTuple):
     ``rows1``. So layer 1's pre-activation is the anchor's ``z1`` plus
     ``(a[:, rows0] - a0) @ W1[:, rows0].T``, where ``a0`` is the anchor's
     activation in the columns ``rows0``, except in the rows ``rows1``, which are
-    computed afresh; ``forward`` given an anchor never forms ``a @ W1.T``.
-    ``row_anchor`` builds one, and no other module reads its arrays.
+    computed afresh; ``forward`` given an anchor never forms ``a @ W1.T``. Where the
+    anchor keeps its whole layer-0 activation, ``a0_whole``, ``forward`` forms only
+    the columns ``rows0`` of ``a``, not ``x @ W0.T``. ``row_anchor`` builds one, and
+    no other module reads its arrays.
     """
-    rows0: np.ndarray
-    rows1: np.ndarray
     z1: np.ndarray  # (samples, layer 1 width)
     a0: np.ndarray  # (samples, len(rows0))
+    a0_whole: np.ndarray | None  # (samples, layer 0 width), where kept
 
     def take(self, index) -> "RowAnchor":
         """The anchor of the dataset rows at ``index`` (views for a slice)."""
-        return RowAnchor(self.rows0, self.rows1, self.z1[index], self.a0[index])
+        return RowAnchor(self.z1[index], self.a0[index],
+                         None if self.a0_whole is None else self.a0_whole[index])
 
 
-def row_anchor(model: ModelParams, x: np.ndarray, rows0: np.ndarray, rows1: np.ndarray,
-               z1: np.ndarray | None = None) -> RowAnchor:
-    """The ``RowAnchor`` of ``model`` over the rows of ``x`` for the trained rows ``rows0`` of
-    layer 0 and ``rows1`` of layer 1. ``z1``, layer 1's pre-activation of those rows, is
-    taken as given (as subset selection writes it) or computed by a dense forward of
-    layers 0 and 1, chunk by chunk, so no whole-dataset activation is formed beside it.
-    Layer 0's activation is computed in its trained rows alone, a product of
-    ``len(rows0)`` columns rather than of layer 0's whole matrix."""
-    bottom = model.layer_range(0, 2)
-    width = bottom.num_classes
-    if z1 is None:
-        z1 = np.empty((len(x), width))
-        for rows in row_chunks(len(x), max(bottom.dims)):
-            z1[rows] = forward(bottom, x[rows])[0]
-    elif z1.shape != (len(x), width):
-        raise ShapeError(f"z1 of shape {z1.shape} cannot hold {len(x)} rows of "
-                         f"layer 1's {width} outputs")
-    layer = bottom.layers[0]
-    # one row would make this a matrix-vector product, whose sums round apart from the
-    # dense forward's matrix product; the row twice keeps the matrix kernel
-    picked = np.repeat(rows0, 2) if len(rows0) == 1 else rows0
-    a0 = x @ layer.weight[picked].T
-    a0 += layer.bias[picked]
-    np.maximum(a0, 0.0, out=a0)
-    return RowAnchor(rows0, rows1, z1, a0[:, :len(rows0)])
-
-
-def _row_layer(layer: Layer, a0: np.ndarray, anchor: RowAnchor) -> np.ndarray:
-    """Layer 1's pre-activation from layer 0's activation ``a0`` and the batch's anchor."""
-    rows0, rows1, z1, a0_pre = anchor
-    change = a0[:, rows0]
-    change -= a0_pre
-    z = change @ layer.weight[:, rows0].T
-    z += z1
-    z[:, rows1] = a0 @ layer.weight[rows1].T + layer.bias[rows1]
+def _dense(a: np.ndarray, layer: Layer, relu: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ W.T + b``, then ReLU where ``relu``: one array, ``out`` if given, else fresh,
+    written in place."""
+    z = np.matmul(a, layer.weight.T, out=out)
+    z += layer.bias
+    if relu:
+        np.maximum(z, 0.0, out=z)
     return z
 
 
-def forward(model: ModelParams, x_batch: np.ndarray,
+def _trained_columns(x: np.ndarray, rows: Layer) -> np.ndarray:
+    """Layer 0's activation in the columns of ``rows``, some of its rows as a layer of
+    their own, from its input ``x``."""
+    k = rows.out_dim
+    if k == 1:  # one row would make this a matrix-vector product, whose sums round apart
+        rows = Layer(rows.weight[[0, 0]], rows.bias[[0, 0]])  # from the dense forward's
+    return _dense(x, rows, True)[:, :k]
+
+
+def row_anchor(model: ModelParams, x: np.ndarray, rows0: np.ndarray,
+               z1: np.ndarray | None = None, *, keep: bool = False) -> RowAnchor:
+    """The ``RowAnchor`` of ``model`` over the rows of ``x`` for the trained rows ``rows0`` of
+    layer 0. ``z1``, layer 1's pre-activation of those rows, is taken as given (as subset
+    selection writes it) or computed by a dense forward of layers 0 and 1, chunk by chunk,
+    each product written straight into the anchor; with ``keep`` (the test set's anchor)
+    the anchor keeps the layer-0 activation that forward forms, ``a0_whole``. Layer 0's
+    activation in the trained rows is computed apart, a product of ``len(rows0)``
+    columns."""
+    bottom = model.layer_range(0, 2)
+    width = bottom.num_classes
+    if z1 is not None and (keep or z1.shape != (len(x), width)):
+        raise ShapeError(f"z1 of shape {z1.shape} cannot hold {len(x)} rows of layer 1's "
+                         f"{width} outputs, or come with a kept layer-0 activation")
+    whole = np.empty((len(x), bottom.dims[1])) if keep else None
+    if z1 is None:
+        z1 = np.empty((len(x), width))
+        for rows in row_chunks(len(x), max(bottom.dims)):
+            a = _dense(x[rows], bottom.layers[0], True, None if whole is None else whole[rows])
+            _dense(a, bottom.layers[1], False, z1[rows])
+    layer = bottom.layers[0]
+    return RowAnchor(z1, _trained_columns(x, Layer(layer.weight[rows0], layer.bias[rows0])),
+                     whole)
+
+
+def _row_bottom(model: RowParams, x: np.ndarray,
+                anchor: RowAnchor) -> tuple[np.ndarray, np.ndarray]:
+    """The activations of layers 0 and 1 on the row path (see ``RowAnchor``). Layer 0's is
+    the anchor's whole one where kept, else the product with ``base``'s layer 0, with the
+    trained columns ``rows0`` written in."""
+    rows0, rows1 = model.rows0, model.rows1
+    if anchor.a0_whole is None:
+        a = _dense(x, model.base.layers[0], True)
+    else:
+        a = anchor.a0_whole.copy()
+    trained = _trained_columns(x, model.layers[0])
+    a[:, rows0] = trained
+    change = trained - anchor.a0
+    z = change @ model.w1_at_base.T  # its columns rows1 are computed afresh below
+    z += anchor.z1
+    z[:, rows1] = _dense(a, model.layers[1], False)
+    np.maximum(z, 0.0, out=z)  # layer 1 is never the head
+    return a, z
+
+
+def forward(model: ModelParams | RowParams, x_batch: np.ndarray,
             anchor: RowAnchor | None = None) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Run the network; return (logits, features, cache).
 
@@ -231,31 +324,35 @@ def forward(model: ModelParams, x_batch: np.ndarray,
     the bias and the ReLU are applied in place to the fresh matmul result, so
     no cached input is ever written again.
 
-    Given ``anchor``, the ``RowAnchor`` of the batch's rows at weights that
-    ``model`` equals outside the trained rows of row masks on layers 0 and 1,
-    layer 1 is computed from it (see ``RowAnchor``): the row path, which costs
-    the trained rows of layer 1 rather than its whole matrix. Its logits and
-    cache equal the dense ones up to rounding.
+    A ``RowParams`` is forwarded with ``anchor``, the ``RowAnchor`` of the batch's
+    rows at its ``base``, and a ``ModelParams`` without: layers 0 and 1 are computed
+    from the anchor (see ``RowAnchor``), the row path, which costs the trained rows
+    of layer 1 rather than its whole matrix. Its logits and cache equal the dense
+    ones of ``model.to_model()`` up to rounding.
     """
     x_batch = np.asarray(x_batch, dtype=np.float64)
-    if x_batch.ndim != 2 or x_batch.shape[1] != model.layers[0].in_dim:
+    if x_batch.ndim != 2 or x_batch.shape[1] != model.dims[0]:
         raise ShapeError(f"batch shape {x_batch.shape} does not match "
-                         f"input width {model.layers[0].in_dim}")
-    if anchor is not None and (len(model.layers) < 3 or (anchor.z1.shape, anchor.a0.shape) != (
-            (len(x_batch), model.layers[1].out_dim), (len(x_batch), len(anchor.rows0)))):
-        raise ShapeError(f"row anchor of shapes {anchor.z1.shape} and {anchor.a0.shape} does "
-                         f"not fit a batch of {len(x_batch)} rows into layer 1 of a "
-                         f"{len(model.layers)}-layer model")
+                         f"input width {model.dims[0]}")
+    if isinstance(model, RowParams) != (anchor is not None):
+        raise StateError("a RowParams is forwarded with a RowAnchor, and a ModelParams without")
     cache = ForwardCache(model=model)
-    a = x_batch
+    a, start = x_batch, 0
+    if anchor is not None:
+        n, dims = len(x_batch), model.dims
+        if (anchor.z1.shape, anchor.a0.shape) != ((n, dims[2]), (n, len(model.rows0))) or (
+                anchor.a0_whole is not None and anchor.a0_whole.shape != (n, dims[1])):
+            raise ShapeError(f"row anchor of shapes {anchor.z1.shape} and {anchor.a0.shape} "
+                             f"does not fit a batch of {n} rows into layers 0 and 1 of dims "
+                             f"{dims[:3]} with {len(model.rows0)} trained rows in layer 0")
+        bottom, a = _row_bottom(model, x_batch, anchor)
+        cache.inputs += [x_batch, bottom]
+        start = 2
     head = len(model.layers) - 1
-    for i, layer in enumerate(model.layers):
+    for i, layer in enumerate(model.layers[start:], start):
         cache.inputs.append(a)
-        if i == 1 and anchor is not None:
-            a = _row_layer(layer, a, anchor)
-        else:
-            a = a @ layer.weight.T
-            a += layer.bias
+        a = a @ layer.weight.T
+        a += layer.bias
         if i < head:
             np.maximum(a, 0.0, out=a)
     logits = a
@@ -263,7 +360,7 @@ def forward(model: ModelParams, x_batch: np.ndarray,
     return logits, features, cache
 
 
-def backward(model: ModelParams, cache: ForwardCache, masks: GradientMaskSet,
+def backward(model: ModelParams | RowParams, cache: ForwardCache, masks: GradientMaskSet,
              d_logits: np.ndarray | None = None, d_features: np.ndarray | None = None,
              out: np.ndarray | None = None) -> np.ndarray:
     """Exact gradients of an upstream loss over the trainable entries, as one
@@ -275,9 +372,10 @@ def backward(model: ModelParams, cache: ForwardCache, masks: GradientMaskSet,
     their size. Row, col and full weight products are written straight into
     their segments; a sparse one is gathered from the full product. Backprop
     stops at the lowest layer with a trainable entry, and into it only the
-    deltas of the rows it trains are propagated (``delta @ W[:, rows]``). The
-    head's segments are zero on the ``d_features`` path, which starts at the
-    head input. Exactly one of ``d_logits`` / ``d_features`` must be given.
+    deltas of the rows it trains are propagated (``delta @ W[:, rows]``); on a
+    ``RowParams`` those of layer 1 are read from its ``w1_columns``. The head's
+    segments are zero on the ``d_features`` path, which starts at the head input.
+    Exactly one of ``d_logits`` / ``d_features`` must be given.
     """
     if cache.model is not model:
         raise StateError("cache does not belong to this model")
@@ -301,7 +399,10 @@ def backward(model: ModelParams, cache: ForwardCache, masks: GradientMaskSet,
         elif l == start:  # ReLU'(z) = max(z, 0) > 0, read off the next layer's input
             delta = upstream[:, rows] * (cache.inputs[l + 1][:, rows] > 0.0)
         else:  # in place, so at most two layers' deltas live beside the vector
-            delta = delta @ model.layers[l + 1].weight[:, rows]
+            if l == 0 and isinstance(model, RowParams):  # rows is rows0
+                delta = delta @ model.w1_columns()
+            else:
+                delta = delta @ model.layers[l + 1].weight[:, rows]
             delta *= cache.inputs[l + 1][:, rows] > 0.0
         x, w_out = cache.inputs[l], out[step.weight_at].reshape(step.shape)
         if step.kind == "full":

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 from .masking import GradientMaskSet
-from .model import ModelParams
+from .model import ModelParams, RowParams
 
 # entries per pass of the fused update: two float64 work buffers of this
 # length stay in cache, however many entries train
@@ -64,7 +64,7 @@ class AdamState:
         return self.m.nbytes + self.v.nbytes
 
 
-def init_adam_state(model: ModelParams, masks: GradientMaskSet) -> AdamState:
+def init_adam_state(model: ModelParams | RowParams, masks: GradientMaskSet) -> AdamState:
     """Zero moments, one per entry of the masks' flat layout."""
     masks.check_shapes(model.layers)
     return AdamState(np.zeros(masks.size), np.zeros(masks.size))
@@ -80,15 +80,18 @@ def cosine_warmup_lr(epoch: int, cfg: OptimConfig) -> float:
     return cfg.base_lr * 0.5 * (1.0 + math.cos(math.pi * (epoch - w) / (t - w)))
 
 
-def masked_adam_step(model: ModelParams, state: AdamState, grad: np.ndarray,
+def masked_adam_step(model: ModelParams | RowParams, state: AdamState, grad: np.ndarray,
                      masks: GradientMaskSet, lr: float,
-                     cfg: OptimConfig) -> tuple[ModelParams, AdamState]:
+                     cfg: OptimConfig) -> tuple[ModelParams | RowParams, AdamState]:
     """One Adam step on the mask-selected entries, in place.
 
     ``grad`` is the gradient vector in the flat layout of ``masks``, as
     ``backward`` and ``combined_grad`` return it. Nothing changes unless every
-    gradient entry is finite, which a first pass checks chunk by chunk. The
-    update then runs as one elementwise pass over the vector, chunk by chunk,
+    gradient entry is finite: a finite squared norm shows it in one pass, and
+    only where that norm is not finite does a second pass check the entries,
+    chunk by chunk, so a finite gradient whose squares overflow still steps
+    (after numpy's overflow warning, which the CLI silences).
+    The update then runs as one elementwise pass over the vector, chunk by chunk,
     and is subtracted from the parameter vector at the masks' entries alone, so
     frozen entries stay bitwise put: the trailing full layers (``full_tail``,
     the head's) from the end of the vector in place, the rest through one
@@ -98,9 +101,10 @@ def masked_adam_step(model: ModelParams, state: AdamState, grad: np.ndarray,
     """
     if not grad.shape == state.m.shape == (masks.size,):
         raise ShapeError(f"gradient shape {grad.shape} is not the layout's ({masks.size},)")
-    for a in range(0, grad.size, _CHUNK):
-        if not np.logical_and.reduce(np.isfinite(grad[a:a + _CHUNK])):
-            raise NumericError("non-finite gradient entry")
+    if not math.isfinite(np.dot(grad, grad)):
+        for a in range(0, grad.size, _CHUNK):
+            if not np.logical_and.reduce(np.isfinite(grad[a:a + _CHUNK])):
+                raise NumericError("non-finite gradient entry")
     state.t += 1
     b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
     bc1 = 1.0 - b1 ** state.t

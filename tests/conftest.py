@@ -9,7 +9,7 @@ from masktune.errors import NumericError
 from masktune.linalg import Rng
 from masktune.losses import resolve_regular_layers
 from masktune.masking import GradientMaskSet, LayerMask
-from masktune.model import CHECKPOINT_MAGIC, ModelParams, layer_roles
+from masktune.model import CHECKPOINT_MAGIC, ModelParams, RowParams, layer_roles
 
 
 @pytest.fixture
@@ -24,6 +24,15 @@ def small_model(dims=(4, 6, 5, 3), seed=7):
 def copy_model(model):
     """A model over a copy of ``model``'s parameter vector."""
     return ModelParams(model.params.copy(), model.dims)
+
+
+def row_params(pre, model, masks):
+    """The ``RowParams`` over ``pre`` that holds the rows of ``model``'s layers 0 and 1 the
+    row masks of ``masks`` train, then a copy of ``model``'s layers 2 and up."""
+    rows = tuple(m.index for m in masks.layers[:2])
+    trained = [np.concatenate([l.weight[r].ravel(), l.bias[r]]) for l, r in zip(model.layers, rows)]
+    upper = model.layer_range(2, len(model.layers)).params
+    return RowParams(pre, *rows, np.concatenate([*trained, upper]), model.dims)
 
 
 def sparse_from_bits(bits):
@@ -59,6 +68,13 @@ def oracle_topk(scores, k):
     ``topk_indices`` worked along the last axis; a sorted tuple of ints."""
     order = np.argsort(-np.asarray(scores), kind="stable")
     return tuple(sorted(int(i) for i in order[:k]))
+
+
+def oracle_topk_rows(scores, k):
+    """Test oracle: ``topk_indices`` as written before it took the k-th value by
+    partition: a stable argsort of the negated scores along the last axis, whose first
+    k are the k largest, ties to the lowest index, then sorted."""
+    return np.sort(np.argsort(-np.asarray(scores), axis=-1, kind="stable")[..., :k], axis=-1)
 
 
 def oracle_build_mask(h, k, variant):

@@ -194,6 +194,24 @@ class TestPretrainCommand:
                      "--out", str(tmp_path / "m.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "ablate"])
+def test_a_checkpoint_given_as_the_config_exits_2_and_writes_nothing(trained, tmp_path, capsys,
+                                                                      command):
+    # a binary checkpoint is not UTF-8 text: the config reader refuses it, no traceback
+    _, ckpt = trained
+    inputs = [tmp_path / "model.ckpt"]
+    inputs[0].write_bytes(ckpt.read_bytes())
+    with pytest.raises(UnicodeDecodeError):
+        inputs[0].read_bytes().decode("utf-8")
+    argv = {"pretrain": ["pretrain", "--config", str(inputs[0]), "--out", str(tmp_path / "m.ckpt")],
+            "finetune": ["finetune", "--config", str(inputs[0]), "--checkpoint", str(inputs[0]),
+                         "--out", str(tmp_path / "report.json")],
+            "ablate": ["ablate", "--config", str(inputs[0]), "--checkpoint", str(inputs[0]),
+                       "--axis", "k", "--values", "1,2", "--out-dir", str(tmp_path / "sweep")]}
+    assert_refused(argv[command], tmp_path, capsys, inputs)
+    assert not (tmp_path / "sweep").exists()
+
+
 class TestFinetuneCommand:
     def test_writes_report_trio(self, trained, tmp_path, monkeypatch):
         cfg, ckpt = trained

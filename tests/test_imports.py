@@ -72,9 +72,10 @@ def test_root_exports_exactly_what_it_imports():
 
 
 def row_anchor_array_reads(source: str) -> list[int]:
-    """Lines of a source that read a ``RowAnchor`` array field, ``.z1`` or ``.a0``."""
+    """Lines of a source that read a ``RowAnchor`` array field, ``.z1``, ``.a0`` or
+    ``.a0_whole``."""
     return sorted(n.lineno for n in ast.walk(ast.parse(source))
-                  if isinstance(n, ast.Attribute) and n.attr in ("z1", "a0"))
+                  if isinstance(n, ast.Attribute) and n.attr in ("z1", "a0", "a0_whole"))
 
 
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "model.py"),
@@ -84,9 +85,9 @@ def test_only_the_model_module_reads_the_row_anchor_layout(path):
 
 
 def test_the_check_sees_row_anchor_array_reads():
-    source = ("z1 = anchor.z1\nrows0 = anchor.rows0\n"
-              "change = a0[:, rows0] - anchor.take(rows).a0\n")
-    assert row_anchor_array_reads(source) == [1, 3]
+    source = ("z1 = anchor.z1\nrows0 = model.rows0\n"
+              "change = a0[:, rows0] - anchor.take(rows).a0\nkept = anchor.a0_whole\n")
+    assert row_anchor_array_reads(source) == [1, 3, 4]
 
 
 BENCH = PACKAGE.parents[1] / "bench"

@@ -92,15 +92,26 @@ class TestForward:
             forward(small_model(), np.zeros((3, 9)))
 
     def test_a_row_anchor_that_does_not_fit_the_batch_or_the_model_raises(self, np_rng):
-        model = small_model()  # [4, 6, 5, 3]
+        pre = small_model()  # [4, 6, 5, 3]
         x = np_rng.normal(size=(7, 4))
-        anchor = row_anchor(model, x, np.array([0, 2]), np.array([1]))
-        assert (anchor.z1.shape, anchor.a0.shape) == ((7, 5), (7, 2))
+        rows = (np.array([0, 2]), np.array([1]))
+        model = reinit_head(pre, 3, Rng(0), rows)
+        anchor = row_anchor(pre, x, rows[0], keep=True)
+        assert (anchor.z1.shape, anchor.a0.shape, anchor.a0_whole.shape) == ((7, 5), (7, 2), (7, 6))
         forward(model, x[:3], anchor.take(slice(0, 3)))
+        forward(model, x[:3], anchor.take(slice(0, 3))._replace(a0_whole=None))
         with pytest.raises(ShapeError):
             forward(model, x[:3], anchor.take(slice(0, 4)))
+        for wrong in (anchor._replace(z1=anchor.z1[:, :4]), anchor._replace(a0=anchor.a0[:, :1]),
+                      anchor._replace(a0_whole=anchor.a0_whole[:, :5])):
+            with pytest.raises(ShapeError):
+                forward(model, x, wrong)
+        with pytest.raises(StateError):  # the row path forwards a RowParams
+            forward(pre, x, anchor)
+        with pytest.raises(StateError):  # and a RowParams only on the row path
+            forward(model, x)
         with pytest.raises(ShapeError):  # layer 1 is the head: no row path
-            forward(small_model(dims=(4, 5, 3)), x, anchor)
+            reinit_head(small_model(dims=(4, 5, 3)), 3, Rng(0), rows)
 
     @pytest.mark.parametrize("rows0", [[3], [0, 4], []])
     def test_row_anchor_from_a_given_z1_is_the_one_it_computes(self, np_rng, rows0):
@@ -108,16 +119,21 @@ class TestForward:
         model = init_model([4, 6, 5, 3], seed=1)
         model.params[...] = np_rng.normal(size=model.params.shape)
         x, rows0 = np_rng.normal(size=(7, 4)), np.array(rows0, dtype=np.intp)
-        want = row_anchor(model, x, rows0, np.array([1]))
+        want = row_anchor(model, x, rows0, keep=True)
         z1, a0, _ = forward(model.layer_range(0, 2), x)
         assert want.z1.tobytes() == z1.tobytes() and want.a0.tobytes() == a0[:, rows0].tobytes()
+        assert want.a0_whole.tobytes() == a0.tobytes()  # the forward's, kept
+        unkept = row_anchor(model, x, rows0)
+        assert unkept.a0_whole is None and unkept.z1.tobytes() == want.z1.tobytes()
         given = z1.copy()
-        got = row_anchor(model, x, rows0, want.rows1, given)
-        assert got.z1 is given
+        got = row_anchor(model, x, rows0, given)
+        assert got.z1 is given and got.a0_whole is None
         assert got.z1.tobytes() == want.z1.tobytes() and got.a0.tobytes() == want.a0.tobytes()
         for wrong in (given[:, :-1], given[:-1]):
             with pytest.raises(ShapeError):
-                row_anchor(model, x, rows0, want.rows1, wrong)
+                row_anchor(model, x, rows0, wrong)
+        with pytest.raises(ShapeError):  # a given z1 comes from a forward that kept nothing
+            row_anchor(model, x, rows0, given, keep=True)
 
     def test_layer_range_views_its_layers(self):
         model = init_model([4, 6, 5, 7, 3], seed=2)
@@ -266,6 +282,29 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         with pytest.raises(InputError, match=f"layer {bad} has non-finite entries"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("rows", [([1, 4], [0, 2]), ([3], [4]), ([], [])])
+    def test_reinit_head_on_the_row_path_copies_the_trained_rows_alone(self, rows):
+        m = small_model(dims=(4, 6, 5, 7, 3), seed=4)
+        before = m.params.tobytes()
+        rows = tuple(np.array(r, dtype=np.intp) for r in rows)
+        held = reinit_head(m, 2, Rng(0), rows)
+        whole = reinit_head(m, 2, Rng(0))
+        assert held.dims == whole.dims == [4, 6, 5, 7, 2]
+        assert held.params.size == whole.params.size - sum(
+            (l.out_dim - len(r)) * (l.in_dim + 1) for l, r in zip(m.layers, rows))
+        for got, layer, r in zip(held.layers, m.layers, rows):
+            assert got.weight.tobytes() == layer.weight[r].tobytes()
+            assert got.bias.tobytes() == layer.bias[r].tobytes()
+        assert not np.shares_memory(held.params, m.params)
+        # written out whole, it is the copy reinit_head draws off the row path, bit for bit
+        out = held.to_model()
+        assert out.params.tobytes() == whole.params.tobytes() and m.params.tobytes() == before
+        assert not np.shares_memory(out.params, m.params)
+        held.layers[1].weight[...] += 1.0
+        columns = held.w1_columns()
+        assert columns.tobytes() == held.to_model().layers[1].weight[:, rows[0]].tobytes()
+        assert m.params.tobytes() == before
 
     def test_reinit_head(self):
         m = small_model(seed=4)

@@ -186,6 +186,27 @@ class TestMaskedAdam:
         assert model.params.tobytes() == params.tobytes() and state.t == 0
         assert not state.m.any() and not state.v.any()
 
+    def test_a_finite_gradient_whose_squares_overflow_still_steps(self):
+        # the squares of 1e154 sum past the largest float, so the one-pass norm overflows;
+        # Adam's second moment, (1 - beta2) * g * g = 1e305, does not, so the step moves
+        # every trained entry (at 1e200 that moment itself overflows and the update is 0)
+        model = init_model([4, 5, 3], 1)
+        masks = GradientMaskSet((LayerMask("row", (5, 4), (1, 3)), full_mask((3, 5))))
+        state = init_adam_state(model, masks)
+        grad = np.full(masks.size, 1e154)
+        grad[::2] = -1e154
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.dot(grad, grad))
+        w0 = model.params.copy()
+        with np.errstate(over="ignore"):  # the norm's overflow, as the CLI runs it
+            masked_adam_step(model, state, grad, masks, 0.1, CFG)
+        moved = np.zeros(model.params.size, dtype=bool)
+        moved[masks.positions[:masks.size - masks.full_tail]] = True
+        moved[model.params.size - masks.full_tail:] = True
+        assert state.t == 1 and np.isfinite(model.params).all()
+        assert np.all(model.params[moved] != w0[moved])
+        assert model.params[~moved].tobytes() == w0[~moved].tobytes()
+
     def test_step_temporaries_are_two_chunks(self):
         model = init_model([128, 512, 512, 10], 0)
         masks = GradientMaskSet.all_full(model)

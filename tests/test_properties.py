@@ -14,7 +14,7 @@ top-k loop ``build_mask`` ran before sparse masks held a boolean matrix.
 
 import csv
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +25,10 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import (bias_mask, copy_model, finite_diff_grad, gathered, grad_rel_err,
                       layer_grads, oracle_build_mask, oracle_cross_entropy, oracle_forward,
+                      oracle_topk_rows,
                       oracle_masked_adam_step,
                       oracle_reg_penalty, oracle_save_checkpoint, oracle_scl_loss, read_masks,
-                      sparse_from_bits, sparse_from_lists)
+                      row_params, sparse_from_bits, sparse_from_lists)
 from masktune import harness
 from masktune.data import Dataset, ShiftConfig, gen_task, load_dataset_csv, save_dataset_csv
 from masktune.errors import InputError, NumericError
@@ -52,6 +53,7 @@ from masktune.masking import (
     masks_to_doc,
     retained_energy,
     save_masks,
+    topk_indices,
 )
 from masktune.model import (
     Layer,
@@ -709,6 +711,28 @@ def test_top_k_rows_and_cols_reach_the_brute_force_objective(h, data):
         assert abs(mask_objective(h, build_mask(h, k, variant)) - mask_objective(h, best)) <= tol
 
 
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 30), cols=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1),
+       variant=st.sampled_from(("row", "col", "sparse")), data=st.data())
+def test_top_k_by_partition_picks_the_stable_argsorts_entries_on_tied_scores(
+        rows, cols, seed, variant, data):
+    # integer scores from a few values tie heavily, and -0.0 ties with 0.0
+    rng = np.random.default_rng(seed)
+    h = rng.integers(-2, 3, size=(rows, cols)).astype(np.float64)
+    h[rng.random(size=h.shape) < 0.3] = -0.0
+    k = data.draw(st.integers(1, cols), label="k")
+    assert topk_indices(h, k).tolist() == oracle_topk_rows(h, k).tolist()
+    k = data.draw(st.integers(1, rows if variant == "row" else cols), label="mask k")
+    mask = build_mask(h, k, variant)
+    if variant == "sparse":
+        want = np.zeros(h.shape, dtype=bool)
+        np.put_along_axis(want, oracle_topk_rows(np.abs(h), k), True, axis=1)
+        assert np.array_equal(mask.index, want)
+    else:
+        scores = np.sum(h * h, axis=1 if variant == "row" else 0)
+        assert mask.index.tolist() == oracle_topk_rows(scores, k).tolist()
+
+
 @st.composite
 def scored_gradients(draw):
     """A gradient matrix of 1-40 rows and columns, either random or integer-valued
@@ -796,20 +820,23 @@ def row_path_setups(draw):
 
 
 def anchor_of(pre, masks, x):
-    return row_anchor(pre, x, *(m.trainable[0] for m in masks.layers[:2]))
+    return row_anchor(pre, x, masks.layers[0].index, keep=True)
 
 
 @settings(max_examples=100, deadline=None)
-@given(setup=row_path_setups())
-def test_row_path_forward_and_backward_match_the_dense_path(setup):
+@given(setup=row_path_setups(), keep=st.booleans())
+def test_row_path_forward_and_backward_match_the_dense_path(setup, keep):
+    # with the anchor's whole layer-0 activation, or from base's layer 0 without it
     rng, pre, model, masks, x, _, batch = setup
+    rows = row_params(pre, model, masks)
     anchor = anchor_of(pre, masks, x)
-    logits, features, cache = forward(model, x[batch], anchor.take(batch))
+    anchor = anchor if keep else anchor._replace(a0_whole=None)
+    logits, features, cache = forward(rows, x[batch], anchor.take(batch))
     dense_logits, dense_features, dense_cache = forward(model, x[batch])
     assert grad_rel_err(logits, dense_logits) <= 1e-12
     assert grad_rel_err(features, dense_features) <= 1e-12
     d_logits = rng.normal(size=logits.shape)
-    grad = backward(model, cache, masks, d_logits=d_logits)
+    grad = backward(rows, cache, replace(masks, rows_held=2), d_logits=d_logits)
     assert grad_rel_err(grad, backward(model, dense_cache, masks, d_logits=d_logits)) <= 1e-12
 
 
@@ -817,14 +844,17 @@ def test_row_path_forward_and_backward_match_the_dense_path(setup):
 @given(setup=row_path_setups(), steps=st.integers(1, 4))
 def test_row_path_training_keeps_frozen_entries_bitwise(setup, steps):
     rng, pre, model, masks, x, y, batch = setup
+    rows, held = row_params(pre, model, masks), replace(masks, rows_held=2)
     anchor = anchor_of(pre, masks, x)
-    penalty = resolve_penalty(pre.layers, RegConfig(lam=0.1, regular=RegularSet(1)), masks)
-    state = init_adam_state(model, masks)
-    before = copy_model(model)
+    penalty = resolve_penalty([l.copy() for l in row_params(pre, pre, masks).layers],
+                              RegConfig(lam=0.1, regular=RegularSet(1)), held)
+    state = init_adam_state(rows, held)
+    before, pre_bits = copy_model(model), bits(pre.params)
     for _ in range(steps):
-        _, _, grad = combined_grad(model, masks, penalty, x[batch], y[batch], anchor.take(batch))
-        masked_adam_step(model, state, grad, masks, 0.05, CFG)
-    for mask, got, want in zip(masks.layers, model.layers, before.layers):
+        _, _, grad = combined_grad(rows, held, penalty, x[batch], y[batch], anchor.take(batch))
+        masked_adam_step(rows, state, grad, held, 0.05, CFG)
+    assert bits(pre.params) == pre_bits  # the frozen entries of layers 0 and 1 are read there
+    for mask, got, want in zip(masks.layers, rows.to_model().layers, before.layers):
         frozen = mask.to_dense() == 0.0
         assert bits(got.weight[frozen]) == bits(want.weight[frozen])
         assert bits(got.bias[bias_mask(mask) == 0.0]) == bits(want.bias[bias_mask(mask) == 0.0])
@@ -841,10 +871,11 @@ def test_row_path_evaluation_reads_the_anchor_chunk_by_chunk():
     anchor = anchor_of(pre, masks, data.x)
     chunks = list(row_chunks(100, 4000))
     assert [(c.start, c.stop) for c in chunks[-2:]] == [(88, 96), (96, 100)]
-    for rows in chunks:  # z1, then a0's trained columns: the dense forward of each chunk
+    for rows in chunks:  # z1, the kept activation and its trained columns: each chunk's forward
         z1, a0, _ = forward(ModelParams.from_layers(pre.layers[:2]), data.x[rows])
-        assert bits(anchor.z1[rows]) == bits(z1) and bits(anchor.a0[rows]) == bits(a0[:, [1, 2999]])
-    assert evaluate(pre, data, anchor) == evaluate(pre, data)
+        assert bits(anchor.z1[rows]) == bits(z1) and bits(anchor.a0_whole[rows]) == bits(a0)
+        assert bits(anchor.a0[rows]) == bits(a0[:, [1, 2999]])
+    assert evaluate(row_params(pre, pre, masks), data, anchor) == evaluate(pre, data)
 
 
 @st.composite
@@ -881,6 +912,44 @@ def test_scoring_fills_the_training_anchor_and_chooses_as_the_dense_path(setup):
     assert (index, no_anchor) == (dense_index, None)
     for got, want in zip(masks.layers, dense_masks.layers):
         assert got.variant == want.variant and np.array_equal(got.index, want.index)
-    want = row_anchor(pre, task.target_train.x, masks.layers[0].index, masks.layers[1].index)
+    want = row_anchor(pre, task.target_train.x, masks.layers[0].index)
     assert grad_rel_err(anchor.z1, want.z1) <= 1e-12
     assert grad_rel_err(anchor.a0, want.a0) <= 1e-12
+    assert anchor.a0_whole is None  # selection's forward kept layer 1's pre-activation alone
+
+
+@settings(max_examples=40, deadline=None)
+@given(setup=scoring_setups(), run=st.sampled_from(("finetune", "linear_probe")))
+def test_a_row_path_run_is_the_dense_run(setup, run):
+    # any layer 1 takes the row path with the bound at 0, none at infinity
+    pre, task, cfg = setup
+    before, tests = bits(pre.params), []
+    row_anchor = harness.row_anchor
+
+    def recorded(model, x, rows0, z1=None, keep=False):
+        anchor = row_anchor(model, x, rows0, z1, keep=keep)
+        if x is task.target_test.x:
+            tests.append(anchor)
+        return anchor
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "row_anchor", recorded)
+        mp.setattr(harness, "_ROW_PATH_MIN_WEIGHTS", 0)
+        model, row = getattr(harness, run)(pre, task, cfg)
+        mp.setattr(harness, "_ROW_PATH_MIN_WEIGHTS", np.inf)
+        _, dense = getattr(harness, run)(pre, task, cfg)
+    assert bits(pre.params) == before and not np.shares_memory(model.params, pre.params)
+    for mask, got, want in zip(row.masks.layers[:-1], model.layers, pre.layers):
+        frozen, frozen_bias = mask.to_dense() == 0.0, bias_mask(mask) == 0.0
+        assert bits(got.weight[frozen]) == bits(want.weight[frozen])
+        assert bits(got.bias[frozen_bias]) == bits(want.bias[frozen_bias])
+    assert [e.test_accuracy for e in row.epochs] == [e.test_accuracy for e in dense.epochs]
+    for a, b in zip(row.epochs, dense.epochs):
+        assert a.loss_r == pytest.approx(b.loss_r, rel=1e-12)
+        assert a.ce_loss == pytest.approx(b.ce_loss, rel=1e-12)
+    assert row.weight_distances == pytest.approx(dense.weight_distances, rel=1e-12)
+    [anchor] = tests  # it kept the test set's layer-0 activation: the dense one, chunk by chunk
+    x = task.target_test.x
+    for rows in row_chunks(len(x), max(pre.dims[:3])):
+        _, a0, _ = forward(pre.layer_range(0, 2), x[rows])
+        assert bits(anchor.a0_whole[rows]) == bits(a0)
