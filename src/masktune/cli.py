@@ -183,14 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="masked fine-tuning from a checkpoint")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("mask-report", help="mask, objective, and storage accounting")
     p.add_argument("--checkpoint", required=True)
@@ -200,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=0.1)
     p.add_argument("--out", required=True)
     p.add_argument("--verify-oracle", action="store_true")
-    p.set_defaults(func=cmd_mask_report)
 
     p = sub.add_parser("ablate", help="sweep one hyperparameter axis")
     p.add_argument("--config", required=True)
@@ -209,16 +206,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_ablate)
     return parser
 
 
+# built once, at import: a parser is cyclic garbage that only the cyclic collector frees
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command. Its ``cmd_<name>`` is looked up when it runs, not bound when the
+    parser is built, so rebinding that module attribute (as a tracer does) takes effect."""
+    args = _PARSER.parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         # the finite checks report a diverging run in one line, not numpy's warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            return command(args)
     except (ConfigError, InputError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

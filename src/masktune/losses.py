@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .model import Layer, ModelParams, RowAnchor, RowParams, backward, forward, layer_roles
+from .model import (Layer, ModelParams, RowAnchor, RowParams, backward, forward, layer_roles,
+                    row_chunks)
 
 if TYPE_CHECKING:  # masking imports this module for the contrastive loss
     from .masking import GradientMaskSet, Segment
@@ -102,11 +103,12 @@ def scl_loss(features: np.ndarray, labels: np.ndarray, tau: float) -> tuple[floa
     features (normalization Jacobian included).
 
     One n x n float buffer holds the similarities, then in place their
-    exponentials, the softmax and dL/dsim; beside it live one n x n boolean
-    (the positive pairs) and the normalized features. The steps that read a
-    second n x n operand (the positive-pair product, the positive average and
-    the transpose) each hold one n x n temporary, so the peak is two n x n
-    floats, the boolean and one n x d float (23 MB on 1000 x 768 features).
+    exponentials, the softmax and dL/dsim. Every row-wise pass runs over one
+    block of its rows at a time (``row_chunks``), which builds that block's
+    positive pairs from ``labels``, and the transpose is added slab by slab, so
+    no second n x n array, float or boolean, ever exists. The peak is the
+    buffer, the normalized features, the feature gradient and one row block
+    (20 MB on 1000 x 768 features).
     """
     check_tau(tau)
     features = np.asarray(features, dtype=np.float64)
@@ -124,32 +126,42 @@ def scl_loss(features: np.ndarray, labels: np.ndarray, tau: float) -> tuple[floa
 
     sim = z @ z.T
     sim /= tau
-    positives = labels[:, None] == labels[None, :]
-    np.fill_diagonal(positives, False)
-    n_pos = positives.sum(axis=1)
-    valid = n_pos > 0
-    denom = np.maximum(n_pos, 1)
-    # before the diagonal turns -inf: False * -inf is NaN
-    mean_pos_sim = (positives * sim).sum(axis=1) / denom
+    valid = np.empty(batch, dtype=bool)
+    mean_pos_sim, row_max, sums = np.empty(batch), np.empty(batch), np.empty(batch)
+    for r in row_chunks(batch, batch):
+        block, diagonal = sim[r], slice(r.start, None, batch + 1)  # flat, row-major
+        positives = labels[r, None] == labels[None, :]
+        positives.ravel()[diagonal] = False
+        n_pos = positives.sum(axis=1)
+        valid[r] = n_pos > 0
+        denom = np.maximum(n_pos, 1)
+        # before the diagonal turns -inf: False * -inf is NaN
+        mean_pos_sim[r] = (positives * block).sum(axis=1) / denom
 
-    # log-sum-exp over a != i, stabilized per row; exp(-inf) zeroes the diagonal
-    np.fill_diagonal(sim, -np.inf)
-    row_max = sim.max(axis=1)
-    sim -= row_max[:, None]
-    np.exp(sim, out=sim)
-    sums = sim.sum(axis=1)
+        # log-sum-exp over a != i, stabilized per row; exp(-inf) zeroes the diagonal
+        block.ravel()[diagonal] = -np.inf
+        row_max[r] = block.max(axis=1)
+        block -= row_max[r, None]
+        np.exp(block, out=block)
+        sums[r] = block.sum(axis=1)
+
+        # dL/dsim: softmax over non-self entries minus positive-average, per valid anchor
+        block /= sums[r, None]
+        block -= positives / denom[:, None]
+        block[~valid[r]] = 0.0
     lse = row_max + np.log(sums)
-
     per_anchor = np.where(valid, lse - mean_pos_sim, 0.0)
     loss = float(per_anchor.sum())
 
-    # dL/dsim: softmax over non-self entries minus positive-average, per valid anchor
-    sim /= sums[:, None]
-    sim -= positives / denom[:, None]
-    sim[~valid] = 0.0
-    # sim is used both as (i, a) and (a, i) terms; tau divides once more because
-    # sim already includes 1/tau -> chain through raw dot products
-    sim += sim.T  # numpy copies the overlapping transposed operand first
+    # sim is used both as (i, a) and (a, i) terms: sim += sim.T, a slab of rows and
+    # its transposed columns at a time, each entry the same one addition
+    for r in row_chunks(batch, batch):
+        slab = sim[r, r.start:] + sim[r.start:, r].T
+        sim[r, r.start:] = slab
+        sim[r.start:, r] = slab.T
+    del block, positives, slab  # block views sim: kept, it would keep sim past del sim
+    # tau divides once more because sim already includes 1/tau -> chain through raw
+    # dot products
     d_z = sim @ z
     del sim  # freed before the n x d temporaries below
     d_z /= tau

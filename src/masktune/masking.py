@@ -384,13 +384,14 @@ def scl_gradients(pre: ModelParams, x: np.ndarray, y: np.ndarray, tau: float) ->
     as matrix views of the weight segments of one full-mask gradient vector.
 
     The head is excluded from the loss path, so its entry is all zeros. The
-    loss's feature gradient is divided by the batch size in place, so scoring
-    holds no copy of it. Scores sum squares, so a gradient whose squares do
-    not sum to a finite number (as a tiny ``tau`` gives) raises NumericError.
+    loss's feature gradient is divided by the batch size in place, and
+    ``backward`` consumes it, forming its first delta in it, so scoring holds no
+    copy of it. Scores sum squares, so a gradient whose squares do not sum to a
+    finite number (as a tiny ``tau`` gives) raises NumericError.
     """
     _, features, cache = forward(pre, x)
     _, d_features = scl_loss(features, y, tau)
-    d_features /= len(y)  # scl_loss's fresh gradient, divided in place
+    d_features /= len(y)  # scl_loss's fresh gradient, divided in place, consumed below
     masks = GradientMaskSet.all_full(pre)
     grad = backward(pre, cache, masks, d_features=d_features)
     if not np.isfinite(np.dot(grad, grad)):

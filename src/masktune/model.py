@@ -375,7 +375,9 @@ def backward(model: ModelParams | RowParams, cache: ForwardCache, masks: Gradien
     deltas of the rows it trains are propagated (``delta @ W[:, rows]``); on a
     ``RowParams`` those of layer 1 are read from its ``w1_columns``. The head's
     segments are zero on the ``d_features`` path, which starts at the head input.
-    Exactly one of ``d_logits`` / ``d_features`` must be given.
+    Exactly one of ``d_logits`` / ``d_features`` must be given. ``d_features`` is
+    consumed, as Adam consumes its gradient: the first delta is formed in it, in
+    place, so on return it holds that delta, not the upstream gradient.
     """
     if cache.model is not model:
         raise StateError("cache does not belong to this model")
@@ -396,8 +398,9 @@ def backward(model: ModelParams | RowParams, cache: ForwardCache, masks: Gradien
             continue
         if l == n - 1:
             delta = upstream[:, rows]
-        elif l == start:  # ReLU'(z) = max(z, 0) > 0, read off the next layer's input
-            delta = upstream[:, rows] * (cache.inputs[l + 1][:, rows] > 0.0)
+        elif l == start:  # ReLU'(z) = max(z, 0) > 0, read off the next layer's input;
+            delta = upstream[:, rows]  # in place: in d_features itself, unless rows gathers
+            delta *= cache.inputs[l + 1][:, rows] > 0.0
         else:  # in place, so at most two layers' deltas live beside the vector
             if l == 0 and isinstance(model, RowParams):  # rows is rows0
                 delta = delta @ model.w1_columns()

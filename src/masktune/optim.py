@@ -87,10 +87,13 @@ def masked_adam_step(model: ModelParams | RowParams, state: AdamState, grad: np.
 
     ``grad`` is the gradient vector in the flat layout of ``masks``, as
     ``backward`` and ``combined_grad`` return it. Nothing changes unless every
-    gradient entry is finite: a finite squared norm shows it in one pass, and
-    only where that norm is not finite does a second pass check the entries,
-    chunk by chunk, so a finite gradient whose squares overflow still steps
-    (after numpy's overflow warning, which the CLI silences).
+    gradient entry is finite, and so is the second moment the step would store
+    (``inf`` there would freeze the entry for good, as an entry beyond about
+    1e154 gives): a finite squared norm shows both in one pass, and only where
+    that norm is not finite do two more passes, chunk by chunk, check the
+    entries and then form the second moment in the step's scratch. So a finite
+    gradient whose squares overflow but whose second moment does not still
+    steps (after numpy's overflow warning, which the CLI silences).
     The update then runs as one elementwise pass over the vector, chunk by chunk,
     and is subtracted from the parameter vector at the masks' entries alone, so
     frozen entries stay bitwise put: the trailing full layers (``full_tail``,
@@ -101,16 +104,26 @@ def masked_adam_step(model: ModelParams | RowParams, state: AdamState, grad: np.
     """
     if not grad.shape == state.m.shape == (masks.size,):
         raise ShapeError(f"gradient shape {grad.shape} is not the layout's ({masks.size},)")
-    if not math.isfinite(np.dot(grad, grad)):
+    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
+    slow = not math.isfinite(np.dot(grad, grad))
+    if slow:
         for a in range(0, grad.size, _CHUNK):
             if not np.logical_and.reduce(np.isfinite(grad[a:a + _CHUNK])):
                 raise NumericError("non-finite gradient entry")
-    state.t += 1
-    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
     s1 = np.empty(min(_CHUNK, grad.size))
     s2 = np.empty_like(s1)
+    if slow:  # the second moment the step would store, operand for operand
+        for a in range(0, grad.size, _CHUNK):
+            b = min(a + _CHUNK, grad.size)
+            gc, t1, t2 = grad[a:b], s1[:b - a], s2[:b - a]
+            np.multiply(state.v[a:b], b2, out=t2)
+            t2 += np.multiply(np.multiply(1.0 - b2, gc, out=t1), gc, out=t1)
+            if not np.maximum.reduce(t2) < np.inf:
+                raise NumericError("Adam's second moment overflows: a gradient entry is "
+                                   "too large to square")
+    state.t += 1
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
     for a in range(0, grad.size, _CHUNK):
         b = min(a + _CHUNK, grad.size)
         gc, m, v, t1, t2 = grad[a:b], state.m[a:b], state.v[a:b], s1[:b - a], s2[:b - a]

@@ -178,6 +178,48 @@ def oracle_scl_loss(features, labels, tau):
     return loss, d_features
 
 
+def oracle_whole_matrix_scl_loss(features, labels, tau):
+    """Test oracle: the contrastive loss as written before its row-wise passes ran
+    block by block: one ``n x n`` boolean of the positive pairs, every pass over the
+    whole buffer, and ``sim += sim.T`` (numpy copies the transposed operand).
+    ``scl_loss`` must match it bit for bit."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    norms = np.linalg.norm(features, axis=1)
+    z = features / norms[:, None]
+
+    sim = z @ z.T
+    sim /= tau
+    positives = labels[:, None] == labels[None, :]
+    np.fill_diagonal(positives, False)
+    n_pos = positives.sum(axis=1)
+    valid = n_pos > 0
+    denom = np.maximum(n_pos, 1)
+    mean_pos_sim = (positives * sim).sum(axis=1) / denom
+
+    np.fill_diagonal(sim, -np.inf)
+    row_max = sim.max(axis=1)
+    sim -= row_max[:, None]
+    np.exp(sim, out=sim)
+    sums = sim.sum(axis=1)
+    lse = row_max + np.log(sums)
+
+    per_anchor = np.where(valid, lse - mean_pos_sim, 0.0)
+    loss = float(per_anchor.sum())
+
+    sim /= sums[:, None]
+    sim -= positives / denom[:, None]
+    sim[~valid] = 0.0
+    sim += sim.T
+    d_z = sim @ z
+    d_z /= tau
+
+    inner = np.sum(d_z * z, axis=1, keepdims=True)
+    d_z -= inner * z
+    d_z /= norms[:, None]
+    return loss, d_z
+
+
 def oracle_cross_entropy(logits, labels):
     """Test oracle: the cross-entropy as written before it called its reductions'
     ufuncs straight (``ndarray.max``, ``np.sum`` and ``np.mean``, a fresh gradient

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masktune import data, harness, masking, model
+from masktune import cli, data, harness, masking, model
 from masktune.cli import main
 from masktune.config import parse_run_config
 from masktune.data import save_dataset_csv, gen_task, ShiftConfig
@@ -94,6 +94,16 @@ def trained(tmp_path_factory):
     ckpt = root / "model.json"
     assert main(["pretrain", "--config", str(cfg), "--out", str(ckpt)]) == 0
     return cfg, ckpt
+
+
+def test_main_runs_the_command_bound_when_it_runs_without_building_a_parser(monkeypatch):
+    # the parser is built once, at import, and main looks cmd_<name> up on each call, so
+    # a rebound command (as a tracer wraps it) is the one that runs
+    calls = []
+    monkeypatch.setattr(cli, "build_parser", None)
+    monkeypatch.setattr(cli, "cmd_pretrain", lambda args: calls.append(args) or 0)
+    assert main(["pretrain", "--config", "run.json", "--out", "model.ckpt"]) == 0
+    assert [(a.config, a.out, a.seed) for a in calls] == [("run.json", "model.ckpt", None)]
 
 
 class TestParseConfig:

@@ -3,7 +3,8 @@ exports exactly the names it imports, and no function, class or method of the
 package is there only for its tests.
 
 A ``RowAnchor``'s arrays are read in ``model.py`` alone, which builds them, so
-no other module depends on the anchor's layout.
+no other module depends on the anchor's layout. Importing the package does not
+import its CLI, whose parser is built at import.
 
 The project depends on no linter, so this reads each module's syntax tree
 with the standard library's ``ast``. ``__init__.py`` is skipped by the unused
@@ -12,6 +13,9 @@ import check (its imports are the package's re-exports), and so are
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -155,3 +159,12 @@ def test_the_check_sees_unreferenced_definitions():
     assert bench_names(ast.parse("TARGETS = ('C.benched', 'not a name')")) >= {"C", "benched"}
     assert unreferenced_definitions([module], {"exported"}, {"benched"}) == [
         "C", "C.dead", "helper"]
+
+
+def test_importing_the_package_leaves_the_cli_unimported():
+    # the bench imports the package in every set-up, which must not build the CLI's parser
+    probe = "import sys, masktune; print('masktune.cli' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                         check=True)
+    assert run.stdout == "False\n"

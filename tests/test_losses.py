@@ -17,7 +17,7 @@ from masktune.losses import (
     scl_loss,
 )
 from masktune.masking import GradientMaskSet, LayerMask
-from masktune.model import Layer, ModelParams, forward
+from masktune.model import _CHUNK, Layer, ModelParams, forward
 
 
 def full_penalty(pre, cfg):
@@ -131,11 +131,14 @@ class TestSclLoss:
         with pytest.raises(ConfigError):
             scl_loss(np.ones((2, 2)), np.array([0, 0]), 0.0)
 
-    def test_peak_is_two_square_buffers_a_boolean_and_two_feature_copies(self, np_rng):
-        n, d = 1000, 768
+    @pytest.mark.parametrize("d", [768, 64])
+    def test_peak_is_one_square_buffer_three_feature_copies_and_a_block(self, np_rng, d):
+        # the buffer, z and d_z (or, once the buffer is freed, z, d_z and one temporary),
+        # and one row block of its passes; at d = 64 a second n x n array would not fit
+        n = 1000
         f = np_rng.normal(size=(n, d))
         y = np_rng.integers(0, 10, size=n)
-        bound = 2 * 8 * n * n + n * n + 2 * 8 * n * d + 64 * 1024
+        bound = 8 * n * n + 3 * 8 * n * d + 8 * _CHUNK + 64 * 1024
         assert peak_bytes(lambda: scl_loss(f, y, 0.5)) <= bound
 
 

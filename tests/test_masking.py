@@ -357,6 +357,17 @@ class TestMaskSet:
         total = (16 + 4) + (16 + 4) + (12 + 3)
         assert trainable_fraction(model, masks) == (5 + 5 + 15) / total
 
+    def test_scoring_peak_forms_the_first_delta_in_the_feature_gradient(self):
+        # backprop's peak: the two cached activations, d_features (its first delta,
+        # formed in place), the second delta and its ReLU mask, and the gradient
+        # vector; a first delta of its own would add one more n x h array
+        n, h = 300, 512
+        model = init_model([64, h, h, 4], seed=0)
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(n, 64)), rng.integers(0, 4, size=n)
+        bound = 8 * (4 * n * h + model.param_count()) + n * h + 128 * 1024
+        assert peak_bytes(lambda: scl_gradients(model, x, y, 0.5)) <= bound
+
     @pytest.mark.parametrize("dims", [[4, 4, 3], [4, 5, 4, 3], [4, 4, 4, 3, 3]])
     def test_masks_of_another_model_are_refused(self, dims):
         model = init_model([4, 4, 4, 3], seed=0)

@@ -189,7 +189,7 @@ class TestMaskedAdam:
     def test_a_finite_gradient_whose_squares_overflow_still_steps(self):
         # the squares of 1e154 sum past the largest float, so the one-pass norm overflows;
         # Adam's second moment, (1 - beta2) * g * g = 1e305, does not, so the step moves
-        # every trained entry (at 1e200 that moment itself overflows and the update is 0)
+        # every trained entry (at 1e200 that moment itself overflows, which raises)
         model = init_model([4, 5, 3], 1)
         masks = GradientMaskSet((LayerMask("row", (5, 4), (1, 3)), full_mask((3, 5))))
         state = init_adam_state(model, masks)
@@ -206,6 +206,21 @@ class TestMaskedAdam:
         assert state.t == 1 and np.isfinite(model.params).all()
         assert np.all(model.params[moved] != w0[moved])
         assert model.params[~moved].tobytes() == w0[~moved].tobytes()
+
+    def test_a_second_moment_that_overflows_raises_before_anything_changes(self):
+        # (1 - beta2) * g * g overflows at 1e200: v = inf would make that entry's update
+        # m / sqrt(inf) = 0 on this step and every later one
+        model = init_model([4, 5, 3], 1)
+        masks = GradientMaskSet((LayerMask("row", (5, 4), (1, 3)), full_mask((3, 5))))
+        state = init_adam_state(model, masks)
+        grad = np.ones(masks.size)
+        grad[3] = 1e200
+        params, m, v = model.params.copy(), state.m.copy(), state.v.copy()
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="second moment"):
+            masked_adam_step(model, state, grad, masks, 0.1, CFG)
+        assert model.params.tobytes() == params.tobytes()
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+        assert state.t == 0
 
     def test_step_temporaries_are_two_chunks(self):
         model = init_model([128, 512, 512, 10], 0)

@@ -27,7 +27,8 @@ from conftest import (bias_mask, copy_model, finite_diff_grad, gathered, grad_re
                       layer_grads, oracle_build_mask, oracle_cross_entropy, oracle_forward,
                       oracle_topk_rows,
                       oracle_masked_adam_step,
-                      oracle_reg_penalty, oracle_save_checkpoint, oracle_scl_loss, read_masks,
+                      oracle_reg_penalty, oracle_save_checkpoint, oracle_scl_loss,
+                      oracle_whole_matrix_scl_loss, read_masks,
                       row_params, sparse_from_bits, sparse_from_lists)
 from masktune import harness
 from masktune.data import Dataset, ShiftConfig, gen_task, load_dataset_csv, save_dataset_csv
@@ -449,10 +450,12 @@ def test_backward_into_a_reused_dirty_buffer_is_a_fresh_backward_bitwise(setup, 
     masks = masks_of_kind(model, masks, kind)
     logits, features, cache = forward(model, rng.normal(size=(batch, model.dims[0])))
     upstream = {f"d_{path}": rng.normal(size=(logits if path == "logits" else features).shape)}
+    # backward consumes d_features: the fresh backward reads a copy
+    fresh = backward(model, cache, masks, **{k: v.copy() for k, v in upstream.items()})
     buffer = np.full(masks.size, np.nan)
     got = backward(model, cache, masks, out=buffer, **upstream)
     assert got is buffer
-    assert bits(got) == bits(backward(model, cache, masks, **upstream))
+    assert bits(got) == bits(fresh)
 
 
 @settings(max_examples=100, deadline=None)
@@ -476,8 +479,8 @@ def test_all_full_backward_is_the_dense_oracle_bitwise(seed, dims, batch):
     logits, features, cache = forward(model, rng.normal(size=(batch, dims[0])))
     for upstream in ({"d_logits": rng.normal(size=logits.shape)},
                      {"d_features": rng.normal(size=features.shape)}):
+        want = dense_backward(model, cache, **upstream)  # before backward consumes d_features
         got = backward(model, cache, masks, **upstream)
-        want = dense_backward(model, cache, **upstream)
         assert bits(got) == bits(gathered(masks, want))
 
 
@@ -510,6 +513,25 @@ def test_in_place_scoring_matches_the_fresh_array_oracles_bitwise(seed, batch, d
     assert logits.tobytes() == want_logits.tobytes()
     assert len(cache.inputs) == len(want_inputs)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(cache.inputs, want_inputs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), batch=st.integers(2, 40), dim=st.integers(1, 8),
+       classes=st.integers(1, 40), log_tau=st.floats(-3.0, 3.0))
+def test_row_blocked_scoring_is_the_whole_matrix_oracle_bitwise(seed, batch, dim, classes,
+                                                                log_tau):
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(batch, dim))
+    labels = rng.integers(0, classes, size=batch)
+    labels[rng.integers(batch)] = classes  # a class of one row: an anchor with no positive
+    tau = 10.0 ** log_tau
+    want_loss, want_d = oracle_whole_matrix_scl_loss(features, labels, tau)
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of 64 // batch rows: one block for 2 rows, 1-row blocks from 33 rows on
+        mp.setattr("masktune.model._CHUNK", 64)
+        loss, d_features = scl_loss(features, labels, tau)
+    assert bits(np.float64(loss)) == bits(np.float64(want_loss))
+    assert bits(d_features) == bits(want_d)
 
 
 # criterion 3's bound on the relative error against central differences
