@@ -158,12 +158,14 @@ def select_mask_subset(pre: ModelParams, data: Dataset, subsets: list[np.ndarray
 
 
 def save_dataset_csv(data: Dataset, path: str | Path) -> None:
-    dim = data.x.shape[1]
+    """Write the header ``y,x0,x1,...`` and one line per sample, its label then its
+    features in ``repr``, the bytes ``csv.writer`` writes for these rows (no cell needs
+    quoting), joined here as strings."""
+    header = ["y", *(f"x{i}" for i in range(data.x.shape[1]))]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y"] + [f"x{i}" for i in range(dim)])
-        for label, row in zip(data.y, data.x):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, (label, *row))) + "\r\n"
+                      for label, row in zip(data.y.tolist(), data.x.tolist()))
 
 
 def load_dataset_csv(path: str | Path) -> Dataset:

@@ -192,8 +192,8 @@ def finetune_masks(pre: ModelParams, task: TaskPair,
     chosen subset's index, the masks a finetune run with this config trains under, and,
     where the run takes the row path (``_row_path``), the ``RowAnchor`` of ``pre`` over the
     target training set: selection writes layer 1's pre-activation of the set as it
-    forwards the subsets, which cover it, and ``row_anchor`` takes it once the masks are
-    known. Else the anchor is None."""
+    forwards the subsets, which cover it, and ``row_anchor`` takes it. Else the anchor is
+    None."""
     _check_config(pre, task, cfg)
     train = task.target_train
     subsets = partition_subsets(train, cfg.subsets_n, Rng(cfg.seed).child(_STREAM_SUBSET))
@@ -204,17 +204,18 @@ def finetune_masks(pre: ModelParams, task: TaskPair,
     else:
         gradients = scl_gradients(pre, mask_data.x, mask_data.y, cfg.tau)
         masks = compute_mask_set(gradients, cfg.k, cfg.variant)
-    masks = _with_head_mask(masks, pre, task)
-    if z1 is None:
-        return subset_index, masks, None
-    return subset_index, masks, row_anchor(pre, train.x, masks.layers[0].index, z1)
+    anchor = None if z1 is None else row_anchor(pre, train.x, z1)
+    return subset_index, _with_head_mask(masks, pre, task), anchor
 
 
 def _probe_masks(pre: ModelParams, task: TaskPair,
-                 cfg: FineTuneConfig) -> tuple[int, GradientMaskSet, None]:
+                 cfg: FineTuneConfig) -> tuple[int, GradientMaskSet, RowAnchor | None]:
     """The linear probe's stand-in for ``finetune_masks``: no scoring, subset index 0,
-    masks that train the head alone and no anchor."""
-    return 0, _with_head_mask(GradientMaskSet.head_only(pre), pre, task), None
+    masks that train the head alone (empty row masks below it) and, where the run takes
+    the row path (``_row_path``), the ``RowAnchor`` of ``pre`` over the target training set
+    from a forward of its own. Else the anchor is None."""
+    anchor = row_anchor(pre, task.target_train.x) if _row_path(pre, "row") else None
+    return 0, _with_head_mask(GradientMaskSet.head_only(pre), pre, task), anchor
 
 
 def _finetune_with_masks(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig,
@@ -225,26 +226,21 @@ def _finetune_with_masks(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig,
     below the head, which are only read (and viewed by the penalty), and a copy of the
     new head.
 
-    On the row path (``_row_path`` of the masks' variant) the copy is a ``RowParams``
-    that trains under the masks with ``rows_held=2``, the anchor holds copies of its
-    rows of layers 0 and 1 in place of ``pre``'s layers, and the run forwards from the
-    ``RowAnchor``s of ``pre`` over the target train and test sets. The training set's
-    comes from scoring where ``finetune_masks`` built it from selection's forward; else
-    ``row_anchor`` builds it, as it builds the test set's, from a forward of its own.
-    The test set's keeps its layer-0 activation, so ``evaluate`` forms only layer 0's
-    trained columns. This frame alone holds the anchors, and frees them before it
-    writes the copy's layers 0 and 1 out whole for the report."""
+    The run takes the row path exactly when ``score`` returns the ``RowAnchor`` of ``pre``
+    over the target training set, so ``_row_path`` is decided once per run, in ``score``.
+    There the copy is a ``RowParams`` that trains under the masks with ``rows_held=2``,
+    the anchor holds copies of its rows of layers 0 and 1 in place of ``pre``'s layers,
+    and the run forwards from that anchor and from ``row_anchor``'s over the test set,
+    which keeps its layer-0 activation, so ``evaluate`` forms only layer 0's trained
+    columns. This frame alone holds the anchors, and frees them before it writes the
+    copy's layers 0 and 1 out whole for the report."""
     subset_index, masks, train_rows = score(pre, task, cfg)
-    rows = None
-    if _row_path(pre, masks.layers[0].variant):
-        rows = masks.layers[0].index, masks.layers[1].index
+    rows = None if train_rows is None else (masks.layers[0].index, masks.layers[1].index)
     model = _with_new_head(pre, task, cfg, rows)  # once scoring has freed its buffers
     held, run_masks, test_rows = 0, masks, None
     if rows is not None:
         held, run_masks = 2, replace(masks, rows_held=2)
-        if train_rows is None:
-            train_rows = row_anchor(pre, task.target_train.x, rows[0])
-        test_rows = row_anchor(pre, task.target_test.x, rows[0], keep=True)
+        test_rows = row_anchor(pre, task.target_test.x, keep=True)
     anchor = (*(l.copy() for l in model.layers[:held]), *pre.layers[held:-1],
               model.layers[-1].copy())
     epochs = _train(model, run_masks, resolve_penalty(anchor, cfg.reg, run_masks),

@@ -132,16 +132,23 @@ class RowParams:
     their biases (segments 0 to 3 of the masks' layout), and then layers 2 and up in
     checkpoint order. ``layers`` views it, layers 0 and 1 as their trained rows. The
     frozen entries of layers 0 and 1 are read in place from ``base``, which is never
-    written, but for ``w1_at_base``, a copy of ``base``'s layer-1 weight columns
-    ``rows0``. ``forward`` takes one with a ``RowAnchor``; ``to_model`` writes its rows
-    into a copy of ``base``'s layers."""
+    written. ``forward`` takes one with a ``RowAnchor``; ``to_model`` writes its rows
+    into a copy of ``base``'s layers.
+
+    One run state cannot serve both paths. Column, sparse and full masks train entries
+    in every row, and row masks on a layer 1 of fewer than
+    ``harness._ROW_PATH_MIN_WEIGHTS`` weights take the dense path, whose products cost
+    less there; either way the products need each layer's whole current weights, so the
+    dense path holds a whole copy, a ``ModelParams``. Only row masks leave every frozen
+    row of layers 0 and 1 at ``base``, so this holds just their trained rows and reads
+    the rest in place. The row path is not to grow further without a workload that
+    shows the gain."""
     base: ModelParams
     rows0: np.ndarray
     rows1: np.ndarray
     params: np.ndarray
     dims: list[int]
     layers: tuple[Layer, ...] = field(init=False, repr=False)
-    w1_at_base: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.dims) < 4 or self.base.dims[:3] != self.dims[:3]:
@@ -154,16 +161,15 @@ class RowParams:
                              f"{self.dims} need {param_offsets(shapes)[-1]} parameters, got "
                              f"shape {self.params.shape}")
         object.__setattr__(self, "layers", _layer_views(self.params, shapes))
-        object.__setattr__(self, "w1_at_base", self.base.layers[1].weight[:, self.rows0])
 
     @property
     def num_classes(self) -> int:
         return self.dims[-1]
 
     def w1_columns(self) -> np.ndarray:
-        """Layer 1's weight columns ``rows0`` (a fresh array), its trained rows ``rows1``
-        written in: the weights the trained rows of layer 0 feed."""
-        columns = self.w1_at_base.copy()
+        """Layer 1's weight columns ``rows0`` (a fresh C-ordered array), its trained rows
+        ``rows1`` written in: the weights the trained rows of layer 0 feed."""
+        columns = self.base.layers[1].weight[:, self.rows0].copy()
         columns[self.rows1] = self.layers[1].weight[:, self.rows0]
         return columns
 
@@ -229,26 +235,24 @@ def row_chunks(samples: int, width: int) -> Iterator[slice]:
 
 
 class RowAnchor(NamedTuple):
-    """What row masks on layers 0 and 1 leave of the anchor's forward pass, per dataset row.
+    """What row masks on layers 0 and 1 leave of ``base``'s forward pass, per dataset row.
 
     Such masks change layer 0 only in its trained rows ``rows0``, and so its
     activation ``a`` only in those columns, and layer 1 only in its trained rows
     ``rows1``. So layer 1's pre-activation is the anchor's ``z1`` plus
-    ``(a[:, rows0] - a0) @ W1[:, rows0].T``, where ``a0`` is the anchor's
-    activation in the columns ``rows0``, except in the rows ``rows1``, which are
-    computed afresh; ``forward`` given an anchor never forms ``a @ W1.T``. Where the
-    anchor keeps its whole layer-0 activation, ``a0_whole``, ``forward`` forms only
-    the columns ``rows0`` of ``a``, not ``x @ W0.T``. ``row_anchor`` builds one, and
-    no other module reads its arrays.
+    ``(a[:, rows0] - a_base[:, rows0]) @ W1[:, rows0].T``, where ``a_base`` is the
+    activation at ``base``, except in the rows ``rows1``, which are computed afresh;
+    ``forward`` given an anchor never forms ``a @ W1.T``. Where the anchor keeps
+    ``a_base`` whole, ``a0_whole``, ``forward`` forms only the columns ``rows0`` of
+    ``a``, not ``x @ W0.T``. Neither array depends on the masks. ``row_anchor`` builds
+    one, and no other module reads its arrays.
     """
     z1: np.ndarray  # (samples, layer 1 width)
-    a0: np.ndarray  # (samples, len(rows0))
     a0_whole: np.ndarray | None  # (samples, layer 0 width), where kept
 
     def take(self, index) -> "RowAnchor":
         """The anchor of the dataset rows at ``index`` (views for a slice)."""
-        return RowAnchor(self.z1[index], self.a0[index],
-                         None if self.a0_whole is None else self.a0_whole[index])
+        return RowAnchor(self.z1[index], None if self.a0_whole is None else self.a0_whole[index])
 
 
 def _dense(a: np.ndarray, layer: Layer, relu: bool, out: np.ndarray | None = None) -> np.ndarray:
@@ -270,15 +274,13 @@ def _trained_columns(x: np.ndarray, rows: Layer) -> np.ndarray:
     return _dense(x, rows, True)[:, :k]
 
 
-def row_anchor(model: ModelParams, x: np.ndarray, rows0: np.ndarray,
-               z1: np.ndarray | None = None, *, keep: bool = False) -> RowAnchor:
-    """The ``RowAnchor`` of ``model`` over the rows of ``x`` for the trained rows ``rows0`` of
-    layer 0. ``z1``, layer 1's pre-activation of those rows, is taken as given (as subset
-    selection writes it) or computed by a dense forward of layers 0 and 1, chunk by chunk,
-    each product written straight into the anchor; with ``keep`` (the test set's anchor)
-    the anchor keeps the layer-0 activation that forward forms, ``a0_whole``. Layer 0's
-    activation in the trained rows is computed apart, a product of ``len(rows0)``
-    columns."""
+def row_anchor(model: ModelParams, x: np.ndarray, z1: np.ndarray | None = None, *,
+               keep: bool = False) -> RowAnchor:
+    """The ``RowAnchor`` of ``model`` over the rows of ``x``. ``z1``, layer 1's
+    pre-activation of those rows, is taken as given (as subset selection writes it) or
+    computed by a dense forward of layers 0 and 1, chunk by chunk, each product written
+    straight into the anchor; with ``keep`` (the test set's anchor) the anchor keeps the
+    layer-0 activation that forward forms, ``a0_whole``."""
     bottom = model.layer_range(0, 2)
     width = bottom.num_classes
     if z1 is not None and (keep or z1.shape != (len(x), width)):
@@ -290,9 +292,7 @@ def row_anchor(model: ModelParams, x: np.ndarray, rows0: np.ndarray,
         for rows in row_chunks(len(x), max(bottom.dims)):
             a = _dense(x[rows], bottom.layers[0], True, None if whole is None else whole[rows])
             _dense(a, bottom.layers[1], False, z1[rows])
-    layer = bottom.layers[0]
-    return RowAnchor(z1, _trained_columns(x, Layer(layer.weight[rows0], layer.bias[rows0])),
-                     whole)
+    return RowAnchor(z1, whole)
 
 
 def _row_bottom(model: RowParams, x: np.ndarray,
@@ -306,9 +306,9 @@ def _row_bottom(model: RowParams, x: np.ndarray,
     else:
         a = anchor.a0_whole.copy()
     trained = _trained_columns(x, model.layers[0])
+    change = trained - a[:, rows0]
     a[:, rows0] = trained
-    change = trained - anchor.a0
-    z = change @ model.w1_at_base.T  # its columns rows1 are computed afresh below
+    z = change @ model.w1_columns().T  # its columns rows1 are computed afresh below
     z += anchor.z1
     z[:, rows1] = _dense(a, model.layers[1], False)
     np.maximum(z, 0.0, out=z)  # layer 1 is never the head
@@ -340,11 +340,11 @@ def forward(model: ModelParams | RowParams, x_batch: np.ndarray,
     a, start = x_batch, 0
     if anchor is not None:
         n, dims = len(x_batch), model.dims
-        if (anchor.z1.shape, anchor.a0.shape) != ((n, dims[2]), (n, len(model.rows0))) or (
+        if anchor.z1.shape != (n, dims[2]) or (
                 anchor.a0_whole is not None and anchor.a0_whole.shape != (n, dims[1])):
-            raise ShapeError(f"row anchor of shapes {anchor.z1.shape} and {anchor.a0.shape} "
-                             f"does not fit a batch of {n} rows into layers 0 and 1 of dims "
-                             f"{dims[:3]} with {len(model.rows0)} trained rows in layer 0")
+            raise ShapeError(f"row anchor's z1 of shape {anchor.z1.shape} or its kept layer-0 "
+                             f"activation does not fit a batch of {n} rows into layers 0 and 1 "
+                             f"of dims {dims[:3]}")
         bottom, a = _row_bottom(model, x_batch, anchor)
         cache.inputs += [x_batch, bottom]
         start = 2

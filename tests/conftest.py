@@ -1,3 +1,4 @@
+import csv
 import json
 import tracemalloc
 
@@ -303,3 +304,14 @@ def oracle_save_checkpoint(model, path):
         for layer in model.layers:
             fh.write(np.ascontiguousarray(layer.weight, dtype="<f8"))
             fh.write(np.ascontiguousarray(layer.bias, dtype="<f8"))
+
+
+def oracle_save_dataset_csv(data, path):
+    """Test oracle: the dataset writer as it was before it joined its lines itself: a
+    ``csv.writer`` row for the header, then one per sample, its label then its features
+    in ``repr``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y"] + [f"x{i}" for i in range(data.x.shape[1])])
+        for label, row in zip(data.y, data.x):
+            writer.writerow([int(label)] + [repr(float(v)) for v in row])

@@ -377,7 +377,7 @@ class TestRowPath:
         def scoring(*args):
             subset_index, masks, anchor = finetune_masks(*args)
             if anchor is not None:
-                from_scoring.extend((weakref.ref(anchor.z1), weakref.ref(anchor.a0)))
+                from_scoring.append(weakref.ref(anchor.z1))
             return subset_index, masks, anchor
 
         def report_begins(*args):  # after the weight distances, before the report returns
@@ -388,8 +388,8 @@ class TestRowPath:
         monkeypatch.setattr(harness, "finetune_masks", scoring)
         monkeypatch.setattr(harness, "trainable_fraction", report_begins)
         run(pre, task, make_cfg(variant=variant, reg=RegConfig(lam=0.01, regular=RegularSet(0))))
-        # z1 and a0 of each anchor, and the test set's kept activation
-        assert (len(anchors), len(from_scoring)) == (2 * built + (built > 0), 2 * scored)
+        # z1 of each anchor, and the test set's kept activation
+        assert (len(anchors), len(from_scoring)) == (built + (built > 0), scored)
         assert alive_at_report == [0]
 
     @pytest.mark.parametrize("seed, k", [(1, 2), (3, 3), (7, 2), (11, 5)])
@@ -397,10 +397,8 @@ class TestRowPath:
         task = make_task(seed=seed, per_class=16, noise=0.12)
         pre = init_model(ROW_PATH_DIMS, seed=seed)
         _, masks, anchor = finetune_masks(pre, task, make_cfg(k=k, seed=seed))
-        rows0 = masks.layers[0].index
-        want = row_anchor(pre, task.target_train.x, rows0)
+        want = row_anchor(pre, task.target_train.x)
         assert anchor.z1.tobytes() == want.z1.tobytes()
-        assert anchor.a0.tobytes() == want.a0.tobytes()
         assert anchor.a0_whole is None
 
     def test_a_finetune_forwards_the_training_set_through_layer_1_at_pre_once(self, monkeypatch):
@@ -424,7 +422,7 @@ class TestRowPath:
             if vars(module).get("forward") is forward:
                 monkeypatch.setattr(module, "forward", counted)
         monkeypatch.setattr(harness, "row_anchor",
-                            lambda *args, **kwargs: built.append(len(args) == 4)
+                            lambda *args, **kwargs: built.append(len(args) == 3)
                             or row_anchor(*args, **kwargs))
         cfg = make_cfg()
         _, report = finetune(pre, task, cfg)
@@ -442,14 +440,40 @@ class TestRowPath:
         # the subset and masks finetune_masks chose before it built the anchor
         assert subset_index == 3
         assert [m.index.tolist() for m in masks.layers[:-1]] == [[67, 124], [84, 138], [1, 4]]
-        dense = row_anchor(pre, task.target_train.x, masks.layers[0].index)
+        dense = row_anchor(pre, task.target_train.x)
         assert anchor.z1.tobytes() == dense.z1.tobytes()
-        assert anchor.a0.tobytes() == dense.a0.tobytes()
         monkeypatch.setattr(harness, "_ROW_PATH_MIN_WEIGHTS", np.inf)
         dense_index, dense_masks, no_anchor = finetune_masks(pre, task, cfg)
         assert (dense_index, no_anchor) == (subset_index, None)
         for got, dense in zip(masks.layers, dense_masks.layers):
             assert got.variant == dense.variant and np.array_equal(got.index, dense.index)
+
+    def test_the_anchors_do_not_depend_on_the_masks(self, monkeypatch):
+        # the same pre and task at two budgets: different masks, the same anchors
+        task = make_task(seed=1, per_class=16, noise=0.12)
+        pre = init_model(ROW_PATH_DIMS, seed=2)
+        anchors, row_anchor = [], harness.row_anchor
+
+        def recorded(*args, **kwargs):
+            anchor = row_anchor(*args, **kwargs)
+            anchors.append([None if a is None else a.tobytes() for a in anchor])
+            return anchor
+
+        monkeypatch.setattr(harness, "row_anchor", recorded)
+        reports = [finetune(pre, task, make_cfg(k=k))[1] for k in (2, 5)]
+        assert [len(r.masks.layers[0].index) for r in reports] == [2, 5]
+        # the training set's anchor, then the test set's (z1 and the kept activation)
+        assert len(anchors) == 4 and anchors[:2] == anchors[2:]
+        assert anchors[1][1] is not None
+
+    @pytest.mark.parametrize("run", [finetune, linear_probe])
+    @pytest.mark.parametrize("dims, row_path", [(ROW_PATH_DIMS, True), (DIMS, False)])
+    def test_the_row_path_is_decided_once_per_run(self, monkeypatch, run, dims, row_path):
+        decided, decide = [], harness._row_path
+        monkeypatch.setattr(harness, "_row_path",
+                            lambda *args: decided.append(decide(*args)) or decided[-1])
+        run(init_model(dims, seed=2), make_task(seed=1, per_class=16, noise=0.12), make_cfg())
+        assert decided == [row_path]
 
     @pytest.mark.parametrize("run", [finetune, linear_probe])
     def test_row_path_run_is_the_dense_run_up_to_rounding(self, monkeypatch, run):

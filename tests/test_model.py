@@ -12,6 +12,7 @@ from masktune.masking import GradientMaskSet
 from masktune.model import (
     Layer,
     ModelParams,
+    _trained_columns,
     backward,
     forward,
     init_model,
@@ -96,13 +97,13 @@ class TestForward:
         x = np_rng.normal(size=(7, 4))
         rows = (np.array([0, 2]), np.array([1]))
         model = reinit_head(pre, 3, Rng(0), rows)
-        anchor = row_anchor(pre, x, rows[0], keep=True)
-        assert (anchor.z1.shape, anchor.a0.shape, anchor.a0_whole.shape) == ((7, 5), (7, 2), (7, 6))
+        anchor = row_anchor(pre, x, keep=True)
+        assert (anchor.z1.shape, anchor.a0_whole.shape) == ((7, 5), (7, 6))
         forward(model, x[:3], anchor.take(slice(0, 3)))
         forward(model, x[:3], anchor.take(slice(0, 3))._replace(a0_whole=None))
         with pytest.raises(ShapeError):
             forward(model, x[:3], anchor.take(slice(0, 4)))
-        for wrong in (anchor._replace(z1=anchor.z1[:, :4]), anchor._replace(a0=anchor.a0[:, :1]),
+        for wrong in (anchor._replace(z1=anchor.z1[:, :4]),
                       anchor._replace(a0_whole=anchor.a0_whole[:, :5])):
             with pytest.raises(ShapeError):
                 forward(model, x, wrong)
@@ -119,21 +120,23 @@ class TestForward:
         model = init_model([4, 6, 5, 3], seed=1)
         model.params[...] = np_rng.normal(size=model.params.shape)
         x, rows0 = np_rng.normal(size=(7, 4)), np.array(rows0, dtype=np.intp)
-        want = row_anchor(model, x, rows0, keep=True)
+        want = row_anchor(model, x, keep=True)
         z1, a0, _ = forward(model.layer_range(0, 2), x)
-        assert want.z1.tobytes() == z1.tobytes() and want.a0.tobytes() == a0[:, rows0].tobytes()
+        layer = model.layers[0]
+        trained = _trained_columns(x, Layer(layer.weight[rows0], layer.bias[rows0]))
+        assert want.z1.tobytes() == z1.tobytes() and trained.tobytes() == a0[:, rows0].tobytes()
         assert want.a0_whole.tobytes() == a0.tobytes()  # the forward's, kept
-        unkept = row_anchor(model, x, rows0)
+        unkept = row_anchor(model, x)
         assert unkept.a0_whole is None and unkept.z1.tobytes() == want.z1.tobytes()
         given = z1.copy()
-        got = row_anchor(model, x, rows0, given)
+        got = row_anchor(model, x, given)
         assert got.z1 is given and got.a0_whole is None
-        assert got.z1.tobytes() == want.z1.tobytes() and got.a0.tobytes() == want.a0.tobytes()
+        assert got.z1.tobytes() == want.z1.tobytes()
         for wrong in (given[:, :-1], given[:-1]):
             with pytest.raises(ShapeError):
-                row_anchor(model, x, rows0, wrong)
+                row_anchor(model, x, wrong)
         with pytest.raises(ShapeError):  # a given z1 comes from a forward that kept nothing
-            row_anchor(model, x, rows0, given, keep=True)
+            row_anchor(model, x, given, keep=True)
 
     def test_layer_range_views_its_layers(self):
         model = init_model([4, 6, 5, 7, 3], seed=2)

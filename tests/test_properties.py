@@ -9,7 +9,9 @@ the package used before numpy's C parser, kept as the oracle for
 ``load_dataset_csv``, and ``dense_objective``/``dense_retained`` are the
 formulas ``mask_objective``/``retained_energy`` used before they read the
 mask's trainable index. ``oracle_build_mask`` (in conftest) is the per-row
-top-k loop ``build_mask`` ran before sparse masks held a boolean matrix.
+top-k loop ``build_mask`` ran before sparse masks held a boolean matrix, and
+``oracle_save_dataset_csv`` (in conftest) the ``csv.writer`` loop
+``save_dataset_csv`` ran before it joined its lines itself.
 """
 
 import csv
@@ -27,7 +29,8 @@ from conftest import (bias_mask, copy_model, finite_diff_grad, gathered, grad_re
                       layer_grads, oracle_build_mask, oracle_cross_entropy, oracle_forward,
                       oracle_topk_rows,
                       oracle_masked_adam_step,
-                      oracle_reg_penalty, oracle_save_checkpoint, oracle_scl_loss,
+                      oracle_reg_penalty, oracle_save_checkpoint, oracle_save_dataset_csv,
+                      oracle_scl_loss,
                       oracle_whole_matrix_scl_loss, read_masks,
                       row_params, sparse_from_bits, sparse_from_lists)
 from masktune import harness
@@ -675,6 +678,20 @@ def test_csv_reader_matches_the_csv_module_reader(data):
     assert got.x.flags.c_contiguous
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), dim=st.integers(0, 6), data=st.data())
+def test_csv_writer_writes_the_csv_module_bytes(n, dim, data):
+    # the extremes of repr: signed zero, the least subnormal, huge and exponent-form values
+    values = st.one_of(st.sampled_from([-0.0, 5e-324, 1e300, -1e300, 1e-05]), st.floats())
+    x = data.draw(hnp.arrays(np.float64, (n, dim), elements=values))
+    y = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 11)))
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        save_dataset_csv(Dataset(x, y, 12), got)
+        oracle_save_dataset_csv(Dataset(x, y, 12), want)
+        assert got.read_bytes() == want.read_bytes()
+
+
 def indices_to_dense(mask):
     """0/1 matrix of a mask, built from its indices rather than its trainable index."""
     m = np.zeros(mask.shape)
@@ -841,17 +858,13 @@ def row_path_setups(draw):
     return rng, pre, model, masks, x, y, batch
 
 
-def anchor_of(pre, masks, x):
-    return row_anchor(pre, x, masks.layers[0].index, keep=True)
-
-
 @settings(max_examples=100, deadline=None)
 @given(setup=row_path_setups(), keep=st.booleans())
 def test_row_path_forward_and_backward_match_the_dense_path(setup, keep):
     # with the anchor's whole layer-0 activation, or from base's layer 0 without it
     rng, pre, model, masks, x, _, batch = setup
     rows = row_params(pre, model, masks)
-    anchor = anchor_of(pre, masks, x)
+    anchor = row_anchor(pre, x, keep=True)
     anchor = anchor if keep else anchor._replace(a0_whole=None)
     logits, features, cache = forward(rows, x[batch], anchor.take(batch))
     dense_logits, dense_features, dense_cache = forward(model, x[batch])
@@ -867,7 +880,7 @@ def test_row_path_forward_and_backward_match_the_dense_path(setup, keep):
 def test_row_path_training_keeps_frozen_entries_bitwise(setup, steps):
     rng, pre, model, masks, x, y, batch = setup
     rows, held = row_params(pre, model, masks), replace(masks, rows_held=2)
-    anchor = anchor_of(pre, masks, x)
+    anchor = row_anchor(pre, x, keep=True)
     penalty = resolve_penalty([l.copy() for l in row_params(pre, pre, masks).layers],
                               RegConfig(lam=0.1, regular=RegularSet(1)), held)
     state = init_adam_state(rows, held)
@@ -890,13 +903,12 @@ def test_row_path_evaluation_reads_the_anchor_chunk_by_chunk():
     masks = GradientMaskSet((LayerMask("row", (4000, 6), (1, 2999)),
                              LayerMask("row", (7, 4000), (0, 5)), LayerMask("full", (3, 7))))
     data = Dataset(rng.normal(size=(100, 6)), rng.integers(0, 3, size=100), 3)
-    anchor = anchor_of(pre, masks, data.x)
+    anchor = row_anchor(pre, data.x, keep=True)
     chunks = list(row_chunks(100, 4000))
     assert [(c.start, c.stop) for c in chunks[-2:]] == [(88, 96), (96, 100)]
-    for rows in chunks:  # z1, the kept activation and its trained columns: each chunk's forward
+    for rows in chunks:  # z1 and the kept activation: each chunk's forward
         z1, a0, _ = forward(ModelParams.from_layers(pre.layers[:2]), data.x[rows])
         assert bits(anchor.z1[rows]) == bits(z1) and bits(anchor.a0_whole[rows]) == bits(a0)
-        assert bits(anchor.a0[rows]) == bits(a0[:, [1, 2999]])
     assert evaluate(row_params(pre, pre, masks), data, anchor) == evaluate(pre, data)
 
 
@@ -934,9 +946,8 @@ def test_scoring_fills_the_training_anchor_and_chooses_as_the_dense_path(setup):
     assert (index, no_anchor) == (dense_index, None)
     for got, want in zip(masks.layers, dense_masks.layers):
         assert got.variant == want.variant and np.array_equal(got.index, want.index)
-    want = row_anchor(pre, task.target_train.x, masks.layers[0].index)
+    want = row_anchor(pre, task.target_train.x)
     assert grad_rel_err(anchor.z1, want.z1) <= 1e-12
-    assert grad_rel_err(anchor.a0, want.a0) <= 1e-12
     assert anchor.a0_whole is None  # selection's forward kept layer 1's pre-activation alone
 
 
@@ -948,8 +959,8 @@ def test_a_row_path_run_is_the_dense_run(setup, run):
     before, tests = bits(pre.params), []
     row_anchor = harness.row_anchor
 
-    def recorded(model, x, rows0, z1=None, keep=False):
-        anchor = row_anchor(model, x, rows0, z1, keep=keep)
+    def recorded(model, x, z1=None, keep=False):
+        anchor = row_anchor(model, x, z1, keep=keep)
         if x is task.target_test.x:
             tests.append(anchor)
         return anchor
