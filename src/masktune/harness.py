@@ -192,8 +192,8 @@ def finetune_masks(pre: ModelParams, task: TaskPair,
     chosen subset's index, the masks a finetune run with this config trains under, and,
     where the run takes the row path (``_row_path``), the ``RowAnchor`` of ``pre`` over the
     target training set: selection writes layer 1's pre-activation of the set as it
-    forwards the subsets, which cover it, and ``row_anchor`` takes it. Else the anchor is
-    None."""
+    forwards the subsets, which cover it, and ``row_anchor`` takes it, adding layer 0's
+    activation of the set once scoring's gradients are freed. Else the anchor is None."""
     _check_config(pre, task, cfg)
     train = task.target_train
     subsets = partition_subsets(train, cfg.subsets_n, Rng(cfg.seed).child(_STREAM_SUBSET))
@@ -202,8 +202,8 @@ def finetune_masks(pre: ModelParams, task: TaskPair,
     if cfg.variant == "full":
         masks = GradientMaskSet.all_full(pre)
     else:
-        gradients = scl_gradients(pre, mask_data.x, mask_data.y, cfg.tau)
-        masks = compute_mask_set(gradients, cfg.k, cfg.variant)
+        masks = compute_mask_set(scl_gradients(pre, mask_data.x, mask_data.y, cfg.tau),
+                                 cfg.k, cfg.variant)
     anchor = None if z1 is None else row_anchor(pre, train.x, z1)
     return subset_index, _with_head_mask(masks, pre, task), anchor
 
@@ -230,28 +230,34 @@ def _finetune_with_masks(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig,
     over the target training set, so ``_row_path`` is decided once per run, in ``score``.
     There the copy is a ``RowParams`` that trains under the masks with ``rows_held=2``,
     the anchor holds copies of its rows of layers 0 and 1 in place of ``pre``'s layers,
-    and the run forwards from that anchor and from ``row_anchor``'s over the test set,
-    which keeps its layer-0 activation, so ``evaluate`` forms only layer 0's trained
-    columns. This frame alone holds the anchors, and frees them before it writes the
-    copy's layers 0 and 1 out whole for the report."""
+    and the run forwards from ``RowAnchor``s alone, so it forms only layer 0's trained
+    columns. It trains every epoch first, keeping each epoch's trained vector, then frees
+    the training set's anchor, builds the test set's and evaluates each kept vector in
+    turn: the two anchors are never alive together. The dense path evaluates after each
+    epoch. This frame alone holds the anchors, and frees them before it writes the copy's
+    layers 0 and 1 out whole for the report."""
     subset_index, masks, train_rows = score(pre, task, cfg)
     rows = None if train_rows is None else (masks.layers[0].index, masks.layers[1].index)
     model = _with_new_head(pre, task, cfg, rows)  # once scoring has freed its buffers
-    held, run_masks, test_rows = 0, masks, None
-    if rows is not None:
-        held, run_masks = 2, replace(masks, rows_held=2)
-        test_rows = row_anchor(pre, task.target_test.x, keep=True)
+    held, run_masks = (0, masks) if rows is None else (2, replace(masks, rows_held=2))
     anchor = (*(l.copy() for l in model.layers[:held]), *pre.layers[held:-1],
               model.layers[-1].copy())
     epochs = _train(model, run_masks, resolve_penalty(anchor, cfg.reg, run_masks),
                     task.target_train, cfg.optim, cfg.batch_size,
                     Rng(cfg.seed).child(_STREAM_SHUFFLE), train_rows)
-    stats = []
+    stats, trained = [], []
     for epoch, lr, loss_r, ce, state in epochs:
-        stats.append(EpochStats(epoch, lr, loss_r, ce,
-                                evaluate(model, task.target_test, test_rows)))
-    del train_rows, test_rows  # before the whole copy and the distances' temporaries
+        accuracy = math.nan if held else evaluate(model, task.target_test)
+        stats.append(EpochStats(epoch, lr, loss_r, ce, accuracy))
+        if held:
+            trained.append(model.params.copy())
+    del train_rows  # training is over, and its generator freed its own reference
     if held:
+        test_rows = row_anchor(pre, task.target_test.x)
+        for epoch in stats:  # each kept vector is freed once it is evaluated
+            epoch.test_accuracy = evaluate(replace(model, params=trained.pop(0)),
+                                           task.target_test, test_rows)
+        del test_rows  # before the whole copy and the distances' temporaries
         model = model.to_model()
     distances = [float(np.sqrt(np.sum((m.weight - a.weight) ** 2)))
                  for m, a in zip(model.layers, (*pre.layers[:-1], anchor[-1]))]

@@ -242,23 +242,22 @@ class RowAnchor(NamedTuple):
     ``rows1``. So layer 1's pre-activation is the anchor's ``z1`` plus
     ``(a[:, rows0] - a_base[:, rows0]) @ W1[:, rows0].T``, where ``a_base`` is the
     activation at ``base``, except in the rows ``rows1``, which are computed afresh;
-    ``forward`` given an anchor never forms ``a @ W1.T``. Where the anchor keeps
-    ``a_base`` whole, ``a0_whole``, ``forward`` forms only the columns ``rows0`` of
-    ``a``, not ``x @ W0.T``. Neither array depends on the masks. ``row_anchor`` builds
-    one, and no other module reads its arrays.
+    the anchor keeps ``a_base`` whole, ``a0_whole``, so ``forward`` given an anchor
+    forms only the columns ``rows0`` of ``a`` and never ``x @ W0.T`` or ``a @ W1.T``.
+    Neither array depends on the masks. ``row_anchor`` builds one, and no other module
+    reads its arrays.
     """
     z1: np.ndarray  # (samples, layer 1 width)
-    a0_whole: np.ndarray | None  # (samples, layer 0 width), where kept
+    a0_whole: np.ndarray  # (samples, layer 0 width)
 
     def take(self, index) -> "RowAnchor":
         """The anchor of the dataset rows at ``index`` (views for a slice)."""
-        return RowAnchor(self.z1[index], None if self.a0_whole is None else self.a0_whole[index])
+        return RowAnchor(self.z1[index], self.a0_whole[index])
 
 
-def _dense(a: np.ndarray, layer: Layer, relu: bool, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ W.T + b``, then ReLU where ``relu``: one array, ``out`` if given, else fresh,
-    written in place."""
-    z = np.matmul(a, layer.weight.T, out=out)
+def _dense(a: np.ndarray, layer: Layer, relu: bool) -> np.ndarray:
+    """``a @ W.T + b``, then ReLU where ``relu``: one fresh array, written in place."""
+    z = a @ layer.weight.T
     z += layer.bias
     if relu:
         np.maximum(z, 0.0, out=z)
@@ -274,37 +273,25 @@ def _trained_columns(x: np.ndarray, rows: Layer) -> np.ndarray:
     return _dense(x, rows, True)[:, :k]
 
 
-def row_anchor(model: ModelParams, x: np.ndarray, z1: np.ndarray | None = None, *,
-               keep: bool = False) -> RowAnchor:
-    """The ``RowAnchor`` of ``model`` over the rows of ``x``. ``z1``, layer 1's
-    pre-activation of those rows, is taken as given (as subset selection writes it) or
-    computed by a dense forward of layers 0 and 1, chunk by chunk, each product written
-    straight into the anchor; with ``keep`` (the test set's anchor) the anchor keeps the
-    layer-0 activation that forward forms, ``a0_whole``."""
+def row_anchor(model: ModelParams, x: np.ndarray, z1: np.ndarray | None = None) -> RowAnchor:
+    """The ``RowAnchor`` of ``model`` over the rows of ``x``: layer 0's activation of all
+    of them in one product, and ``z1``, layer 1's pre-activation of those rows, taken as
+    given (as subset selection writes it) or computed from that activation in one more.
+    Each product is written straight into the anchor."""
     bottom = model.layer_range(0, 2)
-    width = bottom.num_classes
-    if z1 is not None and (keep or z1.shape != (len(x), width)):
+    if z1 is not None and z1.shape != (len(x), bottom.num_classes):
         raise ShapeError(f"z1 of shape {z1.shape} cannot hold {len(x)} rows of layer 1's "
-                         f"{width} outputs, or come with a kept layer-0 activation")
-    whole = np.empty((len(x), bottom.dims[1])) if keep else None
-    if z1 is None:
-        z1 = np.empty((len(x), width))
-        for rows in row_chunks(len(x), max(bottom.dims)):
-            a = _dense(x[rows], bottom.layers[0], True, None if whole is None else whole[rows])
-            _dense(a, bottom.layers[1], False, z1[rows])
-    return RowAnchor(z1, whole)
+                         f"{bottom.num_classes} outputs")
+    a0 = _dense(x, bottom.layers[0], True)
+    return RowAnchor(_dense(a0, bottom.layers[1], False) if z1 is None else z1, a0)
 
 
 def _row_bottom(model: RowParams, x: np.ndarray,
                 anchor: RowAnchor) -> tuple[np.ndarray, np.ndarray]:
     """The activations of layers 0 and 1 on the row path (see ``RowAnchor``). Layer 0's is
-    the anchor's whole one where kept, else the product with ``base``'s layer 0, with the
-    trained columns ``rows0`` written in."""
+    a copy of the anchor's, with the trained columns ``rows0`` written in."""
     rows0, rows1 = model.rows0, model.rows1
-    if anchor.a0_whole is None:
-        a = _dense(x, model.base.layers[0], True)
-    else:
-        a = anchor.a0_whole.copy()
+    a = anchor.a0_whole.copy()
     trained = _trained_columns(x, model.layers[0])
     change = trained - a[:, rows0]
     a[:, rows0] = trained
@@ -340,11 +327,10 @@ def forward(model: ModelParams | RowParams, x_batch: np.ndarray,
     a, start = x_batch, 0
     if anchor is not None:
         n, dims = len(x_batch), model.dims
-        if anchor.z1.shape != (n, dims[2]) or (
-                anchor.a0_whole is not None and anchor.a0_whole.shape != (n, dims[1])):
-            raise ShapeError(f"row anchor's z1 of shape {anchor.z1.shape} or its kept layer-0 "
-                             f"activation does not fit a batch of {n} rows into layers 0 and 1 "
-                             f"of dims {dims[:3]}")
+        if anchor.z1.shape != (n, dims[2]) or anchor.a0_whole.shape != (n, dims[1]):
+            raise ShapeError(f"row anchor's z1 of shape {anchor.z1.shape} or its layer-0 "
+                             f"activation of shape {anchor.a0_whole.shape} does not fit a "
+                             f"batch of {n} rows into layers 0 and 1 of dims {dims[:3]}")
         bottom, a = _row_bottom(model, x_batch, anchor)
         cache.inputs += [x_batch, bottom]
         start = 2

@@ -1,16 +1,17 @@
 import csv
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from masktune import init_model
+from masktune import harness, init_model
 from masktune.errors import NumericError
 from masktune.linalg import Rng
-from masktune.losses import resolve_regular_layers
+from masktune.losses import resolve_penalty, resolve_regular_layers
 from masktune.masking import GradientMaskSet, LayerMask
-from masktune.model import CHECKPOINT_MAGIC, ModelParams, RowParams, layer_roles
+from masktune.model import CHECKPOINT_MAGIC, ModelParams, RowParams, layer_roles, row_anchor
 
 
 @pytest.fixture
@@ -315,3 +316,26 @@ def oracle_save_dataset_csv(data, path):
         writer.writerow(["y"] + [f"x{i}" for i in range(data.x.shape[1])])
         for label, row in zip(data.y, data.x):
             writer.writerow([int(label)] + [repr(float(v)) for v in row])
+
+
+def oracle_finetune_with_masks(pre, task, cfg, score):
+    """The trained model and per-epoch ``EpochStats`` of ``harness._finetune_with_masks``
+    as it ran when it evaluated after each epoch on both paths: on the row path the
+    test set's anchor is built before training, beside the training set's, and each
+    epoch is evaluated as it ends, at the weights training holds then."""
+    _, masks, train_rows = score(pre, task, cfg)
+    rows = None if train_rows is None else (masks.layers[0].index, masks.layers[1].index)
+    model = harness._with_new_head(pre, task, cfg, rows)
+    held, run_masks, test_rows = 0, masks, None
+    if rows is not None:
+        held, run_masks = 2, replace(masks, rows_held=2)
+        test_rows = row_anchor(pre, task.target_test.x)
+    anchor = (*(l.copy() for l in model.layers[:held]), *pre.layers[held:-1],
+              model.layers[-1].copy())
+    epochs = harness._train(model, run_masks, resolve_penalty(anchor, cfg.reg, run_masks),
+                            task.target_train, cfg.optim, cfg.batch_size,
+                            Rng(cfg.seed).child(harness._STREAM_SHUFFLE), train_rows)
+    stats = [harness.EpochStats(epoch, lr, loss_r, ce,
+                                harness.evaluate(model, task.target_test, test_rows))
+             for epoch, lr, loss_r, ce, _ in epochs]
+    return model.to_model() if held else model, stats

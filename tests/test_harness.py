@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import peak_bytes
+from conftest import oracle_finetune_with_masks, peak_bytes
 from masktune import data as data_module
 from masktune import harness, masking
 from masktune import model as model_module
@@ -70,7 +70,7 @@ def wide_peaks_over_model_bytes(run, monkeypatch):
     mask, which takes the row path, over the model's bytes: of the whole run, which
     holds ``pre`` and at its end one trained copy, and of its training, from the new
     head's draw to the last evaluation, which holds the trained rows of layers 0 and 1
-    alone and the anchors."""
+    alone and one anchor at a time."""
     pre = init_model([8, 256, 256, 3], seed=2)
     task = gen_task(8, 3, 12, 0.15, SHIFT, seed=1)
     cfg = make_cfg(optim=OptimConfig(base_lr=0.02, total_epochs=2, warmup_epochs=0))
@@ -252,9 +252,10 @@ class TestFinetune:
 
     def test_peak_holds_one_trained_copy_beside_pre(self, monkeypatch):
         # scoring, then the report's copy and its distances, peak at 2.12 and 2.09;
-        # training peaks at 0.89 (at 1.76 while it trained a whole copy of layers 0 and 1)
+        # training and evaluation peak at 0.71 (at 0.88 with both anchors alive together,
+        # at 1.76 while it trained a whole copy of layers 0 and 1)
         whole, training = wide_peaks_over_model_bytes(finetune, monkeypatch)
-        assert whole <= 2.2 and training <= 0.95
+        assert whole <= 2.15 and training <= 0.75
 
     @pytest.mark.parametrize("variant", ["row", "full"])
     def test_head_is_drawn_for_the_task_whatever_pre_s_head(self, variant):
@@ -302,10 +303,11 @@ class TestLinearProbe:
         assert not shares_any_array(model, pre)
 
     def test_peak_holds_one_trained_copy_beside_pre(self, monkeypatch):
-        # the report's copy and its distances peak at 2.02; training peaks at 0.82 (at
-        # 1.69 with a whole trained copy)
+        # the report's copy and its distances peak at 2.02; training and evaluation peak
+        # at 0.64 (at 0.82 with both anchors alive together, at 1.69 with a whole trained
+        # copy)
         whole, training = wide_peaks_over_model_bytes(linear_probe, monkeypatch)
-        assert whole <= 2.1 and training <= 0.9
+        assert whole <= 2.05 and training <= 0.7
 
 
 class TestAblate:
@@ -354,7 +356,8 @@ class TestRowPath:
     whose layer 1 is wide enough forwards from two row anchors, and frees both before
     its report. A finetune run's training-set anchor comes out of subset selection's
     forward; the linear probe, which does not score, forwards both sets in ``row_anchor``.
-    The test set's anchor keeps the set's layer-0 activation."""
+    Each anchor keeps its set's layer-0 activation. The run trains every epoch first and
+    builds the test set's anchor once the training set's is freed."""
 
     @pytest.mark.parametrize("run, variant, dims, built, scored", [
         (finetune, "row", ROW_PATH_DIMS, 2, 1), (linear_probe, "row", ROW_PATH_DIMS, 2, 0),
@@ -388,8 +391,8 @@ class TestRowPath:
         monkeypatch.setattr(harness, "finetune_masks", scoring)
         monkeypatch.setattr(harness, "trainable_fraction", report_begins)
         run(pre, task, make_cfg(variant=variant, reg=RegConfig(lam=0.01, regular=RegularSet(0))))
-        # z1 of each anchor, and the test set's kept activation
-        assert (len(anchors), len(from_scoring)) == (built + (built > 0), scored)
+        # z1 and the layer-0 activation of each anchor
+        assert (len(anchors), len(from_scoring)) == (2 * built, scored)
         assert alive_at_report == [0]
 
     @pytest.mark.parametrize("seed, k", [(1, 2), (3, 3), (7, 2), (11, 5)])
@@ -399,12 +402,13 @@ class TestRowPath:
         _, masks, anchor = finetune_masks(pre, task, make_cfg(k=k, seed=seed))
         want = row_anchor(pre, task.target_train.x)
         assert anchor.z1.tobytes() == want.z1.tobytes()
-        assert anchor.a0_whole is None
+        _, a0, _ = model_module.forward(pre.layer_range(0, 2), task.target_train.x)
+        assert anchor.a0_whole.tobytes() == want.a0_whole.tobytes() == a0.tobytes()
 
     def test_a_finetune_forwards_the_training_set_through_layer_1_at_pre_once(self, monkeypatch):
         # selection forwards every training row through layers 0 and 1 at pre and keeps
         # layer 1's pre-activation; only the chosen subset passes again (its scores), and
-        # row_anchor forwards the test set alone
+        # row_anchor adds the training set's layer-0 activation and forwards the test set
         task = make_task(seed=1, per_class=16, noise=0.12)
         pre = init_model(ROW_PATH_DIMS, seed=2)
         train = task.target_train
@@ -456,15 +460,14 @@ class TestRowPath:
 
         def recorded(*args, **kwargs):
             anchor = row_anchor(*args, **kwargs)
-            anchors.append([None if a is None else a.tobytes() for a in anchor])
+            anchors.append([a.tobytes() for a in anchor])
             return anchor
 
         monkeypatch.setattr(harness, "row_anchor", recorded)
         reports = [finetune(pre, task, make_cfg(k=k))[1] for k in (2, 5)]
         assert [len(r.masks.layers[0].index) for r in reports] == [2, 5]
-        # the training set's anchor, then the test set's (z1 and the kept activation)
+        # the training set's anchor, then the test set's, each its z1 and a0_whole
         assert len(anchors) == 4 and anchors[:2] == anchors[2:]
-        assert anchors[1][1] is not None
 
     @pytest.mark.parametrize("run", [finetune, linear_probe])
     @pytest.mark.parametrize("dims, row_path", [(ROW_PATH_DIMS, True), (DIMS, False)])
@@ -474,6 +477,80 @@ class TestRowPath:
                             lambda *args: decided.append(decide(*args)) or decided[-1])
         run(init_model(dims, seed=2), make_task(seed=1, per_class=16, noise=0.12), make_cfg())
         assert decided == [row_path]
+
+    @pytest.mark.parametrize("run, scored", [(finetune, 1), (linear_probe, 0)])
+    def test_each_anchor_is_built_once_what_came_before_it_is_freed(self, monkeypatch, run,
+                                                                    scored):
+        # the training set's after scoring's gradient vector, the test set's after the
+        # training set's z1 and layer-0 activation
+        task = make_task(seed=1, per_class=16, noise=0.12)
+        gradients, built, alive = [], [], []
+        row_anchor, scl_gradients = harness.row_anchor, harness.scl_gradients
+
+        def scoring(*args):
+            views = scl_gradients(*args)
+            gradients.append(weakref.ref(views[0].base))
+            return views
+
+        def recorded(model, x, *args):
+            alive.append([ref() is not None for ref in gradients + built])
+            anchor = row_anchor(model, x, *args)
+            built.extend(weakref.ref(a) for a in anchor)
+            return anchor
+
+        monkeypatch.setattr(harness, "scl_gradients", scoring)
+        monkeypatch.setattr(harness, "row_anchor", recorded)
+        run(init_model(ROW_PATH_DIMS, seed=2), task, make_cfg())
+        assert (len(gradients), len(built)) == (scored, 4)
+        assert alive == [[False] * scored, [False] * (scored + 2)]
+
+    @pytest.mark.parametrize("run", [finetune, linear_probe])
+    def test_row_path_training_forms_no_product_with_pre_s_layer_0(self, monkeypatch, run):
+        # a step takes layer 0's activation at pre from the anchor: while _train runs no
+        # product reads pre's layer 0, and with that layer all NaN the run is bit for bit
+        # the one that could read it
+        task = make_task(seed=1, per_class=16, noise=0.12)
+        pre = init_model(ROW_PATH_DIMS, seed=2)
+        want_model, want = run(pre, task, make_cfg())
+        train, dense, layer = harness._train, model_module._dense, pre.layers[0]
+        products, training = [], []
+
+        def poisoned(*args):
+            saved = layer.weight.copy(), layer.bias.copy()
+            layer.weight[...], layer.bias[...] = np.nan, np.nan
+            training.append(True)
+            try:
+                yield from train(*args)
+            finally:
+                training.clear()
+                layer.weight[...], layer.bias[...] = saved
+
+        def spied(a, weights, *args):
+            if training:
+                products.append(np.shares_memory(weights.weight, layer.weight))
+            return dense(a, weights, *args)
+
+        monkeypatch.setattr(harness, "_train", poisoned)
+        monkeypatch.setattr(model_module, "_dense", spied)
+        model, got = run(pre, task, make_cfg())
+        assert products and not any(products)  # the trained columns and rows are formed
+        assert repr(got.epochs) == repr(want.epochs)  # repr round-trips each float
+        assert model.params.tobytes() == want_model.params.tobytes()
+
+    @pytest.mark.parametrize("run, score", [(finetune, finetune_masks),
+                                            (linear_probe, harness._probe_masks)])
+    @pytest.mark.parametrize("dims", [ROW_PATH_DIMS, DIMS])
+    def test_evaluation_after_training_is_the_per_epoch_oracle_bitwise(self, run, score, dims):
+        # the row path evaluates each epoch's kept vector after training, the dense path
+        # each epoch as it ends: both as the oracle evaluates each epoch as it ends
+        task = make_task(seed=1, per_class=16, noise=0.12)
+        pre, cfg = init_model(dims, seed=2), make_cfg()
+        model, report = run(pre, task, cfg)
+        want_model, want = oracle_finetune_with_masks(pre, task, cfg, score)
+        assert len({e.test_accuracy for e in want}) > 1  # the epochs tell apart
+        assert repr(report.epochs) == repr(want)  # repr round-trips each float
+        assert repr(report.final_accuracy) == repr(want[-1].test_accuracy)
+        assert model.params.tobytes() == want_model.params.tobytes()
 
     @pytest.mark.parametrize("run", [finetune, linear_probe])
     def test_row_path_run_is_the_dense_run_up_to_rounding(self, monkeypatch, run):
