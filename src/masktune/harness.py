@@ -24,9 +24,10 @@ from .losses import (Penalty, RegConfig, check_tau, combined_grad, resolve_penal
                      resolve_regular_layers)
 from .masking import (SELECTION_VARIANTS, GradientMaskSet, check_budget, compute_mask_set,
                       full_mask, scl_gradients, trainable_fraction)
-from .model import (ModelParams, RowAnchor, RowParams, forward, init_model, reinit_head,
-                    row_anchor, row_chunks)
-from .optim import AdamState, OptimConfig, cosine_warmup_lr, init_adam_state, masked_adam_step
+from .model import (ModelParams, RowAnchor, RowParams, backprop_views, forward, init_model,
+                    reinit_head, row_anchor, row_chunks)
+from .optim import (AdamState, OptimConfig, adam_views, cosine_warmup_lr, init_adam_state,
+                    masked_adam_step)
 
 # below this many weights in layer 1, the dozen numpy calls the row path adds to a
 # step cost more than the layer-1 product it avoids: with batches of 32 on one CPU,
@@ -115,21 +116,22 @@ def _train(model: ModelParams | RowParams, masks: GradientMaskSet, penalty: Pena
     """Train ``model`` in place, a ``RowParams`` on the row path from ``anchor`` (the
     ``RowAnchor`` of ``train``); yield (epoch, lr, mean loss_R, mean CE, Adam state) per epoch.
     The run holds one gradient vector: each step's backward writes all of it, the
-    penalty adds into it and Adam leaves its update in it."""
-    state = init_adam_state(model, masks)
-    grad = np.empty(masks.size)
+    penalty adds into it and Adam leaves its update in it. The views of it, of Adam's
+    moments and of the parameter vector that a step reads and writes are resolved once."""
+    state, grad = init_adam_state(model, masks), np.empty(masks.size)
+    views = backprop_views(masks, grad), penalty.views(grad)
+    adam = adam_views(model, state, grad, masks)
     for epoch in range(optim.total_epochs):
         lr = cosine_warmup_lr(epoch, optim)
         order = shuffle_rng.permutation(len(train))
         loss_sum = ce_sum = 0.0
         for start in range(0, len(train), batch_size):
             idx = order[start:start + batch_size]
-            batch_anchor = None if anchor is None else anchor.take(idx)
             loss_r, ce, _ = combined_grad(model, masks, penalty, train.x[idx], train.y[idx],
-                                          batch_anchor, out=grad)
+                                          None if anchor is None else anchor.take(idx), grad, views)
             if not math.isfinite(loss_r):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
-            masked_adam_step(model, state, grad, masks, lr, optim)
+            masked_adam_step(model, state, grad, masks, lr, optim, adam)
             loss_sum += loss_r * len(idx)
             ce_sum += ce * len(idx)
         n = len(train)

@@ -9,7 +9,7 @@ contribute zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -77,7 +77,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     batch, num_classes = logits.shape
     if labels.shape != (batch,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {batch}")
-    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= num_classes:
+    if np.maximum.reduce(labels.view(np.uint64)) >= num_classes:  # a negative label wraps above
         raise InputError(f"labels must lie in [0, {num_classes})")
     shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     d_logits = np.exp(shifted)
@@ -203,6 +203,14 @@ class Penalty:
     cfg: RegConfig
     index: np.ndarray | None
     parts: tuple[PenaltyPart, ...]
+    scale: float = field(init=False)  # of each entry's gradient term: 2 * lambda (l2) or lambda
+
+    def __post_init__(self):
+        object.__setattr__(self, "scale", self.cfg.lam * (2.0 if self.cfg.norm == "l2" else 1.0))
+
+    def views(self, grad: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each part's range of ``grad``, a vector in the layout the penalty was resolved in."""
+        return tuple(grad[part.grad] for part in self.parts)
 
 
 def resolve_penalty(anchor: Sequence[Layer], cfg: RegConfig, masks: GradientMaskSet) -> Penalty:
@@ -249,25 +257,26 @@ def _part(masks: GradientMaskSet, segments: Sequence[Segment], read: int,
     return PenaltyPart(slice(start, start + size), slice(read, read + size), anchor, sums)
 
 
-def reg_penalty(model: ModelParams | RowParams, penalty: Penalty, grad: np.ndarray) -> float:
+def reg_penalty(model: ModelParams | RowParams, penalty: Penalty, grad: np.ndarray,
+                views: tuple[np.ndarray, ...] | None = None) -> float:
     """Distance penalty lambda * sum over regular layers of |W - W_pre| (l2 squared or l1).
 
     Biases of regular layers are penalized symmetrically. sign(0) = 0 for l1.
     The gradient is added in place into ``grad``, a vector in the flat layout
-    of the masks ``penalty`` was resolved with (as ``backward`` returns it);
-    entries outside the regular layers are left as they are. Returns the loss,
-    summed segment by segment and then layer by layer.
+    of the masks ``penalty`` was resolved with, through ``views``, its ``penalty.views``
+    (a run resolves them once); entries outside the regular layers are left as they
+    are. Returns the loss, summed segment by segment and then layer by layer.
     """
-    lam = penalty.cfg.lam
+    lam, scale, l2 = penalty.cfg.lam, penalty.scale, penalty.cfg.norm == "l2"
     values = model.params if penalty.index is None else model.params[penalty.index]
     sums = []
-    for part in penalty.parts:
-        d, g = values[part.source] - part.anchor, grad[part.grad]
-        if penalty.cfg.norm == "l2":
-            g += 2.0 * lam * d
+    for part, g in zip(penalty.parts, views or penalty.views(grad)):
+        d = values[part.source] - part.anchor
+        if l2:
+            g += scale * d
             d *= d
         else:
-            g += lam * np.sign(d)
+            g += scale * np.sign(d)
             np.abs(d, out=d)
         for at, shape in part.sums:
             term = d[at] if shape is None else d[at].reshape(shape).ravel("F")
@@ -280,15 +289,17 @@ def reg_penalty(model: ModelParams | RowParams, penalty: Penalty, grad: np.ndarr
 
 def combined_grad(model: ModelParams | RowParams, masks: GradientMaskSet, penalty: Penalty,
                   x_batch: np.ndarray, labels: np.ndarray, anchor: RowAnchor | None = None,
-                  out: np.ndarray | None = None) -> tuple[float, float, np.ndarray]:
+                  out: np.ndarray | None = None, views: tuple = (None, None)
+                  ) -> tuple[float, float, np.ndarray]:
     """Cross-entropy plus distance penalty; returns (total loss, ce loss, gradient).
 
     The gradient is one vector in the flat layout of ``masks``, the masks
     ``penalty`` was resolved with: ``backward``'s cross-entropy gradient, written
     into ``out`` when given (a training run passes its one vector on every step),
-    with the penalty's added in place. ``anchor`` is passed on to ``forward``.
+    with the penalty's added in place, through ``views``: ``out``'s ``backprop_views``
+    and ``penalty.views``, resolved once per run. ``anchor`` is passed on to ``forward``.
     """
     logits, _, cache = forward(model, x_batch, anchor)
     ce, d_logits = cross_entropy(logits, labels)
-    grad = backward(model, cache, masks, d_logits=d_logits, out=out)
-    return ce + reg_penalty(model, penalty, grad), ce, grad
+    grad = backward(model, cache, masks, d_logits=d_logits, out=out, views=views[0])
+    return ce + reg_penalty(model, penalty, grad, views[1]), ce, grad

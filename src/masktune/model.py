@@ -25,10 +25,14 @@ if TYPE_CHECKING:  # masking imports this module for forward and backward
 
 @dataclass(frozen=True)
 class Layer:
-    """One dense layer's weight and bias. In a ``ModelParams`` both are views into
-    its parameter vector; the layer is frozen, so no code can rebind them away."""
+    """One dense layer's weight, its transpose ``weight_t`` and its bias. In a ``ModelParams``
+    all are views into its parameter vector; the layer is frozen, so no code can rebind them."""
     weight: np.ndarray  # (out, in)
     bias: np.ndarray    # (out,)
+    weight_t: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight_t", self.weight.T)
 
     def copy(self) -> "Layer":
         return Layer(self.weight.copy(), self.bias.copy())
@@ -257,7 +261,7 @@ class RowAnchor(NamedTuple):
 
 def _dense(a: np.ndarray, layer: Layer, relu: bool) -> np.ndarray:
     """``a @ W.T + b``, then ReLU where ``relu``: one fresh array, written in place."""
-    z = a @ layer.weight.T
+    z = a @ layer.weight_t
     z += layer.bias
     if relu:
         np.maximum(z, 0.0, out=z)
@@ -337,7 +341,7 @@ def forward(model: ModelParams | RowParams, x_batch: np.ndarray,
     head = len(model.layers) - 1
     for i, layer in enumerate(model.layers[start:], start):
         cache.inputs.append(a)
-        a = a @ layer.weight.T
+        a = a @ layer.weight_t
         a += layer.bias
         if i < head:
             np.maximum(a, 0.0, out=a)
@@ -346,13 +350,19 @@ def forward(model: ModelParams | RowParams, x_batch: np.ndarray,
     return logits, features, cache
 
 
+def backprop_views(masks: GradientMaskSet, out: np.ndarray) -> tuple:
+    """Per step of the ``backprop`` plan of ``masks``, the views of ``out`` (in their layout) it
+    writes, its weight segment, shaped, and its bias segment; a training run resolves them once."""
+    return tuple((out[s.weight_at].reshape(s.shape), out[s.bias_at]) for s in masks.backprop)
+
+
 def backward(model: ModelParams | RowParams, cache: ForwardCache, masks: GradientMaskSet,
              d_logits: np.ndarray | None = None, d_features: np.ndarray | None = None,
-             out: np.ndarray | None = None) -> np.ndarray:
+             out: np.ndarray | None = None, views: tuple | None = None) -> np.ndarray:
     """Exact gradients of an upstream loss over the trainable entries, as one
     vector in the flat layout of ``masks`` (see ``GradientMaskSet.segments``):
     ``out`` when given (a C-contiguous float64 vector of ``masks.size``, whatever
-    it held), else a fresh vector. Every entry is written.
+    it held), else a fresh vector. Every entry is written, through ``backprop_views``.
 
     It follows the masks' ``backprop`` plan and reads nothing else of them but
     their size. Row, col and full weight products are written straight into
@@ -377,7 +387,7 @@ def backward(model: ModelParams | RowParams, cache: ForwardCache, masks: Gradien
     n = len(model.layers)
     start = n - 1 if d_logits is not None else n - 2
     upstream = np.asarray(d_logits if d_logits is not None else d_features, dtype=np.float64)
-    for step in masks.backprop:
+    for step, (w_out, b_out) in zip(masks.backprop, views or backprop_views(masks, out)):
         l, rows = step.layer, step.rows
         if l > start:  # the head, on the d_features path
             out[step.weight_at.start:step.bias_at.stop] = 0.0
@@ -393,7 +403,7 @@ def backward(model: ModelParams | RowParams, cache: ForwardCache, masks: Gradien
             else:
                 delta = delta @ model.layers[l + 1].weight[:, rows]
             delta *= cache.inputs[l + 1][:, rows] > 0.0
-        x, w_out = cache.inputs[l], out[step.weight_at].reshape(step.shape)
+        x = cache.inputs[l]
         if step.kind == "full":
             np.matmul(delta.T, x, out=w_out)
         elif step.kind == "row":
@@ -403,9 +413,9 @@ def backward(model: ModelParams | RowParams, cache: ForwardCache, masks: Gradien
         else:  # sparse: gathered from the full product
             w_out[...] = (delta.T @ x)[step.index]
         if step.bias_index is ...:
-            np.add.reduce(delta, axis=0, out=out[step.bias_at])
+            np.add.reduce(delta, axis=0, out=b_out)
         elif step.bias_index is not None:
-            out[step.bias_at] = np.add.reduce(delta, axis=0)[step.bias_index]
+            b_out[...] = np.add.reduce(delta, axis=0)[step.bias_index]
     return out
 
 

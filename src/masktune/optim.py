@@ -80,9 +80,20 @@ def cosine_warmup_lr(epoch: int, cfg: OptimConfig) -> float:
     return cfg.base_lr * 0.5 * (1.0 + math.cos(math.pi * (epoch - w) / (t - w)))
 
 
+def adam_views(model: ModelParams | RowParams, state: AdamState, grad: np.ndarray,
+               masks: GradientMaskSet) -> tuple:
+    """What ``masked_adam_step`` reads and writes: per chunk of up to ``_CHUNK`` entries, the
+    views of ``grad``, ``m`` and ``v``; then (where in ``params``, update) per write-back."""
+    size, tail = grad.size, masks.full_tail
+    chunks = tuple(tuple(a[at:at + _CHUNK] for a in (grad, state.m, state.v))
+                   for at in range(0, size, _CHUNK))
+    rest = [(masks.positions[:size - tail], grad[:size - tail])] if size > tail else []
+    return chunks, [(slice(model.params.size - tail, None), grad[size - tail:]), *rest]
+
+
 def masked_adam_step(model: ModelParams | RowParams, state: AdamState, grad: np.ndarray,
-                     masks: GradientMaskSet, lr: float,
-                     cfg: OptimConfig) -> tuple[ModelParams | RowParams, AdamState]:
+                     masks: GradientMaskSet, lr: float, cfg: OptimConfig,
+                     views: tuple | None = None) -> tuple[ModelParams | RowParams, AdamState]:
     """One Adam step on the mask-selected entries, in place.
 
     ``grad`` is the gradient vector in the flat layout of ``masks``, as
@@ -99,8 +110,8 @@ def masked_adam_step(model: ModelParams | RowParams, state: AdamState, grad: np.
     frozen entries stay bitwise put: the trailing full layers (``full_tail``,
     the head's) from the end of the vector in place, the rest through one
     scatter to ``positions``. ``grad`` is the step's scratch: on return it holds
-    the update subtracted from the parameters, not the gradient. Returns the
-    same model and state.
+    the update subtracted from the parameters, not the gradient. ``views`` are the
+    step's ``adam_views``, resolved once per run. Returns the same model and state.
     """
     if not grad.shape == state.m.shape == (masks.size,):
         raise ShapeError(f"gradient shape {grad.shape} is not the layout's ({masks.size},)")
@@ -110,13 +121,13 @@ def masked_adam_step(model: ModelParams | RowParams, state: AdamState, grad: np.
         for a in range(0, grad.size, _CHUNK):
             if not np.logical_and.reduce(np.isfinite(grad[a:a + _CHUNK])):
                 raise NumericError("non-finite gradient entry")
-    s1 = np.empty(min(_CHUNK, grad.size))
-    s2 = np.empty_like(s1)
-    if slow:  # the second moment the step would store, operand for operand
-        for a in range(0, grad.size, _CHUNK):
-            b = min(a + _CHUNK, grad.size)
-            gc, t1, t2 = grad[a:b], s1[:b - a], s2[:b - a]
-            np.multiply(state.v[a:b], b2, out=t2)
+    chunks, writes = views or adam_views(model, state, grad, masks)
+    s1 = np.empty(min(_CHUNK, grad.size))  # per step: a run's would raise the run's peak
+    if slow:
+        s2 = np.empty_like(s1)
+        for gc, _, v in chunks:  # the second moment the step would store
+            t1, t2 = s1[:gc.size], s2[:gc.size]
+            np.multiply(v, b2, out=t2)
             t2 += np.multiply(np.multiply(1.0 - b2, gc, out=t1), gc, out=t1)
             if not np.maximum.reduce(t2) < np.inf:
                 raise NumericError("Adam's second moment overflows: a gradient entry is "
@@ -124,19 +135,15 @@ def masked_adam_step(model: ModelParams | RowParams, state: AdamState, grad: np.
     state.t += 1
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for a in range(0, grad.size, _CHUNK):
-        b = min(a + _CHUNK, grad.size)
-        gc, m, v, t1, t2 = grad[a:b], state.m[a:b], state.v[a:b], s1[:b - a], s2[:b - a]
-        # the per-entry formula, operand for operand, with the update left in grad
+    for gc, m, v in chunks:
+        t1 = s1[:gc.size]
+        # the per-entry formula, operand for operand, the update formed in g's spent chunk
         m *= b1
         m += np.multiply(1.0 - b1, gc, out=t1)
         v *= b2
         v += np.multiply(np.multiply(1.0 - b2, gc, out=t1), gc, out=t1)
         np.sqrt(np.add(np.divide(v, bc2, out=t1), eps, out=t1), out=t1)
-        np.divide(np.multiply(lr, np.divide(m, bc1, out=t2), out=t2), t1, out=gc)
-    params, tail = model.params, masks.full_tail
-    scattered = grad.size - tail
-    params[params.size - tail:] -= grad[scattered:]
-    if scattered:
-        params[masks.positions[:scattered]] -= grad[:scattered]
+        np.divide(np.multiply(lr, np.divide(m, bc1, out=gc), out=gc), t1, out=gc)
+    for where, update in writes:
+        model.params[where] -= update
     return model, state

@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from masktune import harness, init_model
-from masktune.errors import NumericError
+from masktune.errors import NumericError, ShapeError, StateError
 from masktune.linalg import Rng
 from masktune.losses import resolve_penalty, resolve_regular_layers
 from masktune.masking import GradientMaskSet, LayerMask
-from masktune.model import CHECKPOINT_MAGIC, ModelParams, RowParams, layer_roles, row_anchor
+from masktune.model import (CHECKPOINT_MAGIC, Layer, ModelParams, RowParams, layer_roles,
+                            row_anchor)
+
+# layer 1 of 192 x 192 = 36,864 weights is wide enough for the row path
+ROW_PATH_DIMS = [6, 192, 192, 3]
 
 
 @pytest.fixture
@@ -240,17 +244,94 @@ def oracle_cross_entropy(logits, labels):
     return loss, d_logits
 
 
-def oracle_forward(model, x_batch):
+def oracle_forward(model, x_batch, anchor=None):
     """Test oracle: the forward pass as written before it applied the bias and
-    the ReLU in place. Returns (logits, the inputs of each layer)."""
+    the ReLU in place, and, given the ``RowAnchor`` of a ``RowParams``'s batch, layers
+    0 and 1 from ``oracle_row_bottom``. Returns (logits, the inputs of each layer)."""
     a = np.asarray(x_batch, dtype=np.float64)
-    inputs = []
+    inputs, start = [], 0
+    if anchor is not None:
+        inputs, start = [a], 2
+        bottom, a = oracle_row_bottom(model, a, anchor)
+        inputs.append(bottom)
     head = len(model.layers) - 1
-    for i, layer in enumerate(model.layers):
+    for i, layer in enumerate(model.layers[start:], start):
         inputs.append(a)
         z = a @ layer.weight.T + layer.bias
         a = z if i == head else np.maximum(z, 0.0)
     return a, inputs
+
+
+def oracle_row_bottom(model, x, anchor):
+    """Test oracle: the row path's activations of layers 0 and 1 (``model._row_bottom``)
+    as written before the layers held their weights' transposes."""
+    def dense(a, layer, relu):
+        z = a @ layer.weight.T
+        z += layer.bias
+        if relu:
+            np.maximum(z, 0.0, out=z)
+        return z
+
+    rows0, rows1, first = model.rows0, model.rows1, model.layers[0]
+    k = first.out_dim
+    if k == 1:  # a matrix-vector product would round apart from the dense forward's
+        first = Layer(first.weight[[0, 0]], first.bias[[0, 0]])
+    a = anchor.a0_whole.copy()
+    trained = dense(x, first, True)[:, :k]
+    change = trained - a[:, rows0]
+    a[:, rows0] = trained
+    z = change @ model.w1_columns().T
+    z += anchor.z1
+    z[:, rows1] = dense(a, model.layers[1], False)
+    np.maximum(z, 0.0, out=z)
+    return a, z
+
+
+def oracle_backward(model, cache, masks, d_logits=None, d_features=None, out=None):
+    """Test oracle: ``backward`` as written before a run resolved its views of the
+    gradient vector once: each step slices its weight and bias segments out of ``out``."""
+    if cache.model is not model:
+        raise StateError("cache does not belong to this model")
+    if (d_logits is None) == (d_features is None):
+        raise ValueError("provide exactly one of d_logits or d_features")
+    if out is None:
+        out = np.empty(masks.size)
+    elif not (out.dtype == np.float64 and out.shape == (masks.size,) and out.flags.c_contiguous):
+        raise ShapeError(f"out must be a C-contiguous float64 vector of {masks.size} entries")
+
+    n = len(model.layers)
+    start = n - 1 if d_logits is not None else n - 2
+    upstream = np.asarray(d_logits if d_logits is not None else d_features, dtype=np.float64)
+    for step in masks.backprop:
+        l, rows = step.layer, step.rows
+        if l > start:  # the head, on the d_features path
+            out[step.weight_at.start:step.bias_at.stop] = 0.0
+            continue
+        if l == n - 1:
+            delta = upstream[:, rows]
+        elif l == start:  # ReLU'(z) = max(z, 0) > 0, read off the next layer's input;
+            delta = upstream[:, rows]  # in place: in d_features itself, unless rows gathers
+            delta *= cache.inputs[l + 1][:, rows] > 0.0
+        else:  # in place, so at most two layers' deltas live beside the vector
+            if l == 0 and isinstance(model, RowParams):  # rows is rows0
+                delta = delta @ model.w1_columns()
+            else:
+                delta = delta @ model.layers[l + 1].weight[:, rows]
+            delta *= cache.inputs[l + 1][:, rows] > 0.0
+        x, w_out = cache.inputs[l], out[step.weight_at].reshape(step.shape)
+        if step.kind == "full":
+            np.matmul(delta.T, x, out=w_out)
+        elif step.kind == "row":
+            np.matmul(delta[:, step.index].T, x, out=w_out)
+        elif step.kind == "col":
+            np.matmul(delta.T, x[:, step.index], out=w_out)
+        else:  # sparse: gathered from the full product
+            w_out[...] = (delta.T @ x)[step.index]
+        if step.bias_index is ...:
+            np.add.reduce(delta, axis=0, out=out[step.bias_at])
+        elif step.bias_index is not None:
+            out[step.bias_at] = np.add.reduce(delta, axis=0)[step.bias_index]
+    return out
 
 
 def oracle_masked_adam_step(model, state, grad, masks, lr, cfg):

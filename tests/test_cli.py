@@ -624,12 +624,14 @@ class TestAblateCommand:
         assert calls == []
 
 
-def assert_refused(argv, tmp_path, capsys, inputs) -> None:
-    """The command exits 2 with a one-line error and leaves no file but its inputs."""
+def assert_refused(argv, tmp_path, capsys, inputs) -> str:
+    """The command exits 2 with a one-line error, which it returns, and leaves no file but
+    its inputs."""
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == sorted(inputs)
+    return err
 
 
 def write_config(tmp_path, section, key, value, nested=None) -> Path:
@@ -734,6 +736,26 @@ class TestContractHoles:
         cfg = write_config(tmp_path, "pretrain", "batch_size", 0)
         assert_refused(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")],
                        tmp_path, capsys, [cfg])
+
+    def test_a_head_narrower_than_the_classes_exits_2_and_writes_no_checkpoint(
+            self, tmp_path, capsys):
+        # every training step checks its labels against the head's width
+        cfg = write_config(tmp_path, "model", "dims", [6, 8, 8, 2])
+        err = assert_refused(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")],
+                             tmp_path, capsys, [cfg])
+        assert "labels must lie in [0, 2)" in err
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_an_input_width_other_than_the_tasks_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "model", "dims", [5, 8, 8, 3])  # the task's dim is 6
+        if command == "pretrain":
+            argv = ["pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]
+            inputs = [cfg]
+        else:
+            ckpt = tmp_path / "pre.ckpt"
+            save_checkpoint(init_model([5, 8, 8, 3], 0), ckpt)
+            argv, inputs = self.finetune_argv(cfg, ckpt, tmp_path), [cfg, ckpt]
+        assert "input width 5" in assert_refused(argv, tmp_path, capsys, inputs)
 
     def test_bool_in_dims_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "model", "dims", [6, 8, True, 3])

@@ -1,11 +1,13 @@
+import importlib.util
 import json
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import oracle_finetune_with_masks, peak_bytes
+from conftest import ROW_PATH_DIMS, oracle_finetune_with_masks, peak_bytes
 from masktune import data as data_module
 from masktune import harness, masking
 from masktune import model as model_module
@@ -156,9 +158,9 @@ class TestOneGradientVector:
     def test_every_step_of_a_run_gets_the_same_vector(self, monkeypatch, pre_and_task, run):
         vectors = []
 
-        def recording_step(model, state, grad, masks, lr, cfg):
+        def recording_step(model, state, grad, masks, lr, cfg, views):
             vectors.append(grad)
-            return masked_adam_step(model, state, grad, masks, lr, cfg)
+            return masked_adam_step(model, state, grad, masks, lr, cfg, views)
 
         monkeypatch.setattr(harness, "masked_adam_step", recording_step)
         pre, task = pre_and_task
@@ -175,6 +177,54 @@ class TestOneGradientVector:
         optim = OptimConfig(base_lr=0.02, total_epochs=2, warmup_epochs=0)
         model_bytes = init_model(dims, 0).params.nbytes
         assert peak_bytes(lambda: pretrain(task, dims, optim, seed=2)) <= 4.5 * model_bytes
+
+
+def bench_tracer():
+    """A fresh ``Tracer`` of the bench's ``spans`` module, which wraps each traced function
+    through every package module attribute that binds it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.Tracer()
+
+
+class TestPhaseAttribution:
+    """The bench's ``--trace 1`` breakdown locates a step's time through the module
+    attributes it patches: every step must call each phase once through them."""
+
+    PHASES = ["model.forward", "losses.cross_entropy", "model.backward", "losses.reg_penalty"]
+
+    @pytest.mark.parametrize("run", ["pretrain", "finetune", "row-path finetune"])
+    def test_each_step_calls_each_phase_once_through_its_module_attribute(self, pre_and_task,
+                                                                          run):
+        pre, task = pre_and_task
+        cfg = make_cfg()
+        if run == "row-path finetune":
+            task, pre = make_task(seed=1, per_class=16, noise=0.12), init_model(ROW_PATH_DIMS, 2)
+            assert harness._row_path(pre, cfg.variant)
+        optim = OptimConfig(base_lr=0.02, total_epochs=3) if run == "pretrain" else cfg.optim
+        train = task.source if run == "pretrain" else task.target_train
+        tracer = bench_tracer()
+        tracer.install()
+        try:
+            if run == "pretrain":
+                pretrain(task, DIMS, optim, seed=5, batch_size=cfg.batch_size)
+            else:
+                finetune(pre, task, cfg)
+        finally:
+            tracer.uninstall()
+        assert tracer.absent == []  # every function the bench traces still exists
+        children = {}
+        for _, name, start, _, parent, _ in tracer.spans:
+            children.setdefault(parent, []).append((start, name))
+        steps = [s for s in tracer.spans if s[1] == "losses.combined_grad"]
+        adam = [s for s in tracer.spans if s[1] == "optim.masked_adam_step"]
+        want = optim.total_epochs * -(-len(train) // cfg.batch_size)
+        assert len(steps) == len(adam) == want
+        for sid, *_ in steps:
+            assert [name for _, name in sorted(children[sid])] == self.PHASES
+        assert all(s[4] == steps[0][4] for s in steps + adam)  # both called by the run itself
 
 
 class TestLazyTask:
@@ -345,10 +395,6 @@ class TestAblate:
             ablate(pre, task, sweep_configs(pre, task, make_cfg(), "nope", [1]))
         with pytest.raises(ConfigError):
             ablate(pre, task, sweep_configs(pre, task, make_cfg(), "k", []))
-
-
-# layer 1 of 192 x 192 = 36,864 weights is wide enough for the row path
-ROW_PATH_DIMS = [6, 192, 192, 3]
 
 
 class TestRowPath:

@@ -67,6 +67,12 @@ class TestCrossEntropy:
         with pytest.raises(InputError):
             cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
+    @pytest.mark.parametrize("label", [-1, -3, np.iinfo(np.int64).min])
+    def test_negative_label(self, label):
+        # the range check reads the labels as unsigned, where a negative one wraps above C
+        with pytest.raises(InputError, match=r"labels must lie in \[0, 3\)"):
+            cross_entropy(np.zeros((2, 3)), np.array([0, label]))
+
     def test_gradient_matches_finite_diff(self, np_rng):
         logits = np_rng.normal(size=(5, 4))
         y = np_rng.integers(0, 4, size=5)

@@ -11,7 +11,10 @@ formulas ``mask_objective``/``retained_energy`` used before they read the
 mask's trainable index. ``oracle_build_mask`` (in conftest) is the per-row
 top-k loop ``build_mask`` ran before sparse masks held a boolean matrix, and
 ``oracle_save_dataset_csv`` (in conftest) the ``csv.writer`` loop
-``save_dataset_csv`` ran before it joined its lines itself.
+``save_dataset_csv`` ran before it joined its lines itself. ``oracle_train`` is
+``harness._train`` as a loop of the per-function oracles, which slice their views of
+the gradient vector, the moments and the parameters afresh on every step, as the
+package did before a run resolved them once.
 """
 
 import csv
@@ -25,9 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import (bias_mask, copy_model, finite_diff_grad, gathered, grad_rel_err,
-                      layer_grads, oracle_build_mask, oracle_cross_entropy, oracle_forward,
-                      oracle_topk_rows,
+from conftest import (ROW_PATH_DIMS, bias_mask, copy_model, finite_diff_grad, gathered,
+                      grad_rel_err, layer_grads, oracle_backward, oracle_build_mask,
+                      oracle_cross_entropy, oracle_forward, oracle_topk_rows,
                       oracle_masked_adam_step,
                       oracle_reg_penalty, oracle_save_checkpoint, oracle_save_dataset_csv,
                       oracle_scl_loss,
@@ -47,7 +50,7 @@ from masktune.losses import (
     resolve_regular_layers,
     scl_loss,
 )
-from masktune.linalg import frobenius_sq
+from masktune.linalg import Rng, frobenius_sq
 from masktune.masking import (
     GradientMaskSet,
     LayerMask,
@@ -60,17 +63,21 @@ from masktune.masking import (
     topk_indices,
 )
 from masktune.model import (
+    ForwardCache,
     Layer,
     ModelParams,
+    RowParams,
     backward,
     forward,
     layer_roles,
     load_checkpoint,
     row_anchor,
+    reinit_head,
     row_chunks,
     save_checkpoint,
 )
-from masktune.optim import _CHUNK, OptimConfig, init_adam_state, masked_adam_step
+from masktune.optim import (_CHUNK, AdamState, OptimConfig, cosine_warmup_lr, init_adam_state,
+                            masked_adam_step)
 
 VARIANTS = ("row", "col", "sparse", "bits", "full", "empty")
 CFG = OptimConfig(base_lr=0.1, total_epochs=10)
@@ -1006,3 +1013,107 @@ def test_a_row_path_run_with_a_one_row_last_batch_is_the_dense_run(setup, run, d
     batch_size = data.draw(st.sampled_from([b for b in range(2, n) if n % b == 1]))
     assert_the_row_path_run_is_the_dense_run(pre, task, replace(cfg, batch_size=batch_size),
                                              run)
+
+
+def oracle_train(model, masks, anchor, reg, train, optim, batch_size, shuffle_rng, rows=None):
+    """Test oracle: ``harness._train`` as a loop of the step oracles, each step's views of
+    the gradient vector, the moments and the parameters sliced afresh: ``oracle_forward``
+    (from ``rows``, the ``RowAnchor`` of ``train``, on the row path),
+    ``oracle_cross_entropy``, ``oracle_backward``, ``oracle_reg_penalty`` towards the
+    layers ``anchor`` and ``oracle_masked_adam_step``. Yields what ``_train`` yields."""
+    state = AdamState(np.zeros(masks.size), np.zeros(masks.size))
+    for epoch in range(optim.total_epochs):
+        lr = cosine_warmup_lr(epoch, optim)
+        order = shuffle_rng.permutation(len(train))
+        loss_sum = ce_sum = 0.0
+        for start in range(0, len(train), batch_size):
+            idx = order[start:start + batch_size]
+            logits, inputs = oracle_forward(model, train.x[idx],
+                                            None if rows is None else rows.take(idx))
+            ce, d_logits = oracle_cross_entropy(logits, train.y[idx])
+            grad = oracle_backward(model, ForwardCache(model, inputs), masks, d_logits=d_logits)
+            loss_r = ce + oracle_reg_penalty(model, anchor, reg, masks, grad)
+            oracle_masked_adam_step(model, state, grad, masks, lr, optim)
+            loss_sum += loss_r * len(idx)
+            ce_sum += ce * len(idx)
+        yield epoch, lr, loss_sum / len(train), ce_sum / len(train), state
+
+
+def drawn_mask(draw, rng, variant, shape):
+    """A mask of ``variant`` on ``shape``: up to 4 rows or columns (none included), or
+    a random boolean matrix for sparse."""
+    if variant == "full":
+        return LayerMask("full", shape)
+    if variant == "sparse":
+        return sparse_from_bits(rng.uniform(size=shape) < draw(st.floats(0.0, 1.0)))
+    n = shape[0] if variant == "row" else shape[1]
+    picked = rng.choice(n, size=draw(st.integers(0, min(n, 4))), replace=False)
+    return LayerMask(variant, shape, sorted(int(i) for i in picked))
+
+
+@st.composite
+def training_runs(draw):
+    """A ``_train`` run and its oracle's: random dims or ``ROW_PATH_DIMS``; row, col,
+    sparse, full or head-only masks below a full head, on the row path (row masks on
+    three or more layers) or the dense one; a penalty of any norm, lambda 0 or above
+    and any regular set, towards the starting weights with the trained entries moved
+    off them; and a training set whose last batch is full, short or one row long."""
+    dims = draw(st.one_of(st.just(ROW_PATH_DIMS),
+                          st.lists(st.integers(1, 6), min_size=2, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pre = ModelParams.from_layers([Layer(rng.normal(size=(n_out, n_in)), rng.normal(size=n_out))
+                                   for n_in, n_out in zip(dims, dims[1:])])
+    variant = draw(st.sampled_from(["row", "col", "sparse", "full", "head-only"]))
+    if variant == "head-only":
+        masks = GradientMaskSet.head_only(pre)
+    else:
+        below = [drawn_mask(draw, rng, variant, l.weight.shape) for l in pre.layers[:-1]]
+        masks = GradientMaskSet((*below, LayerMask("full", pre.layers[-1].weight.shape)))
+    row_path = variant in ("row", "head-only") and len(dims) >= 4 and draw(st.booleans())
+    batch_size, last = draw(st.integers(2, 8)), draw(st.sampled_from(["full", "short", "one"]))
+    rest = {"full": 0, "one": 1, "short": draw(st.integers(2, max(2, batch_size - 1)))}[last]
+    n = batch_size * draw(st.integers(1, 3)) + (rest if rest < batch_size else 0)
+    train = Dataset(rng.normal(size=(n, dims[0])), rng.integers(0, dims[-1], size=n), dims[-1])
+    hidden = max(0, len(dims) - 3)
+    reg = RegConfig(lam=draw(st.sampled_from([0.0, 0.05, 0.3])),
+                    norm=draw(st.sampled_from(["l2", "l1", "none"])),
+                    regular=RegularSet(draw(st.integers(0, hidden)), draw(st.booleans()),
+                                       draw(st.booleans())))
+    optim = OptimConfig(base_lr=draw(st.sampled_from([0.01, 0.1])),
+                        total_epochs=draw(st.integers(2, 3)), warmup_epochs=draw(st.integers(0, 1)))
+    if row_path:
+        rows = (masks.layers[0].index, masks.layers[1].index)
+        model = reinit_head(pre, dims[-1], Rng(0), rows)
+        masks, anchor = replace(masks, rows_held=2), row_anchor(pre, train.x)
+    else:
+        model, anchor = copy_model(pre), None
+    layers = [l.copy() for l in model.layers]
+    for seg in masks.segments:  # move every trained entry off the penalty's anchor
+        getattr(model.layers[seg.layer], seg.param)[seg.index] += 0.1 * rng.normal(size=seg.shape)
+    oracle = (RowParams(pre, *rows, model.params.copy(), model.dims) if row_path
+              else copy_model(model))
+    return model, oracle, masks, layers, reg, train, optim, batch_size, anchor
+
+
+def float_bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+@settings(max_examples=80, deadline=None)
+@given(run=training_runs(), seed=st.integers(0, 1000))
+def test_a_training_run_is_the_loop_of_the_step_oracles_bitwise(run, seed):
+    # a run resolves its views once; each epoch's losses, the parameters and Adam's
+    # state must be the ones a loop of the oracles, which slice afresh, gives
+    model, oracle, masks, layers, reg, train, optim, batch_size, anchor = run
+    got = harness._train(model, masks, resolve_penalty(layers, reg, masks), train, optim,
+                         batch_size, Rng(seed).child(3), anchor)
+    want = oracle_train(oracle, masks, layers, reg, train, optim, batch_size,
+                        Rng(seed).child(3), anchor)
+    epochs = 0
+    for (*stats, state), (*oracle_stats, oracle_state) in zip(got, want, strict=True):
+        assert float_bits(stats) == float_bits(oracle_stats)
+        assert bits(model.params) == bits(oracle.params)
+        assert bits(state.m) == bits(oracle_state.m) and bits(state.v) == bits(oracle_state.v)
+        assert state.t == oracle_state.t
+        epochs += 1
+    assert epochs == optim.total_epochs
