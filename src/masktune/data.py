@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, NumericError
 from .linalg import Rng
-from .losses import scl_loss
+from .losses import scl_loss_pass
 from .model import ModelParams, forward
 
 
@@ -130,14 +130,16 @@ def select_mask_subset(pre: ModelParams, data: Dataset, subsets: list[np.ndarray
     whose per-sample contrastive loss at the given weights is minimal; ties go to
     the lowest index. Returns its index and its rows of ``data``. Each subset's rows
     are gathered when it is scored, not all up front, and no parameters are updated.
+    Only the loss is formed (``scl_loss_pass``), not its gradient.
 
     Given ``z1_out`` (``len(data)`` rows of layer 1's width, for a model of three or
     more layers), each subset is forwarded through layers 0 and 1 as a model of their
     own (``ModelParams.layer_range``), its layer-1 pre-activation is written into its
     rows of ``z1_out``, and the forward goes on from its ReLU; the losses are the
     dense forward's, bit for bit. Subsets that cover ``data`` leave in ``z1_out`` the
-    ``z1`` that ``model.row_anchor`` takes. A non-finite loss (as a tiny ``tau`` gives)
-    raises NumericError."""
+    ``z1`` that ``model.row_anchor`` takes, and the chosen subset's rows of it are what
+    ``masking.scl_gradients`` takes to score that subset. A non-finite loss (as a tiny
+    ``tau`` gives) raises NumericError."""
     if z1_out is not None:
         bottom, top = pre.layer_range(0, 2), pre.layer_range(2, len(pre.layers))
     losses = []
@@ -149,8 +151,7 @@ def select_mask_subset(pre: ModelParams, data: Dataset, subsets: list[np.ndarray
             z1, _, _ = forward(bottom, x)
             z1_out[idx] = z1
             _, features, _ = forward(top, np.maximum(z1, 0.0, out=z1))
-        loss, _ = scl_loss(features, data.y[idx], tau)
-        losses.append(loss / len(idx))
+        losses.append(scl_loss_pass(features, data.y[idx], tau).loss / len(idx))
     if not np.isfinite(losses).all():
         raise NumericError(f"non-finite contrastive loss of a scoring subset at tau={tau}")
     best = int(np.argmin(losses))

@@ -12,7 +12,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -186,6 +186,68 @@ def _with_head_mask(masks: GradientMaskSet, pre: ModelParams, task: TaskPair) ->
     return GradientMaskSet((*masks.layers[:-1], head))
 
 
+class _Scored(NamedTuple):
+    """A run's share of ``_score``: the chosen subset's index, the masks it trains under
+    and whether it takes the row path (``_row_path``, decided once per run)."""
+    subset_index: int
+    masks: GradientMaskSet
+    row_path: bool
+
+
+def _score_group(pre: ModelParams, task: TaskPair, configs: list[FineTuneConfig],
+                 z1: np.ndarray | None) -> tuple[int, list[GradientMaskSet]]:
+    """Subset selection, then, unless every variant is full, the chosen subset's scores at
+    ``pre`` (``scl_gradients``), for ``configs`` that agree on what those read of a
+    config (``tau``, ``subsets_n`` and ``seed``): the chosen subset's index and each
+    config's masks (``compute_mask_set``, or all-full masks), under a full head mask
+    (``_with_head_mask``). Given ``z1``, selection writes layer 1's pre-activation of the
+    training set there, and the scores take the chosen subset's rows of it. The scores
+    are freed on return."""
+    cfg, train = configs[0], task.target_train
+    subsets = partition_subsets(train, cfg.subsets_n, Rng(cfg.seed).child(_STREAM_SUBSET))
+    subset_index, mask_data = select_mask_subset(pre, train, subsets, cfg.tau, z1)
+    gradients = None
+    if any(c.variant != "full" for c in configs):
+        gradients = scl_gradients(pre, mask_data.x, mask_data.y, cfg.tau,
+                                  None if z1 is None else z1[subsets[subset_index]])
+    return subset_index, [_with_head_mask(GradientMaskSet.all_full(pre) if c.variant == "full"
+                                          else compute_mask_set(gradients, c.k, c.variant),
+                                          pre, task) for c in configs]
+
+
+def _score(pre: ModelParams, task: TaskPair,
+           configs: list[FineTuneConfig]) -> tuple[list[_Scored], np.ndarray | None]:
+    """The work at ``pre`` the runs of ``configs`` read, each thing once: ``_check_config``
+    of every config, then one ``_score_group`` per distinct ``(tau, subsets_n, seed)``,
+    each freeing its scores before the next starts. Returns each config's ``_Scored``
+    and ``z1``: None unless the first config takes the row path, when its group's
+    selection writes layer 1's pre-activation of the training set into it for that
+    run's training anchor (``_anchored``)."""
+    for cfg in configs:
+        _check_config(pre, task, cfg)
+    row_paths = [_row_path(pre, cfg.variant) for cfg in configs]
+    z1 = np.empty((len(task.target_train), pre.dims[2])) if row_paths and row_paths[0] else None
+    groups = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault((cfg.tau, cfg.subsets_n, cfg.seed), []).append(i)
+    scored = {}
+    for members in groups.values():
+        subset_index, masks = _score_group(pre, task, [configs[i] for i in members],
+                                           z1 if members[0] == 0 else None)
+        scored.update((i, _Scored(subset_index, m, row_paths[i])) for i, m in zip(members, masks))
+    return [scored[i] for i in range(len(configs))], z1
+
+
+def _anchored(pre: ModelParams, task: TaskPair, scored: _Scored,
+              z1: np.ndarray | None) -> tuple[int, GradientMaskSet, RowAnchor | None]:
+    """A run's scoring result: the subset index, the masks and, on the row path, the
+    ``RowAnchor`` of ``pre`` over the target training set, from ``z1`` when given
+    (``row_anchor`` then adds layer 0's activation) or else from a forward of its own.
+    Else the anchor is None."""
+    anchor = row_anchor(pre, task.target_train.x, z1) if scored.row_path else None
+    return scored.subset_index, scored.masks, anchor
+
+
 def finetune_masks(pre: ModelParams, task: TaskPair,
                    cfg: FineTuneConfig) -> tuple[int, GradientMaskSet, RowAnchor | None]:
     """``_check_config``, subset selection, then (unless the variant is full) the subset's
@@ -194,20 +256,11 @@ def finetune_masks(pre: ModelParams, task: TaskPair,
     chosen subset's index, the masks a finetune run with this config trains under, and,
     where the run takes the row path (``_row_path``), the ``RowAnchor`` of ``pre`` over the
     target training set: selection writes layer 1's pre-activation of the set as it
-    forwards the subsets, which cover it, and ``row_anchor`` takes it, adding layer 0's
-    activation of the set once scoring's gradients are freed. Else the anchor is None."""
-    _check_config(pre, task, cfg)
-    train = task.target_train
-    subsets = partition_subsets(train, cfg.subsets_n, Rng(cfg.seed).child(_STREAM_SUBSET))
-    z1 = np.empty((len(train), pre.dims[2])) if _row_path(pre, cfg.variant) else None
-    subset_index, mask_data = select_mask_subset(pre, train, subsets, cfg.tau, z1)
-    if cfg.variant == "full":
-        masks = GradientMaskSet.all_full(pre)
-    else:
-        masks = compute_mask_set(scl_gradients(pre, mask_data.x, mask_data.y, cfg.tau),
-                                 cfg.k, cfg.variant)
-    anchor = None if z1 is None else row_anchor(pre, train.x, z1)
-    return subset_index, _with_head_mask(masks, pre, task), anchor
+    forwards the subsets, which cover it, scoring takes the chosen subset's rows of it,
+    and ``row_anchor`` takes it whole, adding layer 0's activation of the set once
+    scoring's gradients are freed. Else the anchor is None."""
+    (scored,), z1 = _score(pre, task, [cfg])
+    return _anchored(pre, task, scored, z1)
 
 
 def _probe_masks(pre: ModelParams, task: TaskPair,
@@ -222,11 +275,11 @@ def _probe_masks(pre: ModelParams, task: TaskPair,
 
 def _finetune_with_masks(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig,
                          score: Callable) -> tuple[ModelParams, TrainReport]:
-    """Score (``score(pre, task, cfg)``: ``finetune_masks`` or ``_probe_masks``), then draw
-    the run's one copy of ``pre`` under a new head (``_with_new_head``), train it towards
-    its values now and return it as a ``ModelParams``. The anchor is ``pre``'s layers
-    below the head, which are only read (and viewed by the penalty), and a copy of the
-    new head.
+    """Score (``score(pre, task, cfg)``: ``finetune_masks``, ``_probe_masks``, or in a sweep
+    ``_anchored`` of the run's ``_Scored``), then draw the run's one copy of
+    ``pre`` under a new head (``_with_new_head``), train it towards its values now and
+    return it as a ``ModelParams``. The anchor is ``pre``'s layers below the head, which
+    are only read (and viewed by the penalty), and a copy of the new head.
 
     The run takes the row path exactly when ``score`` returns the ``RowAnchor`` of ``pre``
     over the target training set, so ``_row_path`` is decided once per run, in ``score``.
@@ -332,8 +385,22 @@ def sweep_configs(pre: ModelParams, task: TaskPair, base_cfg: FineTuneConfig, ax
 
 
 def ablate(pre: ModelParams, task: TaskPair, configs: list[FineTuneConfig]) -> list[TrainReport]:
-    """Run finetune once per config of a sweep (see sweep_configs)."""
-    return [finetune(pre, task, cfg)[1] for cfg in configs]
+    """The reports of ``finetune`` run once per config of a sweep (see sweep_configs), bit
+    for bit, with the work at ``pre`` done once: ``_score`` selects and scores once per
+    distinct ``(tau, subsets_n, seed)`` and builds every config's masks before the first
+    run trains, so between runs the sweep holds masks alone. The first run, on the row
+    path, takes selection's ``z1`` for its training anchor; later runs build theirs as
+    the linear probe does. Each run is handed its share and the sweep keeps no
+    reference to it, so the run alone holds its anchor and masks."""
+    scored, z1 = _score(pre, task, configs)
+    scored.reverse()
+
+    def score(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig):
+        nonlocal z1
+        given, z1 = z1, None  # the first run's anchor alone takes it
+        return _anchored(pre, task, scored.pop(), given)
+
+    return [_finetune_with_masks(pre, task, cfg, score)[1] for cfg in configs]
 
 
 def write_report_json(report: TrainReport, path: str | Path) -> None:

@@ -1,4 +1,4 @@
-"""Counter-based seeded RNG and the squared Frobenius norm.
+"""Counter-based seeded RNG.
 
 Functions here are pure; nothing holds mutable shared state, so concurrent
 callers are safe. Randomness goes through :class:`Rng`, a thin wrapper over
@@ -9,11 +9,6 @@ streams on every platform.
 from __future__ import annotations
 
 import numpy as np
-
-
-def frobenius_sq(a: np.ndarray) -> float:
-    """Sum of squared entries."""
-    return float(np.sum(a * a))
 
 
 class Rng:

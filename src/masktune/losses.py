@@ -96,19 +96,38 @@ def check_tau(tau: float) -> None:
         raise ConfigError(f"tau must be positive and finite, got {tau}")
 
 
-def scl_loss(features: np.ndarray, labels: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
-    """Supervised contrastive loss over L2-normalized feature rows.
+class ContrastivePass(NamedTuple):
+    """What ``scl_loss_pass`` leaves for ``scl_grad_pass``: the summed ``loss``; the
+    ``n x n`` ``buffer`` that held the similarities and now holds each row's
+    exponentials ``exp(sim - row_max)``, zero on the diagonal, and ``sums``, their row
+    sums; the unit feature rows ``z`` and the feature ``norms``; ``labels``; ``tau``."""
+    loss: float
+    buffer: np.ndarray
+    sums: np.ndarray
+    z: np.ndarray
+    norms: np.ndarray
+    labels: np.ndarray
+    tau: float
 
-    Returns the summed loss over anchors and its gradient w.r.t. the raw
-    features (normalization Jacobian included).
 
-    One n x n float buffer holds the similarities, then in place their
-    exponentials, the softmax and dL/dsim. Every row-wise pass runs over one
-    block of its rows at a time (``row_chunks``), which builds that block's
-    positive pairs from ``labels``, and the transpose is added slab by slab, so
-    no second n x n array, float or boolean, ever exists. The peak is the
-    buffer, the normalized features, the feature gradient and one row block
-    (20 MB on 1000 x 768 features).
+def _positives(labels: np.ndarray, r: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows ``r`` of the positive pairs (same label, self excluded), each row's count
+    of them floored at 1, and whether it has any."""
+    positives = labels[r, None] == labels[None, :]
+    positives.ravel()[r.start::len(labels) + 1] = False  # the diagonal, flat, row-major
+    n_pos = positives.sum(axis=1)
+    return positives, np.maximum(n_pos, 1), n_pos > 0
+
+
+def scl_loss_pass(features: np.ndarray, labels: np.ndarray, tau: float) -> ContrastivePass:
+    """The supervised contrastive loss over L2-normalized feature rows, summed over
+    anchors, and what ``scl_grad_pass`` reads to form its gradient.
+
+    One n x n float buffer holds the similarities, then in place their exponentials.
+    Every row-wise pass runs over one block of its rows at a time (``row_chunks``),
+    which builds that block's positive pairs from ``labels``, so no second n x n
+    array, float or boolean, ever exists. ``features`` is not read again once this
+    returns. A caller that wants the loss alone (subset selection) drops the rest.
     """
     check_tau(tau)
     features = np.asarray(features, dtype=np.float64)
@@ -129,48 +148,76 @@ def scl_loss(features: np.ndarray, labels: np.ndarray, tau: float) -> tuple[floa
     valid = np.empty(batch, dtype=bool)
     mean_pos_sim, row_max, sums = np.empty(batch), np.empty(batch), np.empty(batch)
     for r in row_chunks(batch, batch):
-        block, diagonal = sim[r], slice(r.start, None, batch + 1)  # flat, row-major
-        positives = labels[r, None] == labels[None, :]
-        positives.ravel()[diagonal] = False
-        n_pos = positives.sum(axis=1)
-        valid[r] = n_pos > 0
-        denom = np.maximum(n_pos, 1)
+        block = sim[r]
+        positives, denom, valid[r] = _positives(labels, r)
         # before the diagonal turns -inf: False * -inf is NaN
         mean_pos_sim[r] = (positives * block).sum(axis=1) / denom
 
         # log-sum-exp over a != i, stabilized per row; exp(-inf) zeroes the diagonal
-        block.ravel()[diagonal] = -np.inf
+        block.ravel()[r.start::batch + 1] = -np.inf
         row_max[r] = block.max(axis=1)
         block -= row_max[r, None]
         np.exp(block, out=block)
         sums[r] = block.sum(axis=1)
-
-        # dL/dsim: softmax over non-self entries minus positive-average, per valid anchor
-        block /= sums[r, None]
-        block -= positives / denom[:, None]
-        block[~valid[r]] = 0.0
     lse = row_max + np.log(sums)
     per_anchor = np.where(valid, lse - mean_pos_sim, 0.0)
-    loss = float(per_anchor.sum())
+    return ContrastivePass(float(per_anchor.sum()), sim, sums, z, norms, labels, tau)
 
+
+def scl_grad_pass(state: ContrastivePass, out: np.ndarray | None = None) -> np.ndarray:
+    """The gradient of ``state.loss`` w.r.t. the raw features (normalization Jacobian
+    included): ``out`` when given (a C-contiguous float64 array of the features'
+    shape, whatever it held; the features' own buffer will do, as ``scl_loss_pass`` is
+    done with them), else a fresh array.
+
+    ``state.buffer`` becomes dL/dsim in place, block by block, the transpose is added
+    slab by slab, and its product with ``z`` is written into ``out``; the Jacobian then
+    runs a block of rows at a time. So beside the buffer live ``z``, ``out`` and a few
+    row blocks (21 MB in all on 1000 x 768 features, 15 MB when ``out`` is the
+    features' own buffer).
+    """
+    _, sim, sums, z, norms, labels, tau = state
+    batch = len(labels)
+    if out is None:
+        out = np.empty_like(z)
+    elif not (out.dtype == np.float64 and out.shape == z.shape and out.flags.c_contiguous):
+        raise ShapeError(f"out must be a C-contiguous float64 array of shape {z.shape}")
+    for r in row_chunks(batch, batch):
+        # dL/dsim: softmax over non-self entries minus positive-average, per valid anchor
+        block = sim[r]
+        positives, denom, valid = _positives(labels, r)
+        block /= sums[r, None]
+        block -= positives / denom[:, None]
+        block[~valid] = 0.0
     # sim is used both as (i, a) and (a, i) terms: sim += sim.T, a slab of rows and
     # its transposed columns at a time, each entry the same one addition
     for r in row_chunks(batch, batch):
         slab = sim[r, r.start:] + sim[r.start:, r].T
         sim[r, r.start:] = slab
         sim[r.start:, r] = slab.T
-    del block, positives, slab  # block views sim: kept, it would keep sim past del sim
     # tau divides once more because sim already includes 1/tau -> chain through raw
     # dot products
-    d_z = sim @ z
-    del sim  # freed before the n x d temporaries below
-    d_z /= tau
+    np.matmul(sim, z, out=out)
+    out /= tau
 
-    # normalization Jacobian: d/df [f/|f|] applied row-wise
-    inner = np.sum(d_z * z, axis=1, keepdims=True)
-    d_z -= inner * z
-    d_z /= norms[:, None]
-    return loss, d_z
+    # normalization Jacobian: d/df [f/|f|] applied row-wise, a block of rows at a time
+    for r in row_chunks(batch, z.shape[1]):
+        d_z, z_r = out[r], z[r]
+        d_z -= np.sum(d_z * z_r, axis=1, keepdims=True) * z_r
+        d_z /= norms[r, None]
+    return out
+
+
+def scl_loss(features: np.ndarray, labels: np.ndarray, tau: float,
+             out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Supervised contrastive loss over L2-normalized feature rows: ``scl_loss_pass``
+    then ``scl_grad_pass``. Returns the summed loss over anchors and its gradient
+    w.r.t. the raw features, written into ``out`` when given (which may be
+    ``features`` itself). The peak is the n x n buffer, the normalized features,
+    the gradient and a few row blocks.
+    """
+    state = scl_loss_pass(features, labels, tau)
+    return state.loss, scl_grad_pass(state, out)
 
 
 class PenaltyPart(NamedTuple):

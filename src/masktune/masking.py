@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 from .fileio import write_json
-from .linalg import frobenius_sq
 from .losses import scl_loss
-from .model import Layer, ModelParams, backward, forward, param_offsets
+from .model import Layer, ModelParams, backward, forward, forward_from_z1, param_offsets
 
 SELECTION_VARIANTS = ("row", "col", "sparse")  # the variants scoring can build
 VARIANTS = (*SELECTION_VARIANTS, "full")
@@ -186,7 +185,8 @@ def mask_objective(h: np.ndarray, mask: LayerMask) -> float:
         raise ShapeError(f"gradient shape {h.shape} != mask shape {mask.shape}")
     dropped = h.copy()
     dropped[mask.trainable[0]] = 0.0
-    return frobenius_sq(dropped)
+    dropped *= dropped  # squared in place: its own copy
+    return float(np.sum(dropped))
 
 
 def retained_energy(h: np.ndarray, mask: LayerMask) -> float:
@@ -196,7 +196,8 @@ def retained_energy(h: np.ndarray, mask: LayerMask) -> float:
     idx = mask.trainable[0]
     kept = np.zeros_like(h)
     kept[idx] = h[idx]
-    return frobenius_sq(kept)
+    kept *= kept  # squared in place: its own copy
+    return float(np.sum(kept))
 
 
 def brute_force_best_rows(h: np.ndarray, k: int) -> tuple[int, ...]:
@@ -379,19 +380,30 @@ class GradientMaskSet:
         return tuple(steps)
 
 
-def scl_gradients(pre: ModelParams, x: np.ndarray, y: np.ndarray, tau: float) -> list[np.ndarray]:
+def scl_gradients(pre: ModelParams, x: np.ndarray, y: np.ndarray, tau: float,
+                  z1: np.ndarray | None = None) -> list[np.ndarray]:
     """Mean contrastive-loss weight gradient per layer at the given parameters,
     as matrix views of the weight segments of one full-mask gradient vector.
 
-    The head is excluded from the loss path, so its entry is all zeros. The
-    loss's feature gradient is divided by the batch size in place, and
-    ``backward`` consumes it, forming its first delta in it, so scoring holds no
-    copy of it. Scores sum squares, so a gradient whose squares do not sum to a
-    finite number (as a tiny ``tau`` gives) raises NumericError.
+    The head is excluded from the loss path, so its entry is all zeros, and its
+    logits are dropped at once. Given ``z1``, layer 1's pre-activation of ``x`` (as
+    subset selection writes it; three or more layers), the forward takes it over
+    (``forward_from_z1``, which consumes it) and forms only layer 0's activation.
+    Backprop reads the head input only through its ReLU mask, so the cache keeps that
+    mask in its place, and where the head input is an activation the forward
+    allocated (not the caller's ``x``, as it is for a one-layer model) the loss's
+    feature gradient is written into it. That gradient is divided by the batch size
+    in place, and ``backward`` consumes it, forming its first delta in it, so scoring
+    holds one n x d array for the features, their gradient and that delta. Scores
+    sum squares, so a gradient whose squares do not sum to a finite number (as a
+    tiny ``tau`` gives) raises NumericError.
     """
-    _, features, cache = forward(pre, x)
-    _, d_features = scl_loss(features, y, tau)
-    d_features /= len(y)  # scl_loss's fresh gradient, divided in place, consumed below
+    features, cache = (forward(pre, x) if z1 is None else forward_from_z1(pre, x, z1))[1:]
+    own = len(pre.layers) > 1  # else the features are the caller's x
+    if own:
+        cache.inputs[-1] = features > 0.0
+    _, d_features = scl_loss(features, y, tau, out=features if own else None)
+    d_features /= len(y)  # divided in place, consumed below
     masks = GradientMaskSet.all_full(pre)
     grad = backward(pre, cache, masks, d_features=d_features)
     if not np.isfinite(np.dot(grad, grad)):

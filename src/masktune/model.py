@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
@@ -255,8 +256,11 @@ class RowAnchor(NamedTuple):
     a0_whole: np.ndarray  # (samples, layer 0 width)
 
     def take(self, index) -> "RowAnchor":
-        """The anchor of the dataset rows at ``index`` (views for a slice)."""
-        return RowAnchor(self.z1[index], self.a0_whole[index])
+        """The anchor of the dataset rows at ``index``, a slice or an index array. Its
+        layer-0 activation is always a fresh array, as ``forward`` writes it in place: a
+        slice's rows are copied, an index array's gathered."""
+        a0 = self.a0_whole[index]
+        return RowAnchor(self.z1[index], a0.copy() if isinstance(index, slice) else a0)
 
 
 def _dense(a: np.ndarray, layer: Layer, relu: bool) -> np.ndarray:
@@ -281,21 +285,27 @@ def row_anchor(model: ModelParams, x: np.ndarray, z1: np.ndarray | None = None) 
     """The ``RowAnchor`` of ``model`` over the rows of ``x``: layer 0's activation of all
     of them in one product, and ``z1``, layer 1's pre-activation of those rows, taken as
     given (as subset selection writes it) or computed from that activation in one more.
-    Each product is written straight into the anchor."""
+    Each product is written straight into the anchor, and both arrays are made
+    read-only: ``forward`` writes the layer-0 activation of the anchor it is given, so
+    it is given a ``take``."""
     bottom = model.layer_range(0, 2)
     if z1 is not None and z1.shape != (len(x), bottom.num_classes):
         raise ShapeError(f"z1 of shape {z1.shape} cannot hold {len(x)} rows of layer 1's "
                          f"{bottom.num_classes} outputs")
     a0 = _dense(x, bottom.layers[0], True)
-    return RowAnchor(_dense(a0, bottom.layers[1], False) if z1 is None else z1, a0)
+    anchor = RowAnchor(_dense(a0, bottom.layers[1], False) if z1 is None else z1, a0)
+    for a in anchor:
+        a.flags.writeable = False
+    return anchor
 
 
 def _row_bottom(model: RowParams, x: np.ndarray,
                 anchor: RowAnchor) -> tuple[np.ndarray, np.ndarray]:
     """The activations of layers 0 and 1 on the row path (see ``RowAnchor``). Layer 0's is
-    a copy of the anchor's, with the trained columns ``rows0`` written in."""
+    the anchor's, a ``take``'s fresh array, with the trained columns ``rows0`` written
+    in place."""
     rows0, rows1 = model.rows0, model.rows1
-    a = anchor.a0_whole.copy()
+    a = anchor.a0_whole
     trained = _trained_columns(x, model.layers[0])
     change = trained - a[:, rows0]
     a[:, rows0] = trained
@@ -315,7 +325,7 @@ def forward(model: ModelParams | RowParams, x_batch: np.ndarray,
     the bias and the ReLU are applied in place to the fresh matmul result, so
     no cached input is ever written again.
 
-    A ``RowParams`` is forwarded with ``anchor``, the ``RowAnchor`` of the batch's
+    A ``RowParams`` is forwarded with ``anchor``, the ``RowAnchor.take`` of the batch's
     rows at its ``base``, and a ``ModelParams`` without: layers 0 and 1 are computed
     from the anchor (see ``RowAnchor``), the row path, which costs the trained rows
     of layer 1 rather than its whole matrix. Its logits and cache equal the dense
@@ -347,6 +357,25 @@ def forward(model: ModelParams | RowParams, x_batch: np.ndarray,
             np.maximum(a, 0.0, out=a)
     logits = a
     features = cache.inputs[-1]
+    return logits, features, cache
+
+
+def forward_from_z1(model: ModelParams, x_batch: np.ndarray,
+                    z1: np.ndarray) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
+    """``forward(model, x_batch)`` of a model of three or more layers, given ``z1``, layer
+    1's pre-activation of ``x_batch`` (bit for bit the dense forward's, as subset
+    selection writes it): it forms layer 0's activation alone and goes on from layer 2.
+    ``z1`` is consumed: its ReLU is taken in place, and the cache holds it as layer 1's
+    activation."""
+    x_batch = np.asarray(x_batch, dtype=np.float64)
+    n, dims = len(x_batch), model.dims
+    if len(dims) < 4 or x_batch.ndim != 2 or x_batch.shape[1] != dims[0] \
+            or z1.shape != (n, dims[2]):
+        raise ShapeError(f"batch of shape {x_batch.shape} and z1 of shape {z1.shape} do not "
+                         f"fit layers 0 and 1 of dims {dims} with a layer above them")
+    logits, features, top = forward(model.layer_range(2, len(model.layers)),
+                                    np.maximum(z1, 0.0, out=z1))
+    cache = ForwardCache(model, [x_batch, _dense(x_batch, model.layers[0], True), *top.inputs])
     return logits, features, cache
 
 
@@ -440,24 +469,29 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     An unreadable file, a missing magic line (as in the older JSON
     checkpoints), a malformed header, header roles other than the positional
     ones, a byte count that does not fit the header or a non-finite value
-    (named by its first layer) raises InputError. The model's vector is one
-    writeable copy of the file's values, and its layers are views into it.
+    (named by its first layer) raises InputError. The file's values are read
+    straight into the model's vector, one writeable array, and its layers are
+    views into it.
     """
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            return _read_checkpoint(fh, path)
     except OSError as exc:
         raise InputError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not blob.startswith(CHECKPOINT_MAGIC):
+
+
+def _read_checkpoint(fh, path: str | Path) -> ModelParams:
+    """``load_checkpoint`` of the open binary file ``fh``."""
+    if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise InputError(f"{path} is not a masktune checkpoint: expected the line "
                          f"{CHECKPOINT_MAGIC.decode().strip()!r}, a one-line JSON header with "
                          f"dims and roles, then each layer's weight and bias as raw "
                          f"little-endian float64")
-    start = len(CHECKPOINT_MAGIC)
-    end = blob.find(b"\n", start)
-    if end < 0:
+    line = fh.readline()
+    if not line.endswith(b"\n"):
         raise InputError(f"checkpoint {path}: the header line is cut off")
     try:
-        header = json.loads(blob[start:end])
+        header = json.loads(line[:-1])
         dims, roles = header["dims"], header["roles"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"checkpoint {path}: malformed header: {exc!r}") from exc
@@ -467,13 +501,13 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     positional = layer_roles(len(dims) - 1)
     if roles != positional:
         raise InputError(f"checkpoint {path}: roles {roles!r} are not the positional {positional}")
-    offset = end + 1
     expected = 8 * param_offsets(_weight_shapes(dims))[-1]
-    if len(blob) - offset != expected:
-        raise InputError(f"checkpoint {path}: {len(blob) - offset} bytes of parameters "
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    params = np.empty(expected // 8, dtype="<f8") if size == expected else None
+    if params is None or fh.readinto(params.view(np.uint8)) != expected:
+        raise InputError(f"checkpoint {path}: {size} bytes of parameters "
                          f"after the header, dims {dims} need {expected}")
-    # astype copies out of the read-only buffer into native float64
-    model = ModelParams(np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64), dims)
+    model = ModelParams(params.astype(np.float64, copy=False), dims)  # a copy on big-endian only
     if not np.isfinite(model.params).all():
         bad = next(i for i, l in enumerate(model.layers)
                    if not (np.isfinite(l.weight).all() and np.isfinite(l.bias).all()))

@@ -9,10 +9,10 @@ import pytest
 from masktune import harness, init_model
 from masktune.errors import NumericError, ShapeError, StateError
 from masktune.linalg import Rng
-from masktune.losses import resolve_penalty, resolve_regular_layers
+from masktune.losses import resolve_penalty, resolve_regular_layers, scl_loss
 from masktune.masking import GradientMaskSet, LayerMask
-from masktune.model import (CHECKPOINT_MAGIC, Layer, ModelParams, RowParams, layer_roles,
-                            row_anchor)
+from masktune.model import (CHECKPOINT_MAGIC, Layer, ModelParams, RowParams, backward, forward,
+                            layer_roles, row_anchor)
 
 # layer 1 of 192 x 192 = 36,864 weights is wide enough for the row path
 ROW_PATH_DIMS = [6, 192, 192, 3]
@@ -91,6 +91,11 @@ def oracle_build_mask(h, k, variant):
     if variant == "col":
         return list(oracle_topk(np.sum(h * h, axis=0), k))
     return [list(oracle_topk(np.abs(h[i]), k)) for i in range(h.shape[0])]
+
+
+def frobenius_sq(a):
+    """Sum of squared entries: the objectives' sum, written with a temporary."""
+    return float(np.sum(a * a))
 
 
 def random_batch(rng, n, dim, classes):
@@ -224,6 +229,21 @@ def oracle_whole_matrix_scl_loss(features, labels, tau):
     d_z -= inner * z
     d_z /= norms[:, None]
     return loss, d_z
+
+
+def oracle_scl_gradients(pre, x, y, tau):
+    """Test oracle: ``masking.scl_gradients`` as written before it kept the head input's
+    ReLU mask in the cache, wrote the feature gradient into the features' buffer and took
+    selection's ``z1``: the dense forward, a fresh ``scl_loss`` gradient, divided by the
+    batch size, and ``backward``."""
+    _, features, cache = forward(pre, x)
+    _, d_features = scl_loss(features, y, tau)
+    d_features /= len(y)
+    masks = GradientMaskSet.all_full(pre)
+    grad = backward(pre, cache, masks, d_features=d_features)
+    if not np.isfinite(np.dot(grad, grad)):
+        raise NumericError(f"contrastive gradient at tau={tau}: its squared norm is not finite")
+    return [s.view(grad) for s in masks.segments[::2]]
 
 
 def oracle_cross_entropy(logits, labels):

@@ -473,7 +473,7 @@ class TestOutputPaths:
         # refused before the first run, not after it wrote its reports
         cfg, ckpt = trained
         (tmp_path / "sweep" / "variant_col.json").mkdir(parents=True)
-        calls = count_calls(monkeypatch, harness.finetune)
+        calls = count_calls(monkeypatch, harness._finetune_with_masks)  # every run of a sweep
         assert_refused(["ablate", "--config", str(cfg), "--checkpoint", str(ckpt),
                         "--axis", "variant", "--values", "row,col",
                         "--out-dir", str(tmp_path / "sweep")], tmp_path, capsys, [])
@@ -540,7 +540,7 @@ class TestOutputIsAnInput:
         inputs = copy_inputs(trained, tmp_path / "in")
         inputs[name] = inputs[name].rename(tmp_path / "in" / file)
         before = {p: p.read_bytes() for p in inputs.values()}
-        calls = count_calls(monkeypatch, harness.finetune)
+        calls = count_calls(monkeypatch, harness._finetune_with_masks)  # every run of a sweep
         assert main(["ablate", "--config", str(inputs["config"]),
                      "--checkpoint", str(inputs["checkpoint"]), "--axis", "k",
                      "--values", "1,2", "--out-dir", str(tmp_path / "in")]) == 2
@@ -608,7 +608,7 @@ class TestAblateCommand:
     def test_repeated_values_exit_2_without_training(self, trained, tmp_path, capsys,
                                                      monkeypatch, axis, values):
         cfg, ckpt = trained
-        calls = count_calls(monkeypatch, harness.finetune)
+        calls = count_calls(monkeypatch, harness._finetune_with_masks)  # every run of a sweep
         assert_refused(["ablate", "--config", str(cfg), "--checkpoint", str(ckpt),
                         "--axis", axis, "--values", values,
                         "--out-dir", str(tmp_path / "sweep")], tmp_path, capsys, [])
@@ -867,7 +867,7 @@ class TestSweepIsCheckedBeforeTraining:
     def test_bad_last_value_exits_2_without_training(self, trained, tmp_path, capsys,
                                                      monkeypatch, axis, values):
         cfg, ckpt = trained
-        calls = count_calls(monkeypatch, harness.finetune)
+        calls = count_calls(monkeypatch, harness._finetune_with_masks)  # every run of a sweep
         assert_refused(["ablate", "--config", str(cfg), "--checkpoint", str(ckpt),
                         "--axis", axis, "--values", values,
                         "--out-dir", str(tmp_path / "sweep")], tmp_path, capsys, [])

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import small_model
+from masktune import data as data_module
+from masktune import losses as losses_module
 from masktune.data import (
     Dataset,
     ShiftConfig,
@@ -160,6 +162,32 @@ class TestSelectSubset:
                                              data.x[subsets[idx]].tobytes())
         z1, _, _ = forward(ModelParams.from_layers(model.layers[:2]), data.x)
         assert np.allclose(z1_out, z1, rtol=1e-12, atol=1e-12)
+
+
+    @pytest.mark.parametrize("dims, with_z1", [([4, 3], False), ([4, 7, 3], False),
+                                               ([4, 7, 5, 3], False), ([4, 7, 5, 3], True),
+                                               ([4, 7, 5, 6, 3], True)])
+    def test_the_losses_are_the_dense_losses_bitwise_from_the_loss_pass_alone(
+            self, monkeypatch, dims, with_z1):
+        rng = np.random.default_rng(3)
+        model = ModelParams.from_layers([Layer(rng.normal(size=(n_out, n_in)),
+                                               rng.uniform(0.5, 1.0, size=n_out))
+                                         for n_in, n_out in zip(dims, dims[1:])])
+        data = Dataset(rng.normal(size=(30, 4)), rng.integers(0, 3, size=30), 3)
+        subsets = partition_subsets(data, 3, seed=6)
+        seen, loss_pass = [], data_module.scl_loss_pass
+
+        def recorded(features, labels, tau):
+            state = loss_pass(features, labels, tau)
+            seen.append(state.loss / len(labels))
+            return state
+
+        monkeypatch.setattr(data_module, "scl_loss_pass", recorded)
+        monkeypatch.setattr(losses_module, "scl_grad_pass", None)  # no gradient is formed
+        z1_out = np.empty((30, dims[2])) if with_z1 else None
+        select_mask_subset(model, data, subsets, 0.5, z1_out)
+        monkeypatch.undo()
+        assert seen == dense_subset_losses(model, data, subsets)
 
 
 class TestCsv:

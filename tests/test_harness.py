@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ROW_PATH_DIMS, oracle_finetune_with_masks, peak_bytes
+from conftest import ROW_PATH_DIMS, oracle_finetune_with_masks, oracle_scl_gradients, peak_bytes
 from masktune import data as data_module
 from masktune import harness, masking
 from masktune import model as model_module
-from masktune.data import Dataset, ShiftConfig, gen_task, partition_subsets
+from masktune.data import Dataset, ShiftConfig, gen_task, partition_subsets, select_mask_subset
 from masktune.errors import ConfigError, ShapeError
 from masktune.harness import (
     ABLATION_AXES,
@@ -28,6 +28,7 @@ from masktune.harness import (
 )
 from masktune.linalg import Rng
 from masktune.losses import RegConfig, RegularSet
+from masktune.masking import masks_to_doc
 from masktune.model import Layer, ModelParams, init_model, row_anchor
 from masktune.optim import OptimConfig, masked_adam_step
 
@@ -397,6 +398,68 @@ class TestAblate:
             ablate(pre, task, sweep_configs(pre, task, make_cfg(), "k", []))
 
 
+class TestScoringOnce:
+    """Scoring at pre does each thing once: the gradients finetune_masks builds its masks
+    from are the oracle's bit for bit, and a sweep scores once per distinct (tau,
+    subsets_n), each run's report the standalone finetune's byte for byte."""
+
+    @pytest.mark.parametrize("dims", [[6, 3], [6, 8, 3], [6, 8, 7, 3], [6, 8, 7, 5, 3],
+                                      ROW_PATH_DIMS])
+    def test_finetune_masks_scores_as_the_oracle_bitwise(self, monkeypatch, dims):
+        task = make_task(seed=1, per_class=16, noise=0.12)
+        pre = init_model(dims, seed=2)
+        cfg = make_cfg(subsets_n=3, reg=RegConfig(lam=0.01, regular=RegularSet(0)))
+        train = task.target_train
+        before = train.x.tobytes()
+        seen, build = [], harness.compute_mask_set
+        monkeypatch.setattr(harness, "compute_mask_set",
+                            lambda gradients, *args: seen.append([h.tobytes() for h in gradients])
+                            or build(gradients, *args))
+        index, masks, _ = finetune_masks(pre, task, cfg)
+        subsets = partition_subsets(train, cfg.subsets_n,
+                                    Rng(cfg.seed).child(harness._STREAM_SUBSET))
+        want_index, chosen = select_mask_subset(pre, train, subsets, cfg.tau)
+        want = oracle_scl_gradients(pre, chosen.x, chosen.y, cfg.tau)
+        assert index == want_index
+        assert seen == [[h.tobytes() for h in want]]
+        assert masks_to_doc(masks)["layers"][:-1] == \
+            masks_to_doc(build(want, cfg.k, cfg.variant))["layers"][:-1]
+        assert train.x.tobytes() == before
+
+    @pytest.mark.parametrize("dims, axis, values", [
+        (ROW_PATH_DIMS, "lambda", [0.0, 0.01, 0.1]), (ROW_PATH_DIMS, "subsets_n", [2, 3]),
+        (ROW_PATH_DIMS, "variant", ["col", "row", "full", "sparse"]), (ROW_PATH_DIMS, "k", [1, 3]),
+        (DIMS, "variant", ["row", "col", "sparse", "full"]), (DIMS, "subsets_n", [3, 2]),
+        (DIMS, "norm", ["l1", "none"])])
+    def test_each_report_is_the_standalone_finetune_s_from_one_scoring_per_tau_and_subsets_n(
+            self, monkeypatch, tmp_path, dims, axis, values):
+        task = make_task(seed=1, per_class=16, noise=0.12)
+        pre = init_model(dims, seed=2)
+        configs = sweep_configs(pre, task, make_cfg(), axis, values)
+        alone = [finetune(pre, task, cfg)[1] for cfg in configs]
+        scored, score = [], harness.scl_gradients
+        monkeypatch.setattr(harness, "scl_gradients",
+                            lambda *args: scored.append(args[3]) or score(*args))
+        reports = ablate(pre, task, configs)
+        assert len(scored) == len({(cfg.tau, cfg.subsets_n) for cfg in configs})
+        for got, want in zip(reports, alone):
+            for write in (write_report_json, write_report_csv):
+                write(got, tmp_path / "got")
+                write(want, tmp_path / "want")
+                assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+            assert masks_to_doc(got.masks) == masks_to_doc(want.masks)
+
+    @pytest.mark.parametrize("axis, values", [("lambda", [0.0, 0.01, 0.1]),
+                                              ("subsets_n", [2, 3]), ("k", [3, 1])])
+    def test_a_sweep_peaks_no_higher_than_its_runs_alone(self, axis, values):
+        # the work at pre is shared, and between runs the sweep holds masks alone
+        task = make_task(seed=1, per_class=40, noise=0.12)
+        pre = init_model([6, 256, 256, 3], seed=2)
+        configs = sweep_configs(pre, task, make_cfg(), axis, values)
+        alone = max(peak_bytes(lambda: finetune(pre, task, cfg)) for cfg in configs)
+        assert peak_bytes(lambda: ablate(pre, task, configs)) <= alone + 16 * 1024
+
+
 class TestRowPath:
     """A run under row masks on layers 0 and 1 (the linear probe's empty ones included)
     whose layer 1 is wide enough forwards from two row anchors, and frees both before
@@ -453,8 +516,9 @@ class TestRowPath:
 
     def test_a_finetune_forwards_the_training_set_through_layer_1_at_pre_once(self, monkeypatch):
         # selection forwards every training row through layers 0 and 1 at pre and keeps
-        # layer 1's pre-activation; only the chosen subset passes again (its scores), and
-        # row_anchor adds the training set's layer-0 activation and forwards the test set
+        # layer 1's pre-activation; the chosen subset's scores take their rows of it and
+        # form layer 0's activation alone, and row_anchor adds the training set's layer-0
+        # activation and forwards the test set
         task = make_task(seed=1, per_class=16, noise=0.12)
         pre = init_model(ROW_PATH_DIMS, seed=2)
         train = task.target_train
@@ -474,11 +538,8 @@ class TestRowPath:
         monkeypatch.setattr(harness, "row_anchor",
                             lambda *args, **kwargs: built.append(len(args) == 3)
                             or row_anchor(*args, **kwargs))
-        cfg = make_cfg()
-        _, report = finetune(pre, task, cfg)
-        subsets = partition_subsets(train, cfg.subsets_n,
-                                    Rng(cfg.seed).child(harness._STREAM_SUBSET))
-        assert sum(rows_at_pre) == len(train) + len(subsets[report.mask_subset_index])
+        finetune(pre, task, make_cfg())
+        assert sum(rows_at_pre) == len(train)
         assert built == [True, False]  # the training set's from selection's z1, then the test set's
 
     def test_a_4_layer_row_path_model_scores_as_the_dense_forward(self, monkeypatch):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import finite_diff_grad
+from conftest import finite_diff_grad, frobenius_sq
 from masktune.errors import NumericError
-from masktune.linalg import Rng, frobenius_sq
+from masktune.linalg import Rng
 
 
 class TestFrobeniusSq:

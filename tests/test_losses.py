@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (copy_model, finite_diff_grad, grad_rel_err, layer_grads, peak_bytes,
                       small_model)
-from masktune.errors import ConfigError, InputError
+from masktune.errors import ConfigError, InputError, ShapeError
 from masktune.losses import (
     RegConfig,
     RegularSet,
@@ -15,6 +15,7 @@ from masktune.losses import (
     resolve_penalty,
     resolve_regular_layers,
     scl_loss,
+    scl_loss_pass,
 )
 from masktune.masking import GradientMaskSet, LayerMask
 from masktune.model import _CHUNK, Layer, ModelParams, forward
@@ -138,14 +139,42 @@ class TestSclLoss:
             scl_loss(np.ones((2, 2)), np.array([0, 0]), 0.0)
 
     @pytest.mark.parametrize("d", [768, 64])
-    def test_peak_is_one_square_buffer_three_feature_copies_and_a_block(self, np_rng, d):
-        # the buffer, z and d_z (or, once the buffer is freed, z, d_z and one temporary),
-        # and one row block of its passes; at d = 64 a second n x n array would not fit
+    @pytest.mark.parametrize("into_features", [False, True])
+    def test_peak_is_one_square_buffer_the_feature_copies_and_three_blocks(self, np_rng, d,
+                                                                            into_features):
+        # the buffer, z and the gradient (written into the features' own buffer when
+        # they are given as out, so one copy fewer), and at most three row blocks of
+        # its passes (a slab, its transposed operand and their sum); never above one
+        # more feature copy and a single block, which is the tighter bound at d = 64,
+        # where a second n x n array would not fit either
         n = 1000
         f = np_rng.normal(size=(n, d))
         y = np_rng.integers(0, 10, size=n)
-        bound = 8 * n * n + 3 * 8 * n * d + 8 * _CHUNK + 64 * 1024
-        assert peak_bytes(lambda: scl_loss(f, y, 0.5)) <= bound
+        copies = 1 if into_features else 2
+        bound = 8 * n * n + min(copies * 8 * n * d + 3 * 8 * _CHUNK,
+                                (copies + 1) * 8 * n * d + 8 * _CHUNK) + 64 * 1024
+        out = f if into_features else None
+        assert peak_bytes(lambda: scl_loss(f, y, 0.5, out=out)) <= bound
+
+    def test_the_gradient_written_into_the_features_is_the_fresh_one(self, np_rng):
+        f = np_rng.normal(size=(40, 7))
+        y = np_rng.integers(0, 3, size=40)
+        loss, fresh = scl_loss(f, y, 0.5)
+        features = f.copy()
+        into_loss, into = scl_loss(features, y, 0.5, out=features)
+        assert into is features
+        assert (into_loss, into.tobytes()) == (loss, fresh.tobytes())
+        with pytest.raises(ShapeError):
+            scl_loss(f, y, 0.5, out=np.empty((40, 6)))
+        with pytest.raises(ShapeError):
+            scl_loss(f, y, 0.5, out=np.empty((7, 40)).T)
+
+    def test_the_loss_pass_is_the_loss(self, np_rng):
+        f = np_rng.normal(size=(30, 5))
+        y = np_rng.integers(0, 3, size=30)
+        state = scl_loss_pass(f, y, 0.5)
+        assert state.loss == scl_loss(f, y, 0.5)[0]
+        assert state.buffer.shape == (30, 30) and np.all(np.diag(state.buffer) == 0.0)
 
 
 class TestRegPenalty:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import peak_bytes, read_masks, small_model, sparse_from_bits, sparse_from_lists
+from conftest import (ROW_PATH_DIMS, frobenius_sq, oracle_scl_gradients, peak_bytes, read_masks,
+                      small_model, sparse_from_bits, sparse_from_lists)
 from masktune.errors import ConfigError, ShapeError
-from masktune.linalg import frobenius_sq
 from masktune.losses import RegConfig, resolve_penalty
 from masktune.masking import (
     GradientMaskSet,
@@ -22,7 +22,7 @@ from masktune.masking import (
     topk_indices,
     trainable_fraction,
 )
-from masktune.model import init_model
+from masktune.model import forward, init_model
 from masktune.optim import init_adam_state
 
 
@@ -358,15 +358,41 @@ class TestMaskSet:
         assert trainable_fraction(model, masks) == (5 + 5 + 15) / total
 
     def test_scoring_peak_forms_the_first_delta_in_the_feature_gradient(self):
-        # backprop's peak: the two cached activations, d_features (its first delta,
-        # formed in place), the second delta and its ReLU mask, and the gradient
-        # vector; a first delta of its own would add one more n x h array
+        # backprop's peak: layer 0's cached activation, the head input's ReLU mask in the
+        # cache in place of the head input, d_features (the features' own buffer, its
+        # first delta formed in place), the second delta and its ReLU mask, and the
+        # gradient vector; the head input beside its gradient would add one n x h array
         n, h = 300, 512
         model = init_model([64, h, h, 4], seed=0)
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=(n, 64)), rng.integers(0, 4, size=n)
-        bound = 8 * (4 * n * h + model.param_count()) + n * h + 128 * 1024
+        bound = 8 * (3 * n * h + model.param_count()) + 2 * n * h + 128 * 1024
         assert peak_bytes(lambda: scl_gradients(model, x, y, 0.5)) <= bound
+
+    @pytest.mark.parametrize("dims", [[6, 3], [6, 8, 3], [6, 8, 7, 3], [6, 8, 7, 5, 3],
+                                      ROW_PATH_DIMS])
+    def test_scores_are_the_oracle_s_bitwise_and_x_is_only_read(self, dims):
+        # a one-layer model's features are the caller's x, which must not take the gradient
+        model = init_model(dims, seed=1)
+        rng = np.random.default_rng(1)
+        x, y = rng.normal(size=(40, dims[0])), rng.integers(0, 3, size=40)
+        before = x.tobytes()
+        want = [h.tobytes() for h in oracle_scl_gradients(model, x, y, 0.5)]
+        assert [h.tobytes() for h in scl_gradients(model, x, y, 0.5)] == want
+        assert x.tobytes() == before
+        if len(dims) >= 4:  # given layer 1's pre-activation, as selection writes it
+            z1, _, _ = forward(model.layer_range(0, 2), x)
+            assert [h.tobytes() for h in scl_gradients(model, x, y, 0.5, z1)] == want
+            assert x.tobytes() == before
+
+    def test_a_z1_that_does_not_fit_is_refused(self):
+        model = init_model([6, 8, 7, 3], seed=1)
+        x, y = np.ones((5, 6)), np.arange(5) % 3
+        for z1 in (np.ones((4, 7)), np.ones((5, 8))):
+            with pytest.raises(ShapeError):
+                scl_gradients(model, x, y, 0.5, z1)
+        with pytest.raises(ShapeError):
+            scl_gradients(init_model([6, 8, 3], seed=1), x, y, 0.5, np.ones((5, 3)))
 
     @pytest.mark.parametrize("dims", [[4, 4, 3], [4, 5, 4, 3], [4, 4, 4, 3, 3]])
     def test_masks_of_another_model_are_refused(self, dims):

@@ -10,11 +10,13 @@ from masktune.linalg import Rng
 from masktune.losses import cross_entropy
 from masktune.masking import GradientMaskSet
 from masktune.model import (
+    CHECKPOINT_MAGIC,
     Layer,
     ModelParams,
     _trained_columns,
     backward,
     forward,
+    forward_from_z1,
     init_model,
     layer_roles,
     load_checkpoint,
@@ -132,6 +134,36 @@ class TestForward:
         for wrong in (given[:, :-1], given[:-1]):
             with pytest.raises(ShapeError):
                 row_anchor(model, x, wrong)
+
+    def test_the_row_path_writes_a_take_s_fresh_activation_and_never_the_anchor(self, np_rng):
+        pre = small_model()  # [4, 6, 5, 3]
+        x = np_rng.normal(size=(7, 4))
+        model = reinit_head(pre, 3, Rng(0), (np.array([0, 2]), np.array([1])))
+        anchor = row_anchor(pre, x)
+        assert not any(a.flags.writeable for a in anchor)
+        before = [a.tobytes() for a in anchor]
+        with pytest.raises(ValueError, match="read-only"):  # not a take: refused, not written
+            forward(model, x, anchor)
+        whole = forward(model, x, anchor.take(slice(None)))[0]
+        logits = []
+        for rows in (slice(2, 5), np.arange(2, 5)):  # an evaluate chunk, a training batch
+            taken = anchor.take(rows)
+            assert not np.shares_memory(taken.a0_whole, anchor.a0_whole)
+            got, _, cache = forward(model, x[2:5], taken)
+            assert cache.inputs[1] is taken.a0_whole  # written in place, not copied
+            logits.append(got.tobytes())
+        assert [a.tobytes() for a in anchor] == before
+        assert logits == [whole[2:5].tobytes()] * 2
+
+    def test_forward_from_z1_is_the_dense_forward(self, np_rng):
+        model = init_model([4, 6, 5, 7, 3], seed=1)
+        x = np_rng.normal(size=(9, 4))
+        z1, _, _ = forward(model.layer_range(0, 2), x)
+        want_logits, want_features, want = forward(model, x)
+        logits, features, cache = forward_from_z1(model, x, z1)
+        assert cache.model is model and cache.inputs[2] is z1  # its ReLU taken in place
+        assert [a.tobytes() for a in (logits, features, *cache.inputs)] == \
+            [a.tobytes() for a in (want_logits, want_features, *want.inputs)]
 
     def test_layer_range_views_its_layers(self):
         model = init_model([4, 6, 5, 7, 3], seed=2)
@@ -269,6 +301,31 @@ class TestCheckpoint:
         path.write_bytes(blob)
         with pytest.raises(InputError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"{", "is not a masktune checkpoint: expected the line 'masktune-checkpoint 1'"),
+        (CHECKPOINT_MAGIC + b'{"dims": [2, 1]', "the header line is cut off"),
+        (CHECKPOINT_MAGIC + b'{"dims": [2, 1]}\n', "malformed header: KeyError"),
+        (CHECKPOINT_MAGIC + b'{"dims": 3, "roles": ["head"]}\n',
+         "dims must list at least two positive integers"),
+        (CHECKPOINT_MAGIC + b'{"dims": [2, 1], "roles": ["hidden"]}\n',
+         r"roles \['hidden'\] are not the positional \['head'\]"),
+        (CHECKPOINT_MAGIC + b'{"dims": [2, 1], "roles": ["head"]}\n' + bytes(16),
+         r"16 bytes of parameters after the header, dims \[2, 1\] need 24$"),
+        (CHECKPOINT_MAGIC + b'{"dims": [2, 1], "roles": ["head"]}\n' + bytes(32),
+         r"32 bytes of parameters after the header, dims \[2, 1\] need 24$"),
+        # counted from the file's size, before any vector is allocated for them
+        (CHECKPOINT_MAGIC + b'{"dims": [100000, 100000, 100000], '
+                            b'"roles": ["embedding", "head"]}\n',
+         r"0 bytes of parameters after the header, dims \[100000, 100000, 100000\] need "
+         r"160001600000$")])
+    def test_each_refusal_keeps_its_message(self, tmp_path, blob, message):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(InputError, match=message):
+            load_checkpoint(path)
+        with pytest.raises(InputError, match="cannot read checkpoint"):
+            load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_non_finite_error_names_the_first_bad_layer(self, tmp_path, bad):

@@ -28,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import (ROW_PATH_DIMS, bias_mask, copy_model, finite_diff_grad, gathered,
+from conftest import (ROW_PATH_DIMS, bias_mask, copy_model, finite_diff_grad, frobenius_sq,
+                      gathered,
                       grad_rel_err, layer_grads, oracle_backward, oracle_build_mask,
                       oracle_cross_entropy, oracle_forward, oracle_topk_rows,
                       oracle_masked_adam_step,
@@ -50,7 +51,7 @@ from masktune.losses import (
     resolve_regular_layers,
     scl_loss,
 )
-from masktune.linalg import Rng, frobenius_sq
+from masktune.linalg import Rng
 from masktune.masking import (
     GradientMaskSet,
     LayerMask,
