@@ -39,6 +39,9 @@ _STREAM_HEAD = 1
 _STREAM_SUBSET = 2
 _STREAM_SHUFFLE = 3
 
+# what a run trains below its new head: selection's masks, all, or nothing (the linear probe)
+RUN_VARIANTS = (*SELECTION_VARIANTS, "full", "head")
+
 
 def _check_batch_size(batch_size: int) -> None:
     """Pretraining and fine-tuning both need at least one sample per batch."""
@@ -49,7 +52,7 @@ def _check_batch_size(batch_size: int) -> None:
 @dataclass(frozen=True)
 class FineTuneConfig:
     k: int
-    variant: str  # a masking.SELECTION_VARIANTS entry, or "full"
+    variant: str  # a RUN_VARIANTS entry
     reg: RegConfig
     tau: float
     subsets_n: int
@@ -58,8 +61,9 @@ class FineTuneConfig:
     seed: int
 
     def __post_init__(self):
-        if self.variant not in (*SELECTION_VARIANTS, "full"):
-            raise ConfigError(f"unknown variant {self.variant!r}")
+        if self.variant not in RUN_VARIANTS:
+            raise ConfigError(f"unknown variant {self.variant!r}; "
+                              f"choose from {', '.join(RUN_VARIANTS)}")
         check_tau(self.tau)
         if self.subsets_n < 1:
             raise ConfigError("subsets_n must be >= 1")
@@ -152,18 +156,9 @@ def pretrain(task: TaskPair, dims: list[int], optim: OptimConfig,
     return model
 
 
-def _with_new_head(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig,
-                   rows: tuple[np.ndarray, np.ndarray] | None) -> ModelParams | RowParams:
-    """The run's one trained copy of ``pre`` under the run's new head, in one fresh vector:
-    its layers below the head, or on the row path, where ``rows`` are the trained rows of
-    layers 0 and 1, a ``RowParams`` of those rows and the layers above."""
-    return reinit_head(pre, task.target_train.num_classes,
-                       Rng(cfg.seed).child(_STREAM_HEAD), rows)
-
-
 def _check_config(model: ModelParams, task: TaskPair, cfg: FineTuneConfig) -> None:
     """Before any scoring, refuse a k, regular set or subsets_n ``model`` or ``task`` cannot hold."""
-    if cfg.variant != "full":
+    if cfg.variant in SELECTION_VARIANTS:
         check_budget([l.weight.shape for l in model.layers], cfg.k, cfg.variant)
     resolve_regular_layers(len(model.layers), cfg.reg.regular)
     n, samples = cfg.subsets_n, len(task.target_train)
@@ -173,56 +168,59 @@ def _check_config(model: ModelParams, task: TaskPair, cfg: FineTuneConfig) -> No
 
 def _row_path(pre: ModelParams, variant: str) -> bool:
     """Whether a run on ``pre`` whose masks below the head are of ``variant`` forwards on
-    the row path: row masks (empty ones, as the linear probe's, included), three or more
+    the row path: row masks (the ``head`` variant's empty ones included), three or more
     layers, and at least ``_ROW_PATH_MIN_WEIGHTS`` weights in layer 1."""
-    return (variant == "row" and len(pre.layers) >= 3
+    return (variant in ("row", "head") and len(pre.layers) >= 3
             and pre.layers[1].weight.size >= _ROW_PATH_MIN_WEIGHTS)
 
 
 def _with_head_mask(masks: GradientMaskSet, pre: ModelParams, task: TaskPair) -> GradientMaskSet:
     """``masks`` under a full head mask shaped like the head a run draws for ``task``
-    (``_with_new_head``)."""
+    (``reinit_head``)."""
     head = full_mask((task.target_train.num_classes, pre.feature_dim))
     return GradientMaskSet((*masks.layers[:-1], head))
 
 
 class _Scored(NamedTuple):
-    """A run's share of ``_score``: the chosen subset's index, the masks it trains under
-    and whether it takes the row path (``_row_path``, decided once per run)."""
+    """A run's share of ``_score``: the chosen subset's index, the masks it trains under,
+    whether it takes the row path (``_row_path``, decided once per run) and, for the
+    first config alone on that path, ``train_z1``: layer 1's pre-activation of the
+    training set that its group's selection wrote, for that run's training anchor
+    (``_anchored``)."""
     subset_index: int
     masks: GradientMaskSet
     row_path: bool
+    train_z1: np.ndarray | None
 
 
 def _score_group(pre: ModelParams, task: TaskPair, configs: list[FineTuneConfig],
                  z1: np.ndarray | None) -> tuple[int, list[GradientMaskSet]]:
-    """Subset selection, then, unless every variant is full, the chosen subset's scores at
-    ``pre`` (``scl_gradients``), for ``configs`` that agree on what those read of a
-    config (``tau``, ``subsets_n`` and ``seed``): the chosen subset's index and each
-    config's masks (``compute_mask_set``, or all-full masks), under a full head mask
-    (``_with_head_mask``). Given ``z1``, selection writes layer 1's pre-activation of the
-    training set there, and the scores take the chosen subset's rows of it. The scores
-    are freed on return."""
+    """Subset selection, then, unless no variant is a selection variant, the chosen subset's
+    scores at ``pre`` (``scl_gradients``), for ``configs`` that agree on what those read of
+    a config (``tau``, ``subsets_n`` and ``seed``): the chosen subset's index and each
+    config's masks (``compute_mask_set``, or for ``full`` and ``head``, which read no
+    scores, ``all_full`` and ``head_only``), under a full head mask (``_with_head_mask``).
+    Given ``z1``, selection writes layer 1's pre-activation of the training set there,
+    and the scores take the chosen subset's rows of it. The scores are freed on return."""
     cfg, train = configs[0], task.target_train
     subsets = partition_subsets(train, cfg.subsets_n, Rng(cfg.seed).child(_STREAM_SUBSET))
     subset_index, mask_data = select_mask_subset(pre, train, subsets, cfg.tau, z1)
     gradients = None
-    if any(c.variant != "full" for c in configs):
+    if any(c.variant in SELECTION_VARIANTS for c in configs):
         gradients = scl_gradients(pre, mask_data.x, mask_data.y, cfg.tau,
                                   None if z1 is None else z1[subsets[subset_index]])
-    return subset_index, [_with_head_mask(GradientMaskSet.all_full(pre) if c.variant == "full"
+    built = {"full": GradientMaskSet.all_full, "head": GradientMaskSet.head_only}
+    return subset_index, [_with_head_mask(built[c.variant](pre) if c.variant in built
                                           else compute_mask_set(gradients, c.k, c.variant),
                                           pre, task) for c in configs]
 
 
-def _score(pre: ModelParams, task: TaskPair,
-           configs: list[FineTuneConfig]) -> tuple[list[_Scored], np.ndarray | None]:
+def _score(pre: ModelParams, task: TaskPair, configs: list[FineTuneConfig]) -> list[_Scored]:
     """The work at ``pre`` the runs of ``configs`` read, each thing once: ``_check_config``
     of every config, then one ``_score_group`` per distinct ``(tau, subsets_n, seed)``,
-    each freeing its scores before the next starts. Returns each config's ``_Scored``
-    and ``z1``: None unless the first config takes the row path, when its group's
-    selection writes layer 1's pre-activation of the training set into it for that
-    run's training anchor (``_anchored``)."""
+    each freeing its scores before the next starts. Returns each config's ``_Scored``;
+    where the first config takes the row path, its group's selection writes layer 1's
+    pre-activation of the training set into the first ``_Scored``'s ``train_z1``."""
     for cfg in configs:
         _check_config(pre, task, cfg)
     row_paths = [_row_path(pre, cfg.variant) for cfg in configs]
@@ -234,24 +232,26 @@ def _score(pre: ModelParams, task: TaskPair,
     for members in groups.values():
         subset_index, masks = _score_group(pre, task, [configs[i] for i in members],
                                            z1 if members[0] == 0 else None)
-        scored.update((i, _Scored(subset_index, m, row_paths[i])) for i, m in zip(members, masks))
-    return [scored[i] for i in range(len(configs))], z1
+        scored.update((i, _Scored(subset_index, m, row_paths[i], z1 if i == 0 else None))
+                      for i, m in zip(members, masks))
+    return [scored[i] for i in range(len(configs))]
 
 
-def _anchored(pre: ModelParams, task: TaskPair, scored: _Scored,
-              z1: np.ndarray | None) -> tuple[int, GradientMaskSet, RowAnchor | None]:
+def _anchored(pre: ModelParams, task: TaskPair,
+              scored: _Scored) -> tuple[int, GradientMaskSet, RowAnchor | None]:
     """A run's scoring result: the subset index, the masks and, on the row path, the
-    ``RowAnchor`` of ``pre`` over the target training set, from ``z1`` when given
-    (``row_anchor`` then adds layer 0's activation) or else from a forward of its own.
-    Else the anchor is None."""
-    anchor = row_anchor(pre, task.target_train.x, z1) if scored.row_path else None
+    ``RowAnchor`` of ``pre`` over the target training set, from ``train_z1`` when it is
+    there (``row_anchor`` then adds layer 0's activation) or else from a forward of its
+    own. Else the anchor is None."""
+    anchor = row_anchor(pre, task.target_train.x, scored.train_z1) if scored.row_path else None
     return scored.subset_index, scored.masks, anchor
 
 
 def finetune_masks(pre: ModelParams, task: TaskPair,
                    cfg: FineTuneConfig) -> tuple[int, GradientMaskSet, RowAnchor | None]:
-    """``_check_config``, subset selection, then (unless the variant is full) the subset's
-    scores at ``pre`` (``scl_gradients``) and the one mask builder ``compute_mask_set``.
+    """``_check_config``, subset selection, then (unless the variant is ``full`` or
+    ``head``, whose masks read no scores) the subset's scores at ``pre``
+    (``scl_gradients``) and the one mask builder ``compute_mask_set``.
     The head plays no part in scoring; its mask is full (``_with_head_mask``). Returns the
     chosen subset's index, the masks a finetune run with this config trains under, and,
     where the run takes the row path (``_row_path``), the ``RowAnchor`` of ``pre`` over the
@@ -259,27 +259,17 @@ def finetune_masks(pre: ModelParams, task: TaskPair,
     forwards the subsets, which cover it, scoring takes the chosen subset's rows of it,
     and ``row_anchor`` takes it whole, adding layer 0's activation of the set once
     scoring's gradients are freed. Else the anchor is None."""
-    (scored,), z1 = _score(pre, task, [cfg])
-    return _anchored(pre, task, scored, z1)
-
-
-def _probe_masks(pre: ModelParams, task: TaskPair,
-                 cfg: FineTuneConfig) -> tuple[int, GradientMaskSet, RowAnchor | None]:
-    """The linear probe's stand-in for ``finetune_masks``: no scoring, subset index 0,
-    masks that train the head alone (empty row masks below it) and, where the run takes
-    the row path (``_row_path``), the ``RowAnchor`` of ``pre`` over the target training set
-    from a forward of its own. Else the anchor is None."""
-    anchor = row_anchor(pre, task.target_train.x) if _row_path(pre, "row") else None
-    return 0, _with_head_mask(GradientMaskSet.head_only(pre), pre, task), anchor
+    (scored,) = _score(pre, task, [cfg])
+    return _anchored(pre, task, scored)
 
 
 def _finetune_with_masks(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig,
                          score: Callable) -> tuple[ModelParams, TrainReport]:
-    """Score (``score(pre, task, cfg)``: ``finetune_masks``, ``_probe_masks``, or in a sweep
-    ``_anchored`` of the run's ``_Scored``), then draw the run's one copy of
-    ``pre`` under a new head (``_with_new_head``), train it towards its values now and
-    return it as a ``ModelParams``. The anchor is ``pre``'s layers below the head, which
-    are only read (and viewed by the penalty), and a copy of the new head.
+    """Score (``score()``: ``finetune_masks``, or in a sweep ``_anchored`` of the run's
+    ``_Scored``), then draw the run's one copy of ``pre`` under a new head
+    (``reinit_head``), train it towards its values now and return it as a
+    ``ModelParams``. The anchor is ``pre``'s layers below the head, which are only read
+    (and viewed by the penalty), and a copy of the new head.
 
     The run takes the row path exactly when ``score`` returns the ``RowAnchor`` of ``pre``
     over the target training set, so ``_row_path`` is decided once per run, in ``score``.
@@ -290,10 +280,12 @@ def _finetune_with_masks(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig,
     the training set's anchor, builds the test set's and evaluates each kept vector in
     turn: the two anchors are never alive together. The dense path evaluates after each
     epoch. This frame alone holds the anchors, and frees them before it writes the copy's
-    layers 0 and 1 out whole for the report."""
-    subset_index, masks, train_rows = score(pre, task, cfg)
+    layers 0 and 1 out whole for the report: ``score`` takes no arguments because an
+    anchor passed in would stay referenced by the caller through the whole run."""
+    subset_index, masks, train_rows = score()
     rows = None if train_rows is None else (masks.layers[0].index, masks.layers[1].index)
-    model = _with_new_head(pre, task, cfg, rows)  # once scoring has freed its buffers
+    model = reinit_head(pre, task.target_train.num_classes,  # once scoring freed its buffers
+                        Rng(cfg.seed).child(_STREAM_HEAD), rows)
     held, run_masks = (0, masks) if rows is None else (2, replace(masks, rows_held=2))
     anchor = (*(l.copy() for l in model.layers[:held]), *pre.layers[held:-1],
               model.layers[-1].copy())
@@ -335,14 +327,13 @@ def finetune(pre: ModelParams, task: TaskPair,
     """New head, subset selection and mask scoring at the pretrained weights, masked
     training. ``pre`` is only read: under the new head it is the run's anchor, and the
     run trains and returns one copy."""
-    return _finetune_with_masks(pre, task, cfg, finetune_masks)
+    return _finetune_with_masks(pre, task, cfg, lambda: finetune_masks(pre, task, cfg))
 
 
 def linear_probe(pre: ModelParams, task: TaskPair,
                  cfg: FineTuneConfig) -> tuple[ModelParams, TrainReport]:
-    """Head-only fine-tuning baseline under the same budget; it reads ``pre`` and trains
-    one copy as ``finetune`` does."""
-    return _finetune_with_masks(pre, task, cfg, _probe_masks)
+    """The head-only baseline: ``finetune`` under the ``head`` variant."""
+    return finetune(pre, task, replace(cfg, variant="head"))
 
 
 ABLATION_AXES = {"k": int, "lambda": float, "regular_blocks": int, "subsets_n": int,
@@ -370,10 +361,14 @@ def sweep_configs(pre: ModelParams, task: TaskPair, base_cfg: FineTuneConfig, ax
                   values: list) -> list[FineTuneConfig]:
     """``base_cfg`` with ``axis`` set to each value (of ``axis_type(axis)``), all else (seeds
     included) fixed; every config passes ``_check_config`` against ``pre`` and ``task``. Two
-    values that give equal configs or print alike (the name of a run's files) are refused."""
+    values that give equal configs or print alike (the name of a run's files) are refused,
+    and so is a ``k`` sweep under a variant whose masks read no ``k``."""
     axis_type(axis)  # refuses an unknown axis
     if not values:
         raise ConfigError("values must be non-empty")
+    if axis == "k" and base_cfg.variant not in SELECTION_VARIANTS:
+        raise ConfigError(f"variant {base_cfg.variant!r} reads no k, so every k value gives "
+                          f"the same run; sweep k under one of {', '.join(SELECTION_VARIANTS)}")
     configs = [_with_axis_value(base_cfg, axis, value) for value in values]
     for i, (value, cfg) in enumerate(zip(values, configs)):
         for earlier, twin in zip(values[:i], configs[:i]):
@@ -389,18 +384,13 @@ def ablate(pre: ModelParams, task: TaskPair, configs: list[FineTuneConfig]) -> l
     for bit, with the work at ``pre`` done once: ``_score`` selects and scores once per
     distinct ``(tau, subsets_n, seed)`` and builds every config's masks before the first
     run trains, so between runs the sweep holds masks alone. The first run, on the row
-    path, takes selection's ``z1`` for its training anchor; later runs build theirs as
-    the linear probe does. Each run is handed its share and the sweep keeps no
+    path, takes selection's ``z1`` for its training anchor; later runs forward the
+    training set for theirs. Each run pops its share as it starts and the sweep keeps no
     reference to it, so the run alone holds its anchor and masks."""
-    scored, z1 = _score(pre, task, configs)
-    scored.reverse()
-
-    def score(pre: ModelParams, task: TaskPair, cfg: FineTuneConfig):
-        nonlocal z1
-        given, z1 = z1, None  # the first run's anchor alone takes it
-        return _anchored(pre, task, scored.pop(), given)
-
-    return [_finetune_with_masks(pre, task, cfg, score)[1] for cfg in configs]
+    shares = _score(pre, task, configs)
+    shares.reverse()
+    return [_finetune_with_masks(pre, task, cfg, lambda: _anchored(pre, task, shares.pop()))[1]
+            for cfg in configs]
 
 
 def write_report_json(report: TrainReport, path: str | Path) -> None:

@@ -12,7 +12,7 @@ from masktune.linalg import Rng
 from masktune.losses import resolve_penalty, resolve_regular_layers, scl_loss
 from masktune.masking import GradientMaskSet, LayerMask
 from masktune.model import (CHECKPOINT_MAGIC, Layer, ModelParams, RowParams, backward, forward,
-                            layer_roles, row_anchor)
+                            layer_roles, reinit_head, row_anchor)
 
 # layer 1 of 192 x 192 = 36,864 weights is wide enough for the row path
 ROW_PATH_DIMS = [6, 192, 192, 3]
@@ -426,7 +426,8 @@ def oracle_finetune_with_masks(pre, task, cfg, score):
     epoch is evaluated as it ends, at the weights training holds then."""
     _, masks, train_rows = score(pre, task, cfg)
     rows = None if train_rows is None else (masks.layers[0].index, masks.layers[1].index)
-    model = harness._with_new_head(pre, task, cfg, rows)
+    model = reinit_head(pre, task.target_train.num_classes,
+                        Rng(cfg.seed).child(harness._STREAM_HEAD), rows)
     held, run_masks, test_rows = 0, masks, None
     if rows is not None:
         held, run_masks = 2, replace(masks, rows_held=2)

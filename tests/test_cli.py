@@ -653,6 +653,13 @@ class TestContractHoles:
         return ["finetune", "--config", str(cfg), "--checkpoint", str(ckpt),
                 "--out", str(tmp_path / "report.json")]
 
+    def test_unknown_variant_exits_2_naming_the_choices(self, trained, tmp_path, capsys):
+        cfg = write_config(tmp_path, "finetune", "variant", "probe")
+        err = assert_refused(self.finetune_argv(cfg, trained[1], tmp_path), tmp_path, capsys,
+                             [cfg])
+        assert err == ("error: unknown variant 'probe'; "
+                       "choose from row, col, sparse, full, head\n")
+
     def test_nan_tau_exits_2(self, trained, tmp_path, capsys):
         cfg = write_config(tmp_path, "finetune", "tau", math.nan)
         assert_refused(self.finetune_argv(cfg, trained[1], tmp_path), tmp_path, capsys, [cfg])
@@ -874,6 +881,18 @@ class TestSweepIsCheckedBeforeTraining:
         assert calls == []
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("variant", ["full", "head"])
+    def test_a_k_sweep_under_a_variant_that_reads_no_k_exits_2_without_training(
+            self, trained, tmp_path, capsys, monkeypatch, variant):
+        cfg = write_config(tmp_path, "finetune", "variant", variant)
+        calls = count_calls(monkeypatch, harness._finetune_with_masks)
+        err = assert_refused(["ablate", "--config", str(cfg), "--checkpoint", str(trained[1]),
+                              "--axis", "k", "--values", "1,2",
+                              "--out-dir", str(tmp_path / "sweep")], tmp_path, capsys, [cfg])
+        assert f"variant {variant!r} reads no k" in err
+        assert calls == []
+        assert not (tmp_path / "sweep").exists()
+
 
 # The acceptance configuration of the README (finetune shortened to 3 epochs).
 REFERENCE_CONFIG = {
@@ -1030,3 +1049,64 @@ def test_a_bad_mask_report_k_or_tau_is_refused_before_reading_the_data(dims, see
         files, (data.load_dataset_csv, masking.scl_gradients))
     assert ("k=" if tau == 0.5 else "tau") in err
     assert calls == [[], []]
+
+
+@pytest.fixture(scope="module")
+def reference_inputs(tmp_path_factory):
+    """The reference config (finetune shortened to 3 epochs) and its pretrained checkpoint,
+    written once through the CLI."""
+    root = tmp_path_factory.mktemp("reference")
+    cfg, ckpt = root / "run.json", root / "model.ckpt"
+    cfg.write_text(json.dumps(REFERENCE_CONFIG))
+    assert main(["pretrain", "--config", str(cfg), "--out", str(ckpt)]) == 0
+    return cfg, ckpt
+
+
+class TestTheProbeIsTheHeadVariant:
+    """The linear probe is ``finetune`` under ``variant: head``, so the CLI runs it: alone,
+    and in a variant sweep beside the baselines."""
+
+    def test_a_variant_sweep_runs_the_probe_beside_the_baselines(self, reference_inputs,
+                                                                 tmp_path):
+        cfg, ckpt = reference_inputs
+        out_dir = tmp_path / "sweep"
+        variants = ["row", "col", "sparse", "full", "head"]
+        assert main(["ablate", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--axis", "variant", "--values", ",".join(variants),
+                     "--out-dir", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            ["combined.csv", *(f"variant_{v}{ext}" for v in variants for ext in (".json", ".csv"))])
+        run_cfg = parse_run_config(REFERENCE_CONFIG)
+        _, probe = harness.linear_probe(load_checkpoint(ckpt), run_cfg.make_task(),
+                                        run_cfg.finetune_config())
+        probe.config = {**probe.config, "run_config": run_cfg.to_dict()}
+        harness.write_report_json(probe, tmp_path / "probe.json")
+        assert (out_dir / "variant_head.json").read_bytes() == \
+            (tmp_path / "probe.json").read_bytes()
+
+    def test_finetune_under_head_writes_the_report_trio(self, reference_inputs, tmp_path):
+        cfg, ckpt = reference_inputs
+        doc = copy.deepcopy(REFERENCE_CONFIG)
+        doc["finetune"]["variant"] = "head"
+        head_cfg = tmp_path / "head.json"
+        head_cfg.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert main(["finetune", "--config", str(head_cfg), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["variant"] == "head"
+        assert len((tmp_path / "report.csv").read_text().splitlines()) == 1 + 3
+        masks = json.loads((tmp_path / "report.mask.json").read_text())["layers"]
+        assert [(m["variant"], m["indices"]) for m in masks[:-1]] == [("row", [])] * 2
+        assert masks[-1]["variant"] == "full" and masks[-1]["shape"] == [4, 32]
+
+    def test_mask_report_refuses_the_head_variant(self, trained, tmp_path, capsys):
+        _, ckpt = trained
+        data_path = tmp_path / "target.csv"
+        write_target_csv(data_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(["mask-report", "--checkpoint", str(ckpt), "--data", str(data_path),
+                  "--k", "2", "--variant", "head", "--out", str(tmp_path / "r.json")])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'head'" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()

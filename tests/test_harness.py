@@ -2,6 +2,7 @@ import importlib.util
 import json
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,7 @@ def wide_peaks_over_model_bytes(run, monkeypatch):
             return result
         return call
 
-    for name in ("_with_new_head", "evaluate"):
+    for name in ("reinit_head", "evaluate"):
         monkeypatch.setattr(harness, name, marked(getattr(harness, name)))
     tracemalloc.start()
     try:
@@ -428,8 +429,9 @@ class TestScoringOnce:
 
     @pytest.mark.parametrize("dims, axis, values", [
         (ROW_PATH_DIMS, "lambda", [0.0, 0.01, 0.1]), (ROW_PATH_DIMS, "subsets_n", [2, 3]),
-        (ROW_PATH_DIMS, "variant", ["col", "row", "full", "sparse"]), (ROW_PATH_DIMS, "k", [1, 3]),
-        (DIMS, "variant", ["row", "col", "sparse", "full"]), (DIMS, "subsets_n", [3, 2]),
+        (ROW_PATH_DIMS, "variant", ["head", "col", "row", "full", "sparse"]),
+        (ROW_PATH_DIMS, "k", [1, 3]),
+        (DIMS, "variant", ["row", "col", "sparse", "full", "head"]), (DIMS, "subsets_n", [3, 2]),
         (DIMS, "norm", ["l1", "none"])])
     def test_each_report_is_the_standalone_finetune_s_from_one_scoring_per_tau_and_subsets_n(
             self, monkeypatch, tmp_path, dims, axis, values):
@@ -469,7 +471,7 @@ class TestRowPath:
     builds the test set's anchor once the training set's is freed."""
 
     @pytest.mark.parametrize("run, variant, dims, built, scored", [
-        (finetune, "row", ROW_PATH_DIMS, 2, 1), (linear_probe, "row", ROW_PATH_DIMS, 2, 0),
+        (finetune, "row", ROW_PATH_DIMS, 2, 1), (linear_probe, "row", ROW_PATH_DIMS, 2, 1),
         (finetune, "col", ROW_PATH_DIMS, 0, 0), (finetune, "sparse", ROW_PATH_DIMS, 0, 0),
         (finetune, "full", ROW_PATH_DIMS, 0, 0), (finetune, "row", DIMS, 0, 0),
         (linear_probe, "row", DIMS, 0, 0), (finetune, "row", [6, 192, 3], 0, 0)])
@@ -644,8 +646,10 @@ class TestRowPath:
         assert repr(got.epochs) == repr(want.epochs)  # repr round-trips each float
         assert model.params.tobytes() == want_model.params.tobytes()
 
-    @pytest.mark.parametrize("run, score", [(finetune, finetune_masks),
-                                            (linear_probe, harness._probe_masks)])
+    @pytest.mark.parametrize("run, score", [
+        (finetune, finetune_masks),
+        (linear_probe, lambda pre, task, cfg: finetune_masks(pre, task,
+                                                             replace(cfg, variant="head")))])
     @pytest.mark.parametrize("dims", [ROW_PATH_DIMS, DIMS])
     def test_evaluation_after_training_is_the_per_epoch_oracle_bitwise(self, run, score, dims):
         # the row path evaluates each epoch's kept vector after training, the dense path
