@@ -120,11 +120,11 @@ def _train(model: ModelParams | RowParams, masks: GradientMaskSet, penalty: Pena
     """Train ``model`` in place, a ``RowParams`` on the row path from ``anchor`` (the
     ``RowAnchor`` of ``train``); yield (epoch, lr, mean loss_R, mean CE, Adam state) per epoch.
     The run holds one gradient vector: each step's backward writes all of it, the
-    penalty adds into it and Adam leaves its update in it. The views of it, of Adam's
-    moments and of the parameter vector that a step reads and writes are resolved once."""
+    penalty adds into it and Adam leaves its update in it. The views of it and of Adam's
+    moments that a step reads and writes are resolved once."""
     state, grad = init_adam_state(model, masks), np.empty(masks.size)
     views = backprop_views(masks, grad), penalty.views(grad)
-    adam = adam_views(model, state, grad, masks)
+    adam = adam_views(state, grad)
     for epoch in range(optim.total_epochs):
         lr = cosine_warmup_lr(epoch, optim)
         order = shuffle_rng.permutation(len(train))
@@ -362,13 +362,22 @@ def sweep_configs(pre: ModelParams, task: TaskPair, base_cfg: FineTuneConfig, ax
     """``base_cfg`` with ``axis`` set to each value (of ``axis_type(axis)``), all else (seeds
     included) fixed; every config passes ``_check_config`` against ``pre`` and ``task``. Two
     values that give equal configs or print alike (the name of a run's files) are refused,
-    and so is a ``k`` sweep under a variant whose masks read no ``k``."""
+    and so is a sweep of an axis the base config's run does not read: ``k`` under a variant
+    whose masks read none, and the penalty's axes when it is off."""
     axis_type(axis)  # refuses an unknown axis
     if not values:
         raise ConfigError("values must be non-empty")
-    if axis == "k" and base_cfg.variant not in SELECTION_VARIANTS:
-        raise ConfigError(f"variant {base_cfg.variant!r} reads no k, so every k value gives "
-                          f"the same run; sweep k under one of {', '.join(SELECTION_VARIANTS)}")
+    unread = {}  # axis: (the setting that leaves it unread, where to sweep it instead)
+    if base_cfg.variant not in SELECTION_VARIANTS:
+        unread["k"] = f"variant {base_cfg.variant!r}", f"one of {', '.join(SELECTION_VARIANTS)}"
+    if base_cfg.reg.lam == 0.0:
+        unread["norm"] = unread["regular_blocks"] = "lambda 0", "a positive lambda"
+    if base_cfg.reg.norm == "none":
+        unread["lambda"] = unread["regular_blocks"] = "norm 'none'", "norm 'l1' or 'l2'"
+    if axis in unread:
+        setting, instead = unread[axis]
+        raise ConfigError(f"{setting} reads no {axis}, so every {axis} value gives the same "
+                          f"run; sweep {axis} under {instead}")
     configs = [_with_axis_value(base_cfg, axis, value) for value in values]
     for i, (value, cfg) in enumerate(zip(values, configs)):
         for earlier, twin in zip(values[:i], configs[:i]):

@@ -221,14 +221,12 @@ def scl_loss(features: np.ndarray, labels: np.ndarray, tau: float,
 
 
 class PenaltyPart(NamedTuple):
-    """Regular entries that lie end to end both in the layout and in what
-    ``reg_penalty`` reads: ``grad`` is their range of the layout vector,
-    ``source`` their range of the values read, and ``anchor`` the anchor's values
-    there. ``sums`` gives each of their segments' range within the part, and for a
-    col weight segment its (rows, cols) shape: its sum runs column by column, the
-    memory order of ``weight[:, cols]``, which fixes the loss's rounding."""
+    """Regular entries that lie end to end in the layout: ``grad`` is their range of
+    the layout vector, and ``anchor`` the anchor's values there. ``sums`` gives each
+    of their segments' range within the part, and for a col weight segment its
+    (rows, cols) shape: its sum runs column by column, the memory order of
+    ``weight[:, cols]``, which fixes the loss's rounding."""
     grad: slice
-    source: slice
     anchor: np.ndarray
     sums: tuple[tuple[slice, tuple[int, int] | None], ...]
 
@@ -238,11 +236,13 @@ class Penalty:
     """The pull-to-pretrained term of one run, resolved once.
 
     ``parts`` covers the trainable entries of the regular layers, in layout
-    order; it is empty when the penalty is off. Under masks that are not all
-    full, ``index`` gathers those entries from the model's parameter vector in
-    one go (it is ``masks.positions`` itself when they cover the layout) and
-    the anchor's values are copies. Under all-full masks ``index`` is
-    None: the parts are the segments, read in place from the parameter vector
+    order; it is empty when the penalty is off. ``index`` is the masks'
+    ``positions``, the one map from their layout to the model's parameter
+    vector: ``reg_penalty`` gathers every trainable entry through it, and each
+    part reads its own layout range of that gather. Under masks that are not
+    all full, a part covers a run of consecutive regular layers and the
+    anchor's values are copies. Under all-full masks ``index`` is None, as the
+    layout is the parameter vector: the parts are the segments, read in place
     against views of the anchor's arrays, so the anchor must not change. Frozen
     entries equal the anchor bit for bit, so their term is exactly zero and the
     penalty skips them.
@@ -266,11 +266,11 @@ def resolve_penalty(anchor: Sequence[Layer], cfg: RegConfig, masks: GradientMask
     not the penalty is on."""
     masks.check_shapes(anchor)
     regular = resolve_regular_layers(len(anchor), cfg.regular)
-    if cfg.norm == "none" or cfg.lam == 0.0 or not regular:
-        return Penalty(cfg, None, ())
+    if cfg.norm == "none" or cfg.lam == 0.0:
+        regular = []
     if masks.positions is None:  # each segment in place, against a view of the anchor
         return Penalty(cfg, None, tuple(
-            _part(masks, (s,), s.offset, getattr(anchor[s.layer], s.param).reshape(-1))
+            _part(masks, (s,), getattr(anchor[s.layer], s.param).reshape(-1))
             for i in regular for s in masks.segments[2 * i:2 * i + 2]))
     runs = []  # runs of consecutive regular layers: their segments lie end to end
     for i in regular:
@@ -278,30 +278,24 @@ def resolve_penalty(anchor: Sequence[Layer], cfg: RegConfig, masks: GradientMask
             runs[-1].append(i)
         else:
             runs.append([i])
-    parts, read = [], 0
+    parts = []
     for run in runs:
         segments = masks.segments[2 * run[0]:2 * run[-1] + 2]
-        values = np.concatenate([getattr(anchor[s.layer], s.param)[s.index].ravel()
-                                 for s in segments])
-        parts.append(_part(masks, segments, read, values))
-        read += values.size
-    if len(parts) == 1 and parts[0].grad == slice(0, masks.size):
-        index = masks.positions  # the regular layers cover the layout
-    else:
-        index = np.concatenate([masks.positions[part.grad] for part in parts])
-    return Penalty(cfg, index, tuple(parts))
+        parts.append(_part(masks, segments, np.concatenate(
+            [getattr(anchor[s.layer], s.param)[s.index].ravel() for s in segments])))
+    return Penalty(cfg, masks.positions, tuple(parts))
 
 
-def _part(masks: GradientMaskSet, segments: Sequence[Segment], read: int,
+def _part(masks: GradientMaskSet, segments: Sequence[Segment],
           anchor: np.ndarray) -> PenaltyPart:
-    """The ``PenaltyPart`` of ``segments``, end to end in the layout of ``masks``, read from
-    ``read`` on and compared with ``anchor``."""
+    """The ``PenaltyPart`` of ``segments``, end to end in the layout of ``masks``, compared
+    with ``anchor``."""
     start = segments[0].offset
-    size = segments[-1].offset + segments[-1].size - start
+    stop = segments[-1].offset + segments[-1].size
     sums = tuple((slice(s.offset - start, s.offset - start + s.size),
                   s.shape if s.param == "weight" and masks.layers[s.layer].variant == "col"
                   else None) for s in segments)
-    return PenaltyPart(slice(start, start + size), slice(read, read + size), anchor, sums)
+    return PenaltyPart(slice(start, stop), anchor, sums)
 
 
 def reg_penalty(model: ModelParams | RowParams, penalty: Penalty, grad: np.ndarray,
@@ -314,11 +308,13 @@ def reg_penalty(model: ModelParams | RowParams, penalty: Penalty, grad: np.ndarr
     (a run resolves them once); entries outside the regular layers are left as they
     are. Returns the loss, summed segment by segment and then layer by layer.
     """
+    if not penalty.parts:
+        return 0.0
     lam, scale, l2 = penalty.cfg.lam, penalty.scale, penalty.cfg.norm == "l2"
     values = model.params if penalty.index is None else model.params[penalty.index]
     sums = []
     for part, g in zip(penalty.parts, views or penalty.views(grad)):
-        d = values[part.source] - part.anchor
+        d = values[part.grad] - part.anchor
         if l2:
             g += scale * d
             d *= d

@@ -256,25 +256,24 @@ class BackpropStep(NamedTuple):
     ("full", "row", "col" or "sparse") and ``index`` what it takes: the delta columns
     of a row product, the input columns of a col product, the boolean matrix of a
     sparse one. ``bias_index`` picks the bias gradients out of the delta's column
-    sums (``...`` for all), None when the layer trains no bias. ``weight_at``, shaped
-    ``shape``, and ``bias_at`` are the layer's two segments of the layout vector."""
+    sums (``...`` for all), None when the layer trains no bias. Where the layer's
+    gradients go is its two ``segments``, ``2 * layer`` and ``2 * layer + 1``."""
     layer: int
     rows: object
     kind: str
     index: object
     bias_index: object
-    weight_at: slice
-    shape: tuple[int, ...]
-    bias_at: slice
 
 
 @dataclass(frozen=True)
 class GradientMaskSet:
     """One LayerMask per model layer; the head layer is always full. It owns the
-    flat layout of the trainable entries that backprop, the penalty and Adam share,
-    where each of them sits in the model's parameter vector (``positions``), and
-    the plan ``backward`` follows (``backprop``). Each is built on first use and
-    kept with the set, so a run derives them once.
+    flat layout of the trainable entries that backprop, the penalty and Adam share:
+    ``segments`` is the one record of where each layer's slice sits in the layout,
+    and ``positions`` the one map from the layout to the model's parameter vector
+    (None when the layout is that vector); nothing else keeps a copy of either. It
+    also owns the plan ``backward`` follows (``backprop``). Each is built on first
+    use and kept with the set, so a run derives them once.
 
     The vector is a ``ModelParams``'s when ``rows_held`` is 0. When it is 2 (the row
     path), it is a ``model.RowParams``'s, which holds only the trained rows of layers
@@ -342,25 +341,13 @@ class GradientMaskSet:
         masks' shapes (``ModelParams.params``, or a ``RowParams``'s), as one read-only
         ``intp`` array in layout order, built in memory proportional to the trainable
         entries; None when every stored mask is full, as the layout is then the parameter
-        vector itself."""
+        vector itself. The one map from the layout to that vector: the penalty gathers
+        through it and Adam scatters through it."""
         if all(m.variant == "full" for m in self.stored):
             return None
         offsets = param_offsets([m.shape for m in self.stored])
         return _frozen(np.concatenate([_layer_positions(m, at)
                                        for m, at in zip(self.stored, offsets)]))
-
-    @functools.cached_property
-    def full_tail(self) -> int:
-        """The number of entries the layers of the trailing full ``stored`` masks (the head
-        at least, when full) hold: the layout ends with them in the order the parameter
-        vector ends with them."""
-        tail = 0
-        for mask in reversed(self.stored):
-            if mask.variant != "full":
-                break
-            rows, cols = mask.shape
-            tail += rows * cols + rows
-        return tail
 
     @functools.cached_property
     def backprop(self) -> tuple[BackpropStep, ...]:
@@ -369,14 +356,12 @@ class GradientMaskSet:
         lowest = next((s.layer for s in self.segments[::2] if s.size), len(self.layers))
         steps = []
         for l in range(len(self.layers) - 1, lowest - 1, -1):
-            w, b = self.segments[2 * l:2 * l + 2]
+            b = self.segments[2 * l + 1]
             kind, (wi, bi), rows = self.layers[l].variant, self.layers[l].trainable, slice(None)
             if l == lowest and kind == "row":
                 rows, kind, bi = wi, "full", ...
             index = wi[1] if kind == "col" else None if kind == "full" else wi
-            steps.append(BackpropStep(l, rows, kind, index, bi if b.size else None,
-                                      slice(w.offset, w.offset + w.size), w.shape,
-                                      slice(b.offset, b.offset + b.size)))
+            steps.append(BackpropStep(l, rows, kind, index, bi if b.size else None))
         return tuple(steps)
 
 

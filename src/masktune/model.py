@@ -381,8 +381,11 @@ def forward_from_z1(model: ModelParams, x_batch: np.ndarray,
 
 def backprop_views(masks: GradientMaskSet, out: np.ndarray) -> tuple:
     """Per step of the ``backprop`` plan of ``masks``, the views of ``out`` (in their layout) it
-    writes, its weight segment, shaped, and its bias segment; a training run resolves them once."""
-    return tuple((out[s.weight_at].reshape(s.shape), out[s.bias_at]) for s in masks.backprop)
+    writes: its layer's weight segment, shaped, and bias segment (``segments[2 * l]`` and
+    ``segments[2 * l + 1]``); a training run resolves them once."""
+    segments = masks.segments
+    return tuple((segments[2 * s.layer].view(out), segments[2 * s.layer + 1].view(out))
+                 for s in masks.backprop)
 
 
 def backward(model: ModelParams | RowParams, cache: ForwardCache, masks: GradientMaskSet,
@@ -393,13 +396,14 @@ def backward(model: ModelParams | RowParams, cache: ForwardCache, masks: Gradien
     ``out`` when given (a C-contiguous float64 vector of ``masks.size``, whatever
     it held), else a fresh vector. Every entry is written, through ``backprop_views``.
 
-    It follows the masks' ``backprop`` plan and reads nothing else of them but
-    their size. Row, col and full weight products are written straight into
-    their segments; a sparse one is gathered from the full product. Backprop
-    stops at the lowest layer with a trainable entry, and into it only the
-    deltas of the rows it trains are propagated (``delta @ W[:, rows]``); on a
-    ``RowParams`` those of layer 1 are read from its ``w1_columns``. The head's
-    segments are zero on the ``d_features`` path, which starts at the head input.
+    It follows the masks' ``backprop`` plan, writes through their ``segments`` and
+    reads nothing else of them but their size. Row, col and full weight products
+    are written straight into their segments; a sparse one is gathered from the
+    full product. Backprop stops at the lowest layer with a trainable entry, and
+    into it only the deltas of the rows it trains are propagated
+    (``delta @ W[:, rows]``); on a ``RowParams`` those of layer 1 are read from
+    its ``w1_columns``. The head's segments are zero on the ``d_features`` path,
+    which starts at the head input.
     Exactly one of ``d_logits`` / ``d_features`` must be given. ``d_features`` is
     consumed, as Adam consumes its gradient: the first delta is formed in it, in
     place, so on return it holds that delta, not the upstream gradient.
@@ -419,7 +423,7 @@ def backward(model: ModelParams | RowParams, cache: ForwardCache, masks: Gradien
     for step, (w_out, b_out) in zip(masks.backprop, views or backprop_views(masks, out)):
         l, rows = step.layer, step.rows
         if l > start:  # the head, on the d_features path
-            out[step.weight_at.start:step.bias_at.stop] = 0.0
+            w_out[...] = b_out[...] = 0.0
             continue
         if l == n - 1:
             delta = upstream[:, rows]

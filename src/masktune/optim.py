@@ -2,10 +2,10 @@
 
 Adam keeps moments for the trainable entries alone, in the mask set's flat
 layout, which the gradient vector shares. It writes its update back into the
-model's parameter vector with one in-place subtraction for the trailing full
-layers (the head's entries, or the whole vector when every mask is full) and
-one scatter to the mask set's ``positions`` for the rest, so frozen entries
-are never touched, and a masked trajectory is exactly an unmasked Adam
+model's parameter vector through the mask set's ``positions``, the one map
+from that layout to the vector: one scatter, or one in-place subtraction when
+``positions`` is None (every mask full, so the layout is the vector). Frozen
+entries are never touched, and a masked trajectory is exactly an unmasked Adam
 trajectory on pre-zeroed gradients. Epsilon sits inside the square root:
 W <- W - lr * m_hat / sqrt(v_hat + eps).
 """
@@ -80,15 +80,11 @@ def cosine_warmup_lr(epoch: int, cfg: OptimConfig) -> float:
     return cfg.base_lr * 0.5 * (1.0 + math.cos(math.pi * (epoch - w) / (t - w)))
 
 
-def adam_views(model: ModelParams | RowParams, state: AdamState, grad: np.ndarray,
-               masks: GradientMaskSet) -> tuple:
-    """What ``masked_adam_step`` reads and writes: per chunk of up to ``_CHUNK`` entries, the
-    views of ``grad``, ``m`` and ``v``; then (where in ``params``, update) per write-back."""
-    size, tail = grad.size, masks.full_tail
-    chunks = tuple(tuple(a[at:at + _CHUNK] for a in (grad, state.m, state.v))
-                   for at in range(0, size, _CHUNK))
-    rest = [(masks.positions[:size - tail], grad[:size - tail])] if size > tail else []
-    return chunks, [(slice(model.params.size - tail, None), grad[size - tail:]), *rest]
+def adam_views(state: AdamState, grad: np.ndarray) -> tuple:
+    """What ``masked_adam_step`` reads and writes of ``grad``, ``m`` and ``v``: per chunk of up
+    to ``_CHUNK`` entries, the views of the three."""
+    return tuple(tuple(a[at:at + _CHUNK] for a in (grad, state.m, state.v))
+                 for at in range(0, grad.size, _CHUNK))
 
 
 def masked_adam_step(model: ModelParams | RowParams, state: AdamState, grad: np.ndarray,
@@ -107,11 +103,11 @@ def masked_adam_step(model: ModelParams | RowParams, state: AdamState, grad: np.
     steps (after numpy's overflow warning, which the CLI silences).
     The update then runs as one elementwise pass over the vector, chunk by chunk,
     and is subtracted from the parameter vector at the masks' entries alone, so
-    frozen entries stay bitwise put: the trailing full layers (``full_tail``,
-    the head's) from the end of the vector in place, the rest through one
-    scatter to ``positions``. ``grad`` is the step's scratch: on return it holds
-    the update subtracted from the parameters, not the gradient. ``views`` are the
-    step's ``adam_views``, resolved once per run. Returns the same model and state.
+    frozen entries stay bitwise put: through one scatter to ``masks.positions``,
+    or in place when that is None. ``grad`` is the step's scratch: on return it
+    holds the update subtracted from the parameters, not the gradient. ``views``
+    are the step's ``adam_views``, resolved once per run. Returns the same model
+    and state.
     """
     if not grad.shape == state.m.shape == (masks.size,):
         raise ShapeError(f"gradient shape {grad.shape} is not the layout's ({masks.size},)")
@@ -121,7 +117,7 @@ def masked_adam_step(model: ModelParams | RowParams, state: AdamState, grad: np.
         for a in range(0, grad.size, _CHUNK):
             if not np.logical_and.reduce(np.isfinite(grad[a:a + _CHUNK])):
                 raise NumericError("non-finite gradient entry")
-    chunks, writes = views or adam_views(model, state, grad, masks)
+    chunks = views or adam_views(state, grad)
     s1 = np.empty(min(_CHUNK, grad.size))  # per step: a run's would raise the run's peak
     if slow:
         s2 = np.empty_like(s1)
@@ -144,6 +140,8 @@ def masked_adam_step(model: ModelParams | RowParams, state: AdamState, grad: np.
         v += np.multiply(np.multiply(1.0 - b2, gc, out=t1), gc, out=t1)
         np.sqrt(np.add(np.divide(v, bc2, out=t1), eps, out=t1), out=t1)
         np.divide(np.multiply(lr, np.divide(m, bc1, out=gc), out=gc), t1, out=gc)
-    for where, update in writes:
-        model.params[where] -= update
+    if masks.positions is None:
+        np.subtract(model.params, grad, out=model.params)
+    else:
+        model.params[masks.positions] -= grad
     return model, state

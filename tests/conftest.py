@@ -324,8 +324,10 @@ def oracle_backward(model, cache, masks, d_logits=None, d_features=None, out=Non
     upstream = np.asarray(d_logits if d_logits is not None else d_features, dtype=np.float64)
     for step in masks.backprop:
         l, rows = step.layer, step.rows
+        w_seg, b_seg = masks.segments[2 * l:2 * l + 2]
+        weight_at, bias_at = (slice(s.offset, s.offset + s.size) for s in (w_seg, b_seg))
         if l > start:  # the head, on the d_features path
-            out[step.weight_at.start:step.bias_at.stop] = 0.0
+            out[weight_at.start:bias_at.stop] = 0.0
             continue
         if l == n - 1:
             delta = upstream[:, rows]
@@ -338,7 +340,7 @@ def oracle_backward(model, cache, masks, d_logits=None, d_features=None, out=Non
             else:
                 delta = delta @ model.layers[l + 1].weight[:, rows]
             delta *= cache.inputs[l + 1][:, rows] > 0.0
-        x, w_out = cache.inputs[l], out[step.weight_at].reshape(step.shape)
+        x, w_out = cache.inputs[l], out[weight_at].reshape(w_seg.shape)
         if step.kind == "full":
             np.matmul(delta.T, x, out=w_out)
         elif step.kind == "row":
@@ -348,9 +350,9 @@ def oracle_backward(model, cache, masks, d_logits=None, d_features=None, out=Non
         else:  # sparse: gathered from the full product
             w_out[...] = (delta.T @ x)[step.index]
         if step.bias_index is ...:
-            np.add.reduce(delta, axis=0, out=out[step.bias_at])
+            np.add.reduce(delta, axis=0, out=out[bias_at])
         elif step.bias_index is not None:
-            out[step.bias_at] = np.add.reduce(delta, axis=0)[step.bias_index]
+            out[bias_at] = np.add.reduce(delta, axis=0)[step.bias_index]
     return out
 
 

@@ -881,15 +881,23 @@ class TestSweepIsCheckedBeforeTraining:
         assert calls == []
         assert not (tmp_path / "sweep").exists()
 
-    @pytest.mark.parametrize("variant", ["full", "head"])
-    def test_a_k_sweep_under_a_variant_that_reads_no_k_exits_2_without_training(
-            self, trained, tmp_path, capsys, monkeypatch, variant):
-        cfg = write_config(tmp_path, "finetune", "variant", variant)
+    @pytest.mark.parametrize("key, value, axis, values, setting", [
+        ("variant", "full", "k", "1,2", "variant 'full'"),
+        ("variant", "head", "k", "1,2", "variant 'head'"),
+        ("lambda", 0.0, "norm", "l1,l2", "lambda 0"),
+        ("lambda", 0.0, "regular_blocks", "0,1", "lambda 0"),
+        ("norm", "none", "lambda", "0.01,0.1", "norm 'none'"),
+        ("norm", "none", "regular_blocks", "0,1", "norm 'none'")],
+        ids=["k-full", "k-head", "norm-lambda0", "regular_blocks-lambda0", "lambda-norm_none",
+             "regular_blocks-norm_none"])
+    def test_a_sweep_of_an_axis_its_run_does_not_read_exits_2_without_training(
+            self, trained, tmp_path, capsys, monkeypatch, key, value, axis, values, setting):
+        cfg = write_config(tmp_path, "finetune", key, value)
         calls = count_calls(monkeypatch, harness._finetune_with_masks)
         err = assert_refused(["ablate", "--config", str(cfg), "--checkpoint", str(trained[1]),
-                              "--axis", "k", "--values", "1,2",
+                              "--axis", axis, "--values", values,
                               "--out-dir", str(tmp_path / "sweep")], tmp_path, capsys, [cfg])
-        assert f"variant {variant!r} reads no k" in err
+        assert f"{setting} reads no {axis}, so every {axis} value gives the same run" in err
         assert calls == []
         assert not (tmp_path / "sweep").exists()
 

@@ -1,7 +1,8 @@
-"""No module of the package imports a name it never uses, the package root
-exports exactly the names it imports, and no function, class or method of the
-package is there only for its tests: each one no package code reads is listed,
-with its reason, in ``UNREFERENCED_ON_PURPOSE``.
+"""No module of the package imports a name it never uses, no function of it
+takes a parameter it never reads, the package root exports exactly the names it
+imports, and no function, class or method of the package is there only for its
+tests: each one no package code reads is listed, with its reason, in
+``UNREFERENCED_ON_PURPOSE``.
 
 A ``RowAnchor``'s arrays are read in ``model.py`` alone, which builds them, so
 no other module depends on the anchor's layout. Importing the package does not
@@ -61,6 +62,36 @@ def test_the_check_sees_unused_and_used_imports():
               "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from x import Y\n"
               "def f(a: Y):\n    import sys\n    return np.zeros(1)\n")
     assert unused_imports(source) == ["os"]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``name:parameter`` for each parameter of a ``def`` or ``lambda`` (``name`` is then
+    ``lambda``) that its body, nested functions included, never reads."""
+    flagged = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  *filter(None, (a.vararg, a.kwarg)))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        flagged += [f"{getattr(node, 'name', 'lambda')}:{p}" for p in params if p not in read]
+    return flagged
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_takes_a_parameter_it_never_reads(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_the_check_sees_unread_parameters():
+    source = ("def f(a, b, *args, c=1, **kw):\n    b = 2\n    return a + c + len(kw)\n"
+              "class C:\n    def m(self, x):\n        def inner():\n            return x\n"
+              "        return inner\n"
+              "g = lambda y, z=0: y\n")
+    assert unread_parameters(source) == ["f:b", "f:args", "m:self", "lambda:z"]
 
 
 def imported_names(source: str) -> list[str]:

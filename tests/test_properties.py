@@ -402,7 +402,9 @@ def test_one_gather_penalty_matches_the_per_segment_body_bitwise(seed, data, kin
         getattr(model.layers[seg.layer], seg.param)[seg.index] += rng.normal(size=seg.shape)
     grad = rng.normal(size=masks.size)  # the penalty adds into what backward wrote
     want = grad.copy()
-    loss = reg_penalty(model, resolve_penalty(pre.layers, cfg, masks), grad)
+    penalty = resolve_penalty(pre.layers, cfg, masks)
+    assert penalty.index is masks.positions
+    loss = reg_penalty(model, penalty, grad)
     assert bits(np.float64(loss)) == bits(np.float64(
         oracle_reg_penalty(model, pre.layers, cfg, masks, want)))
     assert bits(grad) == bits(want)
