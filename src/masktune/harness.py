@@ -362,14 +362,15 @@ def sweep_configs(pre: ModelParams, task: TaskPair, base_cfg: FineTuneConfig, ax
     """``base_cfg`` with ``axis`` set to each value (of ``axis_type(axis)``), all else (seeds
     included) fixed; every config passes ``_check_config`` against ``pre`` and ``task``. Two
     values that give equal configs or print alike (the name of a run's files) are refused,
-    and so is a sweep of an axis the base config's run does not read: ``k`` under a variant
-    whose masks read none, and the penalty's axes when it is off."""
+    and so is a sweep of an axis the base config's run does not read: ``k`` and ``subsets_n``
+    under a variant whose masks read no scores, and the penalty's axes when it is off."""
     axis_type(axis)  # refuses an unknown axis
     if not values:
         raise ConfigError("values must be non-empty")
     unread = {}  # axis: (the setting that leaves it unread, where to sweep it instead)
     if base_cfg.variant not in SELECTION_VARIANTS:
-        unread["k"] = f"variant {base_cfg.variant!r}", f"one of {', '.join(SELECTION_VARIANTS)}"
+        unread["k"] = unread["subsets_n"] = (f"variant {base_cfg.variant!r}",
+                                             f"one of {', '.join(SELECTION_VARIANTS)}")
     if base_cfg.reg.lam == 0.0:
         unread["norm"] = unread["regular_blocks"] = "lambda 0", "a positive lambda"
     if base_cfg.reg.norm == "none":

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 from .fileio import write_json
 from .losses import scl_loss
-from .model import Layer, ModelParams, backward, forward, forward_from_z1, param_offsets
+from .model import (ForwardCache, Layer, ModelParams, _dense, backward, forward, param_offsets,
+                    row_chunks)
 
 SELECTION_VARIANTS = ("row", "col", "sparse")  # the variants scoring can build
 VARIANTS = (*SELECTION_VARIANTS, "full")
@@ -135,8 +136,12 @@ def full_mask(shape: tuple[int, int]) -> LayerMask:
 
 
 def row_scores(h: np.ndarray) -> np.ndarray:
-    """Per-row sum of squared entries: the selection statistic."""
-    return np.sum(h * h, axis=1)
+    """Per-row sum of squared entries, the selection statistic, a block of rows at a time
+    (``row_chunks``): each row of a C-ordered ``h`` is reduced alone, as in one pass."""
+    scores = np.empty(len(h))
+    for rows in row_chunks(*h.shape):
+        np.sum(h[rows] * h[rows], axis=1, out=scores[rows])
+    return scores
 
 
 def col_scores(h: np.ndarray) -> np.ndarray:
@@ -174,8 +179,11 @@ def build_mask(h: np.ndarray, k: int, variant: str) -> LayerMask:
         return LayerMask("row", (rows, cols), topk_indices(row_scores(h), k))
     if variant == "col":
         return LayerMask("col", (rows, cols), topk_indices(col_scores(h), k))
-    if variant == "sparse":
-        return LayerMask("sparse", (rows, cols), _topk_bits(np.abs(h), k))
+    if variant == "sparse":  # top-k per row, one block of rows at a time
+        bits = np.empty((rows, cols), dtype=bool)
+        for block in row_chunks(rows, cols):
+            bits[block] = _topk_bits(np.abs(h[block]), k)
+        return LayerMask("sparse", (rows, cols), bits)
     raise ConfigError(f"build_mask supports row/col/sparse, got {variant!r}")
 
 
@@ -371,24 +379,36 @@ def scl_gradients(pre: ModelParams, x: np.ndarray, y: np.ndarray, tau: float,
     as matrix views of the weight segments of one full-mask gradient vector.
 
     The head is excluded from the loss path, so its entry is all zeros, and its
-    logits are dropped at once. Given ``z1``, layer 1's pre-activation of ``x`` (as
-    subset selection writes it; three or more layers), the forward takes it over
-    (``forward_from_z1``, which consumes it) and forms only layer 0's activation.
-    Backprop reads the head input only through its ReLU mask, so the cache keeps that
-    mask in its place, and where the head input is an activation the forward
-    allocated (not the caller's ``x``, as it is for a one-layer model) the loss's
-    feature gradient is written into it. That gradient is divided by the batch size
-    in place, and ``backward`` consumes it, forming its first delta in it, so scoring
-    holds one n x d array for the features, their gradient and that delta. Scores
-    sum squares, so a gradient whose squares do not sum to a finite number (as a
-    tiny ``tau`` gives) raises NumericError.
+    logits are dropped at once. On three or more layers the forward starts from layer
+    1's pre-activation ``z1`` of ``x``: given (as subset selection writes it; its ReLU is
+    taken in place) or formed by layers 0 and 1 as a model of their own. Layer 0's
+    activation, which backprop alone reads, is formed after the loss. Backprop reads the
+    head input only through its ReLU mask, so the cache keeps that mask in its place,
+    and where the head input is an activation the forward allocated (not the caller's
+    ``x``, as it is for a one-layer model) the loss's feature gradient is written into
+    it. That gradient is divided by the batch size in place, and ``backward`` consumes
+    it and the cache, forming each delta in an array it already holds. Scores sum
+    squares, so a gradient whose squares do not sum to a finite number (as a tiny
+    ``tau`` gives) raises NumericError.
     """
-    features, cache = (forward(pre, x) if z1 is None else forward_from_z1(pre, x, z1))[1:]
-    own = len(pre.layers) > 1  # else the features are the caller's x
+    n, x = len(pre.layers), np.asarray(x, dtype=np.float64)
+    if z1 is not None and (n < 3 or x.shape[1:] != (pre.dims[0],)
+                           or z1.shape != (len(x), pre.dims[2])):
+        raise ShapeError(f"batch of shape {x.shape} and z1 of shape {z1.shape} do not fit "
+                         f"layers 0 and 1 of dims {pre.dims} with a layer above them")
+    if n < 3:
+        features, cache = forward(pre, x)[1:]
+    else:  # layer 0's activation of x is freed here and formed again after the loss
+        z1 = forward(pre.layer_range(0, 2), x)[0] if z1 is None else z1
+        features, top = forward(pre.layer_range(2, n), np.maximum(z1, 0.0, out=z1))[1:]
+        cache = ForwardCache(pre, top.inputs)  # layers 0 and 1's inputs join it below
+    own = n > 1  # else the features are the caller's x
     if own:
         cache.inputs[-1] = features > 0.0
     _, d_features = scl_loss(features, y, tau, out=features if own else None)
     d_features /= len(y)  # divided in place, consumed below
+    if n >= 3:
+        cache.inputs[:0] = [x, _dense(x, pre.layers[0], True)]
     masks = GradientMaskSet.all_full(pre)
     grad = backward(pre, cache, masks, d_features=d_features)
     if not np.isfinite(np.dot(grad, grad)):

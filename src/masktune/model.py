@@ -322,8 +322,8 @@ def forward(model: ModelParams | RowParams, x_batch: np.ndarray,
 
     ``features`` is the head input, i.e. the penultimate activation (or the
     raw batch for a head-only model). Each layer allocates one activation:
-    the bias and the ReLU are applied in place to the fresh matmul result, so
-    no cached input is ever written again.
+    the bias and the ReLU are applied in place to the fresh matmul result, and
+    forward writes no cached input again (``backward`` consumes the cache).
 
     A ``RowParams`` is forwarded with ``anchor``, the ``RowAnchor.take`` of the batch's
     rows at its ``base``, and a ``ModelParams`` without: layers 0 and 1 are computed
@@ -360,25 +360,6 @@ def forward(model: ModelParams | RowParams, x_batch: np.ndarray,
     return logits, features, cache
 
 
-def forward_from_z1(model: ModelParams, x_batch: np.ndarray,
-                    z1: np.ndarray) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
-    """``forward(model, x_batch)`` of a model of three or more layers, given ``z1``, layer
-    1's pre-activation of ``x_batch`` (bit for bit the dense forward's, as subset
-    selection writes it): it forms layer 0's activation alone and goes on from layer 2.
-    ``z1`` is consumed: its ReLU is taken in place, and the cache holds it as layer 1's
-    activation."""
-    x_batch = np.asarray(x_batch, dtype=np.float64)
-    n, dims = len(x_batch), model.dims
-    if len(dims) < 4 or x_batch.ndim != 2 or x_batch.shape[1] != dims[0] \
-            or z1.shape != (n, dims[2]):
-        raise ShapeError(f"batch of shape {x_batch.shape} and z1 of shape {z1.shape} do not "
-                         f"fit layers 0 and 1 of dims {dims} with a layer above them")
-    logits, features, top = forward(model.layer_range(2, len(model.layers)),
-                                    np.maximum(z1, 0.0, out=z1))
-    cache = ForwardCache(model, [x_batch, _dense(x_batch, model.layers[0], True), *top.inputs])
-    return logits, features, cache
-
-
 def backprop_views(masks: GradientMaskSet, out: np.ndarray) -> tuple:
     """Per step of the ``backprop`` plan of ``masks``, the views of ``out`` (in their layout) it
     writes: its layer's weight segment, shaped, and bias segment (``segments[2 * l]`` and
@@ -406,10 +387,14 @@ def backward(model: ModelParams | RowParams, cache: ForwardCache, masks: Gradien
     which starts at the head input.
     Exactly one of ``d_logits`` / ``d_features`` must be given. ``d_features`` is
     consumed, as Adam consumes its gradient: the first delta is formed in it, in
-    place, so on return it holds that delta, not the upstream gradient.
+    place, so on return it holds that delta, not the upstream gradient. So is the cache:
+    a full-width delta below the first is formed in the activation it gates, once its
+    ReLU' is read. ``cache.inputs`` is emptied, and a consumed cache raises StateError.
     """
     if cache.model is not model:
         raise StateError("cache does not belong to this model")
+    if not cache.inputs:
+        raise StateError("cache was consumed by an earlier backward")
     if (d_logits is None) == (d_features is None):
         raise ValueError("provide exactly one of d_logits or d_features")
     if out is None:
@@ -430,12 +415,15 @@ def backward(model: ModelParams | RowParams, cache: ForwardCache, masks: Gradien
         elif l == start:  # ReLU'(z) = max(z, 0) > 0, read off the next layer's input;
             delta = upstream[:, rows]  # in place: in d_features itself, unless rows gathers
             delta *= cache.inputs[l + 1][:, rows] > 0.0
-        else:  # in place, so at most two layers' deltas live beside the vector
+        else:  # the gate is read first: a full-width delta is formed in the activation
+            gate = cache.inputs[l + 1][:, rows] > 0.0  # it gates, which nothing reads again
             if l == 0 and isinstance(model, RowParams):  # rows is rows0
                 delta = delta @ model.w1_columns()
+            elif isinstance(rows, slice):
+                delta = np.matmul(delta, model.layers[l + 1].weight, out=cache.inputs[l + 1])
             else:
                 delta = delta @ model.layers[l + 1].weight[:, rows]
-            delta *= cache.inputs[l + 1][:, rows] > 0.0
+            delta *= gate
         x = cache.inputs[l]
         if step.kind == "full":
             np.matmul(delta.T, x, out=w_out)
@@ -449,6 +437,7 @@ def backward(model: ModelParams | RowParams, cache: ForwardCache, masks: Gradien
             np.add.reduce(delta, axis=0, out=b_out)
         elif step.bias_index is not None:
             b_out[...] = np.add.reduce(delta, axis=0)[step.bias_index]
+    cache.inputs.clear()
     return out
 
 

@@ -884,11 +884,13 @@ class TestSweepIsCheckedBeforeTraining:
     @pytest.mark.parametrize("key, value, axis, values, setting", [
         ("variant", "full", "k", "1,2", "variant 'full'"),
         ("variant", "head", "k", "1,2", "variant 'head'"),
+        ("variant", "full", "subsets_n", "2,4", "variant 'full'"),
+        ("variant", "head", "subsets_n", "2,4", "variant 'head'"),
         ("lambda", 0.0, "norm", "l1,l2", "lambda 0"),
         ("lambda", 0.0, "regular_blocks", "0,1", "lambda 0"),
         ("norm", "none", "lambda", "0.01,0.1", "norm 'none'"),
         ("norm", "none", "regular_blocks", "0,1", "norm 'none'")],
-        ids=["k-full", "k-head", "norm-lambda0", "regular_blocks-lambda0", "lambda-norm_none",
+        ids=["k-full", "k-head", "subsets_n-full", "subsets_n-head", "norm-lambda0", "regular_blocks-lambda0", "lambda-norm_none",
              "regular_blocks-norm_none"])
     def test_a_sweep_of_an_axis_its_run_does_not_read_exits_2_without_training(
             self, trained, tmp_path, capsys, monkeypatch, key, value, axis, values, setting):

@@ -16,7 +16,6 @@ from masktune.model import (
     _trained_columns,
     backward,
     forward,
-    forward_from_z1,
     init_model,
     layer_roles,
     load_checkpoint,
@@ -155,16 +154,6 @@ class TestForward:
         assert [a.tobytes() for a in anchor] == before
         assert logits == [whole[2:5].tobytes()] * 2
 
-    def test_forward_from_z1_is_the_dense_forward(self, np_rng):
-        model = init_model([4, 6, 5, 7, 3], seed=1)
-        x = np_rng.normal(size=(9, 4))
-        z1, _, _ = forward(model.layer_range(0, 2), x)
-        want_logits, want_features, want = forward(model, x)
-        logits, features, cache = forward_from_z1(model, x, z1)
-        assert cache.model is model and cache.inputs[2] is z1  # its ReLU taken in place
-        assert [a.tobytes() for a in (logits, features, *cache.inputs)] == \
-            [a.tobytes() for a in (want_logits, want_features, *want.inputs)]
-
     def test_layer_range_views_its_layers(self):
         model = init_model([4, 6, 5, 7, 3], seed=2)
         for start, stop in [(0, 2), (2, 4), (1, 3), (0, 4)]:
@@ -238,6 +227,17 @@ class TestBackward:
         other = small_model(seed=99)
         with pytest.raises(StateError):
             backward(other, cache, GradientMaskSet.all_full(other), d_logits=np.zeros((4, 3)))
+
+    def test_a_consumed_cache_is_refused(self, np_rng):
+        # backward forms full-width deltas in the cached activations, so a second
+        # backward on the same cache would read deltas where activations were
+        m = small_model()
+        _, _, cache = forward(m, np_rng.normal(size=(4, 4)))
+        masks = GradientMaskSet.all_full(m)
+        backward(m, cache, masks, d_logits=np.ones((4, 3)))
+        assert cache.inputs == []
+        with pytest.raises(StateError, match="consumed"):
+            backward(m, cache, masks, d_logits=np.ones((4, 3)))
 
     @pytest.mark.parametrize("out", [np.empty(10), np.empty(83, dtype=np.float32),
                                      np.empty(166)[::2]], ids=["short", "float32", "strided"])

@@ -461,12 +461,14 @@ def test_backward_into_a_reused_dirty_buffer_is_a_fresh_backward_bitwise(setup, 
     # a training run hands backward the vector Adam left its update in
     rng, model, masks = random_setup(*setup)
     masks = masks_of_kind(model, masks, kind)
-    logits, features, cache = forward(model, rng.normal(size=(batch, model.dims[0])))
+    x = rng.normal(size=(batch, model.dims[0]))
+    logits, features, cache = forward(model, x)
     upstream = {f"d_{path}": rng.normal(size=(logits if path == "logits" else features).shape)}
-    # backward consumes d_features: the fresh backward reads a copy
+    # backward consumes d_features and the cache: the fresh backward reads a copy of the
+    # one and a cache of its own
     fresh = backward(model, cache, masks, **{k: v.copy() for k, v in upstream.items()})
     buffer = np.full(masks.size, np.nan)
-    got = backward(model, cache, masks, out=buffer, **upstream)
+    got = backward(model, forward(model, x)[2], masks, out=buffer, **upstream)
     assert got is buffer
     assert bits(got) == bits(fresh)
 
@@ -489,9 +491,11 @@ def test_cross_entropy_matches_its_old_body_bitwise(seed, batch, classes, scale)
        batch=st.integers(1, 8))
 def test_all_full_backward_is_the_dense_oracle_bitwise(seed, dims, batch):
     rng, model, masks = random_setup(seed, dims, ["full"] * (len(dims) - 1))
-    logits, features, cache = forward(model, rng.normal(size=(batch, dims[0])))
+    x = rng.normal(size=(batch, dims[0]))
+    logits, features, _ = forward(model, x)
     for upstream in ({"d_logits": rng.normal(size=logits.shape)},
                      {"d_features": rng.normal(size=features.shape)}):
+        cache = forward(model, x)[2]  # backward consumes its cache
         want = dense_backward(model, cache, **upstream)  # before backward consumes d_features
         got = backward(model, cache, masks, **upstream)
         assert bits(got) == bits(gathered(masks, want))
