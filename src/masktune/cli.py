@@ -1,6 +1,7 @@
 """Command-line entry point: pretrain, finetune, mask-report, ablate.
 
-Exit codes: 0 success, 2 invalid configuration or input, 3 numeric failure.
+Exit codes: 0 success, 2 invalid configuration or input (a size that cannot be
+allocated included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -224,6 +225,10 @@ def main(argv: list[str] | None = None) -> int:
             return command(args)
     except (ConfigError, InputError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a size in the input that no allocation can hold
+        print(f"error: a size the input asks for cannot be allocated: "
+              f"{exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

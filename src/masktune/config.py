@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from .data import ShiftConfig, TaskPair, gen_task
 from .errors import ConfigError
 from .harness import FineTuneConfig
 from .losses import RegConfig, RegularSet
+from .model import param_offsets
 from .optim import OptimConfig
 
 _TASK_KEYS = {"dim": int, "classes": int, "per_class": int,
@@ -109,6 +111,14 @@ def parse_run_config(doc: dict, seed_override: int | None = None) -> RunConfig:
     dims = doc["model"]["dims"]
     if not all(type(d) is int and d >= 1 for d in dims) or len(dims) < 2:
         raise ConfigError("model.dims must be a list of at least two positive ints")
+    # numpy refuses an array of more bytes than an index holds with a ValueError or an
+    # OverflowError; one it can index but cannot allocate raises MemoryError (cli.main)
+    t = doc["task"]
+    for what, entries in (("model.dims", param_offsets(list(zip(dims[1:], dims)))[-1]),
+                          ("task", t["classes"] * t["per_class"] * max(t["dim"], 1))):
+        if 8 * entries > sys.maxsize:
+            raise ConfigError(f"{what} asks for an array of {entries} float64 entries, more "
+                              f"than an array can hold")
     seed = doc["seed"] if seed_override is None else int(seed_override)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -118,9 +128,10 @@ def parse_run_config(doc: dict, seed_override: int | None = None) -> RunConfig:
 
 def load_run_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
     """The run config of a JSON file; a file that cannot be read, is not UTF-8 text (a
-    checkpoint, say) or is not JSON raises ConfigError."""
+    checkpoint, say), is not JSON or nests deeper than the parser's recursion limit
+    raises ConfigError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_run_config(doc, seed_override)

@@ -130,7 +130,8 @@ def select_mask_subset(pre: ModelParams, data: Dataset, subsets: list[np.ndarray
     whose per-sample contrastive loss at the given weights is minimal; ties go to
     the lowest index. Returns its index and its rows of ``data``. Each subset's rows
     are gathered when it is scored, not all up front, and no parameters are updated.
-    Only the loss is formed (``scl_loss_pass``), not its gradient.
+    Only the loss is formed (``scl_loss_pass``, which consumes the subset's head input,
+    an array the forward allocated or the subset's gathered rows), not its gradient.
 
     Given ``z1_out`` (``len(data)`` rows of layer 1's width, for a model of three or
     more layers), each subset is forwarded through layers 0 and 1 as a model of their

@@ -100,7 +100,8 @@ class ContrastivePass(NamedTuple):
     """What ``scl_loss_pass`` leaves for ``scl_grad_pass``: the summed ``loss``; the
     ``n x n`` ``buffer`` that held the similarities and now holds each row's
     exponentials ``exp(sim - row_max)``, zero on the diagonal, and ``sums``, their row
-    sums; the unit feature rows ``z`` and the feature ``norms``; ``labels``; ``tau``."""
+    sums; the unit feature rows ``z``, in the features' own buffer, and the feature
+    ``norms``; ``labels``; ``tau``."""
     loss: float
     buffer: np.ndarray
     sums: np.ndarray
@@ -123,11 +124,14 @@ def scl_loss_pass(features: np.ndarray, labels: np.ndarray, tau: float) -> Contr
     """The supervised contrastive loss over L2-normalized feature rows, summed over
     anchors, and what ``scl_grad_pass`` reads to form its gradient.
 
+    ``features`` is consumed: the unit rows ``z`` are formed in its own buffer (a
+    float64 array; anything else is converted to a fresh one first), so a caller
+    passes an array it owns and does not read again (``scl_loss`` passes a copy).
     One n x n float buffer holds the similarities, then in place their exponentials.
     Every row-wise pass runs over one block of its rows at a time (``row_chunks``),
     which builds that block's positive pairs from ``labels``, so no second n x n
-    array, float or boolean, ever exists. ``features`` is not read again once this
-    returns. A caller that wants the loss alone (subset selection) drops the rest.
+    array, float or boolean, ever exists. A caller that wants the loss alone (subset
+    selection) drops the rest.
     """
     check_tau(tau)
     features = np.asarray(features, dtype=np.float64)
@@ -141,7 +145,8 @@ def scl_loss_pass(features: np.ndarray, labels: np.ndarray, tau: float) -> Contr
     norms = np.linalg.norm(features, axis=1)
     if np.any(norms == 0.0):
         raise NumericError("zero-norm feature row cannot be normalized")
-    z = features / norms[:, None]
+    z = features
+    z /= norms[:, None]
 
     sim = z @ z.T
     sim /= tau
@@ -167,20 +172,21 @@ def scl_loss_pass(features: np.ndarray, labels: np.ndarray, tau: float) -> Contr
 def scl_grad_pass(state: ContrastivePass, out: np.ndarray | None = None) -> np.ndarray:
     """The gradient of ``state.loss`` w.r.t. the raw features (normalization Jacobian
     included): ``out`` when given (a C-contiguous float64 array of the features'
-    shape, whatever it held; the features' own buffer will do, as ``scl_loss_pass`` is
-    done with them), else a fresh array.
+    shape, whatever it held; ``state.z``, the features' own buffer, will do), else a
+    fresh array.
 
-    ``state.buffer`` becomes dL/dsim in place, block by block, the transpose is added
-    slab by slab, and its product with ``z`` is written into ``out``; the Jacobian then
-    runs a block of rows at a time. So beside the buffer live ``z``, ``out`` and a few
-    row blocks (21 MB in all on 1000 x 768 features, 15 MB when ``out`` is the
-    features' own buffer).
+    ``state.buffer`` becomes dL/dsim in place, block by block, and the transpose is
+    added slab by slab; its product with ``z`` is written into a fresh array, one
+    whole-matrix product. The Jacobian then turns that product's rows into the
+    gradient in ``out``, a block of rows at a time, its block temporaries in the spent
+    n x n buffer (or in one fresh block where that buffer is smaller than a block).
+    So at the product live the buffer, ``z`` and the product alone (20 MB on 1000 x
+    768 features), and never a block beside them.
     """
     _, sim, sums, z, norms, labels, tau = state
     batch = len(labels)
-    if out is None:
-        out = np.empty_like(z)
-    elif not (out.dtype == np.float64 and out.shape == z.shape and out.flags.c_contiguous):
+    if not (out is None or out.dtype == np.float64 and out.shape == z.shape
+            and out.flags.c_contiguous):
         raise ShapeError(f"out must be a C-contiguous float64 array of shape {z.shape}")
     for r in row_chunks(batch, batch):
         # dL/dsim: softmax over non-self entries minus positive-average, per valid anchor
@@ -197,14 +203,23 @@ def scl_grad_pass(state: ContrastivePass, out: np.ndarray | None = None) -> np.n
         sim[r.start:, r] = slab.T
     # tau divides once more because sim already includes 1/tau -> chain through raw
     # dot products
-    np.matmul(sim, z, out=out)
-    out /= tau
+    d_z = sim @ z
+    d_z /= tau
+    if out is None:
+        out = d_z
 
-    # normalization Jacobian: d/df [f/|f|] applied row-wise, a block of rows at a time
-    for r in row_chunks(batch, z.shape[1]):
-        d_z, z_r = out[r], z[r]
-        d_z -= np.sum(d_z * z_r, axis=1, keepdims=True) * z_r
-        d_z /= norms[r, None]
+    # normalization Jacobian: d/df [f/|f|] applied row-wise, a block of rows at a time;
+    # each block reads its rows of z before it writes those of out, which may be z
+    dim = z.shape[1]
+    blocks = list(row_chunks(batch, dim))
+    rows = blocks[0].stop
+    scratch = sim.reshape(-1) if sim.size >= rows * dim else np.empty(rows * dim)
+    for r in blocks:
+        d_r, z_r = d_z[r], z[r]
+        tmp = scratch[:d_r.size].reshape(d_r.shape)
+        inner = np.sum(np.multiply(d_r, z_r, out=tmp), axis=1, keepdims=True)
+        np.subtract(d_r, np.multiply(inner, z_r, out=tmp), out=out[r])
+        out[r] /= norms[r, None]
     return out
 
 
@@ -212,10 +227,13 @@ def scl_loss(features: np.ndarray, labels: np.ndarray, tau: float,
              out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Supervised contrastive loss over L2-normalized feature rows: ``scl_loss_pass``
     then ``scl_grad_pass``. Returns the summed loss over anchors and its gradient
-    w.r.t. the raw features, written into ``out`` when given (which may be
-    ``features`` itself). The peak is the n x n buffer, the normalized features,
-    the gradient and a few row blocks.
+    w.r.t. the raw features, written into ``out`` when given. ``features`` is left as
+    it is unless ``out`` is ``features`` itself: then the pass consumes it and it
+    takes the gradient; else the pass takes a copy. The peak is the n x n buffer, the
+    normalized features and their product with it.
     """
+    if out is not features:
+        features = np.array(features, dtype=np.float64)
     state = scl_loss_pass(features, labels, tau)
     return state.loss, scl_grad_pass(state, out)
 

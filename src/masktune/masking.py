@@ -380,16 +380,18 @@ def scl_gradients(pre: ModelParams, x: np.ndarray, y: np.ndarray, tau: float,
 
     The head is excluded from the loss path, so its entry is all zeros, and its
     logits are dropped at once. On three or more layers the forward starts from layer
-    1's pre-activation ``z1`` of ``x``: given (as subset selection writes it; its ReLU is
-    taken in place) or formed by layers 0 and 1 as a model of their own. Layer 0's
-    activation, which backprop alone reads, is formed after the loss. Backprop reads the
-    head input only through its ReLU mask, so the cache keeps that mask in its place,
-    and where the head input is an activation the forward allocated (not the caller's
-    ``x``, as it is for a one-layer model) the loss's feature gradient is written into
-    it. That gradient is divided by the batch size in place, and ``backward`` consumes
-    it and the cache, forming each delta in an array it already holds. Scores sum
-    squares, so a gradient whose squares do not sum to a finite number (as a tiny
-    ``tau`` gives) raises NumericError.
+    1's pre-activation ``z1`` of ``x``: given (as subset selection writes it, an array
+    it owns; its ReLU is taken in place) or formed by layers 0 and 1 as a model of
+    their own. Layer 0's activation, which backprop alone reads, is formed after the
+    loss. Backprop reads the head input only through its ReLU gate, held as
+    ``np.packbits`` bits while the loss runs and unpacked into the cache for
+    ``backward``. The loss consumes the head input, forming its unit rows and then its
+    gradient in that activation's own buffer (a one-layer model's head input is the
+    caller's ``x``, so the loss takes a copy of it). That gradient is divided by the
+    batch size in place, and ``backward`` consumes it and the cache, forming each
+    delta in an array it already holds. Scores sum squares, so a gradient whose
+    squares do not sum to a finite number (as a tiny ``tau`` gives) raises
+    NumericError.
     """
     n, x = len(pre.layers), np.asarray(x, dtype=np.float64)
     if z1 is not None and (n < 3 or x.shape[1:] != (pre.dims[0],)
@@ -404,9 +406,13 @@ def scl_gradients(pre: ModelParams, x: np.ndarray, y: np.ndarray, tau: float,
         cache = ForwardCache(pre, top.inputs)  # layers 0 and 1's inputs join it below
     own = n > 1  # else the features are the caller's x
     if own:
-        cache.inputs[-1] = features > 0.0
+        gate = np.packbits(features > 0.0)
     _, d_features = scl_loss(features, y, tau, out=features if own else None)
     d_features /= len(y)  # divided in place, consumed below
+    if own:  # the bits are dropped once unpacked into the cache
+        cache.inputs[-1] = np.unpackbits(gate, count=d_features.size).view(bool).reshape(
+            d_features.shape)
+        del gate
     if n >= 3:
         cache.inputs[:0] = [x, _dense(x, pre.layers[0], True)]
     masks = GradientMaskSet.all_full(pre)

@@ -388,8 +388,10 @@ def backward(model: ModelParams | RowParams, cache: ForwardCache, masks: Gradien
     Exactly one of ``d_logits`` / ``d_features`` must be given. ``d_features`` is
     consumed, as Adam consumes its gradient: the first delta is formed in it, in
     place, so on return it holds that delta, not the upstream gradient. So is the cache:
-    a full-width delta below the first is formed in the activation it gates, once its
-    ReLU' is read. ``cache.inputs`` is emptied, and a consumed cache raises StateError.
+    each layer's input is dropped from it once its ReLU' is read (an input cached as a
+    boolean array is that gate itself), and a full-width delta below the first is
+    formed in the activation it gates. ``cache.inputs`` is emptied, and a consumed
+    cache raises StateError.
     """
     if cache.model is not model:
         raise StateError("cache does not belong to this model")
@@ -412,18 +414,21 @@ def backward(model: ModelParams | RowParams, cache: ForwardCache, masks: Gradien
             continue
         if l == n - 1:
             delta = upstream[:, rows]
-        elif l == start:  # ReLU'(z) = max(z, 0) > 0, read off the next layer's input;
-            delta = upstream[:, rows]  # in place: in d_features itself, unless rows gathers
-            delta *= cache.inputs[l + 1][:, rows] > 0.0
-        else:  # the gate is read first: a full-width delta is formed in the activation
-            gate = cache.inputs[l + 1][:, rows] > 0.0  # it gates, which nothing reads again
-            if l == 0 and isinstance(model, RowParams):  # rows is rows0
+        else:  # the gate first: ReLU'(z) = max(z, 0) > 0, read off the next layer's input
+            a, cache.inputs[l + 1] = cache.inputs[l + 1], None  # dropped once read
+            gate = a[:, rows]
+            if gate.dtype != bool:  # a boolean input is the gate itself (scoring's head input)
+                gate = gate > 0.0
+            if l == start:  # in place: in d_features itself, unless rows gathers
+                delta = upstream[:, rows]
+            elif l == 0 and isinstance(model, RowParams):  # rows is rows0
                 delta = delta @ model.w1_columns()
-            elif isinstance(rows, slice):
-                delta = np.matmul(delta, model.layers[l + 1].weight, out=cache.inputs[l + 1])
+            elif isinstance(rows, slice):  # in the activation it gates: nothing reads it again
+                delta = np.matmul(delta, model.layers[l + 1].weight, out=a)
             else:
                 delta = delta @ model.layers[l + 1].weight[:, rows]
             delta *= gate
+            del a, gate
         x = cache.inputs[l]
         if step.kind == "full":
             np.matmul(delta.T, x, out=w_out)
@@ -460,7 +465,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     """Read a checkpoint written by save_checkpoint, whatever the file is named.
 
     An unreadable file, a missing magic line (as in the older JSON
-    checkpoints), a malformed header, header roles other than the positional
+    checkpoints), a malformed header (one nested deeper than the JSON parser's
+    recursion limit included), header roles other than the positional
     ones, a byte count that does not fit the header or a non-finite value
     (named by its first layer) raises InputError. The file's values are read
     straight into the model's vector, one writeable array, and its layers are
@@ -486,7 +492,7 @@ def _read_checkpoint(fh, path: str | Path) -> ModelParams:
     try:
         header = json.loads(line[:-1])
         dims, roles = header["dims"], header["roles"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"checkpoint {path}: malformed header: {exc!r}") from exc
     if not (isinstance(dims, list) and len(dims) >= 2
             and all(type(d) is int and d > 0 for d in dims)):

@@ -790,6 +790,52 @@ class TestContractHoles:
                        [hidden_first])
 
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "ablate"])
+    def test_a_config_nested_past_the_recursion_limit_exits_2(self, trained, tmp_path, capsys,
+                                                              command):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[" * 100_000)
+        argv = {"pretrain": ["pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")],
+                "finetune": self.finetune_argv(cfg, trained[1], tmp_path),
+                "ablate": ["ablate", "--config", str(cfg), "--checkpoint", str(trained[1]),
+                           "--axis", "k", "--values", "1", "--out-dir", str(tmp_path / "sweep")]}
+        err = assert_refused(argv[command], tmp_path, capsys, [cfg])
+        assert "recursion depth" in err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("command", ["finetune", "mask-report"])
+    def test_a_checkpoint_header_nested_past_the_recursion_limit_exits_2(self, trained, tmp_path,
+                                                                         capsys, command):
+        cfg, ckpt = trained
+        magic, _, payload = ckpt.read_bytes().split(b"\n", 2)
+        deep = tmp_path / "deep.ckpt"
+        deep.write_bytes(b"\n".join([magic, b"[" * 100_000, payload]))
+        if command == "finetune":
+            argv, inputs = self.finetune_argv(cfg, deep, tmp_path), [deep]
+        else:
+            data_path = tmp_path / "target.csv"
+            write_target_csv(data_path)
+            argv = ["mask-report", "--checkpoint", str(deep), "--data", str(data_path),
+                    "--k", "1", "--out", str(tmp_path / "r.json")]
+            inputs = [deep, data_path]
+        assert "malformed header" in assert_refused(argv, tmp_path, capsys, inputs)
+
+    # each request is above the 2**47-byte user address space, so it fails at once and
+    # never reserves memory; from 2**63 bytes on no array can even be indexed
+    @pytest.mark.parametrize("command, section, key, value, named", [
+        ("pretrain", "model", "dims", [6, 2 ** 45, 3], "PiB for an array with shape"),
+        ("pretrain", "task", "per_class", 10 ** 15, "PiB for an array with shape"),
+        ("finetune", "task", "per_class", 10 ** 15, "PiB for an array with shape"),
+        ("pretrain", "model", "dims", [6, 2 ** 61, 3], "model.dims asks for an array of"),
+        ("finetune", "task", "per_class", 10 ** 19, "task asks for an array of")])
+    def test_a_size_no_allocation_can_hold_exits_2_naming_the_request(
+            self, trained, tmp_path, capsys, command, section, key, value, named):
+        cfg = write_config(tmp_path, section, key, value)
+        argv = (["pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]
+                if command == "pretrain" else self.finetune_argv(cfg, trained[1], tmp_path))
+        assert named in assert_refused(argv, tmp_path, capsys, [cfg])
+
+
 class TestNonFiniteScoring:
     """A tau so small that contrastive scores overflow (1e-200) or turn NaN
     (1e-320) exits 3 with one line, and writes no file."""

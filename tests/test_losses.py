@@ -142,9 +142,10 @@ class TestSclLoss:
     @pytest.mark.parametrize("into_features", [False, True])
     def test_peak_is_one_square_buffer_the_feature_copies_and_three_blocks(self, np_rng, d,
                                                                             into_features):
-        # the buffer, z and the gradient (written into the features' own buffer when
-        # they are given as out, so one copy fewer), and at most three row blocks of
-        # its passes (a slab, its transposed operand and their sum); never above one
+        # the buffer, z (formed in the features' own buffer when they are given as out,
+        # so one copy fewer) and its product with the buffer, which the Jacobian turns
+        # into the gradient, or, before that product exists, at most three row blocks
+        # of the passes (a slab, its transposed operand and their sum); never above one
         # more feature copy and a single block, which is the tighter bound at d = 64,
         # where a second n x n array would not fit either
         n = 1000
@@ -159,7 +160,9 @@ class TestSclLoss:
     def test_the_gradient_written_into_the_features_is_the_fresh_one(self, np_rng):
         f = np_rng.normal(size=(40, 7))
         y = np_rng.integers(0, 3, size=40)
+        before = f.tobytes()
         loss, fresh = scl_loss(f, y, 0.5)
+        assert f.tobytes() == before  # the pass took a copy: out is not f
         features = f.copy()
         into_loss, into = scl_loss(features, y, 0.5, out=features)
         assert into is features

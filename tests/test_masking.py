@@ -358,15 +358,16 @@ class TestMaskSet:
         assert trainable_fraction(model, masks) == (5 + 5 + 15) / total
 
     def test_scoring_peak_forms_the_first_delta_in_the_feature_gradient(self):
-        # backprop's peak: layer 0's cached activation, the head input's ReLU mask in the
-        # cache in place of the head input, d_features (the features' own buffer, its
-        # first delta formed in place), the second delta and its ReLU mask, and the
-        # gradient vector; the head input beside its gradient would add one n x h array
+        # backprop's peak: layer 0's cached activation (the second delta is formed in
+        # it), d_features (the features' own buffer, its first delta formed in place),
+        # the gradient vector and one ReLU gate, layer 0's: the head input's gate is
+        # dropped from the cache once read. The head input beside its gradient would add
+        # one n x h array, and a gate kept beside the next one n x h bytes
         n, h = 300, 512
         model = init_model([64, h, h, 4], seed=0)
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=(n, 64)), rng.integers(0, 4, size=n)
-        bound = 8 * (3 * n * h + model.param_count()) + 2 * n * h + 128 * 1024
+        bound = 8 * (2 * n * h + model.param_count()) + n * h + 128 * 1024
         assert peak_bytes(lambda: scl_gradients(model, x, y, 0.5)) <= bound
 
     @pytest.mark.parametrize("dims", [[6, 3], [6, 8, 3], [6, 8, 7, 3], [6, 8, 7, 5, 3],

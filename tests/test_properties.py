@@ -18,13 +18,15 @@ package did before a run resolved them once.
 """
 
 import csv
+import json
+import sys
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -39,7 +41,8 @@ from conftest import (ROW_PATH_DIMS, bias_mask, copy_model, finite_diff_grad, fr
                       row_params, sparse_from_bits, sparse_from_lists)
 from masktune import harness
 from masktune.data import Dataset, ShiftConfig, gen_task, load_dataset_csv, save_dataset_csv
-from masktune.errors import InputError, NumericError
+from masktune.config import load_run_config, parse_run_config
+from masktune.errors import ConfigError, InputError, NumericError
 from masktune.harness import FineTuneConfig, evaluate, finetune_masks
 from masktune.losses import (
     RegConfig,
@@ -64,6 +67,7 @@ from masktune.masking import (
     topk_indices,
 )
 from masktune.model import (
+    CHECKPOINT_MAGIC,
     ForwardCache,
     Layer,
     ModelParams,
@@ -474,6 +478,23 @@ def test_backward_into_a_reused_dirty_buffer_is_a_fresh_backward_bitwise(setup, 
 
 
 @settings(max_examples=100, deadline=None)
+@given(setup=setups, kind=MASK_KINDS, batch=st.integers(1, 8))
+def test_backward_reads_a_cached_bool_gate_as_the_activation_it_gates_bitwise(setup, kind,
+                                                                               batch):
+    # scoring caches the head input's ReLU gate, a bool array, in place of the head input
+    rng, model, masks = random_setup(*setup)
+    masks = masks_of_kind(model, masks, kind)
+    x = rng.normal(size=(batch, model.dims[0]))
+    _, features, cache = forward(model, x)
+    d_features = rng.normal(size=features.shape)
+    want = backward(model, cache, masks, d_features=d_features.copy())
+    gated = forward(model, x)[2]
+    gated.inputs[-1] = gated.inputs[-1] > 0.0
+    got = backward(model, gated, masks, d_features=d_features)
+    assert bits(got) == bits(want)
+
+
+@settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), batch=st.integers(1, 64), classes=st.integers(1, 12),
        scale=st.floats(1e-3, 1e3))
 def test_cross_entropy_matches_its_old_body_bitwise(seed, batch, classes, scale):
@@ -535,6 +556,10 @@ def test_in_place_scoring_matches_the_fresh_array_oracles_bitwise(seed, batch, d
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), batch=st.integers(2, 40), dim=st.integers(1, 8),
        classes=st.integers(1, 40), log_tau=st.floats(-3.0, 3.0))
+# the n x n buffer smaller than one Jacobian block (min(64 // dim, batch) rows of dim):
+# its block temporaries then take a fresh block
+@example(seed=0, batch=2, dim=8, classes=1, log_tau=0.0)
+@example(seed=1, batch=5, dim=7, classes=2, log_tau=-1.0)
 def test_row_blocked_scoring_is_the_whole_matrix_oracle_bitwise(seed, batch, dim, classes,
                                                                 log_tau):
     rng = np.random.default_rng(seed)
@@ -543,12 +568,20 @@ def test_row_blocked_scoring_is_the_whole_matrix_oracle_bitwise(seed, batch, dim
     labels[rng.integers(batch)] = classes  # a class of one row: an anchor with no positive
     tau = 10.0 ** log_tau
     want_loss, want_d = oracle_whole_matrix_scl_loss(features, labels, tau)
+    before = bits(features)
+    consumed = features.copy()
     with pytest.MonkeyPatch.context() as mp:
         # blocks of 64 // batch rows: one block for 2 rows, 1-row blocks from 33 rows on
         mp.setattr("masktune.model._CHUNK", 64)
-        loss, d_features = scl_loss(features, labels, tau)
-    assert bits(np.float64(loss)) == bits(np.float64(want_loss))
-    assert bits(d_features) == bits(want_d)
+        results = [scl_loss(features, labels, tau),
+                   scl_loss(features, labels, tau, out=np.full((batch, dim), np.nan)),
+                   # consuming: z, then the gradient, in the features' own buffer
+                   scl_loss(consumed, labels, tau, out=consumed)]
+    assert results[2][1] is consumed
+    assert bits(features) == before  # an out other than the features leaves them as they are
+    for loss, d_features in results:
+        assert bits(np.float64(loss)) == bits(np.float64(want_loss))
+        assert bits(d_features) == bits(want_d)
 
 
 # criterion 3's bound on the relative error against central differences
@@ -657,6 +690,48 @@ def test_every_truncation_raises_input_error(model):
             path.write_bytes(blob[:cut])
             with pytest.raises(InputError):
                 load_checkpoint(path)
+
+
+# JSON documents for the readers: scalars and strings, and lists and objects of them, the
+# objects often keyed by the names the config and the checkpoint header use
+_JSON_KEYS = st.sampled_from(["seed", "task", "model", "pretrain", "finetune", "shift",
+                              "regular", "dims", "roles"]) | st.text(max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=24)
+
+
+def nested_document(key, extra: int, closed: bool) -> tuple[object, str]:
+    """A document nested ``extra`` levels deeper than the recursion limit, in lists (``key``
+    None) or in objects under ``key``, and its JSON text, whole or cut off before its
+    first closer. The limit is read when it is built: hypothesis raises it while it runs."""
+    depth = sys.getrecursionlimit() + extra
+    doc, opener, closer = 0, "[", "]"
+    if key is not None:
+        opener, closer = "{" + json.dumps(key) + ": ", "}"
+    for _ in range(depth):
+        doc = [doc] if key is None else {key: doc}
+    return doc, opener * depth + ("0" + closer * depth if closed else "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=json_values, deep=st.none() | st.tuples(st.none() | _JSON_KEYS,
+                                                    st.integers(1, 3000), st.booleans()))
+def test_the_readers_return_or_refuse_any_json_document(doc, deep):
+    # every reader of a config or a checkpoint header returns or raises ConfigError or
+    # InputError, which the CLI reports as exit 2: never a RecursionError or a TypeError
+    doc, text = (doc, json.dumps(doc)) if deep is None else nested_document(*deep)
+    with tempfile.TemporaryDirectory() as tmp:
+        config, checkpoint = Path(tmp) / "run.json", Path(tmp) / "model.ckpt"
+        config.write_text(text)
+        checkpoint.write_bytes(CHECKPOINT_MAGIC + text.encode() + b"\n" + bytes(8 * 6))
+        for read in (lambda: parse_run_config(doc), lambda: load_run_config(config),
+                     lambda: load_checkpoint(checkpoint)):
+            try:
+                read()
+            except (ConfigError, InputError):
+                pass
 
 
 def csv_module_reader(path):
