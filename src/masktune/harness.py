@@ -144,8 +144,13 @@ def _train(model: ModelParams | RowParams, masks: GradientMaskSet, penalty: Pena
 
 def pretrain(task: TaskPair, dims: list[int], optim: OptimConfig,
              seed: int, batch_size: int = 32) -> ModelParams:
-    """Full (unmasked) cross-entropy training on the source dataset."""
+    """Full (unmasked) cross-entropy training on the source dataset, once ``dims`` are
+    known to fit its features and classes."""
     _check_batch_size(batch_size)
+    if dims[0] != task.dim:
+        raise ConfigError(f"model input width {dims[0]} != task dim {task.dim}")
+    if dims[-1] != task.classes:
+        raise ConfigError(f"model head width {dims[-1]} != task classes {task.classes}")
     rng = Rng(seed)
     model = init_model(dims, rng.child(0))
     masks = GradientMaskSet.all_full(model)
@@ -157,7 +162,10 @@ def pretrain(task: TaskPair, dims: list[int], optim: OptimConfig,
 
 
 def _check_config(model: ModelParams, task: TaskPair, cfg: FineTuneConfig) -> None:
-    """Before any scoring, refuse a k, regular set or subsets_n ``model`` or ``task`` cannot hold."""
+    """Before any scoring, refuse a k, regular set or subsets_n ``model`` or ``task`` cannot
+    hold, and a ``model`` whose input width is not the task's."""
+    if model.dims[0] != task.dim:
+        raise ConfigError(f"model input width {model.dims[0]} != task dim {task.dim}")
     if cfg.variant in SELECTION_VARIANTS:
         check_budget([l.weight.shape for l in model.layers], cfg.k, cfg.variant)
     resolve_regular_layers(len(model.layers), cfg.reg.regular)

@@ -19,7 +19,7 @@ from .model import (Layer, ModelParams, RowAnchor, RowParams, backward, forward,
                     row_chunks)
 
 if TYPE_CHECKING:  # masking imports this module for the contrastive loss
-    from .masking import GradientMaskSet, Segment
+    from .masking import GradientMaskSet
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def scl_loss_pass(features: np.ndarray, labels: np.ndarray, tau: float) -> Contr
     Every row-wise pass runs over one block of its rows at a time (``row_chunks``),
     which builds that block's positive pairs from ``labels``, so no second n x n
     array, float or boolean, ever exists. A caller that wants the loss alone (subset
-    selection) drops the rest.
+    selection) drops the rest. A row whose norm is zero or not finite raises NumericError.
     """
     check_tau(tau)
     features = np.asarray(features, dtype=np.float64)
@@ -143,8 +143,8 @@ def scl_loss_pass(features: np.ndarray, labels: np.ndarray, tau: float) -> Contr
         raise ShapeError(f"labels shape {labels.shape} does not match batch {batch}")
 
     norms = np.linalg.norm(features, axis=1)
-    if np.any(norms == 0.0):
-        raise NumericError("zero-norm feature row cannot be normalized")
+    if not np.all((norms > 0.0) & (norms < np.inf)):  # a zero, infinite or NaN norm
+        raise NumericError("a feature row whose norm is zero or not finite cannot be normalized")
     z = features
     z /= norms[:, None]
 
@@ -240,13 +240,10 @@ def scl_loss(features: np.ndarray, labels: np.ndarray, tau: float,
 
 class PenaltyPart(NamedTuple):
     """Regular entries that lie end to end in the layout: ``grad`` is their range of
-    the layout vector, and ``anchor`` the anchor's values there. ``sums`` gives each
-    of their segments' range within the part, and for a col weight segment its
-    (rows, cols) shape: its sum runs column by column, the memory order of
-    ``weight[:, cols]``, which fixes the loss's rounding."""
+    the layout vector, and ``anchor`` the anchor's values there. The penalty sums a
+    part's terms in one reduction."""
     grad: slice
     anchor: np.ndarray
-    sums: tuple[tuple[slice, tuple[int, int] | None], ...]
 
 
 @dataclass(frozen=True)
@@ -263,7 +260,7 @@ class Penalty:
     layout is the parameter vector: the parts are the segments, read in place
     against views of the anchor's arrays, so the anchor must not change. Frozen
     entries equal the anchor bit for bit, so their term is exactly zero and the
-    penalty skips them.
+    penalty skips them. The loss is summed part by part, in layout order.
     """
     cfg: RegConfig
     index: np.ndarray | None
@@ -288,7 +285,8 @@ def resolve_penalty(anchor: Sequence[Layer], cfg: RegConfig, masks: GradientMask
         regular = []
     if masks.positions is None:  # each segment in place, against a view of the anchor
         return Penalty(cfg, None, tuple(
-            _part(masks, (s,), getattr(anchor[s.layer], s.param).reshape(-1))
+            PenaltyPart(slice(s.offset, s.offset + s.size),
+                        getattr(anchor[s.layer], s.param).reshape(-1))
             for i in regular for s in masks.segments[2 * i:2 * i + 2]))
     runs = []  # runs of consecutive regular layers: their segments lie end to end
     for i in regular:
@@ -299,21 +297,10 @@ def resolve_penalty(anchor: Sequence[Layer], cfg: RegConfig, masks: GradientMask
     parts = []
     for run in runs:
         segments = masks.segments[2 * run[0]:2 * run[-1] + 2]
-        parts.append(_part(masks, segments, np.concatenate(
+        stop = segments[-1].offset + segments[-1].size
+        parts.append(PenaltyPart(slice(segments[0].offset, stop), np.concatenate(
             [getattr(anchor[s.layer], s.param)[s.index].ravel() for s in segments])))
     return Penalty(cfg, masks.positions, tuple(parts))
-
-
-def _part(masks: GradientMaskSet, segments: Sequence[Segment],
-          anchor: np.ndarray) -> PenaltyPart:
-    """The ``PenaltyPart`` of ``segments``, end to end in the layout of ``masks``, compared
-    with ``anchor``."""
-    start = segments[0].offset
-    stop = segments[-1].offset + segments[-1].size
-    sums = tuple((slice(s.offset - start, s.offset - start + s.size),
-                  s.shape if s.param == "weight" and masks.layers[s.layer].variant == "col"
-                  else None) for s in segments)
-    return PenaltyPart(slice(start, stop), anchor, sums)
 
 
 def reg_penalty(model: ModelParams | RowParams, penalty: Penalty, grad: np.ndarray,
@@ -324,13 +311,14 @@ def reg_penalty(model: ModelParams | RowParams, penalty: Penalty, grad: np.ndarr
     The gradient is added in place into ``grad``, a vector in the flat layout
     of the masks ``penalty`` was resolved with, through ``views``, its ``penalty.views``
     (a run resolves them once); entries outside the regular layers are left as they
-    are. Returns the loss, summed segment by segment and then layer by layer.
+    are. Returns the loss: lambda times the sum, part by part in layout order, of each
+    part's terms summed in one ``np.add.reduce``.
     """
     if not penalty.parts:
         return 0.0
-    lam, scale, l2 = penalty.cfg.lam, penalty.scale, penalty.cfg.norm == "l2"
+    scale, l2 = penalty.scale, penalty.cfg.norm == "l2"
     values = model.params if penalty.index is None else model.params[penalty.index]
-    sums = []
+    loss = 0.0
     for part, g in zip(penalty.parts, views or penalty.views(grad)):
         d = values[part.grad] - part.anchor
         if l2:
@@ -339,13 +327,8 @@ def reg_penalty(model: ModelParams | RowParams, penalty: Penalty, grad: np.ndarr
         else:
             g += scale * np.sign(d)
             np.abs(d, out=d)
-        for at, shape in part.sums:
-            term = d[at] if shape is None else d[at].reshape(shape).ravel("F")
-            sums.append(float(np.add.reduce(term)))
-    loss = 0.0
-    for weight_sum, bias_sum in zip(sums[::2], sums[1::2]):
-        loss += lam * (weight_sum + bias_sum)
-    return loss
+        loss += float(np.add.reduce(d))
+    return penalty.cfg.lam * loss
 
 
 def combined_grad(model: ModelParams | RowParams, masks: GradientMaskSet, penalty: Penalty,

@@ -373,29 +373,42 @@ def oracle_masked_adam_step(model, state, grad, masks, lr, cfg):
         getattr(model.layers[seg.layer], seg.param)[seg.index] -= seg.view(update)
 
 
-def oracle_reg_penalty(model, anchor, cfg, masks, grad):
+def oracle_penalty_terms(model, anchor, cfg, masks, grad):
     """Test oracle: the penalty towards the layers ``anchor`` as written before it
     read the parameter vector in one gather: per segment of each regular layer, a
-    fancy-indexed gather of the model's entries less the anchor's, its sum and its
-    gradient, added into ``grad``. Returns the loss."""
+    fancy-indexed gather of the model's entries less the anchor's, and its gradient,
+    added into ``grad``. Returns the terms (squared or absolute differences) of each
+    part the penalty sums at once, in layout order: each regular segment under all-full
+    masks, else each run of consecutive regular layers."""
     if cfg.norm == "none" or cfg.lam == 0.0:
-        return 0.0
-    lam, sums = cfg.lam, []
+        return []
+    lam, parts, last = cfg.lam, [], None
     for i in resolve_regular_layers(len(masks.layers), cfg.regular):
         for seg in masks.segments[2 * i:2 * i + 2]:
             d = getattr(model.layers[i], seg.param)[seg.index] - \
                 getattr(anchor[i], seg.param)[seg.index]
             g = seg.view(grad)
             if cfg.norm == "l2":
-                sums.append(float(np.sum(d * d)))
+                term = d * d
                 g += 2.0 * lam * d
             else:
-                sums.append(float(np.sum(np.abs(d))))
+                term = np.abs(d)
                 g += lam * np.sign(d)
+            if masks.positions is None or seg.param == "weight" and last != i - 1:
+                parts.append([])
+            parts[-1].append(term.ravel())  # C order, the layout's
+        last = i
+    return [np.concatenate(part) for part in parts]
+
+
+def oracle_reg_penalty(model, anchor, cfg, masks, grad):
+    """Test oracle: ``oracle_penalty_terms``, its gradient added into ``grad``. Returns
+    the loss: lambda times the sum, part by part in layout order, of each part's terms
+    summed in one ``np.add.reduce``."""
     loss = 0.0
-    for weight_sum, bias_sum in zip(sums[::2], sums[1::2]):
-        loss += lam * (weight_sum + bias_sum)
-    return loss
+    for terms in oracle_penalty_terms(model, anchor, cfg, masks, grad):
+        loss += float(np.add.reduce(terms))
+    return cfg.lam * loss
 
 
 def oracle_save_checkpoint(model, path):

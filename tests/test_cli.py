@@ -744,15 +744,16 @@ class TestContractHoles:
         assert_refused(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")],
                        tmp_path, capsys, [cfg])
 
-    def test_a_head_narrower_than_the_classes_exits_2_and_writes_no_checkpoint(
-            self, tmp_path, capsys):
-        # every training step checks its labels against the head's width
-        cfg = write_config(tmp_path, "model", "dims", [6, 8, 8, 2])
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_a_head_other_than_the_classes_exits_2_and_writes_no_checkpoint(
+            self, tmp_path, capsys, width):
+        # pretrain checks the head's width against the task's classes before it trains
+        cfg = write_config(tmp_path, "model", "dims", [6, 8, 8, width])
         err = assert_refused(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")],
                              tmp_path, capsys, [cfg])
-        assert "labels must lie in [0, 2)" in err
+        assert f"model head width {width} != task classes 3" in err
 
-    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "ablate"])
     def test_an_input_width_other_than_the_tasks_exits_2(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, "model", "dims", [5, 8, 8, 3])  # the task's dim is 6
         if command == "pretrain":
@@ -762,7 +763,12 @@ class TestContractHoles:
             ckpt = tmp_path / "pre.ckpt"
             save_checkpoint(init_model([5, 8, 8, 3], 0), ckpt)
             argv, inputs = self.finetune_argv(cfg, ckpt, tmp_path), [cfg, ckpt]
-        assert "input width 5" in assert_refused(argv, tmp_path, capsys, inputs)
+            if command == "ablate":
+                argv = ["ablate", "--config", str(cfg), "--checkpoint", str(ckpt), "--axis", "k",
+                        "--values", "1,2", "--out-dir", str(tmp_path / "sweep")]
+        err = assert_refused(argv, tmp_path, capsys, inputs)
+        assert "model input width 5 != task dim 6" in err
+        assert not (tmp_path / "sweep").exists()
 
     def test_bool_in_dims_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "model", "dims", [6, 8, True, 3])
@@ -838,7 +844,21 @@ class TestContractHoles:
 
 class TestNonFiniteScoring:
     """A tau so small that contrastive scores overflow (1e-200) or turn NaN
-    (1e-320) exits 3 with one line, and writes no file."""
+    (1e-320), and features whose norms overflow, exit 3 with one line, and write no
+    file."""
+
+    def test_features_whose_norm_overflows_exit_3(self, tmp_path, capsys):
+        # finite features of 1e200 give head inputs whose squared norms overflow to inf
+        ckpt, data_path = tmp_path / "model.ckpt", tmp_path / "big.csv"
+        save_checkpoint(init_model([4, 6, 6, 3], seed=0), ckpt)
+        save_dataset_csv(data.Dataset(np.full((20, 4), 1e200), np.arange(20) % 3, 3),
+                         data_path)
+        assert main(["mask-report", "--checkpoint", str(ckpt), "--data", str(data_path),
+                     "--k", "2", "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and err.count("\n") == 1
+        assert "not finite" in err
+        assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == [data_path, ckpt]
 
     @pytest.mark.parametrize("tau", ["1e-320", "1e-200"])
     def test_mask_report_exits_3(self, trained, tmp_path, capsys, tau):

@@ -19,6 +19,7 @@ package did before a run resolved them once.
 
 import csv
 import json
+import math
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -35,7 +36,8 @@ from conftest import (ROW_PATH_DIMS, bias_mask, copy_model, finite_diff_grad, fr
                       grad_rel_err, layer_grads, oracle_backward, oracle_build_mask,
                       oracle_cross_entropy, oracle_forward, oracle_topk_rows,
                       oracle_masked_adam_step,
-                      oracle_reg_penalty, oracle_save_checkpoint, oracle_save_dataset_csv,
+                      oracle_penalty_terms, oracle_reg_penalty, oracle_save_checkpoint,
+                      oracle_save_dataset_csv,
                       oracle_scl_loss,
                       oracle_whole_matrix_scl_loss, read_masks,
                       row_params, sparse_from_bits, sparse_from_lists)
@@ -386,25 +388,32 @@ def test_combined_vector_is_the_ce_vector_plus_the_full_anchor_penalty(setup, no
     assert ce == want_ce and total == want_ce + reg_loss
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data(), kind=MASK_KINDS,
-       norm=st.sampled_from(["l1", "l2"]), lam=st.floats(1e-3, 10.0), last_l=st.integers(0, 2),
-       embedding=st.booleans(), head=st.booleans())
-def test_one_gather_penalty_matches_the_per_segment_body_bitwise(seed, data, kind, norm, lam,
-                                                                 last_l, embedding, head):
-    # widths up to 20, so col segments hold columns long enough to sum in another order
-    dims = data.draw(st.lists(st.integers(1, 20), min_size=2, max_size=5))
-    variants = data.draw(st.lists(st.sampled_from(VARIANTS), min_size=len(dims) - 1,
-                                  max_size=len(dims) - 1))
-    rng, pre, masks = random_setup(seed, dims, variants)
-    masks = masks_of_kind(pre, masks, kind)
+@st.composite
+def penalty_cases(draw):
+    """A model, its anchor, masks of any kind and a penalty of either norm over any
+    regular set, every trainable entry moved off the anchor, and a gradient vector for
+    the penalty to add into, as if backward had written it."""
+    # widths up to 20, so a part holds enough terms that another summation order rounds
+    # differently
+    dims = draw(st.lists(st.integers(1, 20), min_size=2, max_size=5))
+    variants = draw(st.lists(st.sampled_from(VARIANTS), min_size=len(dims) - 1,
+                             max_size=len(dims) - 1))
+    rng, pre, masks = random_setup(draw(st.integers(0, 2 ** 32 - 1)), dims, variants)
+    masks = masks_of_kind(pre, masks, draw(MASK_KINDS))
     hidden = layer_roles(len(pre.layers)).count("hidden")
-    regular = RegularSet(min(last_l, hidden), include_embedding=embedding, include_head=head)
-    cfg = RegConfig(lam=lam, norm=norm, regular=regular)
+    regular = RegularSet(min(draw(st.integers(0, 2)), hidden), draw(st.booleans()),
+                         draw(st.booleans()))
+    cfg = RegConfig(draw(st.floats(1e-3, 10.0)), draw(st.sampled_from(["l1", "l2"])), regular)
     model = copy_model(pre)
     for seg in masks.segments:  # every trainable entry moves off the anchor
         getattr(model.layers[seg.layer], seg.param)[seg.index] += rng.normal(size=seg.shape)
-    grad = rng.normal(size=masks.size)  # the penalty adds into what backward wrote
+    return model, pre, masks, cfg, rng.normal(size=masks.size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=penalty_cases())
+def test_one_gather_penalty_matches_the_per_segment_body_bitwise(case):
+    model, pre, masks, cfg, grad = case
     want = grad.copy()
     penalty = resolve_penalty(pre.layers, cfg, masks)
     assert penalty.index is masks.positions
@@ -412,6 +421,19 @@ def test_one_gather_penalty_matches_the_per_segment_body_bitwise(seed, data, kin
     assert bits(np.float64(loss)) == bits(np.float64(
         oracle_reg_penalty(model, pre.layers, cfg, masks, want)))
     assert bits(grad) == bits(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=penalty_cases())
+def test_the_penalty_loss_is_within_rounding_of_its_exact_sum(case):
+    # independent of the order the terms are summed in: given the oracle's terms, each
+    # partial sum and the product with lambda round once, by at most 2**-53 relative
+    model, pre, masks, cfg, grad = case
+    loss = reg_penalty(model, resolve_penalty(pre.layers, cfg, masks), grad)
+    parts = oracle_penalty_terms(model, pre.layers, cfg, masks, grad.copy())
+    terms = np.concatenate([np.empty(0), *parts])
+    exact = cfg.lam * math.fsum(terms)
+    assert abs(loss - exact) <= len(terms) * 2.0 ** -52 * exact
 
 
 # A row or col slice is its own, narrower product, and the lowest layer's
