@@ -99,6 +99,11 @@ def cmd_mask_report(args) -> int:
     pre = load_checkpoint(args.checkpoint)
     masking.check_budget([l.weight.shape for l in pre.layers], args.k, args.variant)
     data = load_dataset_csv(args.data)
+    # no label repeats: no anchor has a positive, so every score would be 0 (np.unique
+    # would import numpy.ma on its first call, 1 MB that stays for the command)
+    if np.diff(np.sort(data.y)).all():
+        raise InputError("no label of the data repeats, so every contrastive gradient is "
+                         "zero and every score ties; give at least two rows of some class")
     gradients = masking.scl_gradients(pre, data.x, data.y, args.tau)
     masks = masking.compute_mask_set(gradients, args.k, args.variant)
 

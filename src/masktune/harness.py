@@ -371,7 +371,9 @@ def sweep_configs(pre: ModelParams, task: TaskPair, base_cfg: FineTuneConfig, ax
     included) fixed; every config passes ``_check_config`` against ``pre`` and ``task``. Two
     values that give equal configs or print alike (the name of a run's files) are refused,
     and so is a sweep of an axis the base config's run does not read: ``k`` and ``subsets_n``
-    under a variant whose masks read no scores, and the penalty's axes when it is off."""
+    under a variant whose masks read no scores, and the penalty's axes when it is off
+    (``lambda`` and ``norm`` under an empty regular set, whose ``regular_blocks`` is
+    still swept, as it changes the set)."""
     axis_type(axis)  # refuses an unknown axis
     if not values:
         raise ConfigError("values must be non-empty")
@@ -383,6 +385,8 @@ def sweep_configs(pre: ModelParams, task: TaskPair, base_cfg: FineTuneConfig, ax
         unread["norm"] = unread["regular_blocks"] = "lambda 0", "a positive lambda"
     if base_cfg.reg.norm == "none":
         unread["lambda"] = unread["regular_blocks"] = "norm 'none'", "norm 'l1' or 'l2'"
+    if not resolve_regular_layers(len(pre.layers), base_cfg.reg.regular):
+        unread["lambda"] = unread["norm"] = "an empty regular set", "a non-empty regular set"
     if axis in unread:
         setting, instead = unread[axis]
         raise ConfigError(f"{setting} reads no {axis}, so every {axis} value gives the same "

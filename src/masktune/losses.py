@@ -10,10 +10,11 @@ contribute zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import model as _model
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .model import (Layer, ModelParams, RowAnchor, RowParams, backward, forward, layer_roles,
                     row_chunks)
@@ -111,6 +112,14 @@ class ContrastivePass(NamedTuple):
     tau: float
 
 
+def _square_blocks(batch: int) -> Iterator[slice]:
+    """The row blocks of an n x n array that the contrastive passes walk: at most 32
+    rows and at most ``_CHUNK`` entries each (``_CHUNK`` read at call time), so a
+    block's temporaries never rival the array past 32 rows. From 1024 rows on they are
+    ``row_chunks(batch, batch)``'s blocks."""
+    return row_chunks(batch, max(batch, _model._CHUNK // 32))
+
+
 def _positives(labels: np.ndarray, r: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows ``r`` of the positive pairs (same label, self excluded), each row's count
     of them floored at 1, and whether it has any."""
@@ -128,10 +137,11 @@ def scl_loss_pass(features: np.ndarray, labels: np.ndarray, tau: float) -> Contr
     float64 array; anything else is converted to a fresh one first), so a caller
     passes an array it owns and does not read again (``scl_loss`` passes a copy).
     One n x n float buffer holds the similarities, then in place their exponentials.
-    Every row-wise pass runs over one block of its rows at a time (``row_chunks``),
-    which builds that block's positive pairs from ``labels``, so no second n x n
-    array, float or boolean, ever exists. A caller that wants the loss alone (subset
-    selection) drops the rest. A row whose norm is zero or not finite raises NumericError.
+    Every row-wise pass runs over one block of at most 32 of its rows at a time
+    (``_square_blocks``), which builds that block's positive pairs from ``labels``, so
+    past 32 rows no second n x n array, float or boolean, ever exists. A caller that
+    wants the loss alone (subset selection) drops the rest. A row whose norm is zero or
+    not finite raises NumericError.
     """
     check_tau(tau)
     features = np.asarray(features, dtype=np.float64)
@@ -152,7 +162,7 @@ def scl_loss_pass(features: np.ndarray, labels: np.ndarray, tau: float) -> Contr
     sim /= tau
     valid = np.empty(batch, dtype=bool)
     mean_pos_sim, row_max, sums = np.empty(batch), np.empty(batch), np.empty(batch)
-    for r in row_chunks(batch, batch):
+    for r in _square_blocks(batch):
         block = sim[r]
         positives, denom, valid[r] = _positives(labels, r)
         # before the diagonal turns -inf: False * -inf is NaN
@@ -175,11 +185,12 @@ def scl_grad_pass(state: ContrastivePass, out: np.ndarray | None = None) -> np.n
     shape, whatever it held; ``state.z``, the features' own buffer, will do), else a
     fresh array.
 
-    ``state.buffer`` becomes dL/dsim in place, block by block, and the transpose is
-    added slab by slab; its product with ``z`` is written into a fresh array, one
-    whole-matrix product. The Jacobian then turns that product's rows into the
-    gradient in ``out``, a block of rows at a time, its block temporaries in the spent
-    n x n buffer (or in one fresh block where that buffer is smaller than a block).
+    ``state.buffer`` becomes dL/dsim in place, a block of at most 32 rows at a time,
+    and the transpose is added slab by slab, each at most 32 rows wide, so past 32
+    rows no second n x n array exists; its product with ``z`` is written into a fresh
+    array, one whole-matrix product. The Jacobian then turns that product's rows into
+    the gradient in ``out``, a block of rows at a time, its block temporaries in the
+    spent n x n buffer (or in one fresh block where that buffer is smaller than a block).
     So at the product live the buffer, ``z`` and the product alone (20 MB on 1000 x
     768 features), and never a block beside them.
     """
@@ -188,7 +199,7 @@ def scl_grad_pass(state: ContrastivePass, out: np.ndarray | None = None) -> np.n
     if not (out is None or out.dtype == np.float64 and out.shape == z.shape
             and out.flags.c_contiguous):
         raise ShapeError(f"out must be a C-contiguous float64 array of shape {z.shape}")
-    for r in row_chunks(batch, batch):
+    for r in _square_blocks(batch):
         # dL/dsim: softmax over non-self entries minus positive-average, per valid anchor
         block = sim[r]
         positives, denom, valid = _positives(labels, r)
@@ -197,7 +208,7 @@ def scl_grad_pass(state: ContrastivePass, out: np.ndarray | None = None) -> np.n
         block[~valid] = 0.0
     # sim is used both as (i, a) and (a, i) terms: sim += sim.T, a slab of rows and
     # its transposed columns at a time, each entry the same one addition
-    for r in row_chunks(batch, batch):
+    for r in _square_blocks(batch):
         slab = sim[r, r.start:] + sim[r.start:, r].T
         sim[r, r.start:] = slab
         sim[r.start:, r] = slab.T

@@ -720,6 +720,19 @@ class TestContractHoles:
                         "--out", str(tmp_path / "r.json")], tmp_path, capsys, [data_path])
         assert calls == [[], []]
 
+    def test_mask_report_refuses_data_where_no_label_repeats(self, trained, tmp_path, capsys,
+                                                             monkeypatch):
+        # no anchor has a positive, so every contrastive gradient and score would be 0
+        data_path = tmp_path / "target.csv"
+        x = np.random.default_rng(0).normal(size=(20, 6))
+        save_dataset_csv(data.Dataset(x, np.arange(20), 20), data_path)
+        calls = count_calls(monkeypatch, masking.scl_gradients)
+        err = assert_refused(["mask-report", "--checkpoint", str(trained[1]),
+                              "--data", str(data_path), "--k", "2",
+                              "--out", str(tmp_path / "r.json")], tmp_path, capsys, [data_path])
+        assert "no label of the data repeats" in err
+        assert calls == []
+
     def test_regular_blocks_above_the_hidden_layers_exits_2_with_lambda_0(
             self, trained, tmp_path, capsys):
         cfg = write_config(tmp_path, "finetune", "lambda", 0.0)
@@ -931,6 +944,10 @@ def test_extreme_tau_and_checkpoint_scale_exit_0_or_3_with_finite_json(trained, 
                 path.unlink()
 
 
+# a regular set of no layer: the penalty reads no lambda and no norm
+EMPTY_REGULAR = {"last_l": 0, "include_embedding": False, "include_head": False}
+
+
 class TestSweepIsCheckedBeforeTraining:
     """ablate refuses a sweep with any bad value before its first run trains."""
 
@@ -955,9 +972,11 @@ class TestSweepIsCheckedBeforeTraining:
         ("lambda", 0.0, "norm", "l1,l2", "lambda 0"),
         ("lambda", 0.0, "regular_blocks", "0,1", "lambda 0"),
         ("norm", "none", "lambda", "0.01,0.1", "norm 'none'"),
-        ("norm", "none", "regular_blocks", "0,1", "norm 'none'")],
+        ("norm", "none", "regular_blocks", "0,1", "norm 'none'"),
+        ("regular", EMPTY_REGULAR, "lambda", "0.01,0.1", "an empty regular set"),
+        ("regular", EMPTY_REGULAR, "norm", "l1,l2", "an empty regular set")],
         ids=["k-full", "k-head", "subsets_n-full", "subsets_n-head", "norm-lambda0", "regular_blocks-lambda0", "lambda-norm_none",
-             "regular_blocks-norm_none"])
+             "regular_blocks-norm_none", "lambda-empty_regular", "norm-empty_regular"])
     def test_a_sweep_of_an_axis_its_run_does_not_read_exits_2_without_training(
             self, trained, tmp_path, capsys, monkeypatch, key, value, axis, values, setting):
         cfg = write_config(tmp_path, "finetune", key, value)

@@ -9,6 +9,7 @@ from masktune.errors import ConfigError, InputError, ShapeError
 from masktune.losses import (
     RegConfig,
     RegularSet,
+    _square_blocks,
     combined_grad,
     cross_entropy,
     reg_penalty,
@@ -18,7 +19,7 @@ from masktune.losses import (
     scl_loss_pass,
 )
 from masktune.masking import GradientMaskSet, LayerMask
-from masktune.model import _CHUNK, Layer, ModelParams, forward
+from masktune.model import _CHUNK, Layer, ModelParams, forward, row_chunks
 
 
 def full_penalty(pre, cfg):
@@ -156,6 +157,16 @@ class TestSclLoss:
                                 (copies + 1) * 8 * n * d + 8 * _CHUNK) + 64 * 1024
         out = f if into_features else None
         assert peak_bytes(lambda: scl_loss(f, y, 0.5, out=out)) <= bound
+
+    @pytest.mark.parametrize("n", [2, 32, 33, 200, 1000, 1023, 1024, 1100, 4000])
+    def test_the_passes_blocks_are_at_most_32_rows_and_chunk_entries(self, n):
+        blocks = list(_square_blocks(n))
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        rows = max(b.stop - b.start for b in blocks)
+        assert rows <= 32 and rows * n <= _CHUNK
+        if n >= 1000:  # wide-mask-report's 1000 rows and up: the blocks of row_chunks
+            assert blocks == list(row_chunks(n, n))
 
     def test_the_gradient_written_into_the_features_is_the_fresh_one(self, np_rng):
         f = np_rng.normal(size=(40, 7))
